@@ -899,13 +899,14 @@ fn cec_smoke() {
         eprintln!(
             "cec smoke ok: {name} ({gates} gates) mapped in {map_ms:.1} ms, proved in \
              {cec_ms:.1} ms — {}/{} outputs, {} internal merges, {} sat calls ({} conflicts), \
-             {} sim-filtered, {} replays",
+             {} sim-filtered, {} refinements, {} replays",
             report.outputs_proved,
             report.outputs_total,
             report.internal_merges,
             report.sat_calls,
             report.conflicts,
             report.sim_filtered,
+            report.refinements,
             report.cex_replays,
         );
     }

@@ -1,6 +1,6 @@
 //! Miter-based combinational equivalence checking.
 //!
-//! The checker is a SAT sweep over a shared-input miter, in three tiers
+//! The checker is a SAT sweep over a shared-input miter, in four tiers
 //! ordered cheapest first:
 //!
 //! 1. **Simulation filter.** Both networks run the guided + random word
@@ -14,34 +14,47 @@
 //!    [`Encoder`], sharing input literals positionally. Nodes of the
 //!    right network whose fanins already collapsed onto left-network
 //!    literals hash to the *same* literal, proving equivalence with zero
-//!    solver effort.
-//! 3. **SAT.** Remaining candidate pairs (same canonical signature) are
-//!    closed with a *cone-local* query on their XOR miter under a small
-//!    conflict budget: [`Encoder::solve_cone`] rebuilds only the miter's
-//!    transitive fanin in a fresh solver, so each query costs its cone,
-//!    not the whole two-network CNF. A proven pair substitutes the left
-//!    literal for the right node, shrinking every downstream cone (and
-//!    is memoized, so strash-shared right nodes never re-prove). Output
-//!    miters get the large budget; a `Sat` answer yields a model whose
-//!    input assignment is replayed through the scalar simulator before
-//!    it is believed.
+//!    solver effort; such a node skips the candidate search entirely.
+//! 3. **Counterexample refinement.** Every satisfying model of an
+//!    internal node-pair query is a real input vector on which the pair
+//!    differs, and usually separates many more pairs that the random
+//!    vectors could not: it becomes a new simulation lane on both
+//!    networks before the next candidate is looked at (the SAT-sweeping
+//!    refinement of Mishchenko et al., ICCAD 2006). Pending lanes are
+//!    evaluated lazily, only over the fanin cones of a pair about to go
+//!    to SAT and memoized per node, so a counterexample costs the cones
+//!    it is asked about, not the networks; every 64 lanes the batch is
+//!    re-simulated in full and folded into a per-node hash that filters
+//!    candidates as cheaply as the signatures do.
+//! 4. **SAT.** Remaining candidate pairs are closed with a *cone-local*
+//!    query on their XOR miter under a small conflict budget:
+//!    [`Encoder::solve_cone`] emits only the miter's transitive fanin
+//!    into the encoder's one reusable cone solver, so each query costs
+//!    its cone, not the whole two-network CNF, and reuses the previous
+//!    queries' allocations. A
+//!    proven pair substitutes the left literal for the right node,
+//!    shrinking every downstream cone (and is memoized, so
+//!    strash-shared right nodes never re-prove). Output miters get the
+//!    large budget; a `Sat` answer yields a model whose input assignment
+//!    is replayed through the scalar simulator before it is believed.
 //!
 //! Everything is counted: SAT calls, CDCL conflicts, simulation-filtered
-//! candidates, and counterexample replays, surfaced through
-//! [`soi_trace`] as `cec_sat_calls` / `conflicts` / `cec_sim_filtered` /
-//! `cex_replays`.
+//! candidates, refinement lanes and counterexample replays, surfaced
+//! through [`soi_trace`] as `cec_sat_calls` / `conflicts` /
+//! `cec_sim_filtered` / `cec_refinements` / `cex_replays`.
 
 use std::error::Error;
 use std::fmt;
 
 use soi_netlist::fx::FxHashMap;
-use soi_netlist::{Network, NetworkError, NodeId};
+use soi_netlist::sim::SimBatch;
+use soi_netlist::{Network, NetworkError, Node, NodeId};
 use soi_trace::{Counter, TraceHandle};
 
 use crate::cnf::Lit;
 use crate::encode::Encoder;
 use crate::solver::SatResult;
-use crate::wordsim;
+use crate::wordsim::{self, LaneSim};
 
 /// Tuning knobs and budgets for one equivalence check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -121,6 +134,9 @@ pub struct CecReport {
     pub conflicts: u64,
     /// Counterexamples replayed through the scalar simulator.
     pub cex_replays: u64,
+    /// Counterexample lanes fed back into simulation: satisfying models
+    /// of internal node-pair queries.
+    pub refinements: u64,
 }
 
 impl CecReport {
@@ -213,7 +229,8 @@ pub fn check_networks(a: &Network, b: &Network, opts: &CecOptions) -> Result<Cec
 }
 
 /// [`check_networks`] with a trace handle: reports `cec_sat_calls`,
-/// `cec_sim_filtered`, `conflicts` and `cex_replays` counters.
+/// `cec_sim_filtered`, `conflicts`, `cec_refinements` and `cex_replays`
+/// counters.
 pub fn check_networks_traced(
     a: &Network,
     b: &Network,
@@ -226,6 +243,7 @@ pub fn check_networks_traced(
     trace.count(Counter::CecSimFiltered, chk.report.sim_filtered);
     trace.count(Counter::Conflicts, chk.report.conflicts);
     trace.count(Counter::CexReplays, chk.report.cex_replays);
+    trace.count(Counter::CecRefinements, chk.report.refinements);
     result.map(|verdict| {
         chk.report.verdict = verdict;
         chk.report
@@ -236,14 +254,61 @@ pub fn check_networks_traced(
 /// phase.
 type ClassEntry = (NodeId, bool);
 
+/// Lanes per refinement batch: pending counterexamples are re-simulated
+/// in full and folded once this many have accumulated.
+const LANES: u32 = 64;
+
+/// One network's side of the simulation state.
+struct Side<'n> {
+    net: &'n Network,
+    /// Node-major guided + random signatures (see
+    /// [`wordsim::node_signatures`]).
+    sigs: Vec<u64>,
+    /// Pending refinement lanes, evaluated lazily per fanin cone.
+    lanes: LaneSim,
+    /// Per-node hash of every folded refinement batch, each word taken in
+    /// the node's canonical phase: nodes that agree on all folded lanes
+    /// (up to their relative phase) hash alike, so unequal hashes prove a
+    /// folded lane separates them.
+    folded: Vec<u64>,
+}
+
+impl<'n> Side<'n> {
+    fn new(net: &'n Network, batches: &[SimBatch]) -> Result<Side<'n>, CecError> {
+        Ok(Side {
+            net,
+            sigs: wordsim::node_signatures(net, batches)?,
+            lanes: LaneSim::new(net),
+            folded: vec![0; net.len()],
+        })
+    }
+
+    fn sig(&self, id: NodeId, rounds: usize) -> &[u64] {
+        &self.sigs[id.index() * rounds..(id.index() + 1) * rounds]
+    }
+
+    /// Re-simulates the full lane batch and folds it into `folded`.
+    fn fold(&mut self, batch: &SimBatch, rounds: usize) {
+        let words = wordsim::node_signatures(self.net, std::slice::from_ref(batch))
+            .expect("one lane word per primary input");
+        for (n, h) in self.folded.iter_mut().enumerate() {
+            // The canonical phase is the first signature word's lane 0.
+            let flip = 0u64.wrapping_sub(self.sigs[n * rounds] & 1);
+            *h = (*h ^ words[n] ^ flip).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+}
+
 struct Checker<'n> {
-    a: &'n Network,
-    b: &'n Network,
+    a: Side<'n>,
+    b: Side<'n>,
     opts: CecOptions,
-    batches: Vec<soi_netlist::sim::SimBatch>,
+    batches: Vec<SimBatch>,
     rounds: usize,
-    sig_a: Vec<u64>,
-    sig_b: Vec<u64>,
+    /// One word per primary input holding the pending refinement lanes;
+    /// lanes at and above `pending` are unused.
+    lane_inputs: Vec<u64>,
+    pending: u32,
     report: CecReport,
 }
 
@@ -264,17 +329,14 @@ impl<'n> Checker<'n> {
             });
         }
         let batches = wordsim::batches(a.inputs().len(), opts.sim_rounds, opts.seed);
-        let rounds = batches.len();
-        let sig_a = wordsim::node_signatures(a, &batches)?;
-        let sig_b = wordsim::node_signatures(b, &batches)?;
         Ok(Checker {
-            a,
-            b,
+            a: Side::new(a, &batches)?,
+            b: Side::new(b, &batches)?,
             opts: *opts,
+            rounds: batches.len(),
             batches,
-            rounds,
-            sig_a,
-            sig_b,
+            lane_inputs: vec![0; a.inputs().len()],
+            pending: 0,
             report: CecReport {
                 verdict: CecVerdict::Equivalent,
                 outputs_proved: 0,
@@ -284,13 +346,9 @@ impl<'n> Checker<'n> {
                 sat_calls: 0,
                 conflicts: 0,
                 cex_replays: 0,
+                refinements: 0,
             },
         })
-    }
-
-    fn sig(&self, side_a: bool, id: NodeId) -> &[u64] {
-        let sigs = if side_a { &self.sig_a } else { &self.sig_b };
-        &sigs[id.index() * self.rounds..(id.index() + 1) * self.rounds]
     }
 
     /// Replays a lane assignment through both scalar simulators and
@@ -298,8 +356,8 @@ impl<'n> Checker<'n> {
     /// mismatch does not reproduce.
     fn replay(&mut self, inputs: Vec<bool>, output: usize) -> Result<CecVerdict, CecError> {
         self.report.cex_replays += 1;
-        let va = self.a.simulate(&inputs)?;
-        let vb = self.b.simulate(&inputs)?;
+        let va = self.a.net.simulate(&inputs)?;
+        let vb = self.b.net.simulate(&inputs)?;
         if va[output] != vb[output] {
             return Ok(CecVerdict::NotEquivalent(Counterexample {
                 inputs,
@@ -321,28 +379,23 @@ impl<'n> Checker<'n> {
     }
 
     fn run(&mut self) -> Result<CecVerdict, CecError> {
+        let (a, b) = (self.a.net, self.b.net);
         // Tier 1: direct output comparison on the simulated words.
-        for o in 0..self.a.outputs().len() {
-            let da = self.a.outputs()[o].driver;
-            let db = self.b.outputs()[o].driver;
-            for r in 0..self.rounds {
-                let wa = self.sig_a[da.index() * self.rounds + r];
-                let wb = self.sig_b[db.index() * self.rounds + r];
-                let diff = wa ^ wb;
-                if diff != 0 {
-                    self.report.sim_filtered += 1;
-                    let lane = diff.trailing_zeros();
-                    let inputs = wordsim::lane_assignment(&self.batches[r], lane);
-                    return self.replay(inputs, o);
-                }
+        for o in 0..a.outputs().len() {
+            let sa = self.a.sig(a.outputs()[o].driver, self.rounds);
+            let sb = self.b.sig(b.outputs()[o].driver, self.rounds);
+            if let Some(r) = (0..self.rounds).find(|&r| sa[r] != sb[r]) {
+                self.report.sim_filtered += 1;
+                let lane = (sa[r] ^ sb[r]).trailing_zeros();
+                let inputs = wordsim::lane_assignment(&self.batches[r], lane);
+                return self.replay(inputs, o);
             }
         }
 
         // Candidate classes over the left network's nodes.
-        let mut proven: FxHashMap<u32, Lit> = FxHashMap::default();
         let mut classes: FxHashMap<u64, Vec<ClassEntry>> = FxHashMap::default();
-        for (id, _) in self.a.iter() {
-            let canon = wordsim::canonicalize(self.sig(true, id));
+        for (id, _) in a.iter() {
+            let canon = wordsim::canonicalize(self.a.sig(id, self.rounds));
             classes
                 .entry(canon.hash)
                 .or_default()
@@ -351,44 +404,49 @@ impl<'n> Checker<'n> {
 
         // Shared input literals; encode the left network wholesale.
         let mut enc = Encoder::new();
-        let in_lits: Vec<Lit> = (0..self.a.inputs().len()).map(|_| enc.fresh()).collect();
-        let lits_a = enc.encode_network(self.a, &in_lits)?;
+        let in_lits: Vec<Lit> = (0..a.inputs().len()).map(|_| enc.fresh()).collect();
+        let lits_a = enc.encode_network(a, &in_lits)?.nodes;
+        let left_vars = enc.num_vars();
 
-        // Tier 2 + 3: sweep the right network in topological order,
+        // Tiers 2-4: sweep the right network in topological order,
         // substituting proven-equivalent left literals as we go.
-        let mut lits_b: Vec<Lit> = Vec::with_capacity(self.b.len());
+        let mut sweep = Sweep {
+            enc,
+            in_lits,
+            lits_a,
+            classes,
+            proven: FxHashMap::default(),
+            left_vars,
+        };
+        let mut lits_b: Vec<Lit> = Vec::with_capacity(b.len());
         let mut next_input = 0;
-        for (id, node) in self.b.iter() {
-            use soi_netlist::{Node, UnOp};
+        for (id, node) in b.iter() {
+            use soi_netlist::UnOp;
             let lit = match node {
                 Node::Input { .. } => {
-                    let l = in_lits[next_input];
                     next_input += 1;
-                    l
+                    lits_b.push(sweep.in_lits[next_input - 1]);
+                    continue;
                 }
-                Node::Const { value } => enc.constant(*value),
+                Node::Const { value } => sweep.enc.constant(*value),
                 Node::Unary { op, a } => match op {
                     UnOp::Inv => !lits_b[a.index()],
                     UnOp::Buf => lits_b[a.index()],
                 },
                 Node::Binary { op, a, b } => {
                     let (la, lb) = (lits_b[a.index()], lits_b[b.index()]);
-                    enc.binary(*op, la, lb)
+                    sweep.enc.binary(*op, la, lb)
                 }
             };
-            let lit = if node.is_input() {
-                lit
-            } else {
-                self.merge(&mut enc, &classes, &mut proven, &lits_a.nodes, id, lit)
-            };
-            lits_b.push(lit);
+            lits_b.push(self.merge(&mut sweep, id, lit));
         }
 
         // Output miters.
+        let enc = &mut sweep.enc;
         let mut unproven = 0;
-        for o in 0..self.a.outputs().len() {
-            let la = lits_a.nodes[self.a.outputs()[o].driver.index()];
-            let lb = lits_b[self.b.outputs()[o].driver.index()];
+        for o in 0..a.outputs().len() {
+            let la = sweep.lits_a[a.outputs()[o].driver.index()];
+            let lb = lits_b[b.outputs()[o].driver.index()];
             if la == lb {
                 self.report.outputs_proved += 1;
                 continue;
@@ -408,8 +466,11 @@ impl<'n> Checker<'n> {
                     // Inputs outside the miter's cone default to false;
                     // they cannot affect the differing output, and the
                     // scalar replay re-simulates the full networks.
-                    let inputs: Vec<bool> =
-                        in_lits.iter().map(|&l| enc.cone_model_value(l)).collect();
+                    let inputs: Vec<bool> = sweep
+                        .in_lits
+                        .iter()
+                        .map(|&l| enc.cone_model_value(l))
+                        .collect();
                     return self.replay(inputs, o);
                 }
                 SatResult::Unknown => unproven += 1,
@@ -421,25 +482,56 @@ impl<'n> Checker<'n> {
         Ok(CecVerdict::Equivalent)
     }
 
+    /// Whether a pending refinement lane separates left node `aid` from
+    /// right node `id` under the given relative phase.
+    fn lanes_differ(&mut self, aid: NodeId, id: NodeId, relative: bool) -> bool {
+        if self.pending == 0 {
+            return false;
+        }
+        let wa = self.a.lanes.word(self.a.net, aid, &self.lane_inputs);
+        let wb = self.b.lanes.word(self.b.net, id, &self.lane_inputs);
+        let flip = if relative { u64::MAX } else { 0 };
+        (wa ^ wb ^ flip) & ((1u64 << self.pending) - 1) != 0
+    }
+
+    /// Feeds the input assignment of the last satisfying cone query back
+    /// as a new simulation lane on both networks.
+    fn refine(&mut self, enc: &Encoder, in_lits: &[Lit]) {
+        self.report.refinements += 1;
+        for (w, &l) in self.lane_inputs.iter_mut().zip(in_lits) {
+            *w |= u64::from(enc.cone_model_value(l)) << self.pending;
+        }
+        self.pending += 1;
+        self.a.lanes.invalidate();
+        self.b.lanes.invalidate();
+        if self.pending == LANES {
+            let batch = SimBatch::new(std::mem::replace(
+                &mut self.lane_inputs,
+                vec![0; self.a.net.inputs().len()],
+            ));
+            self.a.fold(&batch, self.rounds);
+            self.b.fold(&batch, self.rounds);
+            self.pending = 0;
+        }
+    }
+
     /// Tries to merge a right-network node onto a left-network literal
     /// via its signature class; returns the representative literal.
-    fn merge(
-        &mut self,
-        enc: &mut Encoder,
-        classes: &FxHashMap<u64, Vec<ClassEntry>>,
-        proven: &mut FxHashMap<u32, Lit>,
-        lits_a: &[Lit],
-        id: NodeId,
-        lit: Lit,
-    ) -> Lit {
+    fn merge(&mut self, sweep: &mut Sweep, id: NodeId, lit: Lit) -> Lit {
         // Structural hashing can hand distinct right-network nodes the
         // same literal; a var proved once never re-proves.
-        if let Some(&rep) = proven.get(&(lit.var().index() as u32)) {
+        if let Some(&rep) = sweep.proven.get(&(lit.var().index() as u32)) {
             self.report.internal_merges += 1;
             return rep.xor_sign(lit.is_negated());
         }
-        let canon = wordsim::canonicalize(self.sig(false, id));
-        let Some(cands) = classes.get(&canon.hash) else {
+        // A literal that needed no new variable is already a left-network
+        // signal: merged for free, with nothing to prove.
+        if lit.var().index() < sweep.left_vars {
+            self.report.internal_merges += 1;
+            return lit;
+        }
+        let canon = wordsim::canonicalize(self.b.sig(id, self.rounds));
+        let Some(cands) = sweep.classes.get(&canon.hash) else {
             // Simulation alone separated this node from every left node.
             self.report.sim_filtered += 1;
             return lit;
@@ -450,41 +542,59 @@ impl<'n> Checker<'n> {
                 break;
             }
             let relative = phase_a ^ canon.phase;
-            if !wordsim::sigs_equal(self.sig(true, aid), self.sig(false, id), relative) {
-                continue; // hash collision
+            if self.a.folded[aid.index()] != self.b.folded[id.index()]
+                || !wordsim::sigs_equal(
+                    self.a.sig(aid, self.rounds),
+                    self.b.sig(id, self.rounds),
+                    relative,
+                )
+            {
+                continue; // hash collision, or split by a folded lane
             }
             tried += 1;
-            let target = lits_a[aid.index()].xor_sign(relative);
-            if lit == target {
-                self.report.internal_merges += 1;
-                return lit;
+            if self.lanes_differ(aid, id, relative) {
+                continue; // refuted by a counterexample lane
             }
-            if lit == !target {
-                continue; // structurally proven different
-            }
+            let target = sweep.lits_a[aid.index()].xor_sign(relative);
+            let enc = &mut sweep.enc;
             let miter = enc.xor(lit, target);
-            if miter == enc.lit_false() {
-                self.report.internal_merges += 1;
-                return target;
-            }
-            if miter == enc.lit_true() {
-                continue;
-            }
             self.report.sat_calls += 1;
             let before = enc.conflicts();
             let result = enc.solve_cone(&[miter], self.opts.node_conflict_budget);
             self.report.conflicts += enc.conflicts() - before;
-            if result == SatResult::Unsat {
-                // Equivalent: substitute the left literal everywhere
-                // downstream. No equality clause is needed — every later
-                // cone is built over the substituted literal.
-                proven.insert(lit.var().index() as u32, target.xor_sign(lit.is_negated()));
-                self.report.internal_merges += 1;
-                return target;
+            match result {
+                SatResult::Unsat => {
+                    // Equivalent: substitute the left literal everywhere
+                    // downstream. No equality clause is needed — every
+                    // later cone is built over the substituted literal.
+                    sweep
+                        .proven
+                        .insert(lit.var().index() as u32, target.xor_sign(lit.is_negated()));
+                    self.report.internal_merges += 1;
+                    return target;
+                }
+                SatResult::Sat => self.refine(&sweep.enc, &sweep.in_lits),
+                SatResult::Unknown => {}
             }
         }
         lit
     }
+}
+
+/// The encoding state of the sweep over the right network.
+struct Sweep {
+    enc: Encoder,
+    /// Shared primary-input literals.
+    in_lits: Vec<Lit>,
+    /// Literal per left-network node.
+    lits_a: Vec<Lit>,
+    /// Left-network nodes by canonical signature hash.
+    classes: FxHashMap<u64, Vec<ClassEntry>>,
+    /// Right-network variables proved equal to a left literal.
+    proven: FxHashMap<u32, Lit>,
+    /// Variables allocated while encoding the left network: the
+    /// constant, the inputs and the left nodes' literals.
+    left_vars: usize,
 }
 
 #[cfg(test)]
@@ -606,15 +716,92 @@ mod tests {
 
     #[test]
     fn traced_check_reports_counters() {
+        let (left, right) = refinement_pair();
         let (rec, trace) = soi_trace::Recorder::install();
-        let report =
-            check_networks_traced(&xor_net(), &xor_as_aoi(), &CecOptions::default(), trace)
-                .unwrap();
+        let report = check_networks_traced(&left, &right, &refinement_opts(), trace).unwrap();
         assert!(report.is_equivalent());
+        assert!(report.refinements > 0, "{report:?}");
         assert_eq!(rec.counter(Counter::CecSatCalls), report.sat_calls);
         assert_eq!(rec.counter(Counter::Conflicts), report.conflicts);
         assert_eq!(rec.counter(Counter::CecSimFiltered), report.sim_filtered);
         assert_eq!(rec.counter(Counter::CexReplays), report.cex_replays);
+        assert_eq!(rec.counter(Counter::CecRefinements), report.refinements);
+    }
+
+    /// Guided vectors only, and room in the candidate budget for every
+    /// member of the fixture's signature class.
+    fn refinement_opts() -> CecOptions {
+        CecOptions {
+            sim_rounds: 0,
+            max_candidates: 8,
+            ..CecOptions::default()
+        }
+    }
+
+    /// Inputs `x1..x4, y1..y4`. The right network computes
+    /// `R = x1·x2·!x3·!x4`; the left computes the same function with
+    /// another association (`R'`, its only output) and, before it, four
+    /// dangling decoys `L_j = R·y_j`. Under the guided walking-one and
+    /// walking-zero vectors all five left nodes and `R` are constant 0,
+    /// so they share one signature class, with the decoys first — yet no
+    /// decoy equals `R`: `L_j` differs from it exactly where `R = 1` and
+    /// `y_j = 0`.
+    fn refinement_pair() -> (Network, Network) {
+        let mut left = Network::new("decoys");
+        let x: Vec<_> = (1..=4).map(|i| left.add_input(format!("x{i}"))).collect();
+        let y: Vec<_> = (1..=4).map(|i| left.add_input(format!("y{i}"))).collect();
+        let (n3, n4) = (left.inv(x[2]), left.inv(x[3]));
+        let x1n3 = left.and2(x[0], n3);
+        for &yj in &y {
+            let n4y = left.and2(n4, yj);
+            let rest = left.and2(x[1], n4y);
+            left.and2(x1n3, rest);
+        }
+        let x2n4 = left.and2(x[1], n4);
+        let r = left.and2(x1n3, x2n4);
+        left.add_output("r", r);
+
+        let mut right = Network::new("r");
+        let x: Vec<_> = (1..=4).map(|i| right.add_input(format!("x{i}"))).collect();
+        for i in 1..=4 {
+            right.add_input(format!("y{i}"));
+        }
+        let (n3, n4) = (right.inv(x[2]), right.inv(x[3]));
+        let x1x2 = right.and2(x[0], x[1]);
+        let n3n4 = right.and2(n3, n4);
+        let r = right.and2(x1x2, n3n4);
+        right.add_output("r", r);
+        (left, right)
+    }
+
+    /// One SAT counterexample removes a whole class of decoys: the query
+    /// `R` vs `L_1` is satisfiable only with `R = 1, y_1 = 0`, and the
+    /// decoys' other `y_j` lie outside that query's cone and read false,
+    /// so the fed-back lane has `L_2 = L_3 = L_4 = 0 != R`. Those three
+    /// never reach SAT; the next SAT call proves `R ≡ R'` and merges it.
+    /// Without the lane the sweep would have spent five SAT calls.
+    #[test]
+    fn one_counterexample_refutes_a_class_of_decoys() {
+        let (left, right) = refinement_pair();
+        let report = check_networks(&left, &right, &refinement_opts()).unwrap();
+        assert!(report.is_equivalent(), "{report:?}");
+        assert_eq!(report.refinements, 1, "{report:?}");
+        assert_eq!(
+            report.sat_calls, 2,
+            "L_1 (sat) and R' (unsat) only: {report:?}"
+        );
+        assert_eq!(report.outputs_proved, 1);
+        assert!(report.internal_merges >= 1, "R merges onto R': {report:?}");
+
+        // The verdict does not depend on the lane: with a budget that
+        // reaches only the first decoy, the output miter proves instead.
+        let opts = CecOptions {
+            max_candidates: 1,
+            ..refinement_opts()
+        };
+        let report = check_networks(&left, &right, &opts).unwrap();
+        assert!(report.is_equivalent(), "{report:?}");
+        assert_eq!(report.refinements, 1, "{report:?}");
     }
 
     #[test]

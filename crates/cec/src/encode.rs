@@ -1,18 +1,30 @@
 //! Tseitin CNF encoding with structural-hash sharing.
 //!
-//! [`Encoder`] owns a [`Solver`] and hands out literals for logic built
-//! over them. Every gate constructor constant-folds (`a·a = a`,
-//! `a·!a = 0`, constant operands) and then consults a structural-hash
-//! table, so re-encoding the same gate over the same operand literals
-//! returns the *same* literal instead of fresh clauses — the `DagCnf`
-//! idiom. Inverters and buffers are free: negation is a literal sign, not
-//! a variable.
+//! [`Encoder`] hands out literals for logic built over them and records
+//! each derived variable's gate definition once, in a dense `defs` table.
+//! Every gate constructor constant-folds (`a·a = a`, `a·!a = 0`, constant
+//! operands) and then consults a structural-hash table, so re-encoding
+//! the same gate over the same operand literals returns the *same*
+//! literal instead of a fresh definition — the `DagCnf` idiom. Inverters
+//! and buffers are free: negation is a literal sign, not a variable.
 //!
 //! All eight [`Network`](soi_netlist::Network) gate kinds reduce to two
 //! hashed primitives: `AND` (with `OR`/`NAND`/`NOR` via De Morgan signs)
 //! and `XOR` (with `XNOR` via the output sign; operand signs are peeled
 //! off into the output sign first, so `a ⊕ !b` and `!(a ⊕ b)` share one
 //! table entry).
+//!
+//! The definitions are the only copy of the formula. Two solvers read
+//! them:
+//!
+//! * [`Encoder::solve`] answers queries over the *whole* formula (the
+//!   PBE-safety proofs, the encoder tests). It emits the Tseitin clauses
+//!   of every definition not yet emitted into its own solver, then
+//!   solves; an encoder that only ever answers cone queries never
+//!   materializes the whole-formula CNF.
+//! * [`Encoder::solve_cone`] answers queries over the transitive fanin
+//!   of the assumptions only, in one reusable cone solver that is reset
+//!   (allocations kept) before each query.
 
 use soi_netlist::fx::FxHashMap;
 use soi_netlist::{Network, NetworkError, Node, UnOp};
@@ -25,18 +37,42 @@ use crate::solver::{SatResult, Solver};
 /// of variables, large enough that most queries never deepen.
 const CONE_INITIAL_LIMIT: usize = 64;
 
-/// Cap multiplier between [`Encoder::solve_cone`] refinement rounds.
+/// Cap multiplier between [`Encoder::solve_cone`] deepening rounds.
 const CONE_GROWTH: usize = 16;
 
-/// The Tseitin definition of a derived variable, recorded so
-/// [`Encoder::solve_cone`] can rebuild exactly the clauses of a query's
-/// transitive fanin cone in a fresh local solver.
+/// The Tseitin definition of a derived variable.
 #[derive(Debug, Clone, Copy)]
 enum GateDef {
     /// `v <-> a AND b`.
     And(Lit, Lit),
     /// `v <-> a XOR b` over positive operand literals.
     Xor(Lit, Lit),
+}
+
+impl GateDef {
+    /// Adds the definition's clauses for output `t` to `solver`, with the
+    /// operands already translated to `solver`'s variables.
+    fn emit(self, solver: &mut Solver, t: Lit, a: Lit, b: Lit) {
+        match self {
+            GateDef::And(..) => {
+                solver.add_clause(&[!t, a]);
+                solver.add_clause(&[!t, b]);
+                solver.add_clause(&[t, !a, !b]);
+            }
+            GateDef::Xor(..) => {
+                solver.add_clause(&[!t, a, b]);
+                solver.add_clause(&[!t, !a, !b]);
+                solver.add_clause(&[t, !a, b]);
+                solver.add_clause(&[t, a, !b]);
+            }
+        }
+    }
+
+    fn operands(self) -> (Lit, Lit) {
+        match self {
+            GateDef::And(a, b) | GateDef::Xor(a, b) => (a, b),
+        }
+    }
 }
 
 /// The per-node literals produced by [`Encoder::encode_network`].
@@ -48,10 +84,81 @@ pub struct NetworkLits {
     pub outputs: Vec<Lit>,
 }
 
-/// A CNF builder over an owned [`Solver`].
+/// The reusable solver behind [`Encoder::solve_cone`] and its dense map
+/// from encoder variables to cone-local ones.
+#[derive(Debug, Default)]
+struct Cone {
+    solver: Solver,
+    /// Cone-local variable of each encoder variable, valid only where
+    /// `stamp` holds the current `epoch` — bumping the epoch empties the
+    /// map in O(1).
+    local: Vec<u32>,
+    stamp: Vec<u32>,
+    epoch: u32,
+    /// Breadth-first queue of encoder variables in the cone; `work[head..]`
+    /// is the frontier whose definitions are not emitted yet.
+    work: Vec<u32>,
+    head: usize,
+}
+
+impl Cone {
+    /// Empties the solver and the map for a new query over `vars`
+    /// encoder variables.
+    fn begin(&mut self, vars: usize) {
+        self.solver.reset();
+        self.work.clear();
+        self.head = 0;
+        if self.stamp.len() < vars {
+            self.stamp.resize(vars, 0);
+            self.local.resize(vars, 0);
+        }
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: every stale stamp could alias the new epoch.
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// The cone-local literal of an encoder literal, allocating its
+    /// variable (and queueing its definition) on first sight.
+    fn lit(&mut self, l: Lit) -> Lit {
+        let gv = l.var().index();
+        if self.stamp[gv] != self.epoch {
+            self.stamp[gv] = self.epoch;
+            self.local[gv] = self.solver.new_var().index() as u32;
+            self.work.push(gv as u32);
+        }
+        Lit::with_sign(Var::from_index(self.local[gv] as usize), l.is_negated())
+    }
+
+    /// Emits frontier definitions breadth-first until the cone holds
+    /// `limit` variables; returns whether a definition was left out (the
+    /// cone is *cut*).
+    fn extend(&mut self, defs: &[Option<GateDef>], limit: usize) -> bool {
+        while self.head < self.work.len() {
+            let gv = self.work[self.head] as usize;
+            let Some(def) = defs[gv] else {
+                self.head += 1; // a free input: nothing to emit
+                continue;
+            };
+            if self.solver.num_vars() >= limit {
+                return true;
+            }
+            self.head += 1;
+            let t = self.lit(Lit::positive(Var::from_index(gv)));
+            let (a, b) = def.operands();
+            let (a, b) = (self.lit(a), self.lit(b));
+            def.emit(&mut self.solver, t, a, b);
+        }
+        false
+    }
+}
+
+/// A CNF builder: structurally hashed gate definitions plus the two
+/// solvers that read them.
 #[derive(Debug)]
 pub struct Encoder {
-    solver: Solver,
     /// `(a, b) -> a AND b` with `a <= b` by literal code.
     strash_and: FxHashMap<(u32, u32), Lit>,
     /// `(a, b) -> a XOR b` over positive literals with `a < b`.
@@ -59,14 +166,14 @@ pub struct Encoder {
     /// Per-variable gate definition, indexed by `Var::index()`. `None`
     /// for free variables (primary inputs) and the constant-true var.
     defs: Vec<Option<GateDef>>,
-    /// Conflicts spent in cone-local queries (the owned solver counts
-    /// its own separately).
+    /// Whole-formula solver for [`Encoder::solve`]; holds the variables
+    /// and definitions below `emitted` plus every raw clause.
+    solver: Solver,
+    emitted: usize,
+    cone: Cone,
+    /// Conflicts spent in cone queries (the whole-formula solver counts
+    /// its own).
     cone_conflicts: u64,
-    /// Global-variable values from the last satisfying cone query,
-    /// keyed by `Var::index()`. Variables outside the cone are absent
-    /// (and read as `false`, which is sound: they are not in the
-    /// query's fanin).
-    cone_model: FxHashMap<u32, bool>,
     lit_true: Lit,
 }
 
@@ -83,12 +190,13 @@ impl Encoder {
         let lit_true = Lit::positive(solver.new_var());
         solver.add_clause(&[lit_true]);
         Encoder {
-            solver,
             strash_and: FxHashMap::default(),
             strash_xor: FxHashMap::default(),
             defs: vec![None],
+            solver,
+            emitted: 1,
+            cone: Cone::default(),
             cone_conflicts: 0,
-            cone_model: FxHashMap::default(),
             lit_true,
         }
     }
@@ -115,12 +223,36 @@ impl Encoder {
     /// A fresh unconstrained literal (a primary input).
     pub fn fresh(&mut self) -> Lit {
         self.defs.push(None);
-        Lit::positive(self.solver.new_var())
+        Lit::positive(Var::from_index(self.defs.len() - 1))
     }
 
-    /// Adds a raw clause.
+    /// A fresh variable defined as `def`.
+    fn define(&mut self, def: GateDef) -> Lit {
+        self.defs.push(Some(def));
+        Lit::positive(Var::from_index(self.defs.len() - 1))
+    }
+
+    /// Adds a raw clause to the whole formula [`Encoder::solve`] answers
+    /// over (cone queries follow gate definitions only). Returns `false`
+    /// if the formula became unconditionally unsatisfiable.
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
+        self.emit_pending();
         self.solver.add_clause(lits)
+    }
+
+    /// Brings the whole-formula solver up to date: allocates the
+    /// variables and emits the definitions created since the last call.
+    fn emit_pending(&mut self) {
+        while self.solver.num_vars() < self.defs.len() {
+            self.solver.new_var();
+        }
+        for v in self.emitted..self.defs.len() {
+            if let Some(def) = self.defs[v] {
+                let (a, b) = def.operands();
+                def.emit(&mut self.solver, Lit::positive(Var::from_index(v)), a, b);
+            }
+        }
+        self.emitted = self.defs.len();
     }
 
     /// `a AND b`, folded and hashed.
@@ -145,11 +277,7 @@ impl Encoder {
         if let Some(&t) = self.strash_and.get(&key) {
             return t;
         }
-        let t = self.fresh();
-        self.solver.add_clause(&[!t, a]);
-        self.solver.add_clause(&[!t, b]);
-        self.solver.add_clause(&[t, !a, !b]);
-        self.defs[t.var().index()] = Some(GateDef::And(a, b));
+        let t = self.define(GateDef::And(a, b));
         self.strash_and.insert(key, t);
         t
     }
@@ -200,12 +328,7 @@ impl Encoder {
         let t = match self.strash_xor.get(&key) {
             Some(&t) => t,
             None => {
-                let t = self.fresh();
-                self.solver.add_clause(&[!t, pa, pb]);
-                self.solver.add_clause(&[!t, !pa, !pb]);
-                self.solver.add_clause(&[t, !pa, pb]);
-                self.solver.add_clause(&[t, pa, !pb]);
-                self.defs[t.var().index()] = Some(GateDef::Xor(pa, pb));
+                let t = self.define(GateDef::Xor(pa, pb));
                 self.strash_xor.insert(key, t);
                 t
             }
@@ -306,20 +429,23 @@ impl Encoder {
         }
     }
 
-    /// Solves under assumptions with a conflict budget.
+    /// Solves the whole formula — every definition and raw clause —
+    /// under assumptions with a conflict budget.
     pub fn solve(&mut self, assumptions: &[Lit], budget: u64) -> SatResult {
+        self.emit_pending();
         self.solver.solve(assumptions, budget)
     }
 
-    /// Solves under assumptions in a *fresh* solver containing only the
-    /// clauses of the assumptions' transitive fanin cone.
+    /// Solves under assumptions over only the definitions in the
+    /// assumptions' transitive fanin cone, in the encoder's reusable cone
+    /// solver (reset, allocations kept, before every query).
     ///
-    /// On a shared miter over two large networks the global CNF holds
-    /// millions of variables, and every query pays for all of them: a
-    /// `Sat` answer needs a total assignment, and even refutations
-    /// wander through unrelated variables before VSIDS finds the cone.
-    /// Rebuilding just the cone (the fraiging idiom) bounds each query
-    /// by its own fanin instead of the whole formula.
+    /// On a shared miter over two large networks the whole formula holds
+    /// millions of variables, and every query over it would pay for all
+    /// of them: a `Sat` answer needs a total assignment, and even
+    /// refutations wander through unrelated variables before VSIDS finds
+    /// the cone. Building just the cone (the fraiging idiom) bounds each
+    /// query by its own fanin instead of the whole formula.
     ///
     /// The cone itself is built to a size cap and *cut*: variables past
     /// the cap stay free inputs. An `Unsat` answer from a cut cone is
@@ -327,16 +453,26 @@ impl Encoder {
     /// after a sweep has substituted shared literals the two sides of a
     /// miter usually reconverge just below the top, so small cones close
     /// most queries. A `Sat` answer from a cut cone may be spurious, so
-    /// the query re-runs with a deeper cap until the cone is complete —
-    /// only genuinely satisfiable or near-inequivalent queries pay for
-    /// their full fanin. Satisfying models are read back through
-    /// [`Encoder::cone_model_value`], with out-of-cone variables
-    /// defaulting to `false` (sound, since they cannot affect the
-    /// query).
+    /// the query raises the cap, emits the next ring of definitions into
+    /// the same solver (everything it learned stays implied), and solves
+    /// again until the cone is complete — only genuinely satisfiable or
+    /// near-inequivalent queries pay for their full fanin. A satisfying
+    /// model is read back through [`Encoder::cone_model_value`] until the
+    /// next cone query.
     pub fn solve_cone(&mut self, assumptions: &[Lit], budget: u64) -> SatResult {
+        let cone = &mut self.cone;
+        cone.begin(self.defs.len());
+        // The constant-true var keeps its level-0 value however the cone
+        // is cut: pinning it is one unit clause.
+        let t = cone.lit(self.lit_true);
+        cone.solver.add_clause(&[t]);
+        let assumps: Vec<Lit> = assumptions.iter().map(|&l| cone.lit(l)).collect();
         let mut limit = CONE_INITIAL_LIMIT;
         loop {
-            let (result, cut) = self.solve_cone_limited(assumptions, budget, limit);
+            let cut = cone.extend(&self.defs, limit);
+            let before = cone.solver.conflicts();
+            let result = cone.solver.solve(&assumps, budget);
+            self.cone_conflicts += cone.solver.conflicts() - before;
             if result == SatResult::Sat && cut {
                 limit *= CONE_GROWTH;
                 continue;
@@ -345,118 +481,39 @@ impl Encoder {
         }
     }
 
-    /// One [`Encoder::solve_cone`] attempt with at most `limit` cone
-    /// variables; the second return is whether the cone was cut short.
-    fn solve_cone_limited(
-        &mut self,
-        assumptions: &[Lit],
-        budget: u64,
-        limit: usize,
-    ) -> (SatResult, bool) {
-        let mut local = Solver::new();
-        // Global `Var::index()` -> local var, doubling as the DFS
-        // visited set; `work` holds mapped vars whose definitions are
-        // still to be emitted.
-        let mut map: FxHashMap<u32, Var> = FxHashMap::default();
-        let mut work: Vec<u32> = Vec::new();
-        let mut cut = false;
-        fn local_lit(
-            map: &mut FxHashMap<u32, Var>,
-            work: &mut Vec<u32>,
-            local: &mut Solver,
-            l: Lit,
-        ) -> Lit {
-            let gv = l.var().index() as u32;
-            let lv = *map.entry(gv).or_insert_with(|| {
-                work.push(gv);
-                local.new_var()
-            });
-            Lit::with_sign(lv, l.is_negated())
-        }
-        let assumps: Vec<Lit> = assumptions
-            .iter()
-            .map(|&l| local_lit(&mut map, &mut work, &mut local, l))
-            .collect();
-        // Breadth-first, so a cut cone is a balanced window around the
-        // assumptions rather than one depth-first path to the inputs —
-        // reconvergence onto shared literals sits a few levels down, not
-        // along a single branch.
-        let mut head = 0;
-        while head < work.len() {
-            let gv = work[head];
-            head += 1;
-            if gv == self.lit_true.var().index() as u32 {
-                // The constant-true var must keep its level-0 value even
-                // past the cap — pinning it is one unit clause.
-                let t = local_lit(&mut map, &mut work, &mut local, self.lit_true);
-                local.add_clause(&[t]);
-                continue;
-            }
-            if map.len() >= limit {
-                // Past the cap: leave the variable a free input.
-                cut |= self.defs[gv as usize].is_some();
-                continue;
-            }
-            match self.defs[gv as usize] {
-                Some(GateDef::And(a, b)) => {
-                    let t = Lit::positive(Var::from_index(gv as usize));
-                    let t = local_lit(&mut map, &mut work, &mut local, t);
-                    let la = local_lit(&mut map, &mut work, &mut local, a);
-                    let lb = local_lit(&mut map, &mut work, &mut local, b);
-                    local.add_clause(&[!t, la]);
-                    local.add_clause(&[!t, lb]);
-                    local.add_clause(&[t, !la, !lb]);
-                }
-                Some(GateDef::Xor(a, b)) => {
-                    let t = Lit::positive(Var::from_index(gv as usize));
-                    let t = local_lit(&mut map, &mut work, &mut local, t);
-                    let la = local_lit(&mut map, &mut work, &mut local, a);
-                    let lb = local_lit(&mut map, &mut work, &mut local, b);
-                    local.add_clause(&[!t, la, lb]);
-                    local.add_clause(&[!t, !la, !lb]);
-                    local.add_clause(&[t, !la, lb]);
-                    local.add_clause(&[t, la, !lb]);
-                }
-                None => {}
-            }
-        }
-        let result = local.solve(&assumps, budget);
-        self.cone_conflicts += local.conflicts();
-        if result == SatResult::Sat && !cut {
-            self.cone_model.clear();
-            for (&gv, &lv) in &map {
-                self.cone_model
-                    .insert(gv, local.model_value(Lit::positive(lv)));
-            }
-        }
-        (result, cut)
-    }
-
-    /// The value of `l` in the last satisfying model.
+    /// The value of `l` in the last satisfying [`Encoder::solve`] model.
     pub fn model_value(&self, l: Lit) -> bool {
         self.solver.model_value(l)
     }
 
-    /// The value of `l` in the last satisfying [`Encoder::solve_cone`]
-    /// model; variables outside that query's cone read as `false`.
+    /// The value of `l` in the model of the last [`Encoder::solve_cone`]
+    /// query, meaningful only if that query answered `Sat`; variables
+    /// outside that query's cone read as `false` (sound, since they
+    /// cannot affect it).
+    ///
+    /// # Panics
+    ///
+    /// Panics if no round of the last cone query was satisfiable.
     pub fn cone_model_value(&self, l: Lit) -> bool {
-        let v = self
-            .cone_model
-            .get(&(l.var().index() as u32))
-            .copied()
-            .unwrap_or(false);
-        v ^ l.is_negated()
+        let gv = l.var().index();
+        let cone = &self.cone;
+        if cone.stamp.get(gv) != Some(&cone.epoch) {
+            return l.is_negated();
+        }
+        let local = Var::from_index(cone.local[gv] as usize);
+        cone.solver
+            .model_value(Lit::with_sign(local, l.is_negated()))
     }
 
-    /// Total CDCL conflicts spent so far, across the owned solver and
-    /// all cone-local queries.
+    /// Total CDCL conflicts spent so far, across the whole-formula solver
+    /// and all cone queries.
     pub fn conflicts(&self) -> u64 {
         self.solver.conflicts() + self.cone_conflicts
     }
 
-    /// Number of solver variables allocated so far.
+    /// Number of variables allocated so far.
     pub fn num_vars(&self) -> usize {
-        self.solver.num_vars()
+        self.defs.len()
     }
 }
 

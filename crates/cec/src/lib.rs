@@ -10,25 +10,30 @@
 //! * [`cnf`] + [`solver`] — packed literals and a CDCL SAT solver with
 //!   two watched literals, first-UIP clause learning, activity-ordered
 //!   decisions, phase saving, restarts, incremental assumption queries,
-//!   and conflict budgets (budget exhaustion is a typed
-//!   [`SatResult::Unknown`], never a wrong answer);
+//!   conflict budgets (budget exhaustion is a typed
+//!   [`SatResult::Unknown`], never a wrong answer) and an
+//!   allocation-keeping reset for reuse across queries;
 //! * [`encode`] — Tseitin CNF construction with constant folding and
-//!   structural-hash sharing for all eight netlist gate kinds;
+//!   structural-hash sharing for all eight netlist gate kinds, each gate
+//!   definition stored once and read by a whole-formula solver and a
+//!   reusable cone solver;
 //! * [`wordsim`] — 64-lane bit-parallel simulation producing per-node
 //!   signatures from guided (walking-one/zero + corner) and seeded
 //!   random vectors, with complement-aware canonical signatures;
 //! * the checkers — [`check_networks`] sweeps a shared-input miter
 //!   (simulation filters candidate-equivalent cones, structural hashing
-//!   merges them for free, SAT closes what remains, and every
-//!   counterexample is replayed through the scalar simulator before it
-//!   is believed), [`lower::circuit_to_network`] turns a mapped
-//!   [`DominoCircuit`](soi_domino_ir::DominoCircuit) back into a
-//!   network so [`check_mapped`] can compare function against the
-//!   source, and [`pbe_sat`] proves junction excitability verdicts that
+//!   merges them for free, cone-local SAT queries on one reusable solver
+//!   close what remains, every satisfying model of an internal pair is
+//!   fed back as a simulation lane that filters later candidates, and
+//!   every output counterexample is replayed through the scalar
+//!   simulator before it is believed), [`lower::circuit_to_network`]
+//!   turns a mapped [`DominoCircuit`] back into a network so
+//!   [`check_mapped`] can compare function against the source, and
+//!   [`pbe_sat`] proves junction excitability verdicts that
 //!   [`soi_pbe::excite`] can only sample beyond its enumeration limit.
 //!
 //! Everything is instrumented through [`soi_trace`]: `cec_sat_calls`,
-//! `cec_sim_filtered`, `conflicts`, and `cex_replays`.
+//! `cec_sim_filtered`, `conflicts`, `cec_refinements` and `cex_replays`.
 
 mod cec;
 pub mod cnf;

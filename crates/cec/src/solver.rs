@@ -10,10 +10,15 @@
 //!   activities in an indexed max-heap, with phase saving,
 //! * **assumption solving**: `solve(&[l1, l2, ...], budget)` answers
 //!   satisfiability under the assumptions without touching the clause
-//!   database, so one incremental solver instance serves thousands of
-//!   miter queries,
+//!   database, and clauses may be added between calls, so a query can
+//!   grow its formula and re-solve with what it has learned,
 //! * **conflict budgets**: every call carries its own bound and returns
-//!   [`SatResult::Unknown`] on exhaustion instead of running away.
+//!   [`SatResult::Unknown`] on exhaustion instead of running away,
+//! * **reuse**: [`Solver::reset`] empties the solver back to the state of
+//!   [`Solver::new`] but keeps every allocation (the flat clause arena,
+//!   the watch lists, the per-variable arrays), so the equivalence
+//!   sweep's thousands of small cone queries run through one instance
+//!   and pay for search, not for allocation.
 //!
 //! There is no preprocessing, clause deletion, or literal-block-distance
 //! machinery: the CNFs here are network miters whose queries are either
@@ -61,6 +66,11 @@ struct ActivityHeap {
 impl ActivityHeap {
     fn grow_to(&mut self, vars: usize) {
         self.pos.resize(vars, u32::MAX);
+    }
+
+    fn clear(&mut self) {
+        self.heap.clear();
+        self.pos.clear();
     }
 
     fn contains(&self, v: u32) -> bool {
@@ -135,15 +145,32 @@ impl ActivityHeap {
     }
 }
 
+/// Where one clause's literals sit in [`Solver::lits`].
+#[derive(Debug, Clone, Copy)]
+struct ClauseSpan {
+    start: u32,
+    len: u32,
+}
+
+impl ClauseSpan {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..(self.start + self.len) as usize
+    }
+}
+
 /// The CDCL solver. Variables are created with [`Solver::new_var`],
 /// clauses added with [`Solver::add_clause`] (at decision level 0, i.e.
 /// between `solve` calls), and queries answered by [`Solver::solve`].
 #[derive(Debug, Default)]
 pub struct Solver {
-    /// Clause arena; learned clauses are appended like problem clauses.
-    clauses: Vec<Vec<Lit>>,
+    /// Every clause's literals, back to back; learned clauses are
+    /// appended like problem clauses.
+    lits: Vec<Lit>,
+    /// Clause index -> its span of `lits`.
+    clauses: Vec<ClauseSpan>,
     /// Watch lists indexed by literal code: clauses to visit when the
-    /// literal becomes false.
+    /// literal becomes false. Lists past `2 * num_vars()` are always
+    /// empty, kept only so [`Solver::reset`] retains their capacity.
     watches: Vec<Vec<u32>>,
     /// Current assignment per variable.
     values: Vec<u8>,
@@ -182,6 +209,31 @@ impl Solver {
         }
     }
 
+    /// Empties the solver back to the state of [`Solver::new`] — no
+    /// variables, no clauses, no learned state, zero conflicts, no model
+    /// — while keeping every allocation for the next formula.
+    pub fn reset(&mut self) {
+        for w in &mut self.watches[..2 * self.values.len()] {
+            w.clear();
+        }
+        self.lits.clear();
+        self.clauses.clear();
+        self.values.clear();
+        self.phase.clear();
+        self.level.clear();
+        self.reason.clear();
+        self.trail.clear();
+        self.trail_lim.clear();
+        self.qhead = 0;
+        self.activity.clear();
+        self.var_inc = 1.0;
+        self.order.clear();
+        self.seen.clear();
+        self.ok = true;
+        self.conflicts = 0;
+        self.model.clear();
+    }
+
     /// Number of variables created so far.
     pub fn num_vars(&self) -> usize {
         self.values.len()
@@ -208,8 +260,9 @@ impl Solver {
         self.reason.push(NO_REASON);
         self.activity.push(0.0);
         self.seen.push(false);
-        self.watches.push(Vec::new());
-        self.watches.push(Vec::new());
+        if self.watches.len() < 2 * (v + 1) {
+            self.watches.resize_with(2 * (v + 1), Vec::new);
+        }
         self.order.grow_to(v + 1);
         self.order.push(v as u32, &self.activity);
         Var::from_index(v)
@@ -260,17 +313,21 @@ impl Solver {
                 self.ok
             }
             _ => {
-                self.attach(clause);
+                self.attach(&clause);
                 true
             }
         }
     }
 
-    fn attach(&mut self, clause: Vec<Lit>) -> u32 {
+    fn attach(&mut self, clause: &[Lit]) -> u32 {
         let idx = self.clauses.len() as u32;
         self.watches[(!clause[0]).code()].push(idx);
         self.watches[(!clause[1]).code()].push(idx);
-        self.clauses.push(clause);
+        self.clauses.push(ClauseSpan {
+            start: self.lits.len() as u32,
+            len: clause.len() as u32,
+        });
+        self.lits.extend_from_slice(clause);
         idx
     }
 
@@ -299,7 +356,7 @@ impl Solver {
             while i < ws.len() {
                 let ci = ws[i];
                 i += 1;
-                let clause = &mut self.clauses[ci as usize];
+                let clause = &mut self.lits[self.clauses[ci as usize].range()];
                 // Make sure the false literal is at slot 1.
                 if clause[0] == false_lit {
                     clause.swap(0, 1);
@@ -393,8 +450,8 @@ impl Solver {
         let mut confl = confl;
         let mut skip: Option<Var> = None;
         loop {
-            for k in 0..self.clauses[confl as usize].len() {
-                let q = self.clauses[confl as usize][k];
+            for k in self.clauses[confl as usize].range() {
+                let q = self.lits[k];
                 if Some(q.var()) == skip {
                     continue;
                 }
@@ -485,7 +542,7 @@ impl Solver {
                     self.backtrack_to(0);
                     self.enqueue(asserting, NO_REASON);
                 } else {
-                    let ci = self.attach(learnt);
+                    let ci = self.attach(&learnt);
                     self.enqueue(asserting, ci);
                 }
                 self.var_inc /= 0.95;
@@ -530,7 +587,7 @@ impl Solver {
                         self.enqueue(lit, NO_REASON);
                     }
                     None => {
-                        self.model = self.values.clone();
+                        self.model.clone_from(&self.values);
                         break 'search SatResult::Sat;
                     }
                 }
@@ -648,6 +705,29 @@ mod tests {
         assert_eq!(s.solve(&[v[0], v[1]], 1_000), SatResult::Sat);
         assert!(s.model_value(v[0]));
         assert!(s.model_value(v[1]));
+    }
+
+    #[test]
+    fn reset_returns_to_a_fresh_solver() {
+        let mut s = Solver::new();
+        let v = lits(&mut s, 3);
+        assert!(s.add_clause(&[v[0], v[1]]));
+        assert!(s.add_clause(&[!v[0], v[2]]));
+        assert_eq!(s.solve(&[v[0]], 1_000), SatResult::Sat);
+        assert!(s.add_clause(&[!v[2]]));
+        assert!(!s.add_clause(&[!v[1]]));
+        assert!(!s.is_ok());
+
+        s.reset();
+        assert!(s.is_ok());
+        assert_eq!((s.num_vars(), s.conflicts()), (0, 0));
+        // The old variables' watches and level-0 units are gone: the
+        // same indices start unconstrained and unassigned.
+        let v = lits(&mut s, 3);
+        assert!(s.add_clause(&[!v[0], !v[1]]));
+        assert_eq!(s.solve(&[v[1], !v[2]], 1_000), SatResult::Sat);
+        assert!(!s.model_value(v[0]) && s.model_value(v[1]) && !s.model_value(v[2]));
+        assert_eq!(s.solve(&[v[0], v[1]], 1_000), SatResult::Unsat);
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //!   corners as lane 0) followed by seeded random batches,
 //! * [`lane_assignment`] — extracting the scalar input vector a given
 //!   lane holds, for counterexample replay through
-//!   [`Network::simulate`].
+//!   [`Network::simulate`],
+//! * `LaneSim` — one-word simulation memoized per node, evaluated
+//!   lazily over the fanin cones the equivalence sweep asks about, for
+//!   the counterexample lanes it feeds back between queries.
 //!
 //! The differential oracle in `tests/cec_oracle.rs` checks every lane of
 //! every signature against scalar simulation.
@@ -23,7 +26,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use soi_netlist::sim::SimBatch;
-use soi_netlist::{Network, NetworkError, Node};
+use soi_netlist::{Network, NetworkError, Node, NodeId};
 
 /// The guided + random batch schedule for `inputs` primary inputs.
 ///
@@ -68,44 +71,139 @@ pub fn batches(inputs: usize, rounds: usize, seed: u64) -> Vec<SimBatch> {
 /// signature array: node `n`'s word for batch `r` is
 /// `sigs[n * batches.len() + r]`.
 ///
+/// The loop is node-outer, so each node reads its fanins' signatures and
+/// writes its own as contiguous runs of `batches.len()` words.
+///
 /// # Errors
 ///
 /// Returns [`NetworkError::InputArity`] if any batch width does not match
 /// the network's primary-input count.
 pub fn node_signatures(network: &Network, batches: &[SimBatch]) -> Result<Vec<u64>, NetworkError> {
+    if let Some(batch) = batches
+        .iter()
+        .find(|b| b.words().len() != network.inputs().len())
+    {
+        return Err(NetworkError::InputArity {
+            expected: network.inputs().len(),
+            got: batch.words().len(),
+        });
+    }
     let rounds = batches.len();
     let mut sigs = vec![0u64; network.len() * rounds];
-    for (r, batch) in batches.iter().enumerate() {
-        if batch.words().len() != network.inputs().len() {
-            return Err(NetworkError::InputArity {
-                expected: network.inputs().len(),
-                got: batch.words().len(),
-            });
-        }
-        let mut next_input = 0;
-        for (id, node) in network.iter() {
-            let w = match node {
-                Node::Input { .. } => {
-                    let w = batch.words()[next_input];
-                    next_input += 1;
-                    w
+    let mut next_input = 0;
+    for (id, node) in network.iter() {
+        let (done, rest) = sigs.split_at_mut(id.index() * rounds);
+        let out = &mut rest[..rounds];
+        let sig = |n: NodeId| &done[n.index() * rounds..(n.index() + 1) * rounds];
+        match node {
+            Node::Input { .. } => {
+                for (w, batch) in out.iter_mut().zip(batches) {
+                    *w = batch.words()[next_input];
                 }
-                Node::Const { value } => {
-                    if *value {
-                        u64::MAX
-                    } else {
-                        0
-                    }
+                next_input += 1;
+            }
+            Node::Const { value } => out.fill(if *value { u64::MAX } else { 0 }),
+            Node::Unary { op, a } => {
+                for (w, &x) in out.iter_mut().zip(sig(*a)) {
+                    *w = op.eval_word(x);
                 }
-                Node::Unary { op, a } => op.eval_word(sigs[a.index() * rounds + r]),
-                Node::Binary { op, a, b } => {
-                    op.eval_word(sigs[a.index() * rounds + r], sigs[b.index() * rounds + r])
+            }
+            Node::Binary { op, a, b } => {
+                for ((w, &x), &y) in out.iter_mut().zip(sig(*a)).zip(sig(*b)) {
+                    *w = op.eval_word(x, y);
                 }
-            };
-            sigs[id.index() * rounds + r] = w;
+            }
         }
     }
     Ok(sigs)
+}
+
+/// One-word simulation of a network, memoized per node.
+///
+/// [`LaneSim::word`] evaluates a node together with whatever part of its
+/// fanin cone has not been evaluated since the last
+/// [`LaneSim::invalidate`], so a caller that changes the input words
+/// often but asks about few nodes pays for those nodes' cones only.
+#[derive(Debug)]
+pub(crate) struct LaneSim {
+    /// Input position of each primary-input node, counted in node order
+    /// like every other simulator here (`u32::MAX` elsewhere).
+    input_pos: Vec<u32>,
+    words: Vec<u64>,
+    /// Epoch each entry of `words` was computed in.
+    stamp: Vec<u32>,
+    epoch: u32,
+    stack: Vec<NodeId>,
+}
+
+impl LaneSim {
+    pub(crate) fn new(network: &Network) -> LaneSim {
+        let mut input_pos = vec![u32::MAX; network.len()];
+        let mut next_input = 0;
+        for (id, node) in network.iter() {
+            if node.is_input() {
+                input_pos[id.index()] = next_input;
+                next_input += 1;
+            }
+        }
+        LaneSim {
+            input_pos,
+            words: vec![0; network.len()],
+            stamp: vec![0; network.len()],
+            epoch: 1,
+            stack: Vec::new(),
+        }
+    }
+
+    /// Forgets every memoized word; call after changing the input words.
+    pub(crate) fn invalidate(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: every stale stamp could alias the new epoch.
+            self.stamp.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    fn eval(&self, node: &Node, id: NodeId, inputs: &[u64]) -> u64 {
+        match node {
+            Node::Input { .. } => inputs[self.input_pos[id.index()] as usize],
+            Node::Const { value } => {
+                if *value {
+                    u64::MAX
+                } else {
+                    0
+                }
+            }
+            Node::Unary { op, a } => op.eval_word(self.words[a.index()]),
+            Node::Binary { op, a, b } => op.eval_word(self.words[a.index()], self.words[b.index()]),
+        }
+    }
+
+    /// The word of `root` under `inputs` (one word per primary input),
+    /// evaluating the stale part of its fanin cone.
+    pub(crate) fn word(&mut self, network: &Network, root: NodeId, inputs: &[u64]) -> u64 {
+        self.stack.push(root);
+        while let Some(&id) = self.stack.last() {
+            if self.stamp[id.index()] == self.epoch {
+                self.stack.pop();
+                continue;
+            }
+            let node = network.node(id);
+            let depth = self.stack.len();
+            for f in node.fanins() {
+                if self.stamp[f.index()] != self.epoch {
+                    self.stack.push(f);
+                }
+            }
+            if self.stack.len() == depth {
+                self.words[id.index()] = self.eval(node, id, inputs);
+                self.stamp[id.index()] = self.epoch;
+                self.stack.pop();
+            }
+        }
+        self.words[root.index()]
+    }
 }
 
 /// The scalar input assignment held by one lane of one batch.
@@ -176,6 +274,32 @@ mod tests {
                 let expect = n.simulate(&vals).unwrap()[0];
                 let got = sigs[out_node * rounds + r] >> lane & 1 == 1;
                 assert_eq!(got, expect, "round {r} lane {lane}");
+            }
+        }
+    }
+
+    #[test]
+    fn lane_sim_matches_signatures() {
+        let n = sample();
+        let bs = batches(3, 2, 7);
+        let sigs = node_signatures(&n, &bs).unwrap();
+        let rounds = bs.len();
+        let mut lanes = LaneSim::new(&n);
+        let out = n.outputs()[0].driver;
+        for (r, batch) in bs.iter().enumerate() {
+            lanes.invalidate();
+            // The output's whole cone first; then every node, served from
+            // the memo or evaluated on its own.
+            assert_eq!(
+                lanes.word(&n, out, batch.words()),
+                sigs[out.index() * rounds + r]
+            );
+            for (id, _) in n.iter() {
+                assert_eq!(
+                    lanes.word(&n, id, batch.words()),
+                    sigs[id.index() * rounds + r],
+                    "node {id:?}"
+                );
             }
         }
     }

@@ -219,11 +219,14 @@ pub enum Counter {
     /// being believed (every cex is replayed; the count equals the
     /// counterexamples reported).
     CexReplays,
+    /// Counterexample lanes the equivalence sweep fed back into
+    /// simulation (satisfying models of internal node-pair queries).
+    CecRefinements,
 }
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 28] = [
+    pub const ALL: [Counter; 29] = [
         Counter::CandidatesGenerated,
         Counter::CandidatesPruned,
         Counter::CandidatesExported,
@@ -252,6 +255,7 @@ impl Counter {
         Counter::CecSimFiltered,
         Counter::Conflicts,
         Counter::CexReplays,
+        Counter::CecRefinements,
     ];
 
     /// The counter's snake_case display name.
@@ -285,6 +289,7 @@ impl Counter {
             Counter::CecSimFiltered => "cec_sim_filtered",
             Counter::Conflicts => "conflicts",
             Counter::CexReplays => "cex_replays",
+            Counter::CecRefinements => "cec_refinements",
         }
     }
 }

@@ -5,15 +5,18 @@
 //! mixer with a process-wide test seed). Perturbing that seed reshuffles
 //! the bucket iteration order of every subsequently created map —
 //! builder strashing, BLIF signal resolution, unate memoization, cone
-//! keying — wholesale. If any of those orders leaks into an output, the
-//! exported netlist changes with the seed; this test maps the whole
-//! registry under two far-apart seeds and requires byte-identical
-//! exports.
+//! keying, the equivalence checker's signature classes and strash tables
+//! — wholesale. If any of those orders leaks into an output, the exported
+//! netlist or the proof report changes with the seed; this test maps and
+//! proves the whole registry under two far-apart seeds and requires
+//! byte-identical exports and identical equivalence reports (verdict,
+//! SAT calls, merges, conflicts, refinement lanes).
 //!
 //! Everything lives in one `#[test]` because the seed is process-global
 //! and the harness runs `#[test]` functions concurrently: two tests
 //! flipping the seed under each other would race.
 
+use soi_domino::cec::{check_mapped, CecOptions, CecReport};
 use soi_domino::circuits::registry;
 use soi_domino::domino::export;
 use soi_domino::mapper::{MapConfig, Mapper};
@@ -33,12 +36,13 @@ fn registry_names() -> Vec<&'static str> {
     names
 }
 
-/// Builds and maps every registry circuit under `seed`, returning the
-/// exported netlist text per circuit. The build happens *inside* the
-/// seeded region on purpose: construction-side maps (strashing, signal
-/// resolution) must not leak their iteration order into node numbering
-/// any more than the mapper's maps may leak into the result.
-fn map_registry(seed: u64) -> Vec<(String, String)> {
+/// Builds, maps and proves every registry circuit under `seed`,
+/// returning the exported netlist text and the equivalence report per
+/// circuit. The build happens *inside* the seeded region on purpose:
+/// construction-side maps (strashing, signal resolution) must not leak
+/// their iteration order into node numbering any more than the mapper's
+/// or the checker's maps may leak into the result.
+fn map_registry(seed: u64) -> Vec<(String, String, CecReport)> {
     fx::set_global_seed(seed);
     let rows = registry_names()
         .into_iter()
@@ -47,7 +51,9 @@ fn map_registry(seed: u64) -> Vec<(String, String)> {
             let result = Mapper::soi(MapConfig::default())
                 .run(&network)
                 .expect("registry circuit maps");
-            (name.to_string(), export::netlist(&result.circuit))
+            let report = check_mapped(&network, &result.circuit, &CecOptions::default())
+                .expect("registry mapping checks");
+            (name.to_string(), export::netlist(&result.circuit), report)
         })
         .collect();
     fx::set_global_seed(0);
@@ -87,17 +93,25 @@ fn results_are_hash_seed_independent() {
         );
     }
 
-    // 2. Mapping: every registry circuit, both seeds, byte-identical
-    //    exported netlists.
+    // 2. Mapping and proof: every registry circuit, both seeds,
+    //    byte-identical exported netlists and identical check reports.
     let baseline = map_registry(SEEDS[0]);
     let perturbed = map_registry(SEEDS[1]);
     assert_eq!(baseline.len(), perturbed.len());
-    for ((name, netlist_a), (name_b, netlist_b)) in baseline.iter().zip(&perturbed) {
+    for ((name, netlist_a, report_a), (name_b, netlist_b, report_b)) in
+        baseline.iter().zip(&perturbed)
+    {
         assert_eq!(name, name_b);
         assert!(
             netlist_a == netlist_b,
             "{name}: mapped netlist differs across hasher seeds — a map's iteration \
              order leaked into the result"
+        );
+        assert!(report_a.is_equivalent(), "{name}: {:?}", report_a.verdict);
+        assert_eq!(
+            report_a, report_b,
+            "{name}: equivalence report differs across hasher seeds — the checker's \
+             map order leaked into its proof"
         );
     }
 }
