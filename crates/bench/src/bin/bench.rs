@@ -1,19 +1,19 @@
 //! Wall-clock baseline for the mapping hot path.
 //!
 //! Maps the union of the Table I and Table II benchmark lists with
-//! `SOI_Domino_Map` three ways — DP forced serial with the cone cache off
-//! (the PR 2 baseline configuration), `Parallelism::Auto` with the cache
-//! off (the cost-model cutoff must never lose to serial), and the shipped
-//! default (`Auto` + cone cache) — and writes `BENCH_pr10.json` with
-//! per-circuit timings, the thread count each mode actually used, the
-//! cone-cache hit rate, and cross-mode equality checks (every mode must be
-//! bit-identical).
+//! `SOI_Domino_Map` three ways — DP forced serial with the gate memo off
+//! (the PR 2 baseline configuration), `Parallelism::Auto` with the memo
+//! off (the cost-model cutoff must never lose to serial), and `Auto` with
+//! the memo forced on past its size gate (`cone_cache_min_gates: 0`) —
+//! and writes `BENCH_pr10.json` with per-circuit timings, the thread
+//! count each mode actually used, the memo hit rate, and cross-mode
+//! equality checks (every mode must be bit-identical).
 //!
 //! The timed runs are untraced (the handle costs one branch per emission
 //! site even when armed, and the numbers track the shipped configuration).
 //! After timing, each circuit gets one *traced* run per mode through a
 //! shared [`soi_trace::Recorder`]: the scheduler's steal/wakeup/park
-//! counters and per-worker unit counts, the two cache tiers' hit rates,
+//! counters and per-worker unit counts, the gate memo's hit rate,
 //! the candidate-pruning funnel, and the discharge count land in a
 //! `metrics` block per circuit — and the traced results are asserted
 //! bit-identical to the untraced ones. The slowest circuit additionally
@@ -23,16 +23,11 @@
 //! section: every `soi_circuits::corpus` entry — vendored AIGER files up
 //! through the ≥100k-gate synthetic tiers — is timed in the same three
 //! modes, with repetitions scaled down as circuits grow. The huge tier is
-//! where the parallel scheduler and the cone-cache gate
+//! where the parallel scheduler and the memo's size gate
 //! (`cone_cache_min_gates`, currently 10k) earn or lose their defaults;
 //! each row records `cached_vs_parallel` so the gate stays re-justified by
 //! data. A corpus entry that fails to load is a **typed error row** in the
 //! report and fails the run — never a silent skip.
-//!
-//! Every corpus row additionally round-trips a freshly built cone cache
-//! through the persistent store format and times a warm re-run against
-//! the reloaded entries — `persist_warm_ms` is the cross-run amortization
-//! the on-disk format buys.
 //!
 //! Every registry circuit and corpus row also carries a `stages` block: a
 //! per-stage wall-time breakdown (`ingest`, `unate_convert`,
@@ -75,13 +70,12 @@
 //!     hard `timeout` in CI; any failure is fatal).
 
 use std::fmt::Write as _;
-use std::sync::Arc;
 use std::time::Instant;
 
 use soi_cec::{check_mapped, CecOptions, CecReport};
 use soi_circuits::corpus::{self, SizeBucket};
 use soi_circuits::registry;
-use soi_mapper::{ConeCache, MapConfig, Mapper, MappingResult, Parallelism, TraceHandle};
+use soi_mapper::{MapConfig, Mapper, MappingResult, Parallelism, TraceHandle};
 use soi_netlist::Network;
 use soi_trace::{Counter, Gauge, JsonLines, Recorder, Stage};
 
@@ -100,7 +94,7 @@ const SMOKE_MAX_RATIO: f64 = 1.5;
 /// The ≥100k-gate synthetics the `--corpus-smoke` CI gate maps, with the
 /// PR 8 serial/uncached baseline (milliseconds, 1-thread host) each must
 /// stay within [`CORPUS_SMOKE_WALL_MULTIPLE`] of. The repetitive
-/// multiplier is where the cone cache wins; the low-repetition control
+/// multiplier is where the gate memo wins; the low-repetition control
 /// netlist is where the adaptive bypass has to keep it from losing.
 const CORPUS_SMOKE_HUGE: [(&str, f64); 2] =
     [("synth-mult136", 657.0), ("synth-control-120k", 1628.2)];
@@ -112,7 +106,7 @@ const CORPUS_SMOKE_WALL_MULTIPLE: f64 = 8.0;
 
 /// The shipped default config must not lose to serial/uncached on any
 /// huge-bucket circuit by more than this ratio (noise margin included) —
-/// the cone-cache gate plus the adaptive bypass exist precisely so the
+/// the memo's size gate plus its adaptive bypass exist precisely so the
 /// default is never the slow configuration.
 const CORPUS_SMOKE_DEFAULT_MAX_RATIO: f64 = 1.15;
 
@@ -279,8 +273,6 @@ struct Metrics {
     node_tier_probes: u64,
     node_tier_hits: u64,
     node_tier_misses: u64,
-    cone_tier_hits: u64,
-    cone_tier_gate_hits: u64,
     dp_ms: f64,
     stages: Stages,
     traced_match: bool,
@@ -296,15 +288,10 @@ fn collect_metrics(
     untraced_serial: &MappingResult,
     ingest_ms: f64,
 ) -> Metrics {
-    let traced = |parallelism, cone_cache| {
+    let traced = |parallelism, memo| {
         Mapper::soi(MapConfig {
-            parallelism,
-            cone_cache,
-            // Bench circuits sit below the production gate threshold; the
-            // cached mode must still exercise the cache tiers it measures.
-            cone_cache_min_gates: 0,
             trace,
-            ..MapConfig::default()
+            ..*soi_mapper(parallelism, memo).config()
         })
     };
 
@@ -343,7 +330,7 @@ fn collect_metrics(
     let sched_parks = rec.counter(Counter::SchedParks);
     let worker_units = rec.workers().iter().map(|w| w.units).collect();
 
-    // Cached pass: the two memo tiers.
+    // Cached pass: the gate memo.
     rec.reset();
     let c = traced(Parallelism::Auto, true)
         .run(network)
@@ -352,10 +339,7 @@ fn collect_metrics(
     let node_tier_probes = rec.counter(Counter::NodeTierProbes);
     let node_tier_hits = rec.counter(Counter::NodeTierHits);
     let node_tier_misses = rec.counter(Counter::NodeTierMisses);
-    let cone_tier_hits = rec.counter(Counter::ConeTierHits);
-    let cone_tier_gate_hits = rec.counter(Counter::ConeTierGateHits);
-    traced_match &= cone_tier_gate_hits + node_tier_hits == c.cone_cache_hits
-        && node_tier_misses == c.cone_cache_misses;
+    traced_match &= node_tier_hits == c.cone_cache_hits && node_tier_misses == c.cone_cache_misses;
 
     Metrics {
         combine_steps,
@@ -373,8 +357,6 @@ fn collect_metrics(
         node_tier_probes,
         node_tier_hits,
         node_tier_misses,
-        cone_tier_hits,
-        cone_tier_gate_hits,
         dp_ms,
         stages,
         traced_match,
@@ -421,11 +403,12 @@ fn membership(name: &str) -> &'static str {
     }
 }
 
-fn soi_mapper(parallelism: Parallelism, cone_cache: bool) -> Mapper {
+/// `SOI_Domino_Map` under `parallelism`, with the gate memo forced on
+/// (bench circuits mostly sit below its production size gate) or off.
+fn soi_mapper(parallelism: Parallelism, memo: bool) -> Mapper {
     Mapper::soi(MapConfig {
         parallelism,
-        cone_cache,
-        cone_cache_min_gates: 0,
+        cone_cache_min_gates: if memo { 0 } else { usize::MAX },
         ..MapConfig::default()
     })
 }
@@ -481,13 +464,6 @@ enum CorpusRow {
         cache_hits: u64,
         cache_misses: u64,
         counts_match: bool,
-        /// Size of the persistent store the cache-building run produced.
-        persist_store_bytes: usize,
-        /// Best timed re-run against a fresh cache reloaded from that
-        /// store — the warm-start the persistent format exists to buy.
-        persist_warm_ms: f64,
-        /// Cache hits the warm run took (every one served from the store).
-        persist_hits: u64,
         /// Per-stage breakdown from one traced serial/uncached run
         /// (`ingest_ms` timed by the harness around the corpus load).
         stages: Stages,
@@ -500,8 +476,6 @@ enum CorpusRow {
     },
 }
 
-/// Times one corpus network in the three standard modes, reps scaled by
-/// its size bucket.
 /// The three standard corpus timing modes.
 struct Modes {
     serial: Mapper,
@@ -533,56 +507,14 @@ fn bench_corpus_network(
     // runs stay untraced; tracing is observational and must not diverge).
     rec.reset();
     let traced_serial = Mapper::soi(MapConfig {
-        parallelism: Parallelism::Serial,
-        cone_cache: false,
         trace,
-        ..MapConfig::default()
+        ..*serial.config()
     });
     let traced_start = Instant::now();
     let ts = traced_serial.run(network).expect("traced corpus run maps");
     let traced_total_ms = traced_start.elapsed().as_secs_f64() * 1e3;
     counts_match &= same_outcome(&s, &ts);
     let stages = Stages::read(rec, ingest_ms, traced_total_ms);
-
-    // Persistent warm start: build a cache, round-trip it through the
-    // on-disk store format in memory, and time a re-run against the
-    // reloaded entries — the cross-run amortization the store exists for.
-    let with_cache = |cache: &Arc<ConeCache>| {
-        Mapper::soi(MapConfig {
-            parallelism: Parallelism::Auto,
-            cone_cache: true,
-            cone_cache_min_gates: 0,
-            ..MapConfig::default()
-        })
-        .with_cone_cache(Arc::clone(cache))
-    };
-    let build_cache = Arc::new(ConeCache::new());
-    with_cache(&build_cache)
-        .run(network)
-        .expect("cache-building corpus run maps");
-    let mut store = Vec::new();
-    build_cache
-        .save_to(&mut store)
-        .expect("in-memory store write");
-    let persist_store_bytes = store.len();
-    let reloaded = Arc::new(ConeCache::new());
-    reloaded
-        .load_from(&store[..])
-        .expect("pristine store reloads");
-    let warm = with_cache(&reloaded);
-    let mut persist_warm_ms = f64::INFINITY;
-    let mut persist_hits = 0;
-    // Warm reps share the reloaded cache, so its sticky bypass latches
-    // carry across reps (a later rep may probe less than the first); the
-    // reported hits must come from the same rep as the reported time.
-    for _ in 0..reps.min(2) {
-        let (ms, w) = time_once(&warm, network);
-        counts_match &= same_outcome(&s, &w);
-        if ms < persist_warm_ms {
-            persist_warm_ms = ms;
-            persist_hits = w.cone_cache_hits;
-        }
-    }
 
     // SAT equivalence proof of the serial mapping against the source
     // network. A wrong or undecided verdict fails the run exactly like a
@@ -596,11 +528,9 @@ fn bench_corpus_network(
 
     eprintln!(
         "  [{bucket}] {name}: {gates} gates, serial {serial_ms:.1} ms / auto({}t) \
-         {parallel_ms:.1} ms / cached({}t) {cached_ms:.1} ms / persist-warm \
-         {persist_warm_ms:.1} ms ({} KiB store), hit rate {:.0}%{}",
+         {parallel_ms:.1} ms / cached({}t) {cached_ms:.1} ms, hit rate {:.0}%{}",
         p.threads_used,
         c.threads_used,
-        persist_store_bytes / 1024,
         c.cone_cache_hit_rate().unwrap_or(0.0) * 100.0,
         if counts_match { "" } else { "  ** MISMATCH **" }
     );
@@ -644,9 +574,6 @@ fn bench_corpus_network(
         cache_hits: c.cone_cache_hits,
         cache_misses: c.cone_cache_misses,
         counts_match,
-        persist_store_bytes,
-        persist_warm_ms,
-        persist_hits,
         stages,
         cec,
     }
@@ -768,8 +695,8 @@ fn corpus_smoke() {
             result.counts.total
         );
     }
-    // Huge tier: the default config (Auto + gated cone cache + adaptive
-    // bypass) races serial/uncached on both ≥100k-gate synthetics. The
+    // Huge tier: the default config (Auto + gated memo + adaptive bypass)
+    // races serial/uncached on both ≥100k-gate synthetics. The
     // default losing on *any* huge circuit means a shipped knob is
     // mis-tuned — that is a failure, not a data point.
     let serial = soi_mapper(Parallelism::Serial, false);
@@ -797,7 +724,7 @@ fn corpus_smoke() {
         assert!(
             ratio <= CORPUS_SMOKE_DEFAULT_MAX_RATIO,
             "corpus smoke: `{name}`: default config is {ratio:.2}x serial/uncached \
-             (limit {CORPUS_SMOKE_DEFAULT_MAX_RATIO}x) — the cone-cache gate or the adaptive \
+             (limit {CORPUS_SMOKE_DEFAULT_MAX_RATIO}x) — the memo's size gate or its adaptive \
              bypass stopped paying for itself"
         );
         // Stage breakdown: one traced serial run per synthetic must
@@ -808,10 +735,8 @@ fn corpus_smoke() {
         rec.reset();
         let traced_start = Instant::now();
         let t = Mapper::soi(MapConfig {
-            parallelism: Parallelism::Serial,
-            cone_cache: false,
             trace,
-            ..MapConfig::default()
+            ..*serial.config()
         })
         .run(&huge)
         .unwrap_or_else(|e| panic!("corpus smoke: traced `{name}` failed to map: {e}"));
@@ -912,49 +837,6 @@ fn cec_smoke() {
     }
 }
 
-/// Diagnostic: maps one corpus entry with the default config and a
-/// recorder attached, and prints the per-tier cache counters the corpus
-/// rows aggregate away — the data the `cache_bypass_floor_permille`
-/// default is tuned against.
-fn tier_probe(name: &str) {
-    let network = corpus::load(name).unwrap_or_else(|e| panic!("`{name}` failed to load: {e}"));
-    let (rec, trace) = Recorder::install();
-    rec.reset();
-    let start = Instant::now();
-    let floor = std::env::var("SOI_BYPASS_FLOOR")
-        .ok()
-        .and_then(|v| v.parse().ok());
-    let mut probe_config = MapConfig {
-        trace,
-        ..MapConfig::default()
-    };
-    if let Some(f) = floor {
-        probe_config.cache_bypass_floor_permille = f;
-    }
-    let result = Mapper::soi(probe_config)
-        .run(&network)
-        .unwrap_or_else(|e| panic!("`{name}` failed to map: {e}"));
-    let ms = start.elapsed().as_secs_f64() * 1e3;
-    let node_probes = rec.counter(Counter::NodeTierProbes);
-    let node_hits = rec.counter(Counter::NodeTierHits);
-    eprintln!(
-        "{name}: {ms:.1} ms, overall cache {} hits / {} misses, cone tier {} unit hits \
-         ({} gate-weighted), node tier {node_hits}/{node_probes} probes hit ({:.1}%), \
-         tier bypasses {}, persist hits {}",
-        result.cone_cache_hits,
-        result.cone_cache_misses,
-        rec.counter(Counter::ConeTierHits),
-        rec.counter(Counter::ConeTierGateHits),
-        if node_probes > 0 {
-            node_hits as f64 / node_probes as f64 * 100.0
-        } else {
-            0.0
-        },
-        rec.counter(Counter::TierBypasses),
-        rec.counter(Counter::PersistHits),
-    );
-}
-
 fn main() {
     // The one honest source for the host's thread count: every report row
     // derives from this call (PR 2 recorded `host_threads: 1` while timing
@@ -978,10 +860,6 @@ fn main() {
             }
             "--cec-smoke" => {
                 cec_smoke();
-                return;
-            }
-            "--tier-probe" => {
-                tier_probe(&args.next().expect("--tier-probe needs a corpus entry name"));
                 return;
             }
             "--corpus-dir" => {
@@ -1094,7 +972,7 @@ fn main() {
         json,
         "  \"description\": \"SOI_Domino_Map wall-clock over the Table I+II registry (best of \
          {REPS} runs, W<=5 H<=8): serial/uncached baseline vs Parallelism::Auto uncached vs the \
-         shipped default (Auto + cone cache); per-circuit metrics from one traced run per mode \
+         Auto with the gate memo forced on; per-circuit metrics from one traced run per mode \
          (timed runs stay untraced)\","
     );
     let _ = writeln!(json, "  \"host_threads\": {host_threads},");
@@ -1112,9 +990,9 @@ fn main() {
     );
     let _ = writeln!(
         json,
-        "  \"modes\": {{\"serial\": \"Parallelism::Serial, cone_cache off\", \"parallel\": \
-         \"Parallelism::Auto, cone_cache off\", \"cached\": \"Parallelism::Auto, cone_cache on \
-         (default config, adaptive bypass active)\"}},"
+        "  \"modes\": {{\"serial\": \"Parallelism::Serial, gate memo off\", \"parallel\": \
+         \"Parallelism::Auto, gate memo off\", \"cached\": \"Parallelism::Auto, gate memo forced \
+         on (cone_cache_min_gates 0, adaptive bypass active)\"}},"
     );
     let _ = writeln!(json, "  \"circuits\": [");
     let last = entries.len().saturating_sub(1);
@@ -1170,8 +1048,8 @@ fn main() {
              \"prune_batches\": {}, \"skyline_survivors\": {}, \"scratch_high_water\": {}, \
              \"dp_ms\": {:.3}, \"sched_steals\": {}, \"sched_wakeups\": {}, \"sched_parks\": {}, \
              \"worker_units\": [{}], \"node_tier_probes\": {}, \"node_tier_hits\": {}, \
-             \"node_tier_misses\": {}, \"node_tier_hit_rate\": {:.3}, \"cone_tier_hits\": {}, \
-             \"cone_tier_gate_hits\": {}, \"stages\": {}, \"traced_match\": {}}}}}{}",
+             \"node_tier_misses\": {}, \"node_tier_hit_rate\": {:.3}, \"stages\": {}, \
+             \"traced_match\": {}}}}}{}",
             m.combine_steps,
             m.candidates_generated,
             m.candidates_pruned,
@@ -1189,8 +1067,6 @@ fn main() {
             m.node_tier_hits,
             m.node_tier_misses,
             node_rate,
-            m.cone_tier_hits,
-            m.cone_tier_gate_hits,
             m.stages.json(),
             m.traced_match,
             if i == last { "" } else { "," }
@@ -1201,8 +1077,8 @@ fn main() {
         json,
         "  \"corpus\": {{\n    \"description\": \"size-bucketed sweep of the soi-circuits corpus \
          (vendored AIGER entries through the >=100k-gate synthetic tiers) in the same three \
-         modes; cached_vs_parallel re-justifies the cone_cache_min_gates gate (10k): the cache \
-         must pay for itself where it is enabled. A row with an `error` field is a corpus entry \
+         modes; cached_vs_parallel re-justifies the memo's cone_cache_min_gates gate (10k): the \
+         memo must pay for itself where it is enabled. A row with an `error` field is a corpus entry \
          that failed to load — the run fails rather than skip it. Each row's `cec` block is a SAT \
          equivalence proof of the serial mapping against the source network (soi-cec); \
          `equivalent` must be true with zero `unproven` miters or the run fails.\","
@@ -1228,9 +1104,6 @@ fn main() {
                 cache_hits,
                 cache_misses,
                 counts_match,
-                persist_store_bytes,
-                persist_warm_ms,
-                persist_hits,
                 stages,
                 cec,
             } => {
@@ -1249,14 +1122,10 @@ fn main() {
                      \"speedup_parallel\": {:.3}, \"speedup_cached\": {:.3}, \
                      \"cached_vs_parallel\": {:.3}, \"cache_hits\": {cache_hits}, \
                      \"cache_misses\": {cache_misses}, \"cache_hit_rate\": {hit_rate:.3}, \
-                     \"persist_store_bytes\": {persist_store_bytes}, \"persist_warm_ms\": \
-                     {persist_warm_ms:.3}, \"persist_warm_vs_cached\": {:.3}, \"persist_hits\": \
-                     {persist_hits}, \"stages\": {}, \"cec\": {}, \"counts_match\": \
-                     {counts_match}}}{sep}",
+                     \"stages\": {}, \"cec\": {}, \"counts_match\": {counts_match}}}{sep}",
                     serial_ms / parallel_ms.max(1e-9),
                     serial_ms / cached_ms.max(1e-9),
                     parallel_ms / cached_ms.max(1e-9),
-                    cached_ms / persist_warm_ms.max(1e-9),
                     stages.json(),
                     cec.json(),
                 );

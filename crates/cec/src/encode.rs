@@ -8,11 +8,10 @@
 //! literal instead of a fresh definition — the `DagCnf` idiom. Inverters
 //! and buffers are free: negation is a literal sign, not a variable.
 //!
-//! All eight [`Network`](soi_netlist::Network) gate kinds reduce to two
-//! hashed primitives: `AND` (with `OR`/`NAND`/`NOR` via De Morgan signs)
-//! and `XOR` (with `XNOR` via the output sign; operand signs are peeled
-//! off into the output sign first, so `a ⊕ !b` and `!(a ⊕ b)` share one
-//! table entry).
+//! All eight [`Network`] gate kinds reduce to two hashed primitives:
+//! `AND` (with `OR`/`NAND`/`NOR` via De Morgan signs) and `XOR` (with
+//! `XNOR` via the output sign; operand signs are peeled off into the
+//! output sign first, so `a ⊕ !b` and `!(a ⊕ b)` share one table entry).
 //!
 //! The definitions are the only copy of the formula. Two solvers read
 //! them:

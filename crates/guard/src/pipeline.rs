@@ -262,7 +262,7 @@ impl Pipeline {
     /// results: when the map stage is interrupted (cancellation trip,
     /// deadline, contained worker panic) and the error carries a non-empty
     /// [`PartialMapping`](soi_mapper::PartialMapping), the stage reruns
-    /// with the salvaged cone cache attached — re-solving only what the
+    /// from it ([`Mapper::with_salvage`]) — solving only what the
     /// interrupt cut off — instead of failing the flow. The deterministic
     /// `cancel_after_steps` test trip is cleared on resume (it would
     /// re-fire identically); a wall-clock deadline grants each attempt a
@@ -360,16 +360,16 @@ impl Pipeline {
                     degrade_retried = true;
                 }
                 Err(e) => {
-                    let salvage = e.partial().filter(|p| !p.is_empty()).map(|p| p.cache());
+                    let salvage = e.partial().filter(|p| !p.is_empty()).cloned();
                     match salvage {
-                        Some(cache) if salvage_retries < self.salvage_retries => {
+                        Some(partial) if salvage_retries < self.salvage_retries => {
                             salvage_retries += 1;
                             let mut config = *mapper.config();
                             // The deterministic test trip would re-fire at
                             // the same step count; the deadline and token
                             // stay honored (see `with_salvage_retry`).
                             config.limits.cancel_after_steps = None;
-                            mapper = rebuild(mapper.algorithm(), config).with_cone_cache(cache);
+                            mapper = rebuild(mapper.algorithm(), config).with_salvage(partial);
                         }
                         _ => return Err(ctx(Stage::Map, StageFailure::Map(e))),
                     }

@@ -15,16 +15,25 @@ use soi_unate::{UId, UNode, UnateNetwork};
 
 use crate::arena::CandArena;
 use crate::dp::{self, NodeCtx, NodeOutcome, Scratch, SolView};
+use crate::memo::NodeMemo;
 use crate::tuple::{Cand, CandRef, ExportMap, Form, NodeSol, TupleKey};
-use crate::{Algorithm, ConeCache, CostModel, MapConfig, MapError};
+use crate::{Algorithm, CostModel, MapConfig, MapError, PartialMapping};
 
 /// Runs the baseline DP, producing one [`NodeSol`] per unate node.
 pub(crate) fn solve(
     unate: &UnateNetwork,
     config: &MapConfig,
-    cache: Option<&ConeCache>,
+    salvage: Option<&PartialMapping>,
+    memo: Option<&NodeMemo>,
 ) -> Result<dp::Solution, MapError> {
-    dp::run_dp(unate, config, Algorithm::DominoMap, solve_node, cache)
+    dp::run_dp(
+        unate,
+        config,
+        Algorithm::DominoMap,
+        solve_node,
+        salvage,
+        memo,
+    )
 }
 
 /// Records `cand` in the key-sorted best-per-shape list, keeping the
@@ -310,7 +319,7 @@ mod tests {
     #[test]
     fn fig3_and_node_tuples() {
         let u = fig3_unate();
-        let sols = solve(&u, &fig3_config(), None).unwrap().sols;
+        let sols = solve(&u, &fig3_config(), None, None).unwrap().sols;
         // AND node (index 4): bare {1,2} with cost 2, gate cost 7.
         let and_sol = &sols[4];
         let bare = &and_sol.exported[&TupleKey { w: 1, h: 2 }];
@@ -325,7 +334,7 @@ mod tests {
     #[test]
     fn fig3_or_node_selects_cost_4_and_gate_cost_9() {
         let u = fig3_unate();
-        let sols = solve(&u, &fig3_config(), None).unwrap().sols;
+        let sols = solve(&u, &fig3_config(), None, None).unwrap().sols;
         let or_sol = &sols[6];
         // {2,2}: both ANDs absorbed, cost 4.
         let best = &or_sol.exported[&TupleKey { w: 2, h: 2 }];
@@ -344,7 +353,7 @@ mod tests {
         // all-bare solution needs H=2, which fits; instead check the mixed
         // entry loses: the kept {2,2} candidate must cost 4, not 10.
         let u = fig3_unate();
-        let sols = solve(&u, &fig3_config(), None).unwrap().sols;
+        let sols = solve(&u, &fig3_config(), None, None).unwrap().sols;
         let or_sol = &sols[6];
         assert_eq!(or_sol.exported[&TupleKey { w: 2, h: 2 }][0].g.tx, 4);
     }
@@ -361,7 +370,7 @@ mod tests {
         // but an AND of two {1,1} literals needs H = 2, so the AND node
         // itself is unmappable.
         assert!(matches!(
-            solve(&u, &config, None),
+            solve(&u, &config, None, None),
             Err(MapError::Unmappable { .. })
         ));
     }
@@ -386,7 +395,7 @@ mod tests {
         let f2 = u.add_and(shared, c);
         u.add_output("f1", USignal::Node(f1), false);
         u.add_output("f2", USignal::Node(f2), false);
-        let sols = solve(&u, &MapConfig::default(), None).unwrap().sols;
+        let sols = solve(&u, &MapConfig::default(), None, None).unwrap().sols;
         let shared_sol = &sols[3];
         assert_eq!(shared_sol.exported.len(), 1);
         let unit = &shared_sol.exported[&TupleKey::UNIT];
@@ -404,7 +413,7 @@ mod tests {
             h_max: 4,
             ..MapConfig::default()
         };
-        let sols = solve(&u, &config, None).unwrap().sols;
+        let sols = solve(&u, &config, None, None).unwrap().sols;
         // Single-gate solution: level 1.
         assert_eq!(sols[6].gate.as_ref().unwrap().cost.level, 1);
     }

@@ -250,36 +250,17 @@ pub struct MapConfig {
     pub limits: Limits,
     /// Thread schedule of the DP (results are identical in every mode).
     pub parallelism: Parallelism,
-    /// Memoize structurally isomorphic fanout-free cones in a
-    /// [`ConeCache`](crate::ConeCache) during the DP, rebinding the cached
-    /// solution instead of re-running the per-node solver. Results are
-    /// bit-identical with the cache on or off; on repetitive circuits
-    /// (adders, multipliers, crypto rounds) most cones are cache hits.
-    /// On by default, but gated by [`MapConfig::cone_cache_min_gates`].
-    pub cone_cache: bool,
-    /// Minimum unate gate count before `cone_cache` actually builds a
-    /// per-run cache. On small circuits the hashing and capture overhead
-    /// outruns the re-solve it saves (`BENCH_pr5.json` measured
-    /// `speedup_cached` of 0.71–0.92 across the registry), so the cache is
-    /// effectively off below this threshold. Set to `0` to force it on
-    /// regardless of size. A cache *attached* via
-    /// [`Mapper::with_cone_cache`](crate::Mapper::with_cone_cache) always
-    /// bypasses the threshold — explicit sharing (warm reruns, salvage
-    /// resume) is the caller's call.
+    /// Minimum unate gate count before a mapping run builds its gate
+    /// memo, which solves each distinct (gate kind, fanout, fanin cost
+    /// profiles) step once and replays it onto every repeat. On large
+    /// repetitive netlists most gate solves are replays (`synth-mult136`
+    /// replays 325,473 of its 328,984); on small circuits the hashing and
+    /// capture overhead outruns the re-solve it saves, so the memo stays
+    /// off below this size. An adaptive bypass also latches it off mid-run
+    /// when its hit rate is too low to pay. `0` forces the memo on
+    /// regardless of size; `usize::MAX` turns it off. Results are
+    /// bit-identical either way.
     pub cone_cache_min_gates: usize,
-    /// Adaptive cache-bypass floor, in hits per thousand probes. Each
-    /// cache tier (cone, node) tracks its probe outcomes; every
-    /// [`BYPASS_PROBE_WINDOW`](crate::ConeCache)-sized batch of probes,
-    /// a tier whose cumulative hit rate sits below this floor is latched
-    /// off for the rest of the cache's lifetime — no more probes, no more
-    /// captures — so a cache that isn't paying for itself (irregular
-    /// netlists like `synth-control-120k`) stops taxing the run, while a
-    /// high-hit-rate cache (repetitive arrays like `synth-mult136`) keeps
-    /// its win. Solutions are bit-identical with the bypass latched or
-    /// not (the cache is semantically transparent), so this knob is
-    /// excluded from the cache fingerprint. `0` disables the bypass;
-    /// values above 1000 are rejected by [`validate`](MapConfig::validate).
-    pub cache_bypass_floor_permille: u32,
     /// Fault-injection knob for the containment test suite: panic the
     /// worker solving whichever cone unit contains this unate node index.
     /// The panic is contained by the scheduler and surfaces as
@@ -295,10 +276,10 @@ pub struct MapConfig {
     /// default: the strict behaviour is the error.
     pub degrade_unmappable: bool,
     /// Instrumentation handle ([`soi_trace`]): stage spans, counters and
-    /// gauges flow to its sink when enabled. Purely observational — the
-    /// handle is excluded from the cone-cache config fingerprint and
-    /// results are bit-identical with tracing on or off. Off by default
-    /// (one dead branch per emission site).
+    /// gauges flow to its sink when enabled. Purely observational — a
+    /// salvaged partial resumes under any handle, and results are
+    /// bit-identical with tracing on or off. Off by default (one dead
+    /// branch per emission site).
     pub trace: TraceHandle,
 }
 
@@ -318,9 +299,7 @@ impl Default for MapConfig {
             allow_duplication: false,
             limits: Limits::default(),
             parallelism: Parallelism::default(),
-            cone_cache: true,
             cone_cache_min_gates: MapConfig::DEFAULT_CONE_CACHE_MIN_GATES,
-            cache_bypass_floor_permille: MapConfig::DEFAULT_CACHE_BYPASS_FLOOR_PERMILLE,
             poison_node: None,
             degrade_unmappable: false,
             trace: TraceHandle::off(),
@@ -331,17 +310,9 @@ impl Default for MapConfig {
 impl MapConfig {
     /// Default [`MapConfig::cone_cache_min_gates`]: every registry
     /// benchmark sits below it (the largest, `des`, converts to a few
-    /// thousand unate gates), matching the `BENCH_pr5.json` measurement
-    /// that the cache only pays off past repetitive-netlist scale.
+    /// thousand unate gates); forcing the memo onto them maps 1.07–1.09×
+    /// slower.
     pub const DEFAULT_CONE_CACHE_MIN_GATES: usize = 10_000;
-
-    /// Default [`MapConfig::cache_bypass_floor_permille`]: sits between
-    /// the hit rates measured on the huge corpus circuits where the cache
-    /// loses (`synth-control-120k`, ~731‰, mapped 0.82× serial speed in
-    /// `BENCH_pr7.json`) and where it wins (`synth-mult136`, ~989‰,
-    /// 1.23×), so the bypass cuts the former loose and leaves the latter
-    /// alone.
-    pub const DEFAULT_CACHE_BYPASS_FLOOR_PERMILLE: u32 = 800;
 
     /// The paper's depth-objective configuration.
     pub fn depth() -> MapConfig {
@@ -369,11 +340,6 @@ impl MapConfig {
         if self.w_max == 0 || self.h_max == 0 {
             return Err(crate::MapError::InvalidConfig {
                 what: "w_max and h_max must be at least 1".into(),
-            });
-        }
-        if self.cache_bypass_floor_permille > 1000 {
-            return Err(crate::MapError::InvalidConfig {
-                what: "cache_bypass_floor_permille must be at most 1000".into(),
             });
         }
         if self.max_candidates == 0 {
@@ -426,11 +392,6 @@ mod tests {
         assert_eq!(Parallelism::Serial.resolved_threads(8, 5000, 400), 1);
         assert_eq!(Parallelism::Threads(3).resolved_threads(8, 10, 1), 3);
         assert_eq!(Parallelism::Threads(0).resolved_threads(8, 10, 1), 1);
-    }
-
-    #[test]
-    fn cone_cache_is_on_by_default() {
-        assert!(MapConfig::default().cone_cache);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Shared pieces of the two tuple DPs, including the driver that walks a
 //! unate network — serially, or across independent fanout-free cones on a
 //! persistent work-stealing worker pool — and hands each node to an
-//! algorithm-specific solver, memoizing structurally isomorphic cones in
-//! a [`ConeCache`](crate::ConeCache) along the way.
+//! algorithm-specific solver, replaying repeated gates from the per-run
+//! [`NodeMemo`] along the way.
 
 use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
@@ -12,13 +12,13 @@ use std::time::{Duration, Instant};
 
 use soi_netlist::fx::FxHashSet;
 use soi_trace::{Counter, Gauge, Stage, TraceHandle};
-use soi_unate::{ConePartition, ConeUnit, Literal, ShapeScratch, UId, UNode, UnateNetwork};
+use soi_unate::{ConePartition, ConeUnit, Literal, UId, UNode, UnateNetwork};
 
 use crate::arena::CandArena;
-use crate::cache::{self, RunCache};
-use crate::job::{CancelToken, PartialMapping};
+use crate::job::{self, CancelToken, PartialMapping, SalvagedUnit};
+use crate::memo::{self, NodeEntry, NodeMemo};
 use crate::tuple::{Cand, CandRef, Form, GateSol, NodeSol, TupleKey};
-use crate::{Algorithm, ConeCache, Cost, CostModel, Footing, MapConfig, MapError};
+use crate::{Algorithm, Cost, CostModel, Footing, MapConfig, MapError};
 
 /// The product of one DP run over a unate network.
 pub(crate) struct Solution {
@@ -32,12 +32,13 @@ pub(crate) struct Solution {
     pub(crate) peak_candidates: usize,
     /// Worker threads the schedule actually used.
     pub(crate) threads_used: usize,
-    /// Cone-cache hits and misses of this run (both 0 with the cache off).
+    /// Memo hits and misses of this run (both 0 with the memo off).
     pub(crate) cache_hits: u64,
     pub(crate) cache_misses: u64,
     /// Candidate-combination steps the run charged against its budget —
-    /// identical across serial, parallel and cached schedules (cache hits
-    /// bulk-charge the step count their cached solution originally cost).
+    /// identical across serial, parallel, memoized and resumed schedules
+    /// (memo hits and salvaged units bulk-charge the step count their
+    /// solution originally cost).
     pub(crate) combine_steps: u64,
 }
 
@@ -48,10 +49,10 @@ pub(crate) struct Solution {
 /// threads charge the same global allowance: the budget stays a single
 /// deterministic limit on the *total* amount of combination work, not a
 /// per-thread one. Whether a run trips the budget is therefore identical
-/// between serial and parallel execution, and between cached and uncached
-/// execution (a cache hit charges the exact step count the solver would
-/// have performed); only which node reports the exhaustion first may
-/// differ under contention.
+/// between serial and parallel execution, and between memoized and
+/// unmemoized execution (a memo hit charges the exact step count the
+/// solver would have performed); only which node reports the exhaustion
+/// first may differ under contention.
 ///
 /// The budget doubles as the run's **interrupt poll point**: the shared
 /// cancellation token, the deterministic step trip and the wall-clock
@@ -102,11 +103,11 @@ impl Budget {
         self.charge_many(1, node)
     }
 
-    /// Charges `n` candidate-combination steps at once — how a cone-cache
-    /// hit pays for the combination work its cached solution originally
-    /// cost, and how the solvers charge a node's candidate cross-product,
-    /// keeping the cumulative total (and with it budget-trip behaviour)
-    /// identical across both paths.
+    /// Charges `n` candidate-combination steps at once — how a memo hit or
+    /// a salvaged unit pays for the combination work its solution
+    /// originally cost, and how the solvers charge a node's candidate
+    /// cross-product, keeping the cumulative total (and with it budget-trip
+    /// behaviour) identical across all paths.
     pub(crate) fn charge_many(&self, n: u64, node: UId) -> Result<(), MapError> {
         let before = self.steps.fetch_add(n, Ordering::Relaxed);
         let steps = before + n;
@@ -188,8 +189,8 @@ pub(crate) fn check_gate_budget(unate: &UnateNetwork, config: &MapConfig) -> Res
 }
 
 /// Per-worker context for solver invocations: the shared read-only run
-/// state plus this worker's running step count (used to price cone-cache
-/// entries).
+/// state plus this worker's running step count (used to price memo
+/// entries and completed units).
 pub(crate) struct NodeCtx<'a> {
     pub config: &'a MapConfig,
     pub model: &'a CostModel,
@@ -215,12 +216,12 @@ impl<'a> NodeCtx<'a> {
     }
 
     /// Bulk-charges `n` steps at `node`, keeping the worker tally in step
-    /// with the global budget so enclosing cone captures price correctly.
-    /// Used by cache hits paying for the work their cached solution
-    /// originally cost, and by the solvers' combination loops, which
-    /// charge a node's whole candidate cross-product upfront — one atomic
-    /// add per node instead of one per pair, with an identical cumulative
-    /// total (so budget-trip behaviour is unchanged).
+    /// with the global budget so memo captures and completed units price
+    /// correctly. Used by memo hits and salvaged units paying for the work
+    /// their solution originally cost, and by the solvers' combination
+    /// loops, which charge a node's whole candidate cross-product upfront
+    /// — one atomic add per node instead of one per pair, with an
+    /// identical cumulative total (so budget-trip behaviour is unchanged).
     pub(crate) fn charge_many(&self, n: u64, node: UId) -> Result<(), MapError> {
         self.steps.set(self.steps.get() + n);
         self.budget.charge_many(n, node)
@@ -279,19 +280,20 @@ pub(crate) struct Scratch {
 
 /// The published per-node solutions of one DP run.
 ///
-/// Slots are written exactly once — by the single worker that solves (or
-/// cache-rebinds) the owning cone — and only read by workers whose cone
-/// depends on that one, after the scheduler has established a
-/// happens-before edge (dependency-counter release/acquire plus the queue
-/// mutex). That write-once/read-after discipline is what makes the
-/// `UnsafeCell` sound and buys the O(1) fanin lookup that replaced the
-/// old worker-local overlay scan.
+/// Slots are written exactly once — by the single worker that solves the
+/// owning cone, or by the driver seeding a salvaged cone before any worker
+/// starts — and only read by workers whose cone depends on that one, after
+/// the scheduler has established a happens-before edge (dependency-counter
+/// release/acquire plus the queue mutex). That write-once/read-after
+/// discipline is what makes the `UnsafeCell` sound and buys the O(1)
+/// fanin lookup that replaced the old worker-local overlay scan.
 pub(crate) struct SolTable {
     slots: Box<[std::cell::UnsafeCell<Option<NodeSol>>]>,
 }
 
 // SAFETY: see the type docs — each slot has exactly one writer, and every
-// reader is ordered after that write by the scheduler's synchronization.
+// reader is ordered after that write by the scheduler's synchronization
+// (or, for a seeded slot, by the spawn of the worker threads).
 unsafe impl Sync for SolTable {}
 
 impl SolTable {
@@ -304,9 +306,11 @@ impl SolTable {
     }
 
     /// Publishes the solution of `id`. Must be called at most once per id,
-    /// by the worker owning the containing cone.
+    /// by the worker owning the containing cone, or by the driver seeding
+    /// it before any worker starts.
     pub(crate) fn set(&self, id: UId, sol: NodeSol) {
-        // SAFETY: single writer per slot (scheduler invariant).
+        // SAFETY: single writer per slot (scheduler invariant; a seeded
+        // unit is never solved, so its slots are never written again).
         unsafe { *self.slots[id.index()].get() = Some(sol) };
     }
 
@@ -331,19 +335,18 @@ impl SolTable {
             .collect()
     }
 
-    /// Exclusive access to a solved slot — the salvage pass uses it to
-    /// backfill cache profiles on the nodes of completed units after an
-    /// interrupted run (when the workers are gone and the table may be
-    /// only partially filled, so [`into_sols`](SolTable::into_sols) is off
-    /// the table).
+    /// Moves a solved slot out — the salvage pass uses it to collect the
+    /// solutions of completed units after an interrupted run (when the
+    /// workers are gone and the table may be only partially filled, so
+    /// [`into_sols`](SolTable::into_sols) is off the table).
     ///
     /// # Panics
     ///
     /// Panics if `id` has not been solved.
-    fn get_mut(&mut self, id: UId) -> &mut NodeSol {
+    fn take(&mut self, id: UId) -> NodeSol {
         self.slots[id.index()]
             .get_mut()
-            .as_mut()
+            .take()
             .expect("every node of a completed unit is solved")
     }
 }
@@ -425,14 +428,12 @@ pub(crate) struct UnitAcc {
 pub(crate) struct WorkerState {
     pub scratch: Scratch,
     pub acc: UnitAcc,
-    /// Reused cone-shape buffers for cached runs (one shape per unit).
-    pub shapes: ShapeScratch,
 }
 
-/// Solves the given nodes in order, publishing each solution. With a
-/// cache, each gate goes through the node tier: probe on (kind, fanout,
-/// fanin profiles), rebind on a hit, solve and capture on a miss.
-/// Literals are always solved directly (they cost less than a probe).
+/// Solves the given nodes in order, publishing each solution. With a live
+/// memo, each gate is probed on (kind, fanout, fanin profiles), rebound on
+/// a hit, and solved and captured on a miss. Literals are always solved
+/// directly (they cost less than a probe).
 fn solve_nodes<S: NodeSolver>(
     ctx: &NodeCtx<'_>,
     table: &SolTable,
@@ -440,64 +441,52 @@ fn solve_nodes<S: NodeSolver>(
     solver: &S,
     nodes: &[UId],
     state: &mut WorkerState,
-    run_cache: Option<&RunCache<'_>>,
+    memo: Option<&NodeMemo>,
 ) -> Result<(), MapError> {
+    let trace = ctx.config.trace;
     for &id in nodes {
         let node = unate.node(id);
-        let node_cache = run_cache
-            .filter(|rc| rc.node_tier_enabled())
-            .filter(|_| match node {
-                UNode::And(a, b) | UNode::Or(a, b) => {
-                    table.get(a).exported.total_candidates()
-                        * table.get(b).exported.total_candidates()
-                        >= cache::NODE_TIER_MIN_COMBINATIONS
+        let memo = memo.filter(|m| m.enabled());
+        let (sol, deg) = match memo {
+            Some(memo) if node.is_gate() => {
+                let (key, level_base, hit) = memo.probe(node, ctx.fanouts[id.index()], table);
+                trace.count(Counter::NodeTierProbes, 1);
+                if memo.note_probe(hit.is_some()) {
+                    trace.count(Counter::TierBypasses, 1);
                 }
-                UNode::Lit(_) => false,
-            });
-        let (sol, deg) = if let Some(rc) = node_cache {
-            let fanout = ctx.fanouts[id.index()];
-            let (key, level_base, hit) = rc.probe_node(node, fanout, table);
-            ctx.config.trace.count(Counter::NodeTierProbes, 1);
-            if rc.note_node_probe(hit.is_some()) {
-                ctx.config.trace.count(Counter::TierBypasses, 1);
-            }
-            if let Some(entry) = hit {
-                ctx.config.trace.count(Counter::NodeTierHits, 1);
-                if entry.persisted() {
-                    ctx.config.trace.count(Counter::PersistHits, 1);
-                }
-                rc.record_hits(1);
-                state.acc.cache_hits += 1;
-                ctx.charge_many(entry.steps(), id)?;
-                entry.rebind(id, node, level_base)
-            } else {
-                ctx.config.trace.count(Counter::NodeTierMisses, 1);
-                rc.record_misses(1);
-                state.acc.cache_misses += 1;
-                let steps_before = ctx.steps_so_far();
-                let (mut sol, deg) = {
+                if let Some(entry) = hit {
+                    trace.count(Counter::NodeTierHits, 1);
+                    state.acc.cache_hits += 1;
+                    ctx.charge_many(entry.steps, id)?;
+                    entry.rebind(id, node, level_base)
+                } else {
+                    trace.count(Counter::NodeTierMisses, 1);
+                    state.acc.cache_misses += 1;
+                    let steps_before = ctx.steps_so_far();
                     let view = SolView { table };
-                    solver.solve_node(ctx, &view, &mut state.scratch, id, node)?
-                };
-                sol.profile = cache::profile(&sol.exported);
-                let steps = ctx.steps_so_far() - steps_before;
-                rc.insert_node(
-                    key,
-                    cache::NodeEntry::capture(id, node, &sol, deg, steps, level_base),
-                );
+                    let (mut sol, deg) =
+                        solver.solve_node(ctx, &view, &mut state.scratch, id, node)?;
+                    sol.profile = memo::profile(&sol.exported);
+                    let steps = ctx.steps_so_far() - steps_before;
+                    memo.insert(
+                        key,
+                        NodeEntry::capture(id, node, &sol, deg, steps, level_base),
+                    );
+                    (sol, deg)
+                }
+            }
+            _ => {
+                let view = SolView { table };
+                let (mut sol, deg) = solver.solve_node(ctx, &view, &mut state.scratch, id, node)?;
+                if memo.is_some() {
+                    // Literal solutions feed gate probes: they need
+                    // profiles too (all-level-0 candidates, so the min
+                    // pins base 0). Once the memo is latched off nothing
+                    // reads profiles again, so the digest walk stops too.
+                    sol.profile = memo::profile(&sol.exported);
+                }
                 (sol, deg)
             }
-        } else {
-            let view = SolView { table };
-            let (mut sol, deg) = solver.solve_node(ctx, &view, &mut state.scratch, id, node)?;
-            if run_cache.is_some_and(|rc| !rc.fully_bypassed()) {
-                // Literal solutions feed gate probes: they need profiles
-                // too (all-level-0 candidates, so the min pins base 0).
-                // Once both tiers are latched off nothing reads profiles
-                // again, so the digest walk is skipped along with them.
-                sol.profile = cache::profile(&sol.exported);
-            }
-            (sol, deg)
         };
         state.acc.peak_candidates = state
             .acc
@@ -512,112 +501,11 @@ fn solve_nodes<S: NodeSolver>(
     Ok(())
 }
 
-/// Solves one cone unit, going through the cone cache when enabled: probe
-/// by structural signature + boundary profile, rebind on a hit, solve and
-/// capture on a miss.
-fn solve_unit<S: NodeSolver>(
-    ctx: &NodeCtx<'_>,
-    table: &SolTable,
-    unate: &UnateNetwork,
-    unit: &ConeUnit,
-    solver: &S,
-    run_cache: Option<&RunCache<'_>>,
-    state: &mut WorkerState,
-) -> Result<(), MapError> {
-    if let Some(poisoned) = ctx.config.poison_node {
-        // Fault injection (see `MapConfig::poison_node`): blow up before
-        // any solving, on every schedule and cache mode alike, so the
-        // containment path is exercised deterministically.
-        if unit
-            .nodes()
-            .iter()
-            .any(|&id| id.index() == poisoned as usize)
-        {
-            panic!("injected fault: poisoned unate node {poisoned}");
-        }
-    }
-    let Some(rc) = run_cache else {
-        return solve_nodes(ctx, table, unate, solver, unit.nodes(), state, None);
-    };
-    let gates = unit
-        .nodes()
-        .iter()
-        .filter(|&&id| unate.node(id).is_gate())
-        .count();
-    if unit.nodes().len() > cache::MAX_CACHED_UNIT_NODES
-        || gates < cache::MIN_CACHED_UNIT_GATES
-        || !rc.cone_tier_enabled()
-    {
-        // Too big to snapshot as one entry (the capture clones every
-        // solution in the cone), too small to amortize the shape
-        // computation, or the adaptive bypass latched the cone tier off;
-        // every gate still goes through the node tier (which applies its
-        // own bypass latch).
-        return solve_nodes(ctx, table, unate, solver, unit.nodes(), state, Some(rc));
-    }
-    // Borrow dance: the shape buffers move out of `state` so `state` stays
-    // free for `solve_nodes`/`rebind`; they move back on the success paths
-    // (an error aborts the whole run, so losing them there is harmless).
-    let mut shapes = std::mem::take(&mut state.shapes);
-    unate.cone_shape_into(unit, &mut shapes);
-    let shape = &shapes.shape;
-    let root = unit.root();
-    // The root's fanout shapes its exported gate candidate (duplication
-    // amortization, shared-vs-exclusive cost), so gate-rooted cones keyed
-    // on it; literal solutions are fanout-independent.
-    let root_fanout = if unate.node(root).is_gate() {
-        ctx.fanouts[root.index()]
-    } else {
-        0
-    };
-    let (key, level_base, hit) = rc.probe(shape, root_fanout, table, unate);
-    if rc.note_cone_probe(hit.is_some()) {
-        ctx.config.trace.count(Counter::TierBypasses, 1);
-    }
-    let gates = gates as u64;
-    if let Some(entry) = hit {
-        // One cone probe stands in for every gate solve in the unit, so
-        // it weighs as many hits; pay the combination steps the cached
-        // solution originally cost, so budget accounting is identical to
-        // an uncached run.
-        ctx.config.trace.count(Counter::ConeTierHits, 1);
-        ctx.config.trace.count(Counter::ConeTierGateHits, gates);
-        if entry.persisted() {
-            ctx.config.trace.count(Counter::PersistHits, gates);
-        }
-        rc.record_hits(gates);
-        state.acc.cache_hits += gates;
-        ctx.charge_many(entry.steps(), root)?;
-        entry.rebind(shape, unate, table, &mut state.acc, level_base);
-        state.shapes = shapes;
-        return Ok(());
-    }
-    // On a cone miss no miss is recorded here: the fill-in solve sends
-    // every gate through the node tier, which counts each gate's outcome
-    // individually — so each gate solve is counted exactly once, as a
-    // cone-tier hit or a node-tier hit/miss.
-    let degraded_start = state.acc.degraded.len();
-    let steps_before = ctx.steps_so_far();
-    solve_nodes(ctx, table, unate, solver, unit.nodes(), state, Some(rc))?;
-    let steps = ctx.steps_so_far() - steps_before;
-    rc.insert(
-        key,
-        cache::ConeEntry::capture(
-            shape,
-            table,
-            &state.acc.degraded[degraded_start..],
-            steps,
-            level_base,
-        )?
-        .with_kinds(shape, unate),
-    );
-    state.shapes = shapes;
-    Ok(())
-}
-
 /// Runs one cone unit with full job control: an interrupt poll at the
 /// unit boundary, panic containment around the solve, and completion
-/// tracking for salvage. Both schedules funnel through here.
+/// tracking for salvage. A `seed` (the unit's salvage from an interrupted
+/// run, already in the table) is accounted for instead of solved. Both
+/// schedules funnel through here.
 #[allow(clippy::too_many_arguments)]
 fn run_unit_isolated<S: NodeSolver>(
     ctx: &NodeCtx<'_>,
@@ -625,17 +513,46 @@ fn run_unit_isolated<S: NodeSolver>(
     unate: &UnateNetwork,
     unit: &ConeUnit,
     solver: &S,
-    run_cache: Option<&RunCache<'_>>,
+    memo: Option<&NodeMemo>,
+    seed: Option<&SalvagedUnit>,
     state: &mut WorkerState,
     u: usize,
 ) -> Result<(), MapError> {
+    if let Some(seed) = seed {
+        // Recorded as completed before the charge, so an interrupt the
+        // charge observes still salvages the unit again.
+        state.acc.completed.push(CompletedUnit {
+            unit: u as u32,
+            steps: seed.steps,
+        });
+        state.acc.degraded.extend_from_slice(&seed.degraded);
+        for sol in &seed.sols {
+            state.acc.peak_candidates = state
+                .acc
+                .peak_candidates
+                .max(sol.exported.total_candidates());
+        }
+        return ctx.charge_many(seed.steps, unit.root());
+    }
     ctx.check_interrupt()?;
     let steps_before = ctx.steps_so_far();
     // AssertUnwindSafe: on a caught panic the worker's in-progress unit
     // state (scratch arenas, partially filled table slots) is abandoned —
     // the salvage pass only ever reads units recorded as completed.
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
-        solve_unit(ctx, table, unate, unit, solver, run_cache, state)
+        if let Some(poisoned) = ctx.config.poison_node {
+            // Fault injection (see `MapConfig::poison_node`): blow up
+            // before any solving, on every schedule alike, so the
+            // containment path is exercised deterministically.
+            if unit
+                .nodes()
+                .iter()
+                .any(|&id| id.index() == poisoned as usize)
+            {
+                panic!("injected fault: poisoned unate node {poisoned}");
+            }
+        }
+        solve_nodes(ctx, table, unate, solver, unit.nodes(), state, memo)
     }));
     match outcome {
         Ok(Ok(())) => {
@@ -670,8 +587,8 @@ pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs a per-node solver over the whole network, serially or on the
-/// work-stealing pool according to [`MapConfig::parallelism`], with
-/// optional cone memoization.
+/// work-stealing pool according to [`MapConfig::parallelism`], through
+/// `memo` when given, and resuming from `salvage` when given.
 ///
 /// Both paths iterate cone units ([`UnateNetwork::cone_partition`]); the
 /// serial path walks them in index order (a valid topological order), the
@@ -679,14 +596,15 @@ pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 /// resolve. Because every per-node computation is a pure function of its
 /// fanins' solutions — and the sorted [`crate::tuple::ExportMap`] makes
 /// candidate enumeration order deterministic — the result is bit-identical
-/// across all schedules, and (see [`crate::cache`]) with the cone cache on
-/// or off.
+/// across all schedules, with the memo ([`crate::memo`]) on or off, and
+/// whether a unit was solved here or seeded from a salvage.
 pub(crate) fn run_dp<S: NodeSolver>(
     unate: &UnateNetwork,
     config: &MapConfig,
     algorithm: Algorithm,
     solver: S,
-    cone_cache: Option<&ConeCache>,
+    salvage: Option<&PartialMapping>,
+    memo: Option<&NodeMemo>,
 ) -> Result<Solution, MapError> {
     check_gate_budget(unate, config)?;
     let trace = config.trace;
@@ -706,21 +624,19 @@ pub(crate) fn run_dp<S: NodeSolver>(
         .resolved_threads(hw, gates, partition.units().len())
         .clamp(1, partition.units().len().max(1));
     let mut table = SolTable::new(unate.len());
-    let run_cache = cone_cache
-        .filter(|c| {
-            let admitted = crate::cache::admit_cold_cache(
-                c,
-                unate,
-                partition.units(),
-                gates,
-                config.cache_bypass_floor_permille,
-            );
-            if !admitted {
-                trace.count(Counter::AdmissionSkips, 1);
-            }
-            admitted
-        })
-        .map(|c| RunCache::new(c, config, algorithm));
+    let seeds = match salvage {
+        Some(partial) => seed_table(
+            unate,
+            config,
+            algorithm,
+            &partition,
+            &table,
+            partial,
+            memo.is_some(),
+        )?,
+        None => Vec::new(),
+    };
+    let seed = |u: usize| seeds.get(u).copied().flatten();
 
     let (accs, outcome): (Vec<UnitAcc>, Result<(), MapError>) = if threads <= 1 {
         let ctx = NodeCtx::new(config, &model, &fanouts, &budget);
@@ -733,7 +649,8 @@ pub(crate) fn run_dp<S: NodeSolver>(
                 unate,
                 unit,
                 &solver,
-                run_cache.as_ref(),
+                memo,
+                seed(u),
                 &mut state,
                 u,
             ) {
@@ -745,7 +662,6 @@ pub(crate) fn run_dp<S: NodeSolver>(
     } else {
         let table_ref = &table;
         let partition_ref = &partition;
-        let run_cache = run_cache.as_ref();
         let solver = &solver;
         let budget_ref = &budget;
         let (workers, outcome) = crate::sched::run_units(
@@ -764,7 +680,8 @@ pub(crate) fn run_dp<S: NodeSolver>(
                     unate,
                     partition_ref.unit(u),
                     solver,
-                    run_cache,
+                    memo,
+                    seed(u),
                     state,
                     u,
                 )
@@ -793,7 +710,7 @@ pub(crate) fn run_dp<S: NodeSolver>(
         cache_misses += acc.cache_misses;
     }
     // Workers report degradations in unit-completion order; restore the
-    // global topological order (what a cache-off serial walk produces).
+    // global topological order (what a serial walk produces).
     degraded.sort_unstable();
     completed.sort_unstable_by_key(|c| c.unit);
 
@@ -805,21 +722,18 @@ pub(crate) fn run_dp<S: NodeSolver>(
             | MapError::DeadlineExceeded { .. }
             | MapError::WorkerPanicked { .. } => {
                 let salvage = build_salvage(
-                    unate,
-                    config,
-                    algorithm,
+                    job::digest(unate, config, algorithm),
                     &partition,
                     &completed,
                     &degraded,
                     &mut table,
-                    &fanouts,
                     combine_steps,
                     trace,
                 );
                 err.with_partial(Arc::new(salvage))
             }
-            // Deterministic failures (budget trips, unmappable nodes, cache
-            // corruption) recur identically on a resume — no salvage.
+            // Deterministic failures (budget trips, unmappable nodes)
+            // recur identically on a resume — no salvage.
             other => other,
         });
     }
@@ -843,27 +757,63 @@ pub(crate) fn run_dp<S: NodeSolver>(
     })
 }
 
-/// Captures everything an interrupted run finished into a fresh
-/// [`ConeCache`], producing the [`PartialMapping`] that rides on the
-/// interrupt error.
+/// Seeds the completed units of an interrupted run's `partial` into a
+/// fresh run's solution table, before any worker starts. Returns, per unit
+/// of `partition`, the salvage that stands in for solving it.
 ///
-/// Each completed unit is keyed exactly as [`solve_unit`] would key it on
-/// a cached run — same probe, same capture, same step price — so a resume
-/// that attaches the salvage cache rebinds the salvaged cones instead of
-/// re-solving them and still charges a bit-identical combine-step total.
-/// Units outside the cache's envelope (oversized, or below the gate floor)
-/// complete but are not salvaged; a resume re-solves them
-/// deterministically.
-#[allow(clippy::too_many_arguments)]
-fn build_salvage(
+/// # Errors
+///
+/// [`MapError::InvalidConfig`] when `partial` was recorded for a different
+/// network, algorithm or semantic configuration: its solutions would be
+/// wrong here.
+fn seed_table<'p>(
     unate: &UnateNetwork,
     config: &MapConfig,
     algorithm: Algorithm,
     partition: &ConePartition,
+    table: &SolTable,
+    partial: &'p PartialMapping,
+    memo: bool,
+) -> Result<Vec<Option<&'p SalvagedUnit>>, MapError> {
+    let units = partition.units();
+    let fits =
+        |s: &SalvagedUnit| s.unit < units.len() && s.sols.len() == units[s.unit].nodes().len();
+    if partial.digest != job::digest(unate, config, algorithm)
+        || partial.total_units() != units.len()
+        || !partial.units.iter().all(fits)
+    {
+        return Err(MapError::InvalidConfig {
+            what: "the salvaged partial mapping was recorded for a different network, \
+                   algorithm or configuration"
+                .into(),
+        });
+    }
+    let mut seeds = vec![None; units.len()];
+    for salvaged in &partial.units {
+        for (&id, sol) in units[salvaged.unit].nodes().iter().zip(&salvaged.sols) {
+            let mut sol = sol.clone();
+            if memo {
+                // Memo probes read their fanins' profiles, and the
+                // interrupted run may not have computed them.
+                sol.profile = memo::profile(&sol.exported);
+            }
+            table.set(id, sol);
+        }
+        seeds[salvaged.unit] = Some(salvaged);
+    }
+    Ok(seeds)
+}
+
+/// Collects everything an interrupted run finished into the
+/// [`PartialMapping`] that rides on the interrupt error: the solutions of
+/// every completed unit (moved out of the table), the steps each charged,
+/// its degraded nodes, and the frontier the interrupt cut off.
+fn build_salvage(
+    digest: u64,
+    partition: &ConePartition,
     completed: &[CompletedUnit],
     degraded: &[UId],
     table: &mut SolTable,
-    fanouts: &[u32],
     combine_steps: u64,
     trace: TraceHandle,
 ) -> PartialMapping {
@@ -878,96 +828,24 @@ fn build_salvage(
         .filter(|&u| !done[u] && partition.unit(u).deps().iter().all(|&d| done[d]))
         .collect();
     let degraded: FxHashSet<UId> = degraded.iter().copied().collect();
-
-    // Backfill cache profiles: an uncached interrupted run never computed
-    // them, and the probes below read boundary profiles from the table.
-    // `profile` is pure, so recomputing them on a cached run is a no-op.
-    for c in completed {
-        for &id in partition.unit(c.unit as usize).nodes() {
-            let sol = table.get_mut(id);
-            sol.profile = cache::profile(&sol.exported);
-        }
-    }
-
-    let salvage_cache = Arc::new(ConeCache::new());
-    let rc = RunCache::new(&salvage_cache, config, algorithm);
-    let mut shapes = ShapeScratch::default();
-    let mut salvaged = 0usize;
-    for c in completed {
-        let unit = partition.unit(c.unit as usize);
-        let gates = unit
-            .nodes()
-            .iter()
-            .filter(|&&id| unate.node(id).is_gate())
-            .count();
-        if unit.nodes().len() <= cache::MAX_CACHED_UNIT_NODES
-            && gates >= cache::MIN_CACHED_UNIT_GATES
-        {
-            // Cone tier, mirroring `solve_unit`'s miss path.
-            unate.cone_shape_into(unit, &mut shapes);
-            let shape = &shapes.shape;
-            let root = unit.root();
-            let root_fanout = if unate.node(root).is_gate() {
-                fanouts[root.index()]
-            } else {
-                0
-            };
-            let (key, level_base, _) = rc.probe(shape, root_fanout, table, unate);
-            let unit_degraded: Vec<UId> = unit
-                .nodes()
-                .iter()
-                .copied()
-                .filter(|id| degraded.contains(id))
-                .collect();
-            if let Ok(entry) =
-                cache::ConeEntry::capture(shape, table, &unit_degraded, c.steps, level_base)
-            {
-                rc.insert(key, entry.with_kinds(shape, unate));
-                salvaged += 1;
+    let units = completed
+        .iter()
+        .map(|c| {
+            let nodes = partition.unit(c.unit as usize).nodes();
+            SalvagedUnit {
+                unit: c.unit as usize,
+                steps: c.steps,
+                sols: nodes.iter().map(|&id| table.take(id)).collect(),
+                degraded: nodes
+                    .iter()
+                    .copied()
+                    .filter(|id| degraded.contains(id))
+                    .collect(),
             }
-        } else if gates == 1 {
-            // Node tier, mirroring `solve_nodes`' per-gate path. The unit's
-            // literals charge no combine steps, so the unit total `c.steps`
-            // is exactly what the lone gate's solve cost.
-            let Some(&gid) = unit.nodes().iter().find(|&&id| unate.node(id).is_gate()) else {
-                continue;
-            };
-            let node = unate.node(gid);
-            let viable = match node {
-                UNode::And(a, b) | UNode::Or(a, b) => {
-                    table.get(a).exported.total_candidates()
-                        * table.get(b).exported.total_candidates()
-                        >= cache::NODE_TIER_MIN_COMBINATIONS
-                }
-                UNode::Lit(_) => false,
-            };
-            if viable {
-                let (key, level_base, _) = rc.probe_node(node, fanouts[gid.index()], table);
-                rc.insert_node(
-                    key,
-                    cache::NodeEntry::capture(
-                        gid,
-                        node,
-                        table.get(gid),
-                        degraded.contains(&gid),
-                        c.steps,
-                        level_base,
-                    ),
-                );
-                salvaged += 1;
-            }
-        }
-        // 0-gate units (bare literal roots) cost nothing to re-solve.
-    }
-    trace.count(Counter::UnitsSalvaged, salvaged as u64);
-    PartialMapping::new(
-        total,
-        completed.len(),
-        salvaged,
-        frontier,
-        combine_steps,
-        salvage_cache,
-    )
+        })
+        .collect();
+    trace.count(Counter::UnitsSalvaged, completed.len() as u64);
+    PartialMapping::new(total, frontier, combine_steps, digest, units)
 }
 
 /// Gate-periphery cost: p-clock + output inverter (2) + keeper, plus the

@@ -11,7 +11,9 @@ use crate::job::PartialMapping;
 #[derive(Debug, Clone)]
 #[non_exhaustive]
 pub enum MapError {
-    /// The configuration is out of bounds.
+    /// The configuration is out of bounds, or a salvaged
+    /// [`PartialMapping`] was handed to a run of a different network,
+    /// algorithm or semantic configuration.
     InvalidConfig {
         /// Description of the violated constraint.
         what: String,
@@ -65,19 +67,6 @@ pub enum MapError {
         /// Work completed by the *other* units before the drain.
         partial: Option<Arc<PartialMapping>>,
     },
-    /// A cached cone entry failed an internal consistency check while being
-    /// captured or rebound, or a persistent cache store was structurally
-    /// damaged (bad magic, unknown version, broken entry framing).
-    CacheCorrupt {
-        /// Description of the violated invariant.
-        what: String,
-    },
-    /// An I/O failure while saving or loading a persistent cache store.
-    Io {
-        /// The operation and underlying error, rendered as text (kept as a
-        /// string so the error type stays `Clone`).
-        what: String,
-    },
 }
 
 impl MapError {
@@ -129,8 +118,6 @@ impl fmt::Display for MapError {
             MapError::WorkerPanicked { unit, payload, .. } => {
                 write!(f, "worker panicked on cone unit {unit}: {payload}")
             }
-            MapError::CacheCorrupt { what } => write!(f, "cone cache corruption: {what}"),
-            MapError::Io { what } => write!(f, "cache store I/O failure: {what}"),
         }
     }
 }
@@ -181,24 +168,11 @@ mod tests {
             partial: None,
         };
         assert!(e.to_string().contains("unit 3"));
-        let e = MapError::CacheCorrupt { what: "key".into() };
-        assert!(e.to_string().contains("corruption"));
-        let e = MapError::Io {
-            what: "disk".into(),
-        };
-        assert!(e.to_string().contains("I/O"));
     }
 
     #[test]
     fn partial_rides_only_on_interrupt_variants() {
-        let salvage = Arc::new(PartialMapping::new(
-            1,
-            0,
-            0,
-            vec![0],
-            0,
-            Arc::new(crate::ConeCache::new()),
-        ));
+        let salvage = Arc::new(PartialMapping::new(1, vec![0], 0, 0, Vec::new()));
         let e = MapError::Cancelled {
             what: "t".into(),
             partial: None,

@@ -24,16 +24,16 @@
 //!
 //! The DP itself runs over the network's fanout-free cone partition — on a
 //! persistent work-stealing worker pool when [`MapConfig::parallelism`]
-//! resolves to more than one thread, and through a structural [`ConeCache`]
-//! (on by default, [`MapConfig::cone_cache`]) that memoizes isomorphic
-//! cones so repetitive netlists solve each distinct cone once. Both are
-//! pure scheduling concerns: results are bit-identical across thread
-//! counts and with the cache on or off. A cache can be shared across runs
-//! with [`Mapper::with_cone_cache`].
+//! resolves to more than one thread, and, on networks of at least
+//! [`MapConfig::cone_cache_min_gates`] gates, through a per-run gate memo
+//! that solves each distinct gate-over-fanin-profiles step once, so
+//! repetitive netlists (array multipliers, adders) skip most of their DP
+//! work. Both are pure scheduling concerns: results are bit-identical
+//! across thread counts and with the memo on or off.
 //!
 //! The whole pipeline is observable through `soi-trace`: attach a sink
 //! via [`MapConfig::trace`] (e.g. a [`soi_trace::Recorder`]) to receive
-//! stage spans, candidate/cache/scheduler counters and per-worker stats.
+//! stage spans, candidate/memo/scheduler counters and per-worker stats.
 //! Instrumentation is purely observational — results are bit-identical
 //! with tracing on or off, and a detached handle costs one branch per
 //! emission site.
@@ -41,9 +41,10 @@
 //! Long runs are under **job control**: a [`CancelToken`] and a wall-clock
 //! deadline ([`Limits`]) interrupt the DP cooperatively, worker panics are
 //! contained per cone unit, and all three interrupts surface as typed
-//! [`MapError`] variants carrying a [`PartialMapping`] — the completed
-//! cone units captured under the cache's canonical keys, so a resumed run
-//! re-seeds a [`ConeCache`] and only re-solves what was lost.
+//! [`MapError`] variants carrying a [`PartialMapping`] — the DP solutions
+//! of the completed cone units, so a resumed run
+//! ([`Mapper::with_salvage`]) seeds them into its solution table and only
+//! solves what was lost.
 //!
 //! # Example
 //!
@@ -73,21 +74,19 @@
 
 mod arena;
 mod baseline;
-mod cache;
 mod config;
 mod cost;
 mod dp;
 mod error;
 mod job;
 mod map;
-mod persist;
+mod memo;
 mod reconstruct;
 mod report;
 mod sched;
 mod soi;
 mod tuple;
 
-pub use cache::{CacheLoadStats, ConeCache};
 pub use config::{Algorithm, AndOrder, Footing, Limits, MapConfig, Objective, Parallelism};
 pub use cost::{Cost, CostModel};
 pub use error::MapError;

@@ -4,7 +4,10 @@ use soi_netlist::Network;
 use soi_trace::Stage;
 use soi_unate::{convert, Options, UnateNetwork};
 
-use crate::{baseline, reconstruct, soi, Algorithm, ConeCache, MapConfig, MapError, MappingResult};
+use crate::memo::NodeMemo;
+use crate::{
+    baseline, reconstruct, soi, Algorithm, MapConfig, MapError, MappingResult, PartialMapping,
+};
 
 /// A configured technology mapper.
 ///
@@ -37,9 +40,8 @@ use crate::{baseline, reconstruct, soi, Algorithm, ConeCache, MapConfig, MapErro
 pub struct Mapper {
     algorithm: Algorithm,
     config: MapConfig,
-    /// Cone cache shared across runs, when attached. `None` means each run
-    /// builds (and drops) its own, per [`MapConfig::cone_cache`].
-    cache: Option<Arc<ConeCache>>,
+    /// Salvage of an interrupted run to resume from, when attached.
+    salvage: Option<Arc<PartialMapping>>,
 }
 
 impl Mapper {
@@ -48,7 +50,7 @@ impl Mapper {
         Mapper {
             algorithm: Algorithm::DominoMap,
             config,
-            cache: None,
+            salvage: None,
         }
     }
 
@@ -58,7 +60,7 @@ impl Mapper {
         Mapper {
             algorithm: Algorithm::RsMap,
             config,
-            cache: None,
+            salvage: None,
         }
     }
 
@@ -67,17 +69,20 @@ impl Mapper {
         Mapper {
             algorithm: Algorithm::SoiDominoMap,
             config,
-            cache: None,
+            salvage: None,
         }
     }
 
-    /// Attaches a [`ConeCache`] shared across this mapper's runs (and with
-    /// any other mapper holding the same `Arc`): later runs of structurally
-    /// similar networks start warm. Results are unaffected — the cache only
-    /// skips recomputation. Overrides [`MapConfig::cone_cache`] being
-    /// `false`.
-    pub fn with_cone_cache(mut self, cache: Arc<ConeCache>) -> Mapper {
-        self.cache = Some(cache);
+    /// Resumes an interrupted run: the completed cone units of `partial`
+    /// (from the error that interrupted it, see [`MapError::partial`]) are
+    /// seeded into the DP's solution table instead of being solved, and
+    /// charge the combine steps they originally cost, so the result is
+    /// bit-identical to an uninterrupted run. Runs of any network,
+    /// algorithm or semantic configuration other than the interrupted
+    /// one's fail with [`MapError::InvalidConfig`] (see
+    /// [`PartialMapping`]).
+    pub fn with_salvage(mut self, partial: Arc<PartialMapping>) -> Mapper {
+        self.salvage = Some(partial);
         self
     }
 
@@ -97,8 +102,9 @@ impl Mapper {
     /// # Errors
     ///
     /// Returns a [`MapError`] for invalid configurations, networks that
-    /// fail validation, constant outputs, or nodes that do not fit the
-    /// `(W_max, H_max)` limits.
+    /// fail validation, constant outputs, nodes that do not fit the
+    /// `(W_max, H_max)` limits, or an attached salvage recorded for a
+    /// different run.
     pub fn run(&self, network: &Network) -> Result<MappingResult, MapError> {
         self.config.validate()?;
         let unate = {
@@ -120,30 +126,20 @@ impl Mapper {
     /// As for [`Mapper::run`], minus the unate-conversion failures.
     pub fn run_unate(&self, unate: &UnateNetwork) -> Result<MappingResult, MapError> {
         self.config.validate()?;
-        // An attached cache always wins (the caller already paid for it —
-        // shared warm caches and salvage resumes bypass the size gate);
-        // otherwise build a per-run cache when the config asks for one and
-        // the network is big enough to amortize shape hashing
-        // (`cone_cache_min_gates` — BENCH_pr5.json showed per-run caching
-        // costing 8–29% on the small registry circuits).
-        let own_cache = match &self.cache {
-            Some(_) => None,
-            None if self.config.cone_cache
-                && unate.stats().gates() >= self.config.cone_cache_min_gates =>
-            {
-                Some(ConeCache::new())
-            }
-            None => None,
-        };
-        let cache = self.cache.as_deref().or(own_cache.as_ref());
+        let salvage = self.salvage.as_deref();
+        // The memo lives until this run's end, not just the DP's: freed
+        // before reconstruct, it left `synth-mult136` map-and-prove flows
+        // with a 5–7% higher peak RSS.
+        let memo =
+            (unate.stats().gates() >= self.config.cone_cache_min_gates).then(NodeMemo::default);
         let trace = self.config.trace;
         let solution = {
             let _span = trace.span(Stage::Dp);
             match self.algorithm {
                 Algorithm::DominoMap | Algorithm::RsMap => {
-                    baseline::solve(unate, &self.config, cache)?
+                    baseline::solve(unate, &self.config, salvage, memo.as_ref())?
                 }
-                Algorithm::SoiDominoMap => soi::solve(unate, &self.config, cache)?,
+                Algorithm::SoiDominoMap => soi::solve(unate, &self.config, salvage, memo.as_ref())?,
             }
         };
         let attach_discharge = matches!(self.algorithm, Algorithm::SoiDominoMap);

@@ -32,17 +32,19 @@ pub struct MappingResult {
     /// Worker threads the DP schedule actually used (1 for a serial run;
     /// see [`crate::Parallelism`]).
     pub threads_used: usize,
-    /// Cone-cache hits of this run: cones whose solution was rebound from
-    /// a memoized isomorphic cone instead of re-solved. 0 when the cache
-    /// is disabled.
+    /// Gate-memo hits of this run: gate solves rebound from a memoized
+    /// structurally equal gate instead of solved. 0 when the memo is off
+    /// (see [`MapConfig::cone_cache_min_gates`]).
+    ///
+    /// [`MapConfig::cone_cache_min_gates`]: crate::MapConfig::cone_cache_min_gates
     pub cone_cache_hits: u64,
-    /// Cone-cache misses of this run (cones solved and captured). 0 when
-    /// the cache is disabled.
+    /// Gate-memo misses of this run (gates solved and captured). 0 when
+    /// the memo is off.
     pub cone_cache_misses: u64,
     /// Total DP combine steps charged against the step budget — a
     /// deterministic measure of mapping work that is identical across
-    /// serial, parallel, and cone-cached schedules for the same input
-    /// and configuration.
+    /// serial, parallel, memoized and resumed schedules for the same
+    /// input and configuration.
     pub combine_steps: u64,
 }
 
@@ -52,8 +54,10 @@ impl MappingResult {
         !self.degraded_nodes.is_empty()
     }
 
-    /// Fraction of cone units served from the cone cache, in `[0, 1]`
-    /// (`None` when the cache was disabled or the network had no units).
+    /// Fraction of the memo's gate probes it served from a memoized gate,
+    /// `hits / (hits + misses)` in `[0, 1]` (`None` when the memo was off
+    /// or never probed). Gates solved after the adaptive bypass latched
+    /// the memo off are not counted.
     pub fn cone_cache_hit_rate(&self) -> Option<f64> {
         let total = self.cone_cache_hits + self.cone_cache_misses;
         (total > 0).then(|| self.cone_cache_hits as f64 / total as f64)

@@ -28,16 +28,25 @@ use soi_unate::{UId, UNode, UnateNetwork};
 
 use crate::arena::{skyline_prune, CandArena};
 use crate::dp::{self, NodeCtx, NodeOutcome, Scratch, SolView};
+use crate::memo::NodeMemo;
 use crate::tuple::{Cand, CandRef, ExportMap, Form, NodeSol, TupleKey};
-use crate::{Algorithm, AndOrder, ConeCache, Cost, CostModel, MapConfig, MapError};
+use crate::{Algorithm, AndOrder, Cost, CostModel, MapConfig, MapError, PartialMapping};
 
 /// Runs the SOI DP, producing one [`NodeSol`] per unate node.
 pub(crate) fn solve(
     unate: &UnateNetwork,
     config: &MapConfig,
-    cache: Option<&ConeCache>,
+    salvage: Option<&PartialMapping>,
+    memo: Option<&NodeMemo>,
 ) -> Result<dp::Solution, MapError> {
-    dp::run_dp(unate, config, Algorithm::SoiDominoMap, solve_node, cache)
+    dp::run_dp(
+        unate,
+        config,
+        Algorithm::SoiDominoMap,
+        solve_node,
+        salvage,
+        memo,
+    )
 }
 
 /// Solves one unate node given its fanins' solutions: accumulate all
@@ -464,7 +473,7 @@ mod tests {
         let ab = u.add_and(a, b);
         let f = u.add_or(ab, c);
         u.add_output("f", USignal::Node(f), false);
-        let sols = solve(&u, &cfg(), None).unwrap().sols;
+        let sols = solve(&u, &cfg(), None, None).unwrap().sols;
         let or_sol = &sols[4];
         let cands = &or_sol.exported[&TupleKey { w: 2, h: 2 }];
         let best = &cands[0];
@@ -488,7 +497,7 @@ mod tests {
         let def = u.add_or(de, lits[5]);
         let f = u.add_and(abc, def);
         u.add_output("f", USignal::Node(f), false);
-        let sols = solve(&u, &cfg(), None).unwrap().sols;
+        let sols = solve(&u, &cfg(), None, None).unwrap().sols;
         let and_sol = &sols[10];
         let cands = &and_sol.exported[&TupleKey { w: 2, h: 4 }];
         let best = cands.iter().min_by_key(|c| (c.g.tx, c.p_dis())).unwrap();
@@ -512,7 +521,7 @@ mod tests {
         let abc = u.add_or(ab, c);
         let f = u.add_and(abc, e);
         u.add_output("f", USignal::Node(f), false);
-        let sols = solve(&u, &cfg(), None).unwrap().sols;
+        let sols = solve(&u, &cfg(), None, None).unwrap().sols;
         let and_sol = &sols[6];
         let cands = &and_sol.exported[&TupleKey { w: 2, h: 3 }];
         let best = cands.iter().min_by_key(|c| (c.g.tx, c.p_dis())).unwrap();
@@ -542,13 +551,14 @@ mod tests {
         let f = u.add_and(abc, def);
         u.add_output("f", USignal::Node(f), false);
 
-        let heuristic = solve(&u, &cfg(), None).unwrap().sols;
+        let heuristic = solve(&u, &cfg(), None, None).unwrap().sols;
         let exhaustive = solve(
             &u,
             &MapConfig {
                 and_order: AndOrder::Exhaustive,
                 ..cfg()
             },
+            None,
             None,
         )
         .unwrap()
@@ -626,7 +636,7 @@ mod tests {
         let abc = u.add_or(ab, c);
         let f = u.add_and(abc, d);
         u.add_output("f", USignal::Node(f), false);
-        let sols = solve(&u, &cfg(), None).unwrap().sols;
+        let sols = solve(&u, &cfg(), None, None).unwrap().sols;
         let gate = sols[6].gate.as_ref().unwrap();
         assert_eq!(gate.cost.disch, 0);
         assert_eq!(gate.cost.tx, 4 + 5);

@@ -351,39 +351,19 @@ impl ExportMap {
             .flat_map(|(i, r)| self.run(i).iter().map(move |c| (r.key, c)))
     }
 
-    /// Mutable access to the whole candidate arena — used by the cone
-    /// cache to rewrite `Form` back-pointers when rebinding a cached
-    /// solution onto a new cone.
+    /// Mutable access to the whole candidate arena — used by the gate
+    /// memo to rewrite `Form` back-pointers when rebinding a memoized
+    /// solution onto a new gate.
     pub fn cands_mut(&mut self) -> &mut [Cand] {
         &mut self.cands
     }
 
-    /// Iterator over `(shape, run)` pairs in shape order — the
-    /// serialization view used by the persistent cache store.
+    /// Iterator over `(shape, run)` pairs in shape order.
     pub fn shape_runs(&self) -> impl Iterator<Item = (TupleKey, &[Cand])> + '_ {
         self.runs
             .iter()
             .enumerate()
             .map(|(i, r)| (r.key, self.run(i)))
-    }
-
-    /// Appends a whole run under `key`, which must sort strictly after
-    /// every existing run — the deserialization counterpart of
-    /// [`shape_runs`](ExportMap::shape_runs). Returns `false` (leaving the
-    /// map untouched) when the ordering invariant would break.
-    #[must_use]
-    pub fn append_run(&mut self, key: TupleKey, cands: impl Iterator<Item = Cand>) -> bool {
-        if self.runs.last().is_some_and(|r| r.key >= key) {
-            return false;
-        }
-        let start = self.cands.len() as u32;
-        self.cands.extend(cands);
-        self.runs.push(ShapeRun {
-            key,
-            start,
-            len: self.cands.len() as u32 - start,
-        });
-        true
     }
 }
 
@@ -404,11 +384,11 @@ pub(crate) struct NodeSol {
     /// The formed-gate solution (every node has one; it is only
     /// materialized when referenced).
     pub gate: Option<GateSol>,
-    /// Memoized cone-cache profile of `exported`: `(digest of the full
-    /// candidate list with levels taken relative to their minimum, that
-    /// minimum level)`. Computed once when the solution is published (only
-    /// in cached runs; `(0, 0)` otherwise) so cache probes hash a pair per
-    /// fanin instead of re-walking every candidate. The digest half is
+    /// Gate-memo profile of `exported`: `(digest of the full candidate
+    /// list with levels taken relative to their minimum, that minimum
+    /// level)`. Computed once when the solution is published (only while a
+    /// run's memo is live; `(0, 0)` otherwise) so memo probes hash a pair
+    /// per fanin instead of re-walking every candidate. The digest half is
     /// invariant under uniform level shifts; rebinding shifts the minimum
     /// along with the levels.
     pub profile: (u64, u32),

@@ -10,7 +10,7 @@
 //! no clock is ever read; with a sink attached, events flow to it as
 //! they happen. Because the handle only *observes*, results are
 //! bit-identical with tracing on or off; the test suite asserts this
-//! across serial, parallel and cached runs.
+//! across serial, parallel and memoized runs.
 //!
 //! Three sinks ship with the crate:
 //!
@@ -24,9 +24,9 @@
 //! The typed vocabulary ([`Stage`], [`Counter`], [`Gauge`]) is the
 //! contract that turns metrics into *oracles*: e.g. for every node the
 //! DP actually solves, `candidates_generated ==
-//! candidates_pruned + candidates_exported`, and per cache tier
-//! `probes == hits + misses`. See `tests/trace_invariants.rs` at the
-//! workspace root.
+//! candidates_pruned + candidates_exported`, and the gate memo's
+//! `node_tier_probes == node_tier_hits + node_tier_misses`. See
+//! `tests/trace_invariants.rs` at the workspace root.
 //!
 //! # Example
 //!
@@ -139,13 +139,13 @@ impl fmt::Display for Stage {
 /// `tests/trace_invariants.rs`):
 ///
 /// * `CandidatesGenerated == CandidatesPruned + CandidatesExported`,
-///   summed over the nodes the per-node solver actually ran on (cache
+///   summed over the nodes the per-node solver actually ran on (memo
 ///   hits rebind a memoized solution and generate nothing).
-/// * `NodeTierProbes == NodeTierHits + NodeTierMisses`.
-/// * `ConeTierGateHits + NodeTierHits` equals the run's reported
-///   cone-cache hits, and `NodeTierMisses` its misses.
-/// * `CombineSteps` is identical across serial, parallel and cached
-///   schedules (cache hits bulk-charge their original step count).
+/// * `NodeTierProbes == NodeTierHits + NodeTierMisses`, and the hits and
+///   misses equal the run's reported memo hits and misses.
+/// * `CombineSteps` is identical across serial, parallel, memoized and
+///   resumed schedules (memo hits and salvaged units bulk-charge their
+///   original step count).
 /// * `DischargesInserted` equals the circuit's `counts.discharge`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
@@ -160,16 +160,12 @@ pub enum Counter {
     CandidatesExported,
     /// Candidate-combination steps charged against the run budget.
     CombineSteps,
-    /// Cone-tier cache hits, in units (one whole cone rebound per hit).
-    ConeTierHits,
-    /// Cone-tier cache hits, gate-weighted (one cone hit stands in for
-    /// every gate solve in the unit).
-    ConeTierGateHits,
-    /// Node-tier cache probes.
+    /// Gate-memo probes.
     NodeTierProbes,
-    /// Node-tier cache hits.
+    /// Gate-memo hits (the gate's solution was rebound from a memoized
+    /// structurally equal gate).
     NodeTierHits,
-    /// Node-tier cache misses (the node was solved and captured).
+    /// Gate-memo misses (the gate was solved and captured).
     NodeTierMisses,
     /// Units a scheduler worker obtained from another worker's queue.
     SchedSteals,
@@ -190,21 +186,16 @@ pub enum Counter {
     CancelsObserved,
     /// Worker panics caught and converted to typed errors.
     PanicsContained,
-    /// Completed cone units an interrupted run captured into its salvage
-    /// cache.
+    /// Completed cone units an interrupted run salvaged into its partial
+    /// mapping.
     UnitsSalvaged,
     /// Per-shape candidate groups the batched skyline prune processed.
     PruneBatches,
     /// Candidates the skyline sweep kept (before the per-shape cap).
     SkylineSurvivors,
-    /// Cache hits served by entries loaded from a persistent store.
-    PersistHits,
-    /// Cache tiers the adaptive bypass disabled mid-run (at most one per
-    /// tier per run).
+    /// Times the adaptive bypass latched the gate memo off mid-run (at
+    /// most one per run).
     TierBypasses,
-    /// Runs where the cold-cache admission pre-scan found too little cone
-    /// repetition and skipped the cache entirely.
-    AdmissionSkips,
     /// SAT queries the equivalence/PBE-safety checkers issued (miter
     /// closures, excitability proofs).
     CecSatCalls,
@@ -226,13 +217,11 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 29] = [
+    pub const ALL: [Counter; 25] = [
         Counter::CandidatesGenerated,
         Counter::CandidatesPruned,
         Counter::CandidatesExported,
         Counter::CombineSteps,
-        Counter::ConeTierHits,
-        Counter::ConeTierGateHits,
         Counter::NodeTierProbes,
         Counter::NodeTierHits,
         Counter::NodeTierMisses,
@@ -248,9 +237,7 @@ impl Counter {
         Counter::UnitsSalvaged,
         Counter::PruneBatches,
         Counter::SkylineSurvivors,
-        Counter::PersistHits,
         Counter::TierBypasses,
-        Counter::AdmissionSkips,
         Counter::CecSatCalls,
         Counter::CecSimFiltered,
         Counter::Conflicts,
@@ -265,8 +252,6 @@ impl Counter {
             Counter::CandidatesPruned => "candidates_pruned",
             Counter::CandidatesExported => "candidates_exported",
             Counter::CombineSteps => "combine_steps",
-            Counter::ConeTierHits => "cone_tier_hits",
-            Counter::ConeTierGateHits => "cone_tier_gate_hits",
             Counter::NodeTierProbes => "node_tier_probes",
             Counter::NodeTierHits => "node_tier_hits",
             Counter::NodeTierMisses => "node_tier_misses",
@@ -282,9 +267,7 @@ impl Counter {
             Counter::UnitsSalvaged => "units_salvaged",
             Counter::PruneBatches => "prune_batches",
             Counter::SkylineSurvivors => "skyline_survivors",
-            Counter::PersistHits => "persist_hits",
             Counter::TierBypasses => "tier_bypasses",
-            Counter::AdmissionSkips => "admission_skips",
             Counter::CecSatCalls => "cec_sat_calls",
             Counter::CecSimFiltered => "cec_sim_filtered",
             Counter::Conflicts => "conflicts",

@@ -43,6 +43,6 @@ pub mod verify;
 pub use convert::{convert, Options, OutputPhase};
 pub use error::UnateError;
 pub use network::{
-    ConePartition, ConeShape, ConeUnit, Literal, Phase, ShapeScratch, UId, UNode, USignal,
-    UnateNetwork, UnateOutput, UnateStats,
+    ConePartition, ConeUnit, Literal, Phase, UId, UNode, USignal, UnateNetwork, UnateOutput,
+    UnateStats,
 };

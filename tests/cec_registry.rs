@@ -4,7 +4,7 @@
 //! Three claims, each over the whole `soi-circuits` registry:
 //!
 //! 1. every mapped circuit is SAT-provably equivalent to its source
-//!    network, under the serial, parallel and cone-cached schedules;
+//!    network, under the serial, parallel and memoized schedules;
 //! 2. every structural netlist corruption from `guard::inject` is either
 //!    rejected by the checker with a typed error, refuted with a
 //!    confirmed counterexample, or proven a functional no-op — never
@@ -47,10 +47,9 @@ fn schedules() -> [(&'static str, MapConfig); 3] {
             },
         ),
         (
-            "cached",
+            "memoized",
             MapConfig {
                 parallelism: Parallelism::Threads(2),
-                cone_cache: true,
                 cone_cache_min_gates: 0,
                 ..base
             },

@@ -1,25 +1,20 @@
-//! PR 4 guarantees, checked end to end: the structural cone cache is a
-//! pure scheduling optimization.
+//! The DP's per-run gate memo is a pure scheduling optimization, checked
+//! end to end:
 //!
-//! * Mapping with the cone cache on is **bit-identical** to mapping with
-//!   it off — same transistor/discharge counts, same materialized domino
-//!   netlist, same degraded-node list, same `peak_candidates` high-water
-//!   mark — on seeded random networks, guard-mutated networks (where the
-//!   mutation still yields a mappable graph, both modes map it the same;
-//!   where it doesn't, both fail with the same error), and registry
-//!   circuits.
+//! * Mapping with the memo on is **bit-identical** to mapping with it off
+//!   — same transistor/discharge counts, same materialized domino netlist,
+//!   same degraded-node list, same `peak_candidates` high-water mark — on
+//!   seeded random networks, guard-mutated networks (where the mutation
+//!   still yields a mappable graph, both modes map it the same; where it
+//!   doesn't, both fail with the same error), and registry circuits.
 //! * Repetitive circuits actually hit: the des rounds and the array
-//!   multiplier resolve more than half their cones from the cache.
-//! * A cache shared across runs via `Mapper::with_cone_cache` serves the
-//!   second identical run entirely from memory, without changing results.
-
-use std::sync::Arc;
+//!   multiplier replay more than half their gate solves from the memo.
 
 use proptest::prelude::*;
 use soi_domino::circuits::misc::random::{generate, RandomSpec};
 use soi_domino::circuits::registry;
 use soi_domino::guard::inject;
-use soi_domino::mapper::{ConeCache, MapConfig, Mapper, MappingResult};
+use soi_domino::mapper::{MapConfig, Mapper, MappingResult};
 use soi_domino::netlist::Network;
 
 /// The three mapper constructors under test.
@@ -30,12 +25,11 @@ fn spec(seed: u64) -> RandomSpec {
     RandomSpec::control(&format!("cc{seed}"), 14, 6, 90, seed)
 }
 
-fn with_cache(cone_cache: bool, base: MapConfig) -> MapConfig {
+fn with_cache(memo: bool, base: MapConfig) -> MapConfig {
     MapConfig {
-        cone_cache,
         // These suites exercise circuits below the production size gate
-        // (`cone_cache_min_gates`); "cache on" must actually build one.
-        cone_cache_min_gates: 0,
+        // (`cone_cache_min_gates`); "memo on" must actually build one.
+        cone_cache_min_gates: if memo { 0 } else { usize::MAX },
         ..base
     }
 }
@@ -65,10 +59,10 @@ fn assert_cache_invisible(network: &Network, base: MapConfig, what: &str) {
             (Err(e_on), Err(e_off)) => assert_eq!(
                 e_on.to_string(),
                 e_off.to_string(),
-                "{what}: cache on/off fail differently"
+                "{what}: memo on/off fail differently"
             ),
             (on, off) => panic!(
-                "{what}: cache on/off disagree on mappability (on: {}, off: {})",
+                "{what}: memo on/off disagree on mappability (on: {}, off: {})",
                 on.is_ok(),
                 off.is_ok()
             ),
@@ -76,7 +70,7 @@ fn assert_cache_invisible(network: &Network, base: MapConfig, what: &str) {
     }
 }
 
-/// Twenty seeded random networks: every mapper, cache on vs off.
+/// Twenty seeded random networks: every mapper, memo on vs off.
 #[test]
 fn cone_cache_is_bit_identical_on_seeded_networks() {
     for seed in 0..20u64 {
@@ -86,9 +80,9 @@ fn cone_cache_is_bit_identical_on_seeded_networks() {
 }
 
 /// The same identity after guard-crate network mutators: whatever a
-/// corruption does to mappability, the cache must not change it. (Most
-/// mutants are rejected upstream of the DP — the point is that cache-on
-/// and cache-off agree on *every* outcome, not just clean ones.)
+/// corruption does to mappability, the memo must not change it. (Most
+/// mutants are rejected upstream of the DP — the point is that memo-on
+/// and memo-off agree on *every* outcome, not just clean ones.)
 #[test]
 fn cone_cache_is_bit_identical_on_guard_mutants() {
     for seed in 0..20u64 {
@@ -115,7 +109,7 @@ fn cone_cache_is_bit_identical_on_guard_mutants() {
 }
 
 /// Registry circuits under both objectives, including the repetitive ones
-/// where the cache actually fires.
+/// where the memo actually fires.
 #[test]
 fn cone_cache_is_bit_identical_on_registry_circuits() {
     for name in ["cm150", "z4ml", "f51m", "b9", "c880", "des"] {
@@ -126,7 +120,7 @@ fn cone_cache_is_bit_identical_on_registry_circuits() {
 }
 
 /// Repetitive structure pays off: the des rounds and the 3-bit array
-/// multiplier resolve more than half their cone units from the cache.
+/// multiplier replay more than half their gate solves from the memo.
 #[test]
 fn repetitive_circuits_hit_the_cache() {
     for name in ["des", "f51m"] {
@@ -139,10 +133,10 @@ fn repetitive_circuits_hit_the_cache() {
         .expect("maps");
         let rate = result
             .cone_cache_hit_rate()
-            .expect("cache forced on, units exist");
+            .expect("memo forced on, gates exist");
         assert!(
             rate > 0.5,
-            "{name}: cone-cache hit rate {:.1}% (hits {}, misses {})",
+            "{name}: memo hit rate {:.1}% (hits {}, misses {})",
             rate * 100.0,
             result.cone_cache_hits,
             result.cone_cache_misses
@@ -150,54 +144,11 @@ fn repetitive_circuits_hit_the_cache() {
     }
 }
 
-/// A cache shared across runs warms up: the second identical run misses
-/// nothing and still produces the identical circuit.
-#[test]
-fn shared_cache_serves_identical_rerun_entirely_from_memory() {
-    let network = registry::benchmark("z4ml").expect("registered");
-    let cache = Arc::new(ConeCache::new());
-    let mapper = Mapper::soi(MapConfig::default()).with_cone_cache(Arc::clone(&cache));
-    let first = mapper.run(&network).expect("first run maps");
-    assert!(first.cone_cache_misses > 0, "first run must fill the cache");
-    let second = mapper.run(&network).expect("second run maps");
-    assert_eq!(
-        second.cone_cache_misses, 0,
-        "identical rerun should hit on every cone (hits {})",
-        second.cone_cache_hits
-    );
-    assert_same_mapping(&second, &first, "shared-cache rerun");
-    assert!(cache.hits() >= second.cone_cache_hits);
-    assert!(!cache.is_empty());
-}
-
-/// An attached cache overrides `cone_cache: false` and stays coherent
-/// across *different* mappers sharing it (distinct config fingerprints
-/// must never cross-contaminate).
-#[test]
-fn shared_cache_isolates_config_fingerprints() {
-    let network = registry::benchmark("cm150").expect("registered");
-    let cache = Arc::new(ConeCache::new());
-    let area =
-        Mapper::soi(with_cache(false, MapConfig::default())).with_cone_cache(Arc::clone(&cache));
-    let depth =
-        Mapper::soi(with_cache(false, MapConfig::depth())).with_cone_cache(Arc::clone(&cache));
-    let area_result = area.run(&network).expect("area maps");
-    let depth_result = depth.run(&network).expect("depth maps");
-    // Attached cache overrides the disabled flag: the runs went through it.
-    assert!(area_result.cone_cache_misses > 0);
-    // The depth run may only reuse entries keyed under its own fingerprint
-    // — results must match plain uncached runs exactly.
-    let plain_depth = Mapper::soi(with_cache(false, MapConfig::depth()))
-        .run(&network)
-        .expect("plain depth maps");
-    assert_same_mapping(&depth_result, &plain_depth, "fingerprint isolation");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Randomized sweep over size, seed, shape limits and duplication:
-    /// cache on and off stay bit-identical, including under degraded
+    /// memo on and off stay bit-identical, including under degraded
     /// (relaxed-limit) mappings, and `peak_candidates` is invariant.
     #[test]
     fn prop_cone_cache_invariants(
@@ -217,10 +168,10 @@ proptest! {
         };
         let on = Mapper::soi(with_cache(true, config))
             .run(&network)
-            .expect("cached maps");
+            .expect("memoized maps");
         let off = Mapper::soi(with_cache(false, config))
             .run(&network)
-            .expect("uncached maps");
+            .expect("unmemoized maps");
         prop_assert_eq!(on.counts, off.counts);
         prop_assert_eq!(&on.circuit, &off.circuit);
         prop_assert_eq!(&on.degraded_nodes, &off.degraded_nodes);

@@ -216,7 +216,7 @@ fn poisoned_cone_units_are_contained_on_every_schedule() {
                     poison_node: None,
                     ..config
                 })
-                .with_cone_cache(partial.cache())
+                .with_salvage(partial)
                 .run(&network)
                 .expect("the resumed run maps");
                 assert_eq!(clean.counts, resumed.counts, "{name} seed {seed}");

@@ -5,12 +5,16 @@
 //!   [`MapError`] variant carrying a [`PartialMapping`], never a hang and
 //!   never an abort;
 //! * the salvaged partial is internally consistent
-//!   ([`check_partial`]) and **resumable**: attaching its cache to a fresh
-//!   mapper and re-running maps the network bit-identically to an
-//!   uninterrupted run (counts, degraded nodes, candidate high-water mark,
-//!   combine steps);
-//! * the cone cache's size gate (`cone_cache_min_gates`) keeps per-run
-//!   caches off for small circuits while attached caches always bypass it.
+//!   ([`check_partial`]) and **resumable**: handing it to a fresh mapper
+//!   (`Mapper::with_salvage`) seeds every completed unit — whatever its
+//!   size — and maps the network bit-identically to an uninterrupted run
+//!   (counts, circuit, degraded nodes, candidate high-water mark, combine
+//!   steps);
+//! * a partial only resumes its own network, algorithm and semantic
+//!   configuration — anything else is a typed error, never a mapping —
+//!   while scheduling knobs and the trace handle may change freely;
+//! * the gate memo's size gate (`cone_cache_min_gates`) keeps the memo
+//!   off for small circuits unless forced.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -20,29 +24,35 @@ use soi_domino::circuits::misc::random::{generate, RandomSpec};
 use soi_domino::circuits::registry;
 use soi_domino::guard::check_partial;
 use soi_domino::mapper::{
-    CancelToken, ConeCache, Limits, MapConfig, MapError, Mapper, MappingResult, Parallelism,
-    PartialMapping,
+    CancelToken, Limits, MapConfig, MapError, Mapper, MappingResult, Parallelism, PartialMapping,
 };
 use soi_domino::netlist::Network;
+use soi_domino::trace::{Counter, Recorder};
 use soi_domino::unate::{convert, Options};
 
-const SCHEDULES: [Parallelism; 2] = [Parallelism::Serial, Parallelism::Threads(2)];
+/// `base` under the serial, forced 2-thread and memo-forced 2-thread
+/// schedules.
+fn schedules(base: MapConfig) -> [MapConfig; 3] {
+    let parallel = MapConfig {
+        parallelism: Parallelism::Threads(2),
+        ..base
+    };
+    [
+        MapConfig {
+            parallelism: Parallelism::Serial,
+            ..base
+        },
+        parallel,
+        MapConfig {
+            cone_cache_min_gates: 0,
+            ..parallel
+        },
+    ]
+}
 
-/// Audits the salvage, clears every interrupt knob, re-runs with the
-/// salvaged cache attached, and requires the resumed result to be
-/// bit-identical to `clean`. Returns the resumed result for further
-/// inspection.
-fn assert_resume_matches(
-    clean: &MappingResult,
-    partial: &PartialMapping,
-    interrupted: MapConfig,
-    network: &Network,
-    what: &str,
-) -> MappingResult {
-    if let Err(e) = check_partial(partial) {
-        panic!("{what}: salvaged partial fails its audit: {e}");
-    }
-    let config = MapConfig {
+/// `interrupted` with every interrupt knob cleared.
+fn resume_config(interrupted: MapConfig) -> MapConfig {
+    MapConfig {
         poison_node: None,
         limits: Limits {
             deadline: None,
@@ -51,25 +61,46 @@ fn assert_resume_matches(
             ..interrupted.limits
         },
         ..interrupted
-    };
-    let resumed = Mapper::soi(config)
-        .with_cone_cache(partial.cache())
+    }
+}
+
+/// Audits the salvage, clears every interrupt knob, resumes from the
+/// salvage, and requires the resumed result to be bit-identical to
+/// `clean`. Returns the resumed result for further inspection.
+fn assert_resume_matches(
+    clean: &MappingResult,
+    partial: &Arc<PartialMapping>,
+    interrupted: MapConfig,
+    network: &Network,
+    what: &str,
+) -> MappingResult {
+    if let Err(e) = check_partial(partial) {
+        panic!("{what}: salvaged partial fails its audit: {e}");
+    }
+    let resumed = Mapper::soi(resume_config(interrupted))
+        .with_salvage(Arc::clone(partial))
         .run(network)
         .unwrap_or_else(|e| panic!("{what}: resume fails: {e}"));
-    assert_eq!(clean.counts, resumed.counts, "{what}: counts diverge");
+    assert_same(clean, &resumed, what);
+    resumed
+}
+
+/// Requires `got` to be bit-identical to `clean`.
+fn assert_same(clean: &MappingResult, got: &MappingResult, what: &str) {
+    assert_eq!(clean.counts, got.counts, "{what}: counts diverge");
+    assert!(clean.circuit == got.circuit, "{what}: circuits diverge");
     assert_eq!(
-        clean.degraded_nodes, resumed.degraded_nodes,
+        clean.degraded_nodes, got.degraded_nodes,
         "{what}: degraded nodes diverge"
     );
     assert_eq!(
-        clean.peak_candidates, resumed.peak_candidates,
+        clean.peak_candidates, got.peak_candidates,
         "{what}: peak candidates diverge"
     );
     assert_eq!(
-        clean.combine_steps, resumed.combine_steps,
+        clean.combine_steps, got.combine_steps,
         "{what}: combine steps diverge"
     );
-    resumed
 }
 
 /// A token tripped before the run starts cancels at the first boundary
@@ -83,15 +114,14 @@ fn pre_tripped_token_cancels_before_any_work() {
         .expect("clean maps");
     let token = CancelToken::new();
     token.cancel();
-    for parallelism in SCHEDULES {
-        let config = MapConfig {
-            parallelism,
-            limits: Limits {
-                cancel: token,
-                ..Limits::default()
-            },
-            ..MapConfig::default()
-        };
+    let base = MapConfig {
+        limits: Limits {
+            cancel: token,
+            ..Limits::default()
+        },
+        ..MapConfig::default()
+    };
+    for config in schedules(base) {
         let err = Mapper::soi(config)
             .run(&network)
             .expect_err("a tripped token must cancel the run");
@@ -102,7 +132,6 @@ fn pre_tripped_token_cancels_before_any_work() {
         let partial = partial.expect("interrupts carry salvage");
         assert!(partial.is_empty());
         assert_eq!(partial.completed_units(), 0);
-        assert_eq!(partial.salvaged_units(), 0);
         assert_eq!(partial.combine_steps(), 0);
 
         let unate = convert(
@@ -128,16 +157,21 @@ fn pre_tripped_token_cancels_before_any_work() {
 }
 
 /// An expired deadline surfaces as `DeadlineExceeded` with the elapsed
-/// time and the allowance, plus a resumable salvage. The allowance is
-/// calibrated against the machine: fractions of the measured clean wall
-/// time, largest first (fullest partial), with a zero deadline as the
-/// guaranteed-trip fallback.
+/// time and the allowance, plus a resumable salvage — on every schedule.
+/// The allowance is calibrated against the machine: fractions of the
+/// measured clean wall time, largest first (fullest partial), with a zero
+/// deadline as the guaranteed-trip fallback.
 #[test]
 fn deadline_trips_to_a_typed_error_with_salvage() {
     let network = generate(&RandomSpec::control("jc-deadline", 16, 8, 4000, 11));
-    let base = MapConfig::default();
+    for base in schedules(MapConfig::default()) {
+        deadline_trips_and_resumes(&network, base);
+    }
+}
+
+fn deadline_trips_and_resumes(network: &Network, base: MapConfig) {
     let t0 = Instant::now();
-    let clean = Mapper::soi(base).run(&network).expect("clean maps");
+    let clean = Mapper::soi(base).run(network).expect("clean maps");
     let clean_wall = t0.elapsed();
 
     let mut allowances: Vec<Duration> = [2u32, 4, 8, 16, 64]
@@ -154,7 +188,7 @@ fn deadline_trips_to_a_typed_error_with_salvage() {
             },
             ..base
         };
-        match Mapper::soi(config).run(&network) {
+        match Mapper::soi(config).run(network) {
             // The machine outran this allowance; tighten and retry.
             Ok(_) => continue,
             Err(e) => {
@@ -179,7 +213,7 @@ fn deadline_trips_to_a_typed_error_with_salvage() {
         !partial.is_empty() || deadline == Duration::ZERO,
         "{partial}"
     );
-    assert_resume_matches(&clean, &partial, config, &network, "deadline");
+    assert_resume_matches(&clean, &partial, config, network, "deadline");
 }
 
 /// A poisoned cone unit panics its worker; the panic is contained as a
@@ -208,12 +242,11 @@ fn poisoned_unit_is_contained_and_salvaged() {
         .rev()
         .find(|(_, u)| !u.deps().is_empty())
         .expect("a 120-gate network has dependent cone units");
-    for parallelism in SCHEDULES {
-        let config = MapConfig {
-            parallelism,
-            poison_node: Some(unit.root().index() as u32),
-            ..base
-        };
+    let poisoned = MapConfig {
+        poison_node: Some(unit.root().index() as u32),
+        ..base
+    };
+    for config in schedules(poisoned) {
         let err = Mapper::soi(config)
             .run(&network)
             .expect_err("a poisoned unit must fail the run");
@@ -235,17 +268,22 @@ fn poisoned_unit_is_contained_and_salvaged() {
 }
 
 /// Registry sweep: cancel each circuit halfway through its combine-step
-/// budget, then resume from the salvage. The resumed run rebinds every
-/// salvaged unit (cache hits ≥ salvaged count) and lands bit-identical.
+/// budget, then resume from the salvage. The resumed run lands
+/// bit-identical, and — traced — generates fewer candidates than the
+/// clean run: the salvaged units are seeded, not solved again.
 #[test]
 fn registry_circuits_cancel_and_resume_bit_identically() {
+    let (rec, trace) = Recorder::install();
     for name in ["cm150", "mux", "z4ml", "cordic", "frg1", "b9"] {
         let network = registry::benchmark(name).expect("registered benchmark");
         let base = MapConfig {
             parallelism: Parallelism::Serial,
+            trace,
             ..MapConfig::default()
         };
+        rec.reset();
         let clean = Mapper::soi(base).run(&network).expect("clean maps");
+        let clean_generated = rec.counter(Counter::CandidatesGenerated);
         assert!(clean.combine_steps > 0, "{name}: no DP work to interrupt");
         let config = MapConfig {
             limits: Limits {
@@ -262,29 +300,189 @@ fn registry_circuits_cancel_and_resume_bit_identically() {
         };
         let partial = partial.expect("interrupts carry salvage");
         assert!(partial.combine_steps() <= clean.combine_steps, "{name}");
-        let resumed = assert_resume_matches(&clean, &partial, config, &network, name);
+        rec.reset();
+        assert_resume_matches(&clean, &partial, config, &network, name);
+        let resumed_generated = rec.counter(Counter::CandidatesGenerated);
         assert!(
-            resumed.cone_cache_hits >= partial.salvaged_units() as u64,
-            "{name}: every salvaged unit must rebind on resume \
-             ({} hits, {} salvaged)",
-            resumed.cone_cache_hits,
-            partial.salvaged_units()
+            resumed_generated < clean_generated,
+            "{name}: the resume generated {resumed_generated} candidates, the clean run \
+             {clean_generated} — salvaged units were solved again ({partial})"
         );
     }
 }
 
-/// The production default keeps per-run caches off below the gate
-/// threshold; forcing the threshold to zero builds one; an *attached*
-/// cache bypasses the gate entirely. All three modes map bit-identically.
+/// A partial resumes only the run it was recorded for: a different
+/// network, a different semantic config field (`w_max`) or a different
+/// algorithm is a typed `InvalidConfig` error, never a mapping. Scheduling
+/// knobs — parallelism, the memo's size gate — and the trace handle are
+/// not part of that identity: resuming under them is accepted and
+/// bit-identical.
 #[test]
-fn cache_threshold_gates_small_runs_but_not_attached_caches() {
+fn resume_rejects_foreign_partials_and_accepts_scheduling_changes() {
+    let network = generate(&RandomSpec::control("jc-foreign", 14, 6, 120, 5));
+    let base = MapConfig {
+        parallelism: Parallelism::Serial,
+        ..MapConfig::default()
+    };
+    let clean = Mapper::soi(base).run(&network).expect("clean maps");
+    let interrupted = MapConfig {
+        limits: Limits {
+            cancel_after_steps: Some((clean.combine_steps / 2).max(1)),
+            ..base.limits
+        },
+        ..base
+    };
+    let err = Mapper::soi(interrupted)
+        .run(&network)
+        .expect_err("the halfway trip must fire");
+    let partial = Arc::clone(err.partial().expect("interrupts carry salvage"));
+    assert!(!partial.is_empty(), "{partial}");
+
+    let other = generate(&RandomSpec::control("jc-foreign", 14, 6, 120, 6));
+    let foreign = [
+        (
+            "network",
+            Mapper::soi(base)
+                .with_salvage(Arc::clone(&partial))
+                .run(&other),
+        ),
+        (
+            "w_max",
+            Mapper::soi(MapConfig { w_max: 4, ..base })
+                .with_salvage(Arc::clone(&partial))
+                .run(&network),
+        ),
+        (
+            "algorithm",
+            Mapper::baseline(base)
+                .with_salvage(Arc::clone(&partial))
+                .run(&network),
+        ),
+    ];
+    for (what, outcome) in foreign {
+        assert!(
+            matches!(outcome, Err(MapError::InvalidConfig { .. })),
+            "a partial resumed under a different {what} must be refused, got {outcome:?}"
+        );
+    }
+
+    let (_, trace) = Recorder::install();
+    let accepted = [
+        (
+            "parallelism",
+            MapConfig {
+                parallelism: Parallelism::Threads(2),
+                ..base
+            },
+        ),
+        (
+            "memo gate",
+            MapConfig {
+                cone_cache_min_gates: 0,
+                ..base
+            },
+        ),
+        ("trace handle", MapConfig { trace, ..base }),
+    ];
+    for (what, config) in accepted {
+        let resumed = Mapper::soi(config)
+            .with_salvage(Arc::clone(&partial))
+            .run(&network)
+            .unwrap_or_else(|e| panic!("resume under a different {what} fails: {e}"));
+        assert_same(&clean, &resumed, what);
+    }
+}
+
+/// A completed fanout-free unit of more than 512 nodes is salvaged like
+/// any other: the resume seeds it instead of solving it again. The resume
+/// poisons a node of that unit — `poison_node` panics whichever worker
+/// *solves* the unit containing it — so solving it again would fail the
+/// run.
+#[test]
+fn oversized_completed_unit_is_not_solved_again() {
+    // A balanced alternating AND/OR tree over 512 inputs (1,023 unate
+    // nodes, one fanout-free unit), then a small cone over fresh inputs.
+    let mut network = Network::new("jc-oversized");
+    let tree = |network: &mut Network, prefix: &str, leaves: usize| {
+        let mut level: Vec<_> = (0..leaves)
+            .map(|i| network.add_input(format!("{prefix}{i}")))
+            .collect();
+        let mut and = true;
+        while level.len() > 1 {
+            level = level
+                .chunks(2)
+                .map(|p| {
+                    if and {
+                        network.and2(p[0], p[1])
+                    } else {
+                        network.or2(p[0], p[1])
+                    }
+                })
+                .collect();
+            and = !and;
+        }
+        level[0]
+    };
+    let big = tree(&mut network, "x", 512);
+    network.add_output("big", big);
+    let small = tree(&mut network, "y", 8);
+    network.add_output("small", small);
+
+    let base = MapConfig {
+        parallelism: Parallelism::Serial,
+        ..MapConfig::default()
+    };
+    let unate = convert(
+        &network,
+        &Options {
+            output_phase: base.output_phase,
+        },
+    )
+    .expect("converts");
+    let partition = unate.cone_partition();
+    assert_eq!(partition.units().len(), 2, "one unit per tree");
+    let big_unit = partition.unit(0);
+    assert!(big_unit.nodes().len() > 512, "{}", big_unit.nodes().len());
+
+    // The serial walk finishes the big unit first; tripping one step short
+    // of the total interrupts the small one.
+    let clean = Mapper::soi(base).run(&network).expect("clean maps");
+    let interrupted = MapConfig {
+        limits: Limits {
+            cancel_after_steps: Some(clean.combine_steps - 1),
+            ..base.limits
+        },
+        ..base
+    };
+    let err = Mapper::soi(interrupted)
+        .run(&network)
+        .expect_err("the trip must fire");
+    let partial = err.partial().expect("interrupts carry salvage");
+    assert_eq!(partial.completed_units(), 1, "{partial}");
+    assert_eq!(partial.frontier(), &[1]);
+
+    let resumed = Mapper::soi(MapConfig {
+        poison_node: Some(big_unit.root().index() as u32),
+        ..resume_config(interrupted)
+    })
+    .with_salvage(Arc::clone(partial))
+    .run(&network)
+    .unwrap_or_else(|e| panic!("the salvaged big unit was solved again: {e}"));
+    assert_same(&clean, &resumed, "oversized unit");
+}
+
+/// The production default keeps the gate memo off below the size gate;
+/// forcing the gate to zero builds one; `usize::MAX` keeps it off. All
+/// three map bit-identically.
+#[test]
+fn memo_threshold_gates_small_runs() {
     let network = registry::benchmark("cm150").expect("registered benchmark");
     let base = MapConfig::default();
     let gated = Mapper::soi(base).run(&network).expect("maps");
     assert_eq!(
         gated.cone_cache_hits + gated.cone_cache_misses,
         0,
-        "below cone_cache_min_gates no per-run cache is built"
+        "below cone_cache_min_gates no memo is built"
     );
     let forced = Mapper::soi(MapConfig {
         cone_cache_min_gates: 0,
@@ -292,39 +490,25 @@ fn cache_threshold_gates_small_runs_but_not_attached_caches() {
     })
     .run(&network)
     .expect("maps");
-    assert!(forced.cone_cache_misses > 0, "a forced cache is exercised");
-    let attached = Mapper::soi(base)
-        .with_cone_cache(Arc::new(ConeCache::new()))
-        .run(&network)
-        .expect("maps");
-    assert!(
-        attached.cone_cache_hits + attached.cone_cache_misses > 0,
-        "attached caches bypass the size gate"
-    );
-    for (what, run) in [("forced", &forced), ("attached", &attached)] {
-        assert_eq!(gated.counts, run.counts, "{what}: counts diverge");
-        assert_eq!(
-            gated.degraded_nodes, run.degraded_nodes,
-            "{what}: degraded nodes diverge"
-        );
-        assert_eq!(
-            gated.peak_candidates, run.peak_candidates,
-            "{what}: peak candidates diverge"
-        );
-        assert_eq!(
-            gated.combine_steps, run.combine_steps,
-            "{what}: combine steps diverge"
-        );
-    }
+    assert!(forced.cone_cache_misses > 0, "a forced memo is exercised");
+    let off = Mapper::soi(MapConfig {
+        cone_cache_min_gates: usize::MAX,
+        ..base
+    })
+    .run(&network)
+    .expect("maps");
+    assert_eq!(off.cone_cache_hits + off.cone_cache_misses, 0);
+    assert_same(&gated, &forced, "forced");
+    assert_same(&gated, &off, "off");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Randomized sweep: cancelling at a random fraction of the clean
-    /// run's combine-step budget — under serial, parallel and cached
-    /// schedules — always yields a salvage whose resume is bit-identical
-    /// to the uninterrupted run.
+    /// run's combine-step budget — under serial, parallel and
+    /// memo-forced schedules — always yields a salvage whose resume is
+    /// bit-identical to the uninterrupted run.
     #[test]
     fn prop_cancel_salvage_resumes_bit_identically(
         seed in 0u64..10_000,
@@ -335,21 +519,14 @@ proptest! {
         let base = MapConfig::default();
         let clean = Mapper::soi(base).run(&network).expect("clean maps");
         let trip_at = (clean.combine_steps * frac / 100).max(1);
-        let schedules = [
-            (Parallelism::Serial, base.cone_cache_min_gates),
-            (Parallelism::Threads(2), base.cone_cache_min_gates),
-            (Parallelism::Threads(2), 0),
-        ];
-        for (parallelism, cone_cache_min_gates) in schedules {
-            let config = MapConfig {
-                parallelism,
-                cone_cache_min_gates,
-                limits: Limits {
-                    cancel_after_steps: Some(trip_at),
-                    ..base.limits
-                },
-                ..base
-            };
+        let tripped = MapConfig {
+            limits: Limits {
+                cancel_after_steps: Some(trip_at),
+                ..base.limits
+            },
+            ..base
+        };
+        for config in schedules(tripped) {
             // The trip point is at or below the total budget, so the run
             // can never finish: the crossing charge observes the trip.
             let err = match Mapper::soi(config).run(&network) {

@@ -5,8 +5,8 @@
 //!
 //! For every registry benchmark and twenty seeded random networks, the SOI
 //! mapper runs four ways — untraced serial (the reference), traced serial,
-//! traced forced-2-thread, and traced 2-thread + cone cache — and the
-//! suite asserts:
+//! traced forced-2-thread, and traced 2-thread + forced gate memo — and
+//! the suite asserts:
 //!
 //! * **bit-identity**: counts, degraded-node lists, peak candidates and
 //!   combine steps agree across all four runs (tracing is observational,
@@ -14,11 +14,11 @@
 //! * **candidate balance**: `candidates_generated ==
 //!   candidates_pruned + candidates_exported` — the bare-tuple funnel
 //!   loses nothing silently;
-//! * **cache balance**: `node_tier_probes == node_tier_hits +
-//!   node_tier_misses`, `cone_tier_gate_hits + node_tier_hits ==
+//! * **memo balance**: `node_tier_probes == node_tier_hits +
+//!   node_tier_misses`, `node_tier_hits ==
 //!   MappingResult::cone_cache_hits`, `node_tier_misses ==
-//!   MappingResult::cone_cache_misses` — every gate solve is counted
-//!   exactly once;
+//!   MappingResult::cone_cache_misses` — every memoized gate solve is
+//!   counted exactly once;
 //! * **scheduler conservation**: per-worker unit counts sum to the cone
 //!   partition's unit count, and the aggregate steal/wakeup/park counters
 //!   equal the per-worker sums;
@@ -40,7 +40,7 @@ const MAPPERS: [fn(MapConfig) -> Mapper; 3] =
 fn base_config() -> MapConfig {
     MapConfig {
         parallelism: Parallelism::Serial,
-        cone_cache: false,
+        cone_cache_min_gates: usize::MAX,
         ..MapConfig::default()
     }
 }
@@ -100,24 +100,23 @@ fn assert_run_oracles(rec: &Recorder, result: &MappingResult, what: &str, mode: 
         u64::from(result.counts.discharge),
         "{what}: {mode} discharge counter disagrees with the transistor accounting"
     );
-    // Cache tiers: probes split exactly into hits and misses, and the two
-    // tiers together account for the result's hit/miss totals.
+    // Gate memo: probes split exactly into hits and misses, which are the
+    // result's hit/miss totals.
     let probes = rec.counter(Counter::NodeTierProbes);
     let node_hits = rec.counter(Counter::NodeTierHits);
     let node_misses = rec.counter(Counter::NodeTierMisses);
     assert_eq!(
         probes,
         node_hits + node_misses,
-        "{what}: {mode} node-tier probes don't split into hits + misses"
+        "{what}: {mode} memo probes don't split into hits + misses"
     );
     assert_eq!(
-        rec.counter(Counter::ConeTierGateHits) + node_hits,
-        result.cone_cache_hits,
-        "{what}: {mode} tier hits don't add up to the result's cache hits"
+        node_hits, result.cone_cache_hits,
+        "{what}: {mode} memo hits disagree with the result's cache hits"
     );
     assert_eq!(
         node_misses, result.cone_cache_misses,
-        "{what}: {mode} node-tier misses disagree with the result's cache misses"
+        "{what}: {mode} memo misses disagree with the result's cache misses"
     );
     // Job control: a run that completed never observed an interrupt,
     // contained a panic, or salvaged anything.
@@ -154,18 +153,17 @@ fn check_network(rec: &'static Recorder, trace: TraceHandle, network: &Network, 
             && rec.stage_nanos(Stage::Reconstruct).is_some(),
         "{what}: traced serial run is missing a pipeline span"
     );
-    // Serial, cache off: no scheduler or cache activity may be recorded.
+    // Serial, memo off: no scheduler or memo activity may be recorded.
     for quiet in [
         Counter::SchedSteals,
         Counter::SchedWakeups,
         Counter::SchedParks,
         Counter::NodeTierProbes,
-        Counter::ConeTierHits,
     ] {
         assert_eq!(
             rec.counter(quiet),
             0,
-            "{what}: serial uncached run recorded {quiet:?}"
+            "{what}: serial unmemoized run recorded {quiet:?}"
         );
     }
 
@@ -214,21 +212,20 @@ fn check_network(rec: &'static Recorder, trace: TraceHandle, network: &Network, 
         }
     }
 
-    // Traced 2-thread + cone cache: the memo tiers join the balance.
+    // Traced 2-thread + gate memo: the memo joins the balance.
     rec.reset();
-    let cached = Mapper::soi(MapConfig {
+    let memoized = Mapper::soi(MapConfig {
         trace,
         parallelism: Parallelism::Threads(2),
-        cone_cache: true,
         // Every oracle circuit sits below the production size gate; force
-        // the cache on so the memo tiers are actually exercised.
+        // the memo on so it is actually exercised.
         cone_cache_min_gates: 0,
         ..base
     })
     .run(network)
-    .expect("traced cached maps");
-    assert_identical(&reference, &cached, what, "traced cached");
-    assert_run_oracles(rec, &cached, what, "traced cached");
+    .expect("traced memoized maps");
+    assert_identical(&reference, &memoized, what, "traced memoized");
+    assert_run_oracles(rec, &memoized, what, "traced memoized");
 }
 
 #[test]
@@ -298,42 +295,9 @@ fn all_algorithms_balance_candidates_and_discharges() {
     }
 }
 
-/// A shared cone cache across runs keeps the balances honest when the
-/// second run is served almost entirely from the cache.
-#[test]
-fn warm_cache_reruns_keep_the_balances() {
-    let (rec, trace) = Recorder::install();
-    let network = registry::benchmark("c880").expect("registered");
-    let cache = std::sync::Arc::new(soi_domino::mapper::ConeCache::new());
-    let config = MapConfig {
-        trace,
-        parallelism: Parallelism::Serial,
-        cone_cache: true,
-        ..MapConfig::default()
-    };
-    let mut last = None;
-    for pass in 0..2 {
-        rec.reset();
-        let result = Mapper::soi(config)
-            .with_cone_cache(std::sync::Arc::clone(&cache))
-            .run(&network)
-            .expect("maps");
-        assert_run_oracles(rec, &result, "c880", &format!("warm pass {pass}"));
-        if let Some(prev) = &last {
-            assert_identical(prev, &result, "c880", "warm rerun");
-        }
-        last = Some(result);
-    }
-    let warm = last.expect("two passes ran");
-    assert!(
-        warm.cone_cache_hits > 0,
-        "second pass should hit the shared cache"
-    );
-}
-
 /// Interrupted runs balance the job-control counters: the trip is latched
 /// (exactly one `cancels_observed` no matter how many workers see it),
-/// `units_salvaged` equals the partial's salvage count, and a contained
+/// `units_salvaged` equals the partial's completed units, and a contained
 /// panic records exactly one `panics_contained` — plus a drain span when
 /// workers had to be drained.
 #[test]
@@ -370,7 +334,7 @@ fn interrupted_runs_balance_the_job_control_counters() {
         assert_eq!(rec.counter(Counter::PanicsContained), 0);
         assert_eq!(
             rec.counter(Counter::UnitsSalvaged),
-            partial.salvaged_units() as u64,
+            partial.completed_units() as u64,
             "{parallelism:?}: salvage counter disagrees with the partial"
         );
     }
@@ -418,7 +382,7 @@ fn interrupted_runs_balance_the_job_control_counters() {
         );
         assert_eq!(
             rec.counter(Counter::UnitsSalvaged),
-            partial.salvaged_units() as u64,
+            partial.completed_units() as u64,
             "{parallelism:?}: salvage counter disagrees with the partial"
         );
         if matches!(parallelism, Parallelism::Threads(_)) {
