@@ -63,16 +63,19 @@
 //!     under `timeout` in CI; any failure is fatal).
 //!   cargo run --release -p soi-bench --bin bench -- --cec-smoke
 //!     CI gate for the equivalence checker at scale: maps both ≥100k-gate
-//!     synthetics with the shipped default config and SAT-proves each
-//!     mapped circuit equivalent to its source network — the default and
-//!     serial mappings must agree (`counts_match`), the verdict must be
-//!     `Equivalent`, and there must be zero unproven miters (run under a
-//!     hard `timeout` in CI; any failure is fatal).
+//!     synthetics with the shipped default config and proves each mapped
+//!     circuit equivalent to its source network twice — by `check_mapped`,
+//!     which its certificate must decide, and by the SAT sweep
+//!     (`check_networks` on the lowered circuit), which keeps the sweep
+//!     exercised at scale. The default and serial mappings must agree
+//!     (`counts_match`), both verdicts must be `Equivalent`, and there
+//!     must be zero unproven miters (run under a hard `timeout` in CI;
+//!     any failure is fatal).
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use soi_cec::{check_mapped, CecOptions, CecReport};
+use soi_cec::{check_mapped, check_networks, lower, CecOptions, CecPath, CecReport};
 use soi_circuits::corpus::{self, SizeBucket};
 use soi_circuits::registry;
 use soi_mapper::{MapConfig, Mapper, MappingResult, Parallelism, TraceHandle};
@@ -778,11 +781,13 @@ fn corpus_smoke() {
 }
 
 /// CI gate for the equivalence checker at scale: both ≥100k-gate
-/// synthetics, mapped with the shipped default config, must SAT-prove
-/// equivalent to their source networks with zero unproven miters — and
-/// the default mapping must agree with serial/uncached (`counts_match`),
-/// so the proof covers the configuration that actually ships. Run under a
-/// hard `timeout` in CI; any failure is fatal.
+/// synthetics, mapped with the shipped default config, must prove
+/// equivalent to their source networks with zero unproven miters twice:
+/// by `check_mapped`, decided by the mapping's certificate, and by the
+/// SAT sweep on the lowered circuit, which `check_mapped` no longer runs
+/// on these rows. The default mapping must agree with serial/uncached
+/// (`counts_match`), so the proof covers the configuration that actually
+/// ships. Run under a hard `timeout` in CI; any failure is fatal.
 fn cec_smoke() {
     let opts = CecOptions::default();
     let serial = soi_mapper(Parallelism::Serial, false);
@@ -812,27 +817,40 @@ fn cec_smoke() {
             .unwrap_or_else(|e| panic!("cec smoke: `{name}` equivalence check failed: {e}"));
         let cec_ms = cec_start.elapsed().as_secs_f64() * 1e3;
         assert!(
-            report.is_equivalent(),
-            "cec smoke: `{name}`: mapped circuit NOT proved equivalent: {:?}",
-            report.verdict
+            report.is_equivalent() && report.path == CecPath::Certificate,
+            "cec smoke: `{name}`: certificate did not prove the mapping: {:?} via {:?}",
+            report.verdict,
+            report.path
+        );
+        let sweep_start = Instant::now();
+        let lowered = lower::circuit_to_network(&d.circuit);
+        let sweep = check_networks(&network, &lowered, &opts)
+            .unwrap_or_else(|e| panic!("cec smoke: `{name}` sweep failed: {e}"));
+        let sweep_ms = sweep_start.elapsed().as_secs_f64() * 1e3;
+        assert!(
+            sweep.is_equivalent(),
+            "cec smoke: `{name}`: mapped circuit NOT proved equivalent by the sweep: {:?}",
+            sweep.verdict
         );
         assert_eq!(
-            report.unproven(),
-            0,
+            (report.unproven(), sweep.unproven()),
+            (0, 0),
             "cec smoke: `{name}`: unproven output miters remain"
         );
         eprintln!(
-            "cec smoke ok: {name} ({gates} gates) mapped in {map_ms:.1} ms, proved in \
-             {cec_ms:.1} ms — {}/{} outputs, {} internal merges, {} sat calls ({} conflicts), \
+            "cec smoke ok: {name} ({gates} gates) mapped in {map_ms:.1} ms; certificate proved \
+             all {} domino gates (0 fallbacks) in {cec_ms:.1} ms; sweep proved in \
+             {sweep_ms:.1} ms — {}/{} outputs, {} internal merges, {} sat calls ({} conflicts), \
              {} sim-filtered, {} refinements, {} replays",
-            report.outputs_proved,
-            report.outputs_total,
-            report.internal_merges,
-            report.sat_calls,
-            report.conflicts,
-            report.sim_filtered,
-            report.refinements,
-            report.cex_replays,
+            d.circuit.gate_count(),
+            sweep.outputs_proved,
+            sweep.outputs_total,
+            sweep.internal_merges,
+            sweep.sat_calls,
+            sweep.conflicts,
+            sweep.sim_filtered,
+            sweep.refinements,
+            sweep.cex_replays,
         );
     }
 }

@@ -112,6 +112,18 @@ pub enum CecVerdict {
     },
 }
 
+/// Which path decided a verdict.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CecPath {
+    /// The mapped circuit's certificate: every gate proved equal to the
+    /// unate root it records, with no SAT call (see
+    /// [`check_mapped`](crate::check_mapped)).
+    Certificate,
+    /// The SAT sweep of [`check_networks`]: always for two networks, and
+    /// for a mapped circuit whose certificate was absent or failed.
+    Sweep,
+}
+
 /// Everything a check run reports.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CecReport {
@@ -137,9 +149,28 @@ pub struct CecReport {
     /// Counterexample lanes fed back into simulation: satisfying models
     /// of internal node-pair queries.
     pub refinements: u64,
+    /// Which path decided the verdict.
+    pub path: CecPath,
 }
 
 impl CecReport {
+    /// A report with nothing counted yet: `Equivalent` until a check says
+    /// otherwise, no output proved.
+    pub(crate) fn new(outputs_total: usize, path: CecPath) -> CecReport {
+        CecReport {
+            verdict: CecVerdict::Equivalent,
+            outputs_proved: 0,
+            outputs_total,
+            internal_merges: 0,
+            sim_filtered: 0,
+            sat_calls: 0,
+            conflicts: 0,
+            cex_replays: 0,
+            refinements: 0,
+            path,
+        }
+    }
+
     /// Unproven output miters (0 unless [`CecVerdict::Undecided`]).
     pub fn unproven(&self) -> usize {
         match self.verdict {
@@ -337,17 +368,7 @@ impl<'n> Checker<'n> {
             batches,
             lane_inputs: vec![0; a.inputs().len()],
             pending: 0,
-            report: CecReport {
-                verdict: CecVerdict::Equivalent,
-                outputs_proved: 0,
-                outputs_total: a.outputs().len(),
-                internal_merges: 0,
-                sim_filtered: 0,
-                sat_calls: 0,
-                conflicts: 0,
-                cex_replays: 0,
-                refinements: 0,
-            },
+            report: CecReport::new(a.outputs().len(), CecPath::Sweep),
         })
     }
 

@@ -26,16 +26,20 @@
 //!   close what remains, every satisfying model of an internal pair is
 //!   fed back as a simulation lane that filters later candidates, and
 //!   every output counterexample is replayed through the scalar
-//!   simulator before it is believed), [`lower::circuit_to_network`]
-//!   turns a mapped [`DominoCircuit`] back into a network so
-//!   [`check_mapped`] can compare function against the source, and
-//!   [`pbe_sat`] proves junction excitability verdicts that
-//!   [`soi_pbe::excite`] can only sample beyond its enumeration limit.
+//!   simulator before it is believed); [`check_mapped`] proves a mapped
+//!   [`DominoCircuit`] against its source by checking the unate root
+//!   every gate records as a certificate, with no SAT call, and falls
+//!   back to lowering the circuit with [`lower::circuit_to_network`] and
+//!   sweeping when the certificate is absent or fails; and [`pbe_sat`]
+//!   proves junction excitability verdicts that [`soi_pbe::excite`] can
+//!   only sample beyond its enumeration limit.
 //!
 //! Everything is instrumented through [`soi_trace`]: `cec_sat_calls`,
-//! `cec_sim_filtered`, `conflicts`, `cec_refinements` and `cex_replays`.
+//! `cec_sim_filtered`, `conflicts`, `cec_refinements`, `cex_replays`,
+//! `cec_certified_gates` and `cec_fallbacks`.
 
 mod cec;
+mod certify;
 pub mod cnf;
 pub mod encode;
 pub mod lower;
@@ -44,7 +48,7 @@ pub mod solver;
 pub mod wordsim;
 
 pub use cec::{
-    check_networks, check_networks_traced, CecError, CecOptions, CecReport, CecVerdict,
+    check_networks, check_networks_traced, CecError, CecOptions, CecPath, CecReport, CecVerdict,
     Counterexample,
 };
 pub use cnf::{Lit, Var};
@@ -56,11 +60,23 @@ pub use solver::{SatResult, Solver};
 
 use soi_domino_ir::DominoCircuit;
 use soi_netlist::Network;
-use soi_trace::TraceHandle;
+use soi_trace::{Counter, Stage, TraceHandle};
 
-/// Checks a mapped domino circuit against its source network: lowers the
-/// circuit to a plain network with [`lower::circuit_to_network`] and runs
-/// [`check_networks`] on the pair.
+/// Checks a mapped domino circuit against its source network.
+///
+/// A circuit that carries a root table ([`DominoCircuit::roots`], recorded
+/// by every mapper) is proved by checking that table as a certificate, in
+/// time linear in the circuit and with no SAT call: the source is
+/// converted to its unate network again, the conversion is proved equal
+/// to the source one 2-input gate at a time, each gate's pull-down
+/// network is proved equal to the unate cone at its root by comparing
+/// AND/OR normal forms, and each output must bind its driver's image.
+/// Nothing in the table is trusted: when it is absent or any claim fails,
+/// the circuit is lowered with [`lower::circuit_to_network`] and
+/// [`check_networks`] sweeps the pair, exactly as for a hand-built
+/// circuit. A certificate only ever proves equivalence, so every
+/// [`CecVerdict::NotEquivalent`] comes from the sweep's replayed
+/// counterexamples. [`CecReport::path`] records which path decided.
 ///
 /// # Errors
 ///
@@ -73,7 +89,9 @@ pub fn check_mapped(
     check_mapped_traced(network, circuit, opts, TraceHandle::off())
 }
 
-/// [`check_mapped`] with a trace handle.
+/// [`check_mapped`] with a trace handle: the certificate check runs in a
+/// [`Stage::CecCertify`] span and counts `cec_certified_gates`, or one
+/// `cec_fallbacks` before the sweep's own counters.
 ///
 /// # Errors
 ///
@@ -84,6 +102,19 @@ pub fn check_mapped_traced(
     opts: &CecOptions,
     trace: TraceHandle,
 ) -> Result<CecReport, CecError> {
+    let certified = {
+        let _span = trace.span(Stage::CecCertify);
+        certify::certify(network, circuit)
+    };
+    if certified {
+        trace.count(Counter::CecCertifiedGates, circuit.gate_count() as u64);
+        let outputs = network.outputs().len();
+        return Ok(CecReport {
+            outputs_proved: outputs,
+            ..CecReport::new(outputs, CecPath::Certificate)
+        });
+    }
+    trace.count(Counter::CecFallbacks, 1);
     let lowered = lower::circuit_to_network(circuit);
     check_networks_traced(network, &lowered, opts, trace)
 }

@@ -48,6 +48,8 @@ pub struct DominoCircuit {
     input_names: Vec<String>,
     gates: Vec<DominoGate>,
     outputs: Vec<OutputBinding>,
+    /// Claimed unate root per gate (see [`DominoCircuit::roots`]).
+    roots: Vec<u32>,
 }
 
 impl DominoCircuit {
@@ -57,6 +59,7 @@ impl DominoCircuit {
             input_names,
             gates: Vec::new(),
             outputs: Vec::new(),
+            roots: Vec::new(),
         }
     }
 
@@ -87,6 +90,39 @@ impl DominoCircuit {
         let id = GateId::from_index(self.gates.len());
         self.gates.push(gate);
         id
+    }
+
+    /// Adds a gate together with the index of the unate-network node it
+    /// was built from (see [`DominoCircuit::roots`]).
+    ///
+    /// # Panics
+    ///
+    /// As for [`DominoCircuit::add_gate`].
+    pub fn add_rooted_gate(&mut self, gate: DominoGate, root: u32) -> GateId {
+        let id = self.add_gate(gate);
+        self.roots.push(root);
+        id
+    }
+
+    /// The unate root of every gate, indexed by gate: the node of the
+    /// unate network whose fanout-free cone the gate's PDN covers. A
+    /// mapper records one per gate; a hand-built circuit has none (an
+    /// empty slice).
+    ///
+    /// The table is an *untrusted claim*: nothing here checks it, and an
+    /// equivalence checker that reads it must prove every entry it relies
+    /// on — a table that is missing, of the wrong length or simply wrong
+    /// may cost it a fast path, never a wrong verdict.
+    pub fn roots(&self) -> &[u32] {
+        &self.roots
+    }
+
+    /// Replaces the root table with no checking at all.
+    ///
+    /// Fault-injection hook for `soi-guard::inject`: the table may be
+    /// truncated or point anywhere.
+    pub fn set_roots_unchecked(&mut self, roots: Vec<u32>) {
+        self.roots = roots;
     }
 
     /// The gate with the given id.
@@ -155,6 +191,15 @@ impl DominoCircuit {
     /// Panics only if `port` is not an existing output-binding index.
     pub fn set_output_gate_unchecked(&mut self, port: usize, gate: GateId) {
         self.outputs[port].gate = gate;
+    }
+
+    /// Sets an output binding's boundary inversion.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is not an existing output-binding index.
+    pub fn set_output_inverted(&mut self, port: usize, inverted: bool) {
+        self.outputs[port].inverted = inverted;
     }
 
     /// Logic level of every gate: 1 for gates fed only by primary inputs,
@@ -341,6 +386,19 @@ mod tests {
         let _ = c.add_gate(DominoGate::footed(Pdn::transistor(Signal::Gate(
             GateId::from_index(7),
         ))));
+    }
+
+    #[test]
+    fn roots_are_recorded_per_gate_and_only_when_given() {
+        assert!(or_and_circuit().roots().is_empty());
+        let mut c = DominoCircuit::new(vec!["a".into()]);
+        let g0 = c.add_rooted_gate(DominoGate::footed(Pdn::transistor(Signal::input(0))), 0);
+        let _ = c.add_rooted_gate(DominoGate::footed(Pdn::transistor(Signal::Gate(g0))), 7);
+        assert_eq!(c.roots(), &[0, 7]);
+        let mut forged = c.clone();
+        forged.set_roots_unchecked(vec![7]);
+        assert_eq!(forged.roots(), &[7]);
+        assert_ne!(forged, c, "the root table takes part in equality");
     }
 
     #[test]

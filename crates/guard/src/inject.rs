@@ -14,7 +14,9 @@
 //! BLIF mutators are the exception: a mutated byte stream has no defined
 //! "effect", so they only guarantee the bytes changed. The property under
 //! test there is that [`soi_netlist::blif::parse`] never panics and never
-//! returns an invalid network.
+//! returns an invalid network. The certificate forgers are the other
+//! exception: they guarantee only that a circuit's root table changed,
+//! and the property under test is that no equivalence verdict does.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -508,6 +510,90 @@ fn distinguishing_vector(
         })
 }
 
+/// Flips one output binding's boundary inversion, so that output computes
+/// its complement — always a functional fault.
+pub fn flip_output_inversion(circuit: &DominoCircuit, seed: u64) -> Option<DominoCircuit> {
+    if circuit.outputs().is_empty() {
+        return None;
+    }
+    let port = SmallRng::seed_from_u64(seed).gen_range(0..circuit.outputs().len());
+    let mut mutated = circuit.clone();
+    mutated.set_output_inverted(port, !circuit.outputs()[port].inverted);
+    Some(mutated)
+}
+
+// ---- Certificate forgers -------------------------------------------------
+//
+// A mapped circuit's root table (`DominoCircuit::roots`) is an untrusted
+// equivalence certificate. These forgers corrupt the table and nothing
+// else, so a checker that believed it would certify claims the circuit
+// never made. The property under test is that no verdict changes: a
+// correct circuit with a forged table still proves equivalent, and a
+// functionally mutated one is still refuted. Each forger returns `None`
+// when the circuit has no table or too few gates to forge one.
+
+/// Replaces one gate's root with a different node index.
+pub fn forge_root(circuit: &DominoCircuit, seed: u64) -> Option<DominoCircuit> {
+    let roots = circuit.roots();
+    let bound = roots.iter().max()?.saturating_add(1);
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let gate = rng.gen_range(0..roots.len());
+    let mut forged = rng.gen_range(0..bound);
+    if forged == roots[gate] {
+        forged = (forged + 1) % bound.max(2);
+    }
+    let mut table = roots.to_vec();
+    table[gate] = forged;
+    with_roots(circuit, table)
+}
+
+/// Swaps the roots of two gates whose roots differ.
+pub fn swap_roots(circuit: &DominoCircuit, seed: u64) -> Option<DominoCircuit> {
+    let (a, b) = two_gates_with_distinct_roots(circuit, seed)?;
+    let mut table = circuit.roots().to_vec();
+    table.swap(a, b);
+    with_roots(circuit, table)
+}
+
+/// Credits one gate with another gate's (different) root.
+pub fn credit_root(circuit: &DominoCircuit, seed: u64) -> Option<DominoCircuit> {
+    let (a, b) = two_gates_with_distinct_roots(circuit, seed)?;
+    let mut table = circuit.roots().to_vec();
+    table[a] = table[b];
+    with_roots(circuit, table)
+}
+
+/// Drops between one and all entries from the end of the root table.
+pub fn truncate_roots(circuit: &DominoCircuit, seed: u64) -> Option<DominoCircuit> {
+    let roots = circuit.roots();
+    if roots.is_empty() {
+        return None;
+    }
+    let keep = SmallRng::seed_from_u64(seed).gen_range(0..roots.len());
+    with_roots(circuit, roots[..keep].to_vec())
+}
+
+/// Two seeded gate indices whose recorded roots differ.
+fn two_gates_with_distinct_roots(circuit: &DominoCircuit, seed: u64) -> Option<(usize, usize)> {
+    let roots = circuit.roots();
+    if roots.is_empty() {
+        return None;
+    }
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let a = rng.gen_range(0..roots.len());
+    let start = rng.gen_range(0..roots.len());
+    let b = (0..roots.len())
+        .map(|k| (start + k) % roots.len())
+        .find(|&b| roots[b] != roots[a])?;
+    Some((a, b))
+}
+
+fn with_roots(circuit: &DominoCircuit, roots: Vec<u32>) -> Option<DominoCircuit> {
+    let mut forged = circuit.clone();
+    forged.set_roots_unchecked(roots);
+    (forged != *circuit).then_some(forged)
+}
+
 /// Removes **every** pre-discharge transistor — the "protection got lost in
 /// handoff" fault. Returns `None` when the circuit had none to lose, or
 /// when none of them were load-bearing (no hazard appears).
@@ -653,6 +739,48 @@ mod tests {
                 rewired.evaluate(&witness).unwrap()
             );
         }
+    }
+
+    #[test]
+    fn forgers_touch_only_the_root_table() {
+        let mut c = DominoCircuit::new(vec!["a".into(), "b".into()]);
+        let g0 = c.add_rooted_gate(
+            soi_domino_ir::DominoGate::footed(Pdn::transistor(Signal::input(0))),
+            0,
+        );
+        let g1 = c.add_rooted_gate(
+            soi_domino_ir::DominoGate::footed(Pdn::series(vec![
+                Pdn::transistor(Signal::Gate(g0)),
+                Pdn::transistor(Signal::input(1)),
+            ])),
+            2,
+        );
+        c.add_output("f", g1);
+        for seed in 0..20 {
+            for (name, forged) in [
+                ("forge_root", forge_root(&c, seed)),
+                ("swap_roots", swap_roots(&c, seed)),
+                ("credit_root", credit_root(&c, seed)),
+                ("truncate_roots", truncate_roots(&c, seed)),
+            ] {
+                let forged = forged.unwrap_or_else(|| panic!("{name} applies"));
+                assert_ne!(forged.roots(), c.roots(), "{name} seed {seed}");
+                let mut restored = forged.clone();
+                restored.set_roots_unchecked(c.roots().to_vec());
+                assert_eq!(
+                    restored, c,
+                    "{name} seed {seed} touched more than the table"
+                );
+            }
+            let flipped = flip_output_inversion(&c, seed).expect("has an output");
+            assert_ne!(flipped.evaluate(&[true, true]), c.evaluate(&[true, true]));
+        }
+        // Nothing to forge on a hand-built circuit.
+        let bare = DominoCircuit::single_gate(vec!["a".into()], Pdn::transistor(Signal::input(0)));
+        assert!(forge_root(&bare, 0).is_none());
+        assert!(swap_roots(&bare, 0).is_none());
+        assert!(credit_root(&bare, 0).is_none());
+        assert!(truncate_roots(&bare, 0).is_none());
     }
 
     #[test]

@@ -744,7 +744,15 @@ mod tests {
         assert_eq!(cec.equivalence.unproven(), 0);
         assert!(cec.safety.safe);
         assert!(rec.stage_nanos(TraceStage::Cec).is_some());
-        // The equivalence and safety counters both land in the recorder.
+        // The equivalence and safety counters both land in the recorder:
+        // the certificate's gate count and the safety proof's SAT calls.
+        assert_eq!(cec.equivalence.path, soi_cec::CecPath::Certificate);
+        assert!(rec.stage_nanos(TraceStage::CecCertify).is_some());
+        assert_eq!(
+            rec.counter(Counter::CecCertifiedGates),
+            report.result.circuit.gate_count() as u64
+        );
+        assert_eq!(rec.counter(Counter::CecFallbacks), 0);
         assert_eq!(
             rec.counter(Counter::CecSatCalls),
             cec.equivalence.sat_calls + cec.safety.sat_calls

@@ -1,5 +1,5 @@
 //! Gate materialization: turning DP back-pointers into a
-//! [`DominoCircuit`].
+//! [`DominoCircuit`], recording each gate's unate root on the way.
 
 use soi_domino_ir::{DominoCircuit, DominoGate, GateId, Pdn, Signal};
 use soi_unate::{UId, USignal, UnateNetwork};
@@ -91,7 +91,9 @@ impl Ctx<'_> {
             );
             gate.set_discharge(discharge);
         }
-        let id = self.circuit.add_gate(gate);
+        // The root is the gate's equivalence certificate: the checker
+        // proves the PDN against the unate cone at `node` (untrusted).
+        let id = self.circuit.add_rooted_gate(gate, node.index() as u32);
         self.built[node.index()] = Some(id);
         id
     }

@@ -87,11 +87,16 @@ pub enum Stage {
     /// against the source network, plus the SAT-formulated PBE-safety
     /// proof (the opt-in guard pipeline post-map stage).
     Cec,
+    /// The certificate check of a mapped circuit: re-deriving the unate
+    /// network and proving each gate against the unate root it records
+    /// (emitted by `soi_cec::check_mapped_traced`, fallback sweep
+    /// excluded).
+    CecCertify,
 }
 
 impl Stage {
     /// Every stage, in flow order.
-    pub const ALL: [Stage; 13] = [
+    pub const ALL: [Stage; 14] = [
         Stage::Ingest,
         Stage::Parse,
         Stage::NetlistValidate,
@@ -105,6 +110,7 @@ impl Stage {
         Stage::Audit,
         Stage::Drain,
         Stage::Cec,
+        Stage::CecCertify,
     ];
 
     /// The stage's kebab-case display name.
@@ -123,6 +129,7 @@ impl Stage {
             Stage::Audit => "audit",
             Stage::Drain => "drain",
             Stage::Cec => "cec",
+            Stage::CecCertify => "cec-certify",
         }
     }
 }
@@ -213,11 +220,17 @@ pub enum Counter {
     /// Counterexample lanes the equivalence sweep fed back into
     /// simulation (satisfying models of internal node-pair queries).
     CecRefinements,
+    /// Gates of a mapped circuit the certificate check proved equal to
+    /// their unate roots (every gate, or none when the check fell back).
+    CecCertifiedGates,
+    /// Mapped-circuit checks whose certificate was absent or failed a
+    /// claim, so the SAT sweep decided the verdict.
+    CecFallbacks,
 }
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 25] = [
+    pub const ALL: [Counter; 27] = [
         Counter::CandidatesGenerated,
         Counter::CandidatesPruned,
         Counter::CandidatesExported,
@@ -243,6 +256,8 @@ impl Counter {
         Counter::Conflicts,
         Counter::CexReplays,
         Counter::CecRefinements,
+        Counter::CecCertifiedGates,
+        Counter::CecFallbacks,
     ];
 
     /// The counter's snake_case display name.
@@ -273,6 +288,8 @@ impl Counter {
             Counter::Conflicts => "conflicts",
             Counter::CexReplays => "cex_replays",
             Counter::CecRefinements => "cec_refinements",
+            Counter::CecCertifiedGates => "cec_certified_gates",
+            Counter::CecFallbacks => "cec_fallbacks",
         }
     }
 }

@@ -65,34 +65,7 @@ pub struct Options {
 /// # }
 /// ```
 pub fn convert(network: &Network, options: &Options) -> Result<UnateNetwork, UnateError> {
-    network
-        .validate()
-        .map_err(|source| UnateError::InvalidNetwork { source })?;
-
-    let input_names: Vec<String> = network
-        .inputs()
-        .iter()
-        .map(|id| match network.node(*id) {
-            Node::Input { name } => name.clone(),
-            _ => unreachable!("input list points at input nodes"),
-        })
-        .collect();
-    // Dense input-position table: `NodeId`s are contiguous indices, so a
-    // `Vec` lookup replaces a map probe per input literal.
-    let mut input_pos = vec![usize::MAX; network.len()];
-    for (i, id) in network.inputs().iter().enumerate() {
-        input_pos[id.index()] = i;
-    }
-
-    let mut builder = Builder {
-        network,
-        input_pos: &input_pos,
-        out: UnateNetwork::new(input_names),
-        memo: vec![None; network.len() * 2],
-        hash: FxHashMap::default(),
-        lit_cache: vec![None; network.inputs().len() * 2],
-    };
-
+    let mut builder = Builder::new(network)?;
     for port in network.outputs() {
         let (signal, inverted) = match options.output_phase {
             OutputPhase::Positive => (builder.build(port.driver, Phase::Pos), false),
@@ -111,6 +84,53 @@ pub fn convert(network: &Network, options: &Options) -> Result<UnateNetwork, Una
     Ok(builder.out)
 }
 
+/// The `(source node, phase) → unate signal` table of one conversion:
+/// the signal built for every pair the conversion visited, including
+/// buffers and inverters (which build no node of their own).
+#[derive(Debug, Clone)]
+pub struct Images {
+    /// Dense by [`slot`].
+    slots: Vec<Option<USignal>>,
+}
+
+impl Images {
+    /// The signal `node` was built as in `phase`, or `None` when the
+    /// conversion never needed that pair.
+    pub fn get(&self, node: NodeId, phase: Phase) -> Option<USignal> {
+        self.slots.get(slot(node, phase)).copied().flatten()
+    }
+}
+
+/// Converts with output `o` built in the phase `phase(o)` — `Phase::Neg`
+/// builds the output's complement behind a boundary inverter — and returns
+/// the image table along with the network.
+///
+/// Given the phases a [`convert`] run recorded on its outputs (under
+/// either [`OutputPhase`] policy), this reproduces that run's network node
+/// for node, because the choice of phase is the policies' only influence
+/// on what gets built.
+///
+/// # Errors
+///
+/// Returns [`UnateError::InvalidNetwork`] if `network` fails validation.
+pub fn convert_in_phases(
+    network: &Network,
+    mut phase: impl FnMut(usize) -> Phase,
+) -> Result<(UnateNetwork, Images), UnateError> {
+    let mut builder = Builder::new(network)?;
+    for (o, port) in network.outputs().iter().enumerate() {
+        let phase = phase(o);
+        let signal = builder.build(port.driver, phase);
+        builder
+            .out
+            .add_output(port.name.clone(), signal, phase == Phase::Neg);
+    }
+    let images = Images {
+        slots: builder.memo,
+    };
+    Ok((builder.out, images))
+}
+
 /// Dense slot for a `(node, phase)` pair: two slots per node.
 #[inline]
 fn slot(node: NodeId, phase: Phase) -> usize {
@@ -120,7 +140,7 @@ fn slot(node: NodeId, phase: Phase) -> usize {
 struct Builder<'a> {
     network: &'a Network,
     /// Input position per node index (`usize::MAX` for non-inputs).
-    input_pos: &'a [usize],
+    input_pos: Vec<usize>,
     out: UnateNetwork,
     /// `(original node, requested phase)` → produced signal, dense by
     /// [`slot`].
@@ -131,7 +151,35 @@ struct Builder<'a> {
     lit_cache: Vec<Option<UId>>,
 }
 
-impl Builder<'_> {
+impl<'a> Builder<'a> {
+    fn new(network: &'a Network) -> Result<Builder<'a>, UnateError> {
+        network
+            .validate()
+            .map_err(|source| UnateError::InvalidNetwork { source })?;
+        let input_names: Vec<String> = network
+            .inputs()
+            .iter()
+            .map(|id| match network.node(*id) {
+                Node::Input { name } => name.clone(),
+                _ => unreachable!("input list points at input nodes"),
+            })
+            .collect();
+        // Dense input-position table: `NodeId`s are contiguous indices, so
+        // a `Vec` lookup replaces a map probe per input literal.
+        let mut input_pos = vec![usize::MAX; network.len()];
+        for (i, id) in network.inputs().iter().enumerate() {
+            input_pos[id.index()] = i;
+        }
+        Ok(Builder {
+            network,
+            input_pos,
+            out: UnateNetwork::new(input_names),
+            memo: vec![None; network.len() * 2],
+            hash: FxHashMap::default(),
+            lit_cache: vec![None; network.inputs().len() * 2],
+        })
+    }
+
     fn literal(&mut self, literal: Literal) -> UId {
         let s = literal.input * 2 + usize::from(literal.phase == Phase::Neg);
         if let Some(id) = self.lit_cache[s] {
@@ -443,6 +491,41 @@ mod tests {
         n.add_output("f", na);
         let u = check(&n);
         assert!(u.outputs().iter().all(|o| !o.inverted));
+    }
+
+    /// Re-converting in the phases a run recorded reproduces that run's
+    /// network node for node under both policies, and every output's
+    /// image is the signal the output binds.
+    #[test]
+    fn recorded_phases_reproduce_the_conversion() {
+        let mut n = Network::new("t");
+        let inputs: Vec<_> = (0..4).map(|i| n.add_input(format!("i{i}"))).collect();
+        let t1 = n.and2(inputs[0], inputs[1]);
+        let t2 = n.xor2(t1, inputs[2]);
+        let t3 = n.nor2(t2, inputs[3]);
+        let f = n.inv(t3);
+        n.add_output("f", f);
+        n.add_output("g", t3);
+        n.add_output("h", t1);
+        for output_phase in [OutputPhase::Positive, OutputPhase::Cheapest] {
+            let u = convert(&n, &Options { output_phase }).unwrap();
+            let (again, images) = convert_in_phases(&n, |o| {
+                if u.outputs()[o].inverted {
+                    Phase::Neg
+                } else {
+                    Phase::Pos
+                }
+            })
+            .unwrap();
+            assert_eq!(again, u, "{output_phase:?}");
+            for (port, out) in n.outputs().iter().zip(u.outputs()) {
+                let phase = if out.inverted { Phase::Neg } else { Phase::Pos };
+                assert_eq!(images.get(port.driver, phase), Some(out.signal));
+            }
+            // An inverter builds no node: its image is its fanin's in the
+            // other phase.
+            assert_eq!(images.get(f, Phase::Pos), images.get(t3, Phase::Neg));
+        }
     }
 
     #[test]

@@ -40,7 +40,7 @@ mod error;
 mod network;
 pub mod verify;
 
-pub use convert::{convert, Options, OutputPhase};
+pub use convert::{convert, convert_in_phases, Images, Options, OutputPhase};
 pub use error::UnateError;
 pub use network::{
     ConePartition, ConeUnit, Literal, Phase, UId, UNode, USignal, UnateNetwork, UnateOutput,

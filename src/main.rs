@@ -8,26 +8,32 @@
 //!                          [--clock-weight K] [--duplicate] [--emit counts|netlist|dot|timing]
 //! soi-domino compare <circuit>
 //! soi-domino stress <circuit> [--cycles N] [--strip]
+//! soi-domino verify <circuit> [--algorithm soi|rs|domino]
 //! ```
 //!
 //! `<circuit>` is either a registered benchmark name (see `list`) or a path
-//! to a BLIF file.
+//! to a `.blif`, `.aag` or `.aig` file. `verify` exits non-zero unless the
+//! mapping is proved equivalent to its source and PBE-safe.
 
 use std::error::Error;
+use std::path::Path;
 use std::process::ExitCode;
+use std::time::Instant;
 
-use soi_domino::circuits::registry;
+use soi_domino::cec::{check_mapped, verify_safe_sat, CecOptions, CecPath, CecVerdict};
+use soi_domino::circuits::{corpus, registry};
 use soi_domino::domino::timing::{analyze, TechParams};
 use soi_domino::domino::{export, GateId};
 use soi_domino::mapper::{Algorithm, MapConfig, Mapper, Objective};
 use soi_domino::netlist::{blif, dot, Network};
 use soi_domino::pbe::bodysim::{BodySimConfig, BodySimulator};
+use soi_domino::pbe::excite::InputConstraints;
 use soi_domino::pbe::hazard;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(code) => code,
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!();
@@ -44,35 +50,50 @@ const USAGE: &str = "usage:
                            [--emit counts|netlist|dot|timing]
   soi-domino compare <circuit>
   soi-domino stress <circuit> [--cycles N] [--strip]
+  soi-domino verify <circuit> [--algorithm soi|rs|domino]
 
-<circuit> is a registered benchmark name (see `list`) or a BLIF file path.";
+<circuit> is a registered benchmark name (see `list`) or a file path: .aag
+and .aig files are read as AIGER, any other file as BLIF.";
 
-fn run(args: &[String]) -> Result<(), Box<dyn Error>> {
+/// Runs one subcommand; `Ok` carries the exit code of a command that ran
+/// to completion (only `verify` can fail that way).
+fn run(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     match args.first().map(String::as_str) {
         Some("list") => {
             for name in registry::names() {
-                let n = registry::benchmark(name).expect("registered");
+                let n = registry::benchmark(name)
+                    .ok_or_else(|| format!("registered benchmark `{name}` failed to build"))?;
                 println!("{name:8} {}", n.stats());
             }
-            Ok(())
         }
-        Some("map") => cmd_map(&args[1..]),
-        Some("compare") => cmd_compare(&args[1..]),
-        Some("stress") => cmd_stress(&args[1..]),
-        _ => Err("missing or unknown subcommand".into()),
+        Some("map") => cmd_map(&args[1..])?,
+        Some("compare") => cmd_compare(&args[1..])?,
+        Some("stress") => cmd_stress(&args[1..])?,
+        Some("verify") => return cmd_verify(&args[1..]),
+        _ => return Err("missing or unknown subcommand".into()),
     }
+    Ok(ExitCode::SUCCESS)
 }
 
 fn load_circuit(spec: &str) -> Result<Network, Box<dyn Error>> {
     if let Some(network) = registry::benchmark(spec) {
         return Ok(network);
     }
-    let path = std::path::Path::new(spec);
-    if path.exists() {
-        let text = std::fs::read_to_string(path)?;
-        return Ok(blif::parse(&text)?);
+    let path = Path::new(spec);
+    if !path.exists() {
+        return Err(
+            format!("`{spec}` is neither a registered benchmark nor a readable file").into(),
+        );
     }
-    Err(format!("`{spec}` is neither a registered benchmark nor a readable file").into())
+    // AIGER goes by its extension; any other file is read as BLIF.
+    let aiger = path
+        .extension()
+        .is_some_and(|e| e.eq_ignore_ascii_case("aag") || e.eq_ignore_ascii_case("aig"));
+    if aiger {
+        Ok(corpus::load_path(path)?)
+    } else {
+        Ok(blif::parse(&std::fs::read_to_string(path)?)?)
+    }
 }
 
 struct Flags {
@@ -213,4 +234,54 @@ fn cmd_stress(args: &[String]) -> Result<(), Box<dyn Error>> {
         sim.hysteresis_exposure()
     );
     Ok(())
+}
+
+/// Maps the circuit, then proves the mapping equivalent to its source
+/// (`check_mapped`) and PBE-safe (`verify_safe_sat`), printing both
+/// verdicts and times; the exit code is non-zero unless both hold.
+fn cmd_verify(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
+    let spec = args.first().ok_or("verify needs a circuit")?;
+    let flags = parse_flags(&args[1..])?;
+    let network = load_circuit(spec)?;
+    let result = mapper_for(&flags).run(&network)?;
+    let opts = CecOptions::default();
+
+    let start = Instant::now();
+    let report = check_mapped(&network, &result.circuit, &opts)?;
+    let cec_ms = start.elapsed().as_secs_f64() * 1e3;
+    let start = Instant::now();
+    let safety = verify_safe_sat(
+        &result.circuit,
+        &InputConstraints::none(),
+        opts.output_conflict_budget,
+    );
+    let pbe_ms = start.elapsed().as_secs_f64() * 1e3;
+
+    println!("{result}");
+    let verdict = match &report.verdict {
+        CecVerdict::Equivalent => "equivalent".to_string(),
+        CecVerdict::NotEquivalent(cex) => format!("NOT equivalent (output {})", cex.output),
+        CecVerdict::Undecided { unproven } => format!("undecided ({unproven} unproven outputs)"),
+    };
+    let gates = result.circuit.gate_count();
+    let (path, certified, fallbacks) = match report.path {
+        CecPath::Certificate => ("certificate", gates, 0),
+        CecPath::Sweep => ("sat sweep", 0, 1),
+    };
+    println!("equivalence: {verdict} via {path} in {cec_ms:.1} ms");
+    println!(
+        "certified gates: {certified} of {gates}, fallbacks: {fallbacks}, sat calls: {}",
+        report.sat_calls
+    );
+    println!(
+        "pbe-safe: {} ({} junctions checked, {} excitable, {} unknown) in {pbe_ms:.1} ms",
+        safety.safe, safety.junctions_checked, safety.excitable, safety.unknown
+    );
+    Ok(
+        if report.is_equivalent() && safety.safe && safety.unknown == 0 {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        },
+    )
 }

@@ -1,24 +1,28 @@
 //! Registry-wide equivalence sweeps and mutation-kill checks for the
 //! `soi-cec` equivalence checker.
 //!
-//! Three claims, each over the whole `soi-circuits` registry:
+//! Four claims, each over the whole `soi-circuits` registry:
 //!
-//! 1. every mapped circuit is SAT-provably equivalent to its source
-//!    network, under the serial, parallel and memoized schedules;
-//! 2. every structural netlist corruption from `guard::inject` is either
+//! 1. every mapped circuit is provably equivalent to its source network,
+//!    under the serial, parallel and memoized schedules, and its
+//!    certificate decides it;
+//! 2. `check_mapped` returns the SAT sweep's verdict under all three
+//!    algorithms with duplication off and on, and on seeded networks;
+//! 3. every structural netlist corruption from `guard::inject` is either
 //!    rejected by the checker with a typed error, refuted with a
 //!    confirmed counterexample, or proven a functional no-op — never
-//!    silently accepted;
-//! 3. the SAT formulation of PBE excitability agrees with the `pbe`
+//!    silently accepted — and no forged certificate changes a verdict;
+//! 4. the SAT formulation of PBE excitability agrees with the `pbe`
 //!    crate's exact enumeration on every committed junction.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use soi_domino::cec::{
-    check_mapped, check_networks, junction_excitability_sat, verify_safe_sat, CecOptions,
-    CecVerdict,
+    check_mapped, check_networks, junction_excitability_sat, lower, verify_safe_sat, CecOptions,
+    CecPath, CecVerdict,
 };
+use soi_domino::circuits::misc::random::{generate, RandomSpec};
 use soi_domino::circuits::registry;
 use soi_domino::domino::DominoCircuit;
 use soi_domino::guard::inject;
@@ -28,6 +32,7 @@ use soi_domino::pbe::excite::{
     junction_excitability, Excitability, ExciteConfig, InputConstraints,
 };
 use soi_domino::pbe::points;
+use soi_domino::unate::OutputPhase;
 
 fn schedules() -> [(&'static str, MapConfig); 3] {
     let base = MapConfig::default();
@@ -80,8 +85,80 @@ fn registry_sweep_proves_mapped_equivalence_across_schedules() {
                 report.outputs_proved, report.outputs_total,
                 "{name} ({schedule}): outputs not all proved"
             );
+            assert_eq!(
+                report.path,
+                CecPath::Certificate,
+                "{name} ({schedule}): the certificate did not decide"
+            );
         }
     }
+}
+
+/// The three mapper constructors.
+const MAPPERS: [fn(MapConfig) -> Mapper; 3] =
+    [Mapper::baseline, Mapper::rearrange_stacks, Mapper::soi];
+
+/// `check_mapped` and the SAT sweep on the lowered circuit agree on every
+/// registry circuit and twenty seeded networks, under all three
+/// algorithms with duplication off and on, and with the cheapest output
+/// phases too; without duplication the certificate decides every one of
+/// them.
+#[test]
+fn check_mapped_agrees_with_the_sweep() {
+    let opts = CecOptions::default();
+    let networks = registry::names()
+        .into_iter()
+        .map(|name| {
+            let network = registry::benchmark(name).expect("registry circuit exists");
+            (name.to_string(), network)
+        })
+        .chain((0..20u64).map(|seed| {
+            let spec = RandomSpec::control(&format!("cert{seed}"), 16, 6, 160, seed);
+            (format!("seed {seed}"), generate(&spec))
+        }));
+    let mut fallbacks = 0;
+    for (name, network) in networks {
+        let configs = [
+            (false, OutputPhase::Positive),
+            (true, OutputPhase::Positive),
+        ]
+        .into_iter()
+        .chain([(false, OutputPhase::Cheapest)]);
+        for make in MAPPERS {
+            for (allow_duplication, output_phase) in configs.clone() {
+                let result = make(MapConfig {
+                    allow_duplication,
+                    output_phase,
+                    ..MapConfig::default()
+                })
+                .run(&network)
+                .unwrap_or_else(|e| panic!("{name} maps: {e}"));
+                let what = format!(
+                    "{name} ({:?}, dup {allow_duplication}, {output_phase:?})",
+                    result.algorithm
+                );
+                let report = check_mapped(&network, &result.circuit, &opts)
+                    .unwrap_or_else(|e| panic!("{what} checks: {e}"));
+                let lowered = lower::circuit_to_network(&result.circuit);
+                let sweep = check_networks(&network, &lowered, &opts)
+                    .unwrap_or_else(|e| panic!("{what} sweeps: {e}"));
+                assert_eq!(report.verdict, sweep.verdict, "{what}: verdicts differ");
+                assert!(report.is_equivalent(), "{what}: {:?}", report.verdict);
+                assert_eq!(report.unproven(), 0, "{what}: unproven miters");
+                if report.path == CecPath::Sweep {
+                    assert!(allow_duplication, "{what}: default config fell back");
+                    fallbacks += 1;
+                }
+            }
+        }
+    }
+    // Duplication can splice a gate's cone into its consumer while the
+    // consumer also reads that gate; the certificate cannot express this
+    // and falls back. It does on a few registry mappings.
+    assert!(
+        fallbacks > 0,
+        "no duplicated mapping exercised the fallback"
+    );
 }
 
 type NetMutator = fn(&Network, u64) -> Option<Network>;
@@ -151,15 +228,50 @@ fn netlist_mutations_are_caught_or_proven_noop() {
     }
 }
 
-/// Circuit-level mutators: the fanin retarget is a real functional change
-/// and must be refuted with a confirmed counterexample; the
+type Forger = fn(&DominoCircuit, u64) -> Option<DominoCircuit>;
+
+/// The certificate forgers: each corrupts a circuit's root table only.
+const FORGERS: [(&str, Forger); 4] = [
+    ("forge_root", inject::forge_root),
+    ("swap_roots", inject::swap_roots),
+    ("credit_root", inject::credit_root),
+    ("truncate_roots", inject::truncate_roots),
+];
+
+/// `check_mapped` refutes `mutant` with a counterexample that really
+/// distinguishes it from `network`, decided by the sweep.
+fn assert_refuted(network: &Network, mutant: &DominoCircuit, what: &str) {
+    let report = check_mapped(network, mutant, &CecOptions::default()).expect("comparable");
+    match report.verdict {
+        CecVerdict::NotEquivalent(ref cex) => {
+            // The counterexample was already replay-confirmed inside the
+            // checker; cross-check it against both sides anyway.
+            let lhs = network.simulate(&cex.inputs).expect("simulates");
+            let rhs = mutant.evaluate(&cex.inputs).expect("evaluates");
+            assert_ne!(lhs, rhs, "{what}: cex does not distinguish");
+        }
+        ref v => panic!("{what}: not refuted: {v:?}"),
+    }
+    assert_eq!(report.path, CecPath::Sweep, "{what}: refuted off the sweep");
+}
+
+/// Circuit-level mutators: the fanin retarget and the flipped output
+/// inversion are real functional changes and must be refuted with a
+/// confirmed counterexample, whatever forged certificate rides along; the
 /// protection-level mutators leave the logic function intact and the
 /// checker must keep proving equivalence (they are caught by the PBE
-/// safety stage, not by CEC).
+/// safety stage, not by CEC), as it must for a correct circuit with a
+/// forged certificate.
 #[test]
 fn circuit_mutations_are_refuted_or_proven_noop() {
     let opts = CecOptions::default();
-    let network = registry::benchmark("count").expect("registry circuit exists");
+    for source in ["count", "c8"] {
+        circuit_mutations_on(source, &opts);
+    }
+}
+
+fn circuit_mutations_on(source: &str, opts: &CecOptions) {
+    let network = registry::benchmark(source).expect("registry circuit exists");
     let mapped = Mapper::soi(MapConfig {
         parallelism: Parallelism::Serial,
         ..MapConfig::default()
@@ -173,16 +285,16 @@ fn circuit_mutations_are_refuted_or_proven_noop() {
             continue;
         };
         retargets += 1;
-        let report = check_mapped(&network, &mutant, &opts).expect("comparable");
-        match report.verdict {
-            CecVerdict::NotEquivalent(cex) => {
-                // The counterexample was already replay-confirmed inside
-                // the checker; cross-check it against both sides anyway.
-                let lhs = network.simulate(&cex.inputs).expect("simulates");
-                let rhs = mutant.evaluate(&cex.inputs).expect("evaluates");
-                assert_ne!(lhs, rhs, "cex does not distinguish (seed {seed})");
+        assert_refuted(
+            &network,
+            &mutant,
+            &format!("{source} retarget_fanin seed {seed}"),
+        );
+        for (forger, forge) in FORGERS {
+            if let Some(forged) = forge(&mutant, seed) {
+                let what = format!("{source} retarget_fanin + {forger} seed {seed}");
+                assert_refuted(&network, &forged, &what);
             }
-            ref v => panic!("retarget_fanin seed {seed} not refuted: {v:?}"),
         }
         // The injector's own witness vector must also distinguish.
         let lhs = network.simulate(&witness).expect("simulates");
@@ -192,7 +304,29 @@ fn circuit_mutations_are_refuted_or_proven_noop() {
             "injector witness does not distinguish (seed {seed})"
         );
     }
-    assert!(retargets > 0, "retarget_fanin never fired");
+    assert!(retargets > 0, "{source}: retarget_fanin never fired");
+
+    for seed in 0..4u64 {
+        let flipped = inject::flip_output_inversion(&mapped.circuit, seed).expect("has outputs");
+        let what = format!("{source} flip_output_inversion seed {seed}");
+        assert_refuted(&network, &flipped, &what);
+    }
+
+    // A correct circuit with a forged certificate still proves
+    // equivalent, through the sweep.
+    for (forger, forge) in FORGERS {
+        for seed in 0..4u64 {
+            let forged = forge(&mapped.circuit, seed).expect("mapped circuits carry roots");
+            let report = check_mapped(&network, &forged, opts).expect("comparable");
+            let what = format!("{source} {forger} seed {seed}");
+            assert!(report.is_equivalent(), "{what}: {:?}", report.verdict);
+            assert_eq!(
+                report.path,
+                CecPath::Sweep,
+                "{what}: forged table certified"
+            );
+        }
+    }
 
     let mut preserved: Vec<(&str, DominoCircuit)> = Vec::new();
     for seed in 0..8u64 {
@@ -211,7 +345,7 @@ fn circuit_mutations_are_refuted_or_proven_noop() {
         "no protection-level mutants produced"
     );
     for (mutator_name, mutant) in &preserved {
-        let report = check_mapped(&network, mutant, &opts).expect("comparable");
+        let report = check_mapped(&network, mutant, opts).expect("comparable");
         assert!(
             report.is_equivalent(),
             "{mutator_name}: protection change altered the logic function: {:?}",

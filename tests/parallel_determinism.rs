@@ -1,8 +1,10 @@
 //! PR 2 guarantees, checked end to end:
 //!
 //! * the parallel DP schedule is **bit-identical** to the serial one —
-//!   same counts, same degraded-node list, same candidate high-water mark
-//!   — on seeded random networks and on registry benchmarks;
+//!   same circuit (root table included), counts, degraded-node list and
+//!   candidate high-water mark — on seeded random networks and on
+//!   registry benchmarks, and mapping a network equals mapping its unate
+//!   conversion;
 //! * with `allow_duplication`, the amortized gate export
 //!   (`exported_gate_cand` materializing a shared child gate once while
 //!   many consumers reference it) never makes the reported
@@ -14,6 +16,7 @@ use soi_domino::circuits::misc::random::{generate, RandomSpec};
 use soi_domino::circuits::registry;
 use soi_domino::domino::{DominoCircuit, TransistorCounts};
 use soi_domino::mapper::{MapConfig, Mapper, Parallelism};
+use soi_domino::unate;
 
 /// The three mapper constructors under test.
 const MAPPERS: [fn(MapConfig) -> Mapper; 3] =
@@ -52,14 +55,33 @@ fn recount(circuit: &DominoCircuit) -> TransistorCounts {
 }
 
 fn assert_schedules_agree(network: &soi_domino::netlist::Network, base: MapConfig, what: &str) {
+    let unate = unate::convert(
+        network,
+        &unate::Options {
+            output_phase: base.output_phase,
+        },
+    )
+    .expect("converts");
     for make in MAPPERS {
         let serial = make(with_parallelism(Parallelism::Serial, base))
             .run(network)
             .expect("serial maps");
+        assert!(!serial.circuit.roots().is_empty(), "{what}: no root table");
+        let from_unate = make(with_parallelism(Parallelism::Serial, base))
+            .run_unate(&unate)
+            .expect("unate maps");
+        assert!(
+            serial.circuit == from_unate.circuit,
+            "{what}: run and run_unate circuits diverge"
+        );
         for threads in [2, 4] {
             let parallel = make(with_parallelism(Parallelism::Threads(threads), base))
                 .run(network)
                 .expect("parallel maps");
+            assert!(
+                serial.circuit == parallel.circuit,
+                "{what}: circuits diverge at {threads} threads"
+            );
             assert_eq!(
                 serial.counts, parallel.counts,
                 "{what}: counts diverge at {threads} threads"

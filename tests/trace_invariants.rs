@@ -24,10 +24,16 @@
 //!   equal the per-worker sums;
 //! * **discharge accounting**: `discharges_inserted` equals the circuit's
 //!   `TransistorCounts::discharge` for all three algorithms;
-//! * **gauges**: `peak_candidates` and `threads_used` read back exactly.
+//! * **gauges**: `peak_candidates` and `threads_used` read back exactly;
+//! * **certificate accounting**: under the default configuration the
+//!   equivalence check certifies every gate of every registry mapping
+//!   (`cec_certified_gates` equals the gate count, `cec_fallbacks` is 0,
+//!   no SAT call), and a rewired mutant counts exactly one fallback.
 
+use soi_domino::cec::{check_mapped_traced, CecOptions, CecPath};
 use soi_domino::circuits::misc::random::{generate, RandomSpec};
 use soi_domino::circuits::registry;
+use soi_domino::guard::inject;
 use soi_domino::mapper::{Limits, MapConfig, MapError, Mapper, MappingResult, Parallelism};
 use soi_domino::netlist::Network;
 use soi_domino::trace::{Counter, Gauge, Recorder, Stage, TraceHandle};
@@ -293,6 +299,56 @@ fn all_algorithms_balance_candidates_and_discharges() {
             );
         }
     }
+}
+
+/// The certificate check's counters balance against the circuit: every
+/// gate of every default-config registry mapping is certified in a
+/// `cec-certify` span with no fallback and no SAT call, and a rewired
+/// mutant falls back exactly once, certifying nothing.
+#[test]
+fn certificate_check_counts_every_gate_or_one_fallback() {
+    let (rec, trace) = Recorder::install();
+    let opts = CecOptions::default();
+    for name in registry::names() {
+        let network = registry::benchmark(name).expect("registered benchmark");
+        for make in MAPPERS {
+            let result = make(MapConfig::default()).run(&network).expect("maps");
+            let what = format!("{name} ({:?})", result.algorithm);
+            rec.reset();
+            let report = check_mapped_traced(&network, &result.circuit, &opts, trace)
+                .unwrap_or_else(|e| panic!("{what} checks: {e}"));
+            let gates = result.circuit.gate_count() as u64;
+            assert_eq!(report.path, CecPath::Certificate, "{what}");
+            assert_eq!(
+                rec.counter(Counter::CecCertifiedGates),
+                gates,
+                "{what}: certified gates disagree with the circuit"
+            );
+            assert_eq!(rec.counter(Counter::CecFallbacks), 0, "{what}: fell back");
+            assert_eq!(rec.counter(Counter::CecSatCalls), 0, "{what}: SAT ran");
+            assert!(
+                rec.stage_nanos(Stage::CecCertify).is_some(),
+                "{what}: no cec-certify span"
+            );
+        }
+    }
+
+    let network = registry::benchmark("count").expect("registered");
+    let mapped = Mapper::soi(MapConfig::default())
+        .run(&network)
+        .expect("maps");
+    let (mutant, _) = inject::retarget_fanin(&mapped.circuit, 0).expect("rewires");
+    rec.reset();
+    let report = check_mapped_traced(&network, &mutant, &opts, trace).expect("comparable");
+    assert_eq!(report.path, CecPath::Sweep);
+    assert!(!report.is_equivalent(), "{:?}", report.verdict);
+    assert_eq!(rec.counter(Counter::CecFallbacks), 1);
+    assert_eq!(rec.counter(Counter::CecCertifiedGates), 0);
+    assert_eq!(
+        rec.counter(Counter::CexReplays),
+        report.cex_replays,
+        "the sweep's own counters follow the fallback"
+    );
 }
 
 /// Interrupted runs balance the job-control counters: the trip is latched
