@@ -37,7 +37,7 @@
 //! the caller falls back to the SAT sweep, so a certificate can only
 //! confirm equivalence, never refute it.
 
-use soi_domino_ir::{DominoCircuit, Pdn, Signal};
+use soi_domino_ir::{DominoCircuit, PdnNode, PdnRef, Signal};
 use soi_netlist::{BinOp, Network, Node, NodeId, UnOp};
 use soi_unate::{convert_in_phases, Images, Literal, Phase, UId, UNode, USignal, UnateNetwork};
 
@@ -258,11 +258,11 @@ struct PdnWalk<'a> {
 }
 
 impl PdnWalk<'_> {
-    fn form(&mut self, pdn: &Pdn) -> Option<Form> {
-        let (is_and, children) = match pdn {
-            Pdn::Transistor(signal) => {
+    fn form(&mut self, pdn: PdnRef<'_>) -> Option<Form> {
+        let (is_and, children) = match pdn.root() {
+            PdnNode::Transistor(signal) => {
                 self.leaves += 1;
-                return match *signal {
+                return match signal {
                     Signal::Input { index, phase } => {
                         let neg = phase == soi_domino_ir::Phase::Neg;
                         self.literals.get(index)?[usize::from(neg)].map(Form::Leaf)
@@ -275,13 +275,10 @@ impl PdnWalk<'_> {
                     Signal::Gate(_) => None,
                 };
             }
-            Pdn::Series(children) => (true, children),
-            Pdn::Parallel(children) => (false, children),
+            PdnNode::Series(children) => (true, children),
+            PdnNode::Parallel(children) => (false, children),
         };
-        let parts = children
-            .iter()
-            .map(|c| self.form(c))
-            .collect::<Option<Vec<_>>>()?;
+        let parts = children.map(|c| self.form(c)).collect::<Option<Vec<_>>>()?;
         Some(Form::join(is_and, parts))
     }
 }
@@ -312,7 +309,7 @@ impl ConeWalk<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soi_domino_ir::{DominoGate, GateId};
+    use soi_domino_ir::{DominoGate, GateId, Pdn};
 
     fn leaf(i: u32) -> Form {
         Form::Leaf(i)
@@ -363,7 +360,9 @@ mod tests {
                 Pdn::transistor(Signal::input(0)),
             ]),
         ]);
-        let gate = circuit.add_rooted_gate(DominoGate::footed(pdn), 4);
+        let gate = circuit
+            .push_gate(DominoGate::footed(pdn).view(), Some(4))
+            .unwrap();
         circuit.bind_output("f", gate, false);
         circuit.bind_output("g", gate, true);
         (n, circuit)
@@ -401,9 +400,7 @@ mod tests {
     fn a_gate_may_not_read_itself() {
         let (n, mut circuit) = hand_mapped();
         let g0 = GateId::from_index(0);
-        circuit
-            .gate_mut(g0)
-            .set_pdn_unchecked(Pdn::transistor(Signal::Gate(g0)));
+        circuit.set_pdn_unchecked(g0, Pdn::transistor(Signal::Gate(g0)).view());
         assert!(!certify(&n, &circuit));
     }
 
@@ -421,8 +418,18 @@ mod tests {
         // Unate nodes: 0 = a, 1 = b, 2 = a * b, 3 = a + b.
         let mut circuit = DominoCircuit::new(vec!["a".into(), "b".into()]);
         let t = |i| Pdn::transistor(Signal::input(i));
-        let and = circuit.add_rooted_gate(DominoGate::footed(Pdn::series(vec![t(0), t(1)])), 2);
-        let or = circuit.add_rooted_gate(DominoGate::footed(Pdn::parallel(vec![t(1), t(0)])), 3);
+        let and = circuit
+            .push_gate(
+                DominoGate::footed(Pdn::series(vec![t(0), t(1)])).view(),
+                Some(2),
+            )
+            .unwrap();
+        let or = circuit
+            .push_gate(
+                DominoGate::footed(Pdn::parallel(vec![t(1), t(0)])).view(),
+                Some(3),
+            )
+            .unwrap();
         circuit.add_output("f", and);
         circuit.add_output("g", or);
         assert!(certify(&n, &circuit));
@@ -433,22 +440,19 @@ mod tests {
     #[test]
     fn a_rewired_transistor_fails_its_gate() {
         let (n, mut circuit) = hand_mapped();
-        circuit
-            .gate_mut(GateId::from_index(0))
-            .set_pdn_unchecked(Pdn::series(vec![
-                Pdn::transistor(Signal::input(1)),
-                Pdn::parallel(vec![
-                    Pdn::transistor(Signal::input(2)),
-                    Pdn::transistor(Signal::input(0)),
-                ]),
-            ]));
+        let swapped = Pdn::series(vec![
+            Pdn::transistor(Signal::input(1)),
+            Pdn::parallel(vec![
+                Pdn::transistor(Signal::input(2)),
+                Pdn::transistor(Signal::input(0)),
+            ]),
+        ]);
+        circuit.set_pdn_unchecked(GateId::from_index(0), swapped.view());
         assert!(!certify(&n, &circuit), "swapped literals");
         // A literal the unate network never built cannot be a leaf, nor
         // can an input that does not exist.
-        for signal in [Signal::input_neg(2), Signal::input(usize::MAX / 2 + 1)] {
-            circuit
-                .gate_mut(GateId::from_index(0))
-                .set_pdn_unchecked(Pdn::transistor(signal));
+        for signal in [Signal::input_neg(2), Signal::input(1 << 20)] {
+            circuit.set_pdn_unchecked(GateId::from_index(0), Pdn::transistor(signal).view());
             assert!(!certify(&n, &circuit), "{signal}");
         }
     }

@@ -9,7 +9,7 @@
 //! output inversions applied at the bindings — exactly the boundary
 //! inverters domino permits.
 
-use soi_domino_ir::{DominoCircuit, Pdn, Phase, Signal};
+use soi_domino_ir::{DominoCircuit, PdnNode, PdnRef, Phase, Signal};
 use soi_netlist::{Network, NodeId};
 
 /// Lowers a mapped domino circuit into a plain logic network with the
@@ -40,30 +40,28 @@ pub fn circuit_to_network(circuit: &DominoCircuit) -> Network {
 }
 
 fn lower_pdn(
-    pdn: &Pdn,
+    pdn: PdnRef<'_>,
     n: &mut Network,
     inputs: &[NodeId],
     neg: &mut [Option<NodeId>],
     gate_out: &[NodeId],
 ) -> NodeId {
-    match pdn {
-        Pdn::Transistor(sig) => match *sig {
+    match pdn.root() {
+        PdnNode::Transistor(sig) => match sig {
             Signal::Input { index, phase } => match phase {
                 Phase::Pos => inputs[index],
                 Phase::Neg => *neg[index].get_or_insert_with(|| n.inv(inputs[index])),
             },
             Signal::Gate(g) => gate_out[g.index()],
         },
-        Pdn::Series(children) => {
+        PdnNode::Series(children) => {
             let parts: Vec<NodeId> = children
-                .iter()
                 .map(|c| lower_pdn(c, n, inputs, neg, gate_out))
                 .collect();
             n.and_tree(&parts)
         }
-        Pdn::Parallel(children) => {
+        PdnNode::Parallel(children) => {
             let parts: Vec<NodeId> = children
-                .iter()
                 .map(|c| lower_pdn(c, n, inputs, neg, gate_out))
                 .collect();
             n.or_tree(&parts)
@@ -74,7 +72,7 @@ fn lower_pdn(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soi_domino_ir::DominoGate;
+    use soi_domino_ir::{DominoGate, Pdn};
 
     fn t(i: usize) -> Pdn {
         Pdn::transistor(Signal::input(i))

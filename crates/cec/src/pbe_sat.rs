@@ -24,7 +24,7 @@
 //! satisfying model is **replayed** through a concrete union-find
 //! connectivity check before the witness is believed.
 
-use soi_domino_ir::{DominoCircuit, DominoGate, GateId, JunctionRef, PdnGraph, Phase, Signal};
+use soi_domino_ir::{DominoCircuit, GateId, GateRef, JunctionRef, PdnGraph, Phase, Signal};
 use soi_pbe::excite::{Excitability, InputConstraints};
 use soi_pbe::points;
 use soi_trace::{Counter, TraceHandle};
@@ -73,7 +73,7 @@ struct SatModel {
 }
 
 impl SatModel {
-    fn new(gate: &DominoGate) -> SatModel {
+    fn new(gate: GateRef<'_>) -> SatModel {
         let graph = gate.pdn().flatten();
         let mut vars: Vec<Var> = Vec::new();
         let mut terms = Vec::with_capacity(graph.transistors.len());
@@ -256,8 +256,8 @@ fn query(
 /// # Panics
 ///
 /// Panics if the junction does not exist in the gate's PDN.
-pub fn junction_excitability_sat(
-    gate: &DominoGate,
+pub fn junction_excitability_sat<'a>(
+    gate: impl Into<GateRef<'a>>,
     junction: &JunctionRef,
     constraints: &InputConstraints,
     budget: u64,
@@ -267,11 +267,11 @@ pub fn junction_excitability_sat(
         conflicts: 0,
         cex_replays: 0,
     };
-    excitability_with_stats(gate, junction, constraints, budget, &mut stats)
+    excitability_with_stats(gate.into(), junction, constraints, budget, &mut stats)
 }
 
 fn excitability_with_stats(
-    gate: &DominoGate,
+    gate: GateRef<'_>,
     junction: &JunctionRef,
     constraints: &InputConstraints,
     budget: u64,
@@ -350,9 +350,10 @@ pub fn verify_safe_sat_traced(
         conflicts: 0,
         cex_replays: 0,
     };
+    let mut analyzer = points::Analyzer::default();
     for (id, gate) in circuit.iter() {
-        let analysis = points::analyze(gate.pdn());
-        for junction in analysis.committed {
+        analyzer.run(gate.pdn());
+        for &junction in analyzer.committed() {
             if gate.discharge().contains(&junction) {
                 continue;
             }
@@ -383,7 +384,7 @@ pub fn verify_safe_sat_traced(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soi_domino_ir::Pdn;
+    use soi_domino_ir::{DominoGate, Pdn};
     use soi_pbe::excite::{junction_excitability, ExciteConfig};
     use soi_pbe::postprocess;
 
@@ -400,7 +401,7 @@ mod tests {
         let gate = DominoGate::footed(Pdn::series(vec![Pdn::parallel(vec![t(0), t(1)]), t(2)]));
         let verdict = junction_excitability_sat(
             &gate,
-            &JunctionRef::new(vec![], 0),
+            &JunctionRef::new(0, 0),
             &InputConstraints::none(),
             BUDGET,
         );
@@ -418,7 +419,7 @@ mod tests {
             t(4),
         ]));
         let constraints = InputConstraints::none().with_mutex(vec![0, 1]);
-        let j = JunctionRef::new(vec![], 2);
+        let j = JunctionRef::new(0, 2);
         assert_eq!(
             junction_excitability_sat(&gate, &j, &constraints, BUDGET),
             Excitability::ProvenSafe
@@ -438,7 +439,7 @@ mod tests {
             Pdn::parallel(vec![t(1), t(2)]),
             t(3),
         ]));
-        let j = JunctionRef::new(vec![], 0);
+        let j = JunctionRef::new(0, 0);
         let low = InputConstraints::none().with_fixed(0, false);
         assert_eq!(
             junction_excitability_sat(&gate, &j, &low, BUDGET),
@@ -512,12 +513,8 @@ mod tests {
     #[test]
     fn zero_budget_never_claims_wrongly() {
         let gate = DominoGate::footed(Pdn::series(vec![Pdn::parallel(vec![t(0), t(1)]), t(2)]));
-        let verdict = junction_excitability_sat(
-            &gate,
-            &JunctionRef::new(vec![], 0),
-            &InputConstraints::none(),
-            0,
-        );
+        let verdict =
+            junction_excitability_sat(&gate, &JunctionRef::new(0, 0), &InputConstraints::none(), 0);
         // Exact verdict is Excitable; starvation may only weaken it.
         assert!(matches!(
             verdict,

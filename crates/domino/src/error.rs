@@ -26,6 +26,20 @@ pub enum DominoError {
         /// Name of the output.
         name: String,
     },
+    /// A value does not fit the payload of a packed PDN word.
+    TooLarge {
+        /// What the value is.
+        what: &'static str,
+        /// The value.
+        value: usize,
+        /// The largest value that fits.
+        max: usize,
+    },
+    /// Packed words do not form one normalized series/parallel tree.
+    MalformedPdn {
+        /// Description of the problem.
+        what: String,
+    },
 }
 
 impl fmt::Display for DominoError {
@@ -38,6 +52,10 @@ impl fmt::Display for DominoError {
             DominoError::BadOutput { name } => {
                 write!(f, "output `{name}` refers to a nonexistent gate")
             }
+            DominoError::TooLarge { what, value, max } => {
+                write!(f, "{what} {value} does not fit a PDN word (max {max})")
+            }
+            DominoError::MalformedPdn { what } => write!(f, "malformed PDN: {what}"),
         }
     }
 }

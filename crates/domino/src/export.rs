@@ -119,7 +119,7 @@ mod tests {
             Pdn::transistor(Signal::input(2)),
         ]);
         let mut gate = DominoGate::footed(pdn);
-        gate.add_discharge(JunctionRef::new(vec![], 0));
+        gate.add_discharge(JunctionRef::new(0, 0));
         let g = c.add_gate(gate);
         c.add_output("f", g);
         let text = netlist(&c);

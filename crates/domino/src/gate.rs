@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::{JunctionRef, Pdn};
+use crate::{JunctionRef, Pdn, PdnRef};
 
 /// A domino gate: a pull-down network plus its peripheral transistors.
 ///
@@ -13,6 +13,10 @@ use crate::{JunctionRef, Pdn};
 ///   PDN transistor is driven by a primary input, which may be high during
 ///   precharge; gates fed exclusively by other domino gates may be footless),
 /// * one pmos pre-discharge transistor per entry in `discharge`.
+///
+/// This is the owned form a circuit takes in
+/// [`DominoCircuit::add_gate`](crate::DominoCircuit::add_gate); a circuit
+/// hands its gates out as [`GateRef`] views.
 ///
 /// # Example
 ///
@@ -66,9 +70,18 @@ impl DominoGate {
         }
     }
 
+    /// The borrowed view of the gate.
+    pub fn view(&self) -> GateRef<'_> {
+        GateRef {
+            pdn: self.pdn.view(),
+            footed: self.footed,
+            discharge: &self.discharge,
+        }
+    }
+
     /// The pull-down network.
-    pub fn pdn(&self) -> &Pdn {
-        &self.pdn
+    pub fn pdn(&self) -> PdnRef<'_> {
+        self.pdn.view()
     }
 
     /// Whether the gate has a foot n-clock transistor.
@@ -89,82 +102,124 @@ impl DominoGate {
     /// already carries a discharge transistor (the paper adds at most one
     /// per node).
     pub fn add_discharge(&mut self, junction: JunctionRef) {
-        assert!(
-            self.pdn.flatten().junction_net(&junction).is_some(),
-            "junction {junction} does not exist in this PDN"
-        );
-        assert!(
-            !self.discharge.contains(&junction),
-            "junction {junction} already has a discharge transistor"
-        );
         self.discharge.push(junction);
-    }
-
-    /// Replaces the discharge set wholesale (used by analysis passes that
-    /// compute the complete set at once).
-    ///
-    /// # Panics
-    ///
-    /// Panics if any junction does not exist or appears twice.
-    pub fn set_discharge(&mut self, junctions: Vec<JunctionRef>) {
-        let graph = self.pdn.flatten();
-        for (i, j) in junctions.iter().enumerate() {
-            assert!(
-                graph.junction_net(j).is_some(),
-                "junction {j} does not exist in this PDN"
-            );
-            assert!(
-                !junctions[..i].contains(j),
-                "junction {j} listed twice in discharge set"
-            );
+        if let Err(what) = check_discharge(self.pdn.view(), &self.discharge) {
+            panic!("{what}");
         }
-        self.discharge = junctions;
     }
 
-    /// Replaces the discharge set with no junction-resolution checking.
-    ///
-    /// Fault-injection hook for `soi-guard::inject`: the junctions may
-    /// dangle or repeat. A gate touched by this method is untrusted until
-    /// [`DominoCircuit::validate`](crate::DominoCircuit::validate) says
-    /// otherwise.
-    pub fn set_discharge_unchecked(&mut self, junctions: Vec<JunctionRef>) {
-        self.discharge = junctions;
+    /// See [`GateRef::overhead_transistors`].
+    pub fn overhead_transistors(&self) -> u32 {
+        self.view().overhead_transistors()
     }
 
-    /// Replaces the pull-down network, keeping the existing discharge set
-    /// and footing — which may no longer make sense for the new PDN.
-    ///
-    /// Fault-injection hook for `soi-guard::inject`; see
-    /// [`DominoGate::set_discharge_unchecked`].
-    pub fn set_pdn_unchecked(&mut self, pdn: Pdn) {
-        self.pdn = pdn;
+    /// See [`GateRef::logic_transistors`].
+    pub fn logic_transistors(&self) -> u32 {
+        self.view().logic_transistors()
+    }
+
+    /// See [`GateRef::discharge_transistors`].
+    pub fn discharge_transistors(&self) -> u32 {
+        self.view().discharge_transistors()
+    }
+
+    /// See [`GateRef::clock_transistors`].
+    pub fn clock_transistors(&self) -> u32 {
+        self.view().clock_transistors()
+    }
+}
+
+impl fmt::Display for DominoGate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.view().fmt(f)
+    }
+}
+
+/// Checks a discharge list against its PDN: every junction resolves, and
+/// none is listed twice. One walk over the junction's series node per
+/// entry; no allocation.
+pub(crate) fn check_discharge(pdn: PdnRef<'_>, junctions: &[JunctionRef]) -> Result<(), String> {
+    for (i, j) in junctions.iter().enumerate() {
+        if !pdn.has_junction(*j) {
+            return Err(format!("junction {j} does not exist in this PDN"));
+        }
+        if junctions[..i].contains(j) {
+            return Err(format!("junction {j} already has a discharge transistor"));
+        }
+    }
+    Ok(())
+}
+
+/// A borrowed view of one gate: its PDN, footing and discharge set.
+///
+/// [`DominoCircuit::gate`](crate::DominoCircuit::gate) and
+/// [`DominoCircuit::iter`](crate::DominoCircuit::iter) hand these out;
+/// [`DominoGate::view`] makes one of an owned gate.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct GateRef<'a> {
+    pdn: PdnRef<'a>,
+    footed: bool,
+    discharge: &'a [JunctionRef],
+}
+
+impl<'a> GateRef<'a> {
+    /// A view assembled from parts. Nothing is checked until the view is
+    /// added to a circuit
+    /// ([`DominoCircuit::push_gate`](crate::DominoCircuit::push_gate)).
+    pub fn new(pdn: PdnRef<'a>, footed: bool, discharge: &'a [JunctionRef]) -> GateRef<'a> {
+        GateRef {
+            pdn,
+            footed,
+            discharge,
+        }
+    }
+
+    /// The pull-down network.
+    pub fn pdn(self) -> PdnRef<'a> {
+        self.pdn
+    }
+
+    /// Whether the gate has a foot n-clock transistor.
+    pub fn is_footed(self) -> bool {
+        self.footed
+    }
+
+    /// The junctions carrying pmos pre-discharge transistors.
+    pub fn discharge(self) -> &'a [JunctionRef] {
+        self.discharge
     }
 
     /// Number of transistors beyond the PDN: p-clock + inverter (2) +
     /// keeper + n-clock when footed.
-    pub fn overhead_transistors(&self) -> u32 {
+    pub fn overhead_transistors(self) -> u32 {
         4 + u32::from(self.footed)
     }
 
     /// `T_logic` contribution: PDN transistors plus overhead (everything
     /// except pre-discharge transistors).
-    pub fn logic_transistors(&self) -> u32 {
+    pub fn logic_transistors(self) -> u32 {
         self.pdn.transistor_count() + self.overhead_transistors()
     }
 
     /// Number of pre-discharge transistors (`T_disch` contribution).
-    pub fn discharge_transistors(&self) -> u32 {
+    pub fn discharge_transistors(self) -> u32 {
         self.discharge.len() as u32
     }
 
     /// Clock-connected transistors: p-clock, the n-clock when footed, and
     /// all pre-discharge transistors (the paper's `T_clock` accounting).
-    pub fn clock_transistors(&self) -> u32 {
+    pub fn clock_transistors(self) -> u32 {
         1 + u32::from(self.footed) + self.discharge_transistors()
     }
 }
 
-impl fmt::Display for DominoGate {
+impl<'a> From<&'a DominoGate> for GateRef<'a> {
+    fn from(gate: &'a DominoGate) -> GateRef<'a> {
+        gate.view()
+    }
+}
+
+impl fmt::Display for GateRef<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -173,6 +228,16 @@ impl fmt::Display for DominoGate {
             self.pdn,
             self.discharge.len()
         )
+    }
+}
+
+impl fmt::Debug for GateRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("GateRef")
+            .field("pdn", &format_args!("{}", self.pdn))
+            .field("footed", &self.footed)
+            .field("discharge", &self.discharge)
+            .finish()
     }
 }
 
@@ -213,25 +278,26 @@ mod tests {
     #[test]
     fn discharge_accounting() {
         let mut g = DominoGate::footed(two_high_pdn());
-        g.add_discharge(JunctionRef::new(vec![], 0));
+        g.add_discharge(JunctionRef::new(0, 0));
         assert_eq!(g.discharge_transistors(), 1);
         assert_eq!(g.clock_transistors(), 3);
         // logic count unchanged by discharge.
         assert_eq!(g.logic_transistors(), 7);
+        assert_eq!(g.view().to_string(), "domino(footed)[(i0 * i1)] disch=1");
     }
 
     #[test]
     #[should_panic(expected = "does not exist")]
     fn discharge_requires_real_junction() {
         let mut g = DominoGate::footed(two_high_pdn());
-        g.add_discharge(JunctionRef::new(vec![9], 0));
+        g.add_discharge(JunctionRef::new(9, 0));
     }
 
     #[test]
     #[should_panic(expected = "already has")]
     fn duplicate_discharge_rejected() {
         let mut g = DominoGate::footed(two_high_pdn());
-        g.add_discharge(JunctionRef::new(vec![], 0));
-        g.add_discharge(JunctionRef::new(vec![], 0));
+        g.add_discharge(JunctionRef::new(0, 0));
+        g.add_discharge(JunctionRef::new(0, 0));
     }
 }

@@ -8,12 +8,14 @@
 //!
 //! * [`Pdn`] — a pull-down network: a series/parallel tree of nmos
 //!   transistors, each driven by a [`Signal`] (a primary-input literal or
-//!   another gate's output);
+//!   another gate's output), packed as pre-order [`PdnWord`]s and read
+//!   through [`PdnRef`] views;
 //! * [`DominoGate`] — a PDN plus its peripheral transistors (precharge
 //!   p-clock, optional foot n-clock, keeper, output inverter) and the pmos
 //!   pre-discharge transistors attached to internal nets;
 //! * [`DominoCircuit`] — a network of domino gates with named primary
-//!   outputs;
+//!   outputs, all of whose PDN words live in one array and whose gates
+//!   are read as [`GateRef`] views;
 //! * [`TransistorCounts`] — the `T_logic` / `T_disch` / `T_total` /
 //!   `T_clock` / `#G` / `L` accounting used throughout the paper's
 //!   evaluation.
@@ -52,5 +54,8 @@ pub mod timing;
 pub use circuit::{DominoCircuit, GateId, OutputBinding};
 pub use count::TransistorCounts;
 pub use error::DominoError;
-pub use gate::DominoGate;
-pub use pdn::{JunctionRef, NetId, Pdn, PdnGraph, PdnTransistor, Phase, Signal};
+pub use gate::{DominoGate, GateRef};
+pub use pdn::{
+    Children, JunctionRef, NetId, Pdn, PdnGraph, PdnNode, PdnRef, PdnTransistor, PdnWord, Phase,
+    Signal,
+};

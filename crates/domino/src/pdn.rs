@@ -1,11 +1,16 @@
-// SipHash is fine here: `soi-domino-ir` deliberately has no dependencies
-// (it is the leaf IR crate everything else points at), so it cannot use
-// `soi_netlist::fx`, and the one map below is a per-gate net-merge scratch
-// structure, not a mapping-hot-path table.
-#![allow(clippy::disallowed_types)]
+//! Pull-down networks as packed pre-order words.
+//!
+//! A PDN is a series/parallel tree of nmos transistors. It is stored as a
+//! slice of [`PdnWord`]s in pre-order: every node is one `u32`, its
+//! children follow it, and a series or parallel node records the length of
+//! its whole subtree, so a walk steps over a child in O(1). A
+//! [`DominoCircuit`](crate::DominoCircuit) keeps the words of all its gates
+//! in one array; [`Pdn`] is the owned form of one tree, used to build
+//! gates by hand, and [`PdnRef`] is the borrowed view every reader walks.
 
-use std::collections::HashMap;
 use std::fmt;
+
+use crate::{DominoError, GateId};
 
 /// Phase of a primary-input literal.
 ///
@@ -50,7 +55,7 @@ pub enum Signal {
         phase: Phase,
     },
     /// The output of another domino gate.
-    Gate(crate::GateId),
+    Gate(GateId),
 }
 
 impl Signal {
@@ -95,25 +100,217 @@ impl fmt::Display for Signal {
     }
 }
 
-/// A pull-down network: a series/parallel tree of nmos transistors.
+const PAYLOAD_BITS: u32 = 30;
+const PAYLOAD_MASK: u32 = (1 << PAYLOAD_BITS) - 1;
+const KIND_INPUT: u32 = 0;
+const KIND_GATE: u32 = 1;
+const KIND_SERIES: u32 = 2;
+const KIND_PARALLEL: u32 = 3;
+
+/// One node of a packed pull-down network.
 ///
-/// By convention, the first child of a [`Pdn::Series`] is at the *top*
+/// The top two bits give the kind — input literal, gate, series or
+/// parallel — and the low 30 bits the payload: `index × 2 + phase` for an
+/// input literal (phase 1 is the complement), the gate id for a gate, and
+/// the length in words of the whole subtree, this word included, for a
+/// series or parallel node. A value that does not fit its payload is a
+/// [`DominoError::TooLarge`], never a silent wrap.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+#[repr(transparent)]
+pub struct PdnWord(u32);
+
+impl PdnWord {
+    /// The largest payload a word holds.
+    pub const MAX_PAYLOAD: usize = PAYLOAD_MASK as usize;
+
+    fn pack(kind: u32, payload: usize, what: &'static str) -> Result<PdnWord, DominoError> {
+        if payload > Self::MAX_PAYLOAD {
+            return Err(DominoError::TooLarge {
+                what,
+                value: payload,
+                max: Self::MAX_PAYLOAD,
+            });
+        }
+        Ok(PdnWord(kind << PAYLOAD_BITS | payload as u32))
+    }
+
+    /// A transistor driven by `signal`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DominoError::TooLarge`] when the input index or gate id
+    /// does not fit the payload.
+    pub fn transistor(signal: Signal) -> Result<PdnWord, DominoError> {
+        match signal {
+            Signal::Input { index, phase } => {
+                let max = Self::MAX_PAYLOAD / 2;
+                if index > max {
+                    return Err(DominoError::TooLarge {
+                        what: "input index",
+                        value: index,
+                        max,
+                    });
+                }
+                Self::pack(
+                    KIND_INPUT,
+                    index * 2 + usize::from(phase == Phase::Neg),
+                    "input index",
+                )
+            }
+            Signal::Gate(g) => Self::pack(KIND_GATE, g.index(), "gate id"),
+        }
+    }
+
+    /// The header of a series node whose subtree spans `len` words.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DominoError::TooLarge`] when `len` does not fit.
+    pub fn series(len: usize) -> Result<PdnWord, DominoError> {
+        Self::pack(KIND_SERIES, len, "PDN subtree length")
+    }
+
+    /// The header of a parallel node whose subtree spans `len` words.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DominoError::TooLarge`] when `len` does not fit.
+    pub fn parallel(len: usize) -> Result<PdnWord, DominoError> {
+        Self::pack(KIND_PARALLEL, len, "PDN subtree length")
+    }
+
+    fn kind(self) -> u32 {
+        self.0 >> PAYLOAD_BITS
+    }
+
+    fn payload(self) -> usize {
+        (self.0 & PAYLOAD_MASK) as usize
+    }
+
+    /// The driving signal, for a transistor word.
+    pub fn signal(self) -> Option<Signal> {
+        match self.kind() {
+            KIND_INPUT => Some(Signal::Input {
+                index: self.payload() >> 1,
+                phase: if self.0 & 1 == 1 {
+                    Phase::Neg
+                } else {
+                    Phase::Pos
+                },
+            }),
+            KIND_GATE => Some(Signal::Gate(GateId::from_index(self.payload()))),
+            _ => None,
+        }
+    }
+
+    /// Whether the word is a transistor driven by a primary input.
+    pub fn is_primary(self) -> bool {
+        self.kind() == KIND_INPUT
+    }
+
+    /// Whether the word is a transistor.
+    pub fn is_transistor(self) -> bool {
+        self.kind() < KIND_SERIES
+    }
+
+    /// Whether the word heads a series node.
+    pub fn is_series(self) -> bool {
+        self.kind() == KIND_SERIES
+    }
+
+    /// Whether the word heads a parallel node.
+    pub fn is_parallel(self) -> bool {
+        self.kind() == KIND_PARALLEL
+    }
+
+    /// Words the subtree headed by this word occupies: 1 for a transistor.
+    pub fn span(self) -> usize {
+        if self.is_transistor() {
+            1
+        } else {
+            self.payload()
+        }
+    }
+}
+
+impl fmt::Debug for PdnWord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.signal() {
+            Some(s) => write!(f, "{s}"),
+            None if self.is_series() => write!(f, "S{}", self.payload()),
+            None => write!(f, "P{}", self.payload()),
+        }
+    }
+}
+
+/// Checks that `words` is exactly one normalized tree: the root spans
+/// every word, each series or parallel node's children tile its range,
+/// there are at least two of them, and none has its parent's kind (nested
+/// chains are spliced). Every word is a node of the tree, so checking each
+/// header locally checks the whole tree, in one pass and without a stack.
+fn check_tree(words: &[PdnWord]) -> Result<(), DominoError> {
+    let malformed = |at: usize, what: &str| {
+        Err(DominoError::MalformedPdn {
+            what: format!("word {at}: {what}"),
+        })
+    };
+    match words.first() {
+        None => return malformed(0, "empty network"),
+        Some(root) if root.span() != words.len() => {
+            return malformed(0, "root does not span the network")
+        }
+        Some(_) => {}
+    }
+    for (at, word) in words.iter().enumerate() {
+        if word.is_transistor() {
+            continue;
+        }
+        let end = at + word.span();
+        if end > words.len() {
+            return malformed(at, "subtree runs past the network");
+        }
+        let (mut child, mut count) = (at + 1, 0);
+        while child < end {
+            let c = words[child];
+            if c.kind() == word.kind() {
+                return malformed(child, "child has its parent's kind");
+            }
+            if c.span() == 0 {
+                return malformed(child, "empty subtree");
+            }
+            child += c.span();
+            count += 1;
+        }
+        if child != end {
+            return malformed(at, "children overrun their parent");
+        }
+        if count < 2 {
+            return malformed(at, "fewer than two children");
+        }
+    }
+    Ok(())
+}
+
+/// An owned pull-down network: one normalized tree of packed words.
+///
+/// By convention, the first child of a series node is at the *top*
 /// (dynamic-node side) and the last child at the *bottom* (ground side) —
 /// the orientation that matters for the parasitic bipolar effect.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Pdn {
-    /// A single nmos transistor driven by `Signal`.
-    Transistor(Signal),
-    /// Children connected drain-to-source, top to bottom.
-    Series(Vec<Pdn>),
-    /// Children connected in parallel between the same pair of nets.
-    Parallel(Vec<Pdn>),
+#[derive(Clone, PartialEq, Eq, Hash)]
+pub struct Pdn {
+    words: Vec<PdnWord>,
 }
 
 impl Pdn {
     /// A single-transistor PDN.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the signal's input index or gate id does not fit a word
+    /// ([`PdnWord::transistor`] reports it as a typed error).
     pub fn transistor(signal: Signal) -> Pdn {
-        Pdn::Transistor(signal)
+        let word = PdnWord::transistor(signal).unwrap_or_else(|e| panic!("{e}"));
+        Pdn { words: vec![word] }
     }
 
     /// A series connection (normalized: unwraps singletons, splices nested
@@ -121,21 +318,9 @@ impl Pdn {
     ///
     /// # Panics
     ///
-    /// Panics if `children` is empty.
+    /// Panics if `children` is empty or the result does not fit a word.
     pub fn series(children: Vec<Pdn>) -> Pdn {
-        assert!(!children.is_empty(), "series requires at least one child");
-        let mut flat = Vec::with_capacity(children.len());
-        for child in children {
-            match child {
-                Pdn::Series(inner) => flat.extend(inner),
-                other => flat.push(other),
-            }
-        }
-        if flat.len() == 1 {
-            flat.pop().expect("one element")
-        } else {
-            Pdn::Series(flat)
-        }
+        Pdn::join(children, true)
     }
 
     /// A parallel connection (normalized: unwraps singletons, splices nested
@@ -143,148 +328,342 @@ impl Pdn {
     ///
     /// # Panics
     ///
-    /// Panics if `children` is empty.
+    /// Panics if `children` is empty or the result does not fit a word.
     pub fn parallel(children: Vec<Pdn>) -> Pdn {
-        assert!(!children.is_empty(), "parallel requires at least one child");
-        let mut flat = Vec::with_capacity(children.len());
-        for child in children {
-            match child {
-                Pdn::Parallel(inner) => flat.extend(inner),
-                other => flat.push(other),
-            }
+        Pdn::join(children, false)
+    }
+
+    fn join(mut children: Vec<Pdn>, series: bool) -> Pdn {
+        let what = if series { "series" } else { "parallel" };
+        assert!(!children.is_empty(), "{what} requires at least one child");
+        if children.len() == 1 {
+            // A lone child is returned as is: a same-kind child would be
+            // spliced into nothing, anything else stands alone.
+            return children.pop().expect("one child");
         }
-        if flat.len() == 1 {
-            flat.pop().expect("one element")
+        let same = |p: &Pdn| p.words[0].is_series() == series && !p.words[0].is_transistor();
+        let len = 1 + children
+            .iter()
+            .map(|c| c.words.len() - usize::from(same(c)))
+            .sum::<usize>();
+        let header = if series {
+            PdnWord::series(len)
         } else {
-            Pdn::Parallel(flat)
-        }
-    }
-
-    /// Width of the network: the maximum number of parallel branches at any
-    /// level (the paper's `W`).
-    pub fn width(&self) -> u32 {
-        match self {
-            Pdn::Transistor(_) => 1,
-            Pdn::Series(children) => children.iter().map(Pdn::width).max().unwrap_or(1),
-            Pdn::Parallel(children) => children.iter().map(Pdn::width).sum(),
-        }
-    }
-
-    /// Height of the network: the maximum number of transistors in series on
-    /// any path (the paper's `H`).
-    pub fn height(&self) -> u32 {
-        match self {
-            Pdn::Transistor(_) => 1,
-            Pdn::Series(children) => children.iter().map(Pdn::height).sum(),
-            Pdn::Parallel(children) => children.iter().map(Pdn::height).max().unwrap_or(1),
-        }
-    }
-
-    /// Number of nmos transistors in the network.
-    pub fn transistor_count(&self) -> u32 {
-        match self {
-            Pdn::Transistor(_) => 1,
-            Pdn::Series(children) | Pdn::Parallel(children) => {
-                children.iter().map(Pdn::transistor_count).sum()
-            }
-        }
-    }
-
-    /// Whether a conducting path exists from top to bottom under the given
-    /// signal valuation.
-    pub fn conducts(&self, value_of: &impl Fn(Signal) -> bool) -> bool {
-        match self {
-            Pdn::Transistor(sig) => value_of(*sig),
-            Pdn::Series(children) => children.iter().all(|c| c.conducts(value_of)),
-            Pdn::Parallel(children) => children.iter().any(|c| c.conducts(value_of)),
-        }
-    }
-
-    /// All signals driving transistors, in tree order (with repetitions).
-    pub fn signals(&self) -> Vec<Signal> {
-        let mut out = Vec::new();
-        self.collect_signals(&mut out);
-        out
-    }
-
-    fn collect_signals(&self, out: &mut Vec<Signal>) {
-        match self {
-            Pdn::Transistor(sig) => out.push(*sig),
-            Pdn::Series(children) | Pdn::Parallel(children) => {
-                for c in children {
-                    c.collect_signals(out);
-                }
-            }
-        }
-    }
-
-    /// Whether any transistor is driven directly by a primary input.
-    pub fn touches_primary_input(&self) -> bool {
-        match self {
-            Pdn::Transistor(sig) => sig.is_primary(),
-            Pdn::Series(children) | Pdn::Parallel(children) => {
-                children.iter().any(Pdn::touches_primary_input)
-            }
-        }
-    }
-
-    /// The subtree at `path` (a sequence of child indices from the root).
-    pub fn subtree(&self, path: &[u32]) -> Option<&Pdn> {
-        let mut cur = self;
-        for &step in path {
-            match cur {
-                Pdn::Series(children) | Pdn::Parallel(children) => {
-                    cur = children.get(step as usize)?;
-                }
-                Pdn::Transistor(_) => return None,
-            }
-        }
-        Some(cur)
-    }
-
-    /// Flattens the tree into an explicit net/transistor graph.
-    ///
-    /// Net 0 is the dynamic node (top), net 1 the foot (bottom). Each
-    /// junction between consecutive series children gets a fresh net,
-    /// recorded in the returned graph's junction map so that
-    /// [`JunctionRef`]s can be resolved to nets.
-    pub fn flatten(&self) -> PdnGraph {
-        let mut graph = PdnGraph {
-            net_count: 2,
-            transistors: Vec::new(),
-            junctions: HashMap::new(),
+            PdnWord::parallel(len)
         };
-        let mut path = Vec::new();
-        flatten_into(self, PdnGraph::TOP, PdnGraph::FOOT, &mut graph, &mut path);
-        graph
+        let mut words = Vec::with_capacity(len);
+        words.push(header.unwrap_or_else(|e| panic!("{e}")));
+        for c in &children {
+            words.extend_from_slice(&c.words[usize::from(same(c))..]);
+        }
+        Pdn { words }
+    }
+
+    /// Takes ownership of packed words.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DominoError::MalformedPdn`] unless `words` is exactly one
+    /// normalized tree.
+    pub fn from_words(words: Vec<PdnWord>) -> Result<Pdn, DominoError> {
+        check_tree(&words)?;
+        Ok(Pdn { words })
+    }
+
+    /// The borrowed view of the whole tree.
+    pub fn view(&self) -> PdnRef<'_> {
+        PdnRef {
+            words: &self.words,
+            at: 0,
+        }
+    }
+
+    /// The packed words, in pre-order.
+    pub fn words(&self) -> &[PdnWord] {
+        &self.words
+    }
+
+    /// See [`PdnRef::width`].
+    pub fn width(&self) -> u32 {
+        self.view().width()
+    }
+
+    /// See [`PdnRef::height`].
+    pub fn height(&self) -> u32 {
+        self.view().height()
+    }
+
+    /// See [`PdnRef::transistor_count`].
+    pub fn transistor_count(&self) -> u32 {
+        self.view().transistor_count()
+    }
+
+    /// See [`PdnRef::conducts`].
+    pub fn conducts(&self, value_of: &impl Fn(Signal) -> bool) -> bool {
+        self.view().conducts(value_of)
+    }
+
+    /// See [`PdnRef::signals`].
+    pub fn signals(&self) -> impl Iterator<Item = Signal> + '_ {
+        self.view().signals()
+    }
+
+    /// See [`PdnRef::touches_primary_input`].
+    pub fn touches_primary_input(&self) -> bool {
+        self.view().touches_primary_input()
+    }
+
+    /// See [`PdnRef::flatten`].
+    pub fn flatten(&self) -> PdnGraph {
+        self.view().flatten()
+    }
+}
+
+impl<'a> From<&'a Pdn> for PdnRef<'a> {
+    fn from(pdn: &'a Pdn) -> PdnRef<'a> {
+        pdn.view()
+    }
+}
+
+impl PartialEq<PdnRef<'_>> for Pdn {
+    fn eq(&self, other: &PdnRef<'_>) -> bool {
+        self.view() == *other
+    }
+}
+
+impl PartialEq<Pdn> for PdnRef<'_> {
+    fn eq(&self, other: &Pdn) -> bool {
+        *self == other.view()
     }
 }
 
 impl fmt::Display for Pdn {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Pdn::Transistor(sig) => write!(f, "{sig}"),
-            Pdn::Series(children) => {
-                write!(f, "(")?;
-                for (i, c) in children.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " * ")?;
-                    }
-                    write!(f, "{c}")?;
-                }
-                write!(f, ")")
-            }
-            Pdn::Parallel(children) => {
-                write!(f, "(")?;
-                for (i, c) in children.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, " + ")?;
-                    }
-                    write!(f, "{c}")?;
-                }
-                write!(f, ")")
-            }
+        self.view().fmt(f)
+    }
+}
+
+impl fmt::Debug for Pdn {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "Pdn({})", self.view())
+    }
+}
+
+/// A borrowed view of one node of a packed tree and the subtree below it.
+///
+/// `offset()` is the node's word offset from its gate's root — the address
+/// [`JunctionRef`]s use.
+#[derive(Clone, Copy)]
+pub struct PdnRef<'a> {
+    /// The words of the whole tree the node belongs to.
+    words: &'a [PdnWord],
+    at: u32,
+}
+
+/// What a [`PdnRef`]'s node is.
+#[derive(Debug, Clone, Copy)]
+pub enum PdnNode<'a> {
+    /// A single nmos transistor driven by `Signal`.
+    Transistor(Signal),
+    /// Children connected drain-to-source, top to bottom.
+    Series(Children<'a>),
+    /// Children connected in parallel between the same pair of nets.
+    Parallel(Children<'a>),
+}
+
+/// The children of a series or parallel node, first (top) to last.
+#[derive(Clone, Copy)]
+pub struct Children<'a> {
+    words: &'a [PdnWord],
+    next: u32,
+    end: u32,
+}
+
+impl<'a> Iterator for Children<'a> {
+    type Item = PdnRef<'a>;
+
+    fn next(&mut self) -> Option<PdnRef<'a>> {
+        if self.next >= self.end {
+            return None;
         }
+        let child = PdnRef {
+            words: self.words,
+            at: self.next,
+        };
+        self.next += self.words[self.next as usize].span() as u32;
+        Some(child)
+    }
+}
+
+impl fmt::Debug for Children<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(*self).finish()
+    }
+}
+
+impl<'a> PdnRef<'a> {
+    /// Views packed words as a tree.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`DominoError::MalformedPdn`] unless `words` is exactly one
+    /// normalized tree.
+    pub fn new(words: &'a [PdnWord]) -> Result<PdnRef<'a>, DominoError> {
+        check_tree(words)?;
+        Ok(PdnRef { words, at: 0 })
+    }
+
+    /// A view of words already known to form one tree.
+    pub(crate) fn trusted(words: &'a [PdnWord]) -> PdnRef<'a> {
+        PdnRef { words, at: 0 }
+    }
+
+    /// The node this view points at.
+    pub fn root(self) -> PdnNode<'a> {
+        let word = self.word();
+        if let Some(signal) = word.signal() {
+            return PdnNode::Transistor(signal);
+        }
+        let children = Children {
+            words: self.words,
+            next: self.at + 1,
+            end: self.at + word.span() as u32,
+        };
+        if word.is_series() {
+            PdnNode::Series(children)
+        } else {
+            PdnNode::Parallel(children)
+        }
+    }
+
+    fn word(self) -> PdnWord {
+        self.words[self.at as usize]
+    }
+
+    /// Word offset of this node from the root of its tree.
+    pub fn offset(self) -> u32 {
+        self.at
+    }
+
+    /// The subtree's words, in pre-order.
+    pub fn words(self) -> &'a [PdnWord] {
+        &self.words[self.at as usize..self.at as usize + self.word().span()]
+    }
+
+    /// The node at word offset `offset` of this view's tree, if that word
+    /// exists.
+    pub fn at(self, offset: u32) -> Option<PdnRef<'a>> {
+        ((offset as usize) < self.words.len()).then_some(PdnRef {
+            words: self.words,
+            at: offset,
+        })
+    }
+
+    /// Width of the network: the maximum number of parallel branches at any
+    /// level (the paper's `W`).
+    pub fn width(self) -> u32 {
+        match self.root() {
+            PdnNode::Transistor(_) => 1,
+            PdnNode::Series(children) => children.map(PdnRef::width).max().unwrap_or(1),
+            PdnNode::Parallel(children) => children.map(PdnRef::width).sum(),
+        }
+    }
+
+    /// Height of the network: the maximum number of transistors in series on
+    /// any path (the paper's `H`).
+    pub fn height(self) -> u32 {
+        match self.root() {
+            PdnNode::Transistor(_) => 1,
+            PdnNode::Series(children) => children.map(PdnRef::height).sum(),
+            PdnNode::Parallel(children) => children.map(PdnRef::height).max().unwrap_or(1),
+        }
+    }
+
+    /// Number of nmos transistors in the network.
+    pub fn transistor_count(self) -> u32 {
+        self.words().iter().filter(|w| w.is_transistor()).count() as u32
+    }
+
+    /// Whether a conducting path exists from top to bottom under the given
+    /// signal valuation.
+    pub fn conducts(self, value_of: &impl Fn(Signal) -> bool) -> bool {
+        match self.root() {
+            PdnNode::Transistor(sig) => value_of(sig),
+            PdnNode::Series(mut children) => children.all(|c| c.conducts(value_of)),
+            PdnNode::Parallel(mut children) => children.any(|c| c.conducts(value_of)),
+        }
+    }
+
+    /// All signals driving transistors, in tree order (with repetitions).
+    pub fn signals(self) -> impl Iterator<Item = Signal> + 'a {
+        self.words().iter().filter_map(|w| w.signal())
+    }
+
+    /// Whether any transistor is driven directly by a primary input.
+    pub fn touches_primary_input(self) -> bool {
+        self.words().iter().any(|w| w.is_primary())
+    }
+
+    /// Whether `junction` names an internal junction of this tree: its
+    /// node is a series node and `index + 1` is one of its children. Costs
+    /// one step per child of that node, with no allocation.
+    pub fn has_junction(self, junction: JunctionRef) -> bool {
+        let Some(node) = self.at(junction.node) else {
+            return false;
+        };
+        match node.root() {
+            PdnNode::Series(mut children) => children.nth(junction.index as usize + 1).is_some(),
+            _ => false,
+        }
+    }
+
+    /// Flattens the tree into an explicit net/transistor graph.
+    ///
+    /// Net 0 is the dynamic node (top), net 1 the foot (bottom). Each
+    /// junction between consecutive series children gets a fresh net, in
+    /// depth-first order, recorded in the graph's dense junction table so
+    /// that [`JunctionRef`]s resolve to nets.
+    pub fn flatten(self) -> PdnGraph {
+        let mut graph = PdnGraph {
+            net_count: 2,
+            transistors: Vec::new(),
+            first_junction: vec![NO_JUNCTION; self.words.len()],
+            junctions: Vec::new(),
+        };
+        flatten_into(self, PdnGraph::TOP, PdnGraph::FOOT, &mut graph);
+        graph
+    }
+}
+
+impl PartialEq for PdnRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.words() == other.words()
+    }
+}
+
+impl Eq for PdnRef<'_> {}
+
+impl fmt::Display for PdnRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (children, sep) = match self.root() {
+            PdnNode::Transistor(sig) => return write!(f, "{sig}"),
+            PdnNode::Series(children) => (children, " * "),
+            PdnNode::Parallel(children) => (children, " + "),
+        };
+        write!(f, "(")?;
+        for (i, c) in children.enumerate() {
+            if i > 0 {
+                write!(f, "{sep}")?;
+            }
+            write!(f, "{c}")?;
+        }
+        write!(f, ")")
+    }
+}
+
+impl fmt::Debug for PdnRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "PdnRef@{}({self})", self.at)
     }
 }
 
@@ -305,37 +684,30 @@ impl fmt::Display for NetId {
     }
 }
 
-/// Address of an internal series junction inside a [`Pdn`] tree: the net
-/// between children `index` and `index + 1` of the [`Pdn::Series`] node at
-/// `path`.
+/// Address of an internal series junction of a gate's pull-down network:
+/// the net between children `index` and `index + 1` of the series node at
+/// word offset `node` from the gate's root.
 ///
 /// Pre-discharge transistors attach to junctions; a `JunctionRef` stays
 /// valid as long as the owning tree is not restructured.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct JunctionRef {
-    /// Child indices from the root to the series node.
-    pub path: Vec<u32>,
+    /// Word offset of the series node.
+    pub node: u32,
     /// Junction position: between child `index` and child `index + 1`.
     pub index: u32,
 }
 
 impl JunctionRef {
     /// Creates a junction reference.
-    pub fn new(path: Vec<u32>, index: u32) -> JunctionRef {
-        JunctionRef { path, index }
+    pub fn new(node: u32, index: u32) -> JunctionRef {
+        JunctionRef { node, index }
     }
 }
 
 impl fmt::Display for JunctionRef {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "j[")?;
-        for (i, p) in self.path.iter().enumerate() {
-            if i > 0 {
-                write!(f, ".")?;
-            }
-            write!(f, "{p}")?;
-        }
-        write!(f, "]:{}", self.index)
+        write!(f, "j@{}:{}", self.node, self.index)
     }
 }
 
@@ -350,13 +722,20 @@ pub struct PdnTransistor {
     pub lower: NetId,
 }
 
-/// Flattened net/transistor view of a [`Pdn`], produced by [`Pdn::flatten`].
+const NO_JUNCTION: u32 = u32::MAX;
+
+/// Flattened net/transistor view of a PDN, produced by [`PdnRef::flatten`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PdnGraph {
     net_count: u32,
     /// All transistors, in tree order.
     pub transistors: Vec<PdnTransistor>,
-    junctions: HashMap<JunctionRef, NetId>,
+    /// Per word offset: the slot in `junctions` of a series node's first
+    /// junction, `NO_JUNCTION` for other words.
+    first_junction: Vec<u32>,
+    /// Junction nets, grouped by series node in pre-order, each node's in
+    /// junction order — so the table is sorted by [`JunctionRef`].
+    junctions: Vec<(JunctionRef, NetId)>,
 }
 
 impl PdnGraph {
@@ -372,46 +751,58 @@ impl PdnGraph {
 
     /// Resolves a junction reference to its net.
     pub fn junction_net(&self, junction: &JunctionRef) -> Option<NetId> {
-        self.junctions.get(junction).copied()
+        let first = *self.first_junction.get(junction.node as usize)?;
+        if first == NO_JUNCTION {
+            return None;
+        }
+        let (at, net) = self
+            .junctions
+            .get(first as usize + junction.index as usize)?;
+        (at == junction).then_some(*net)
     }
 
-    /// All junction nets with their references, in arbitrary order.
+    /// All junction nets with their references, ordered by reference.
     pub fn junctions(&self) -> impl Iterator<Item = (&JunctionRef, NetId)> {
         self.junctions.iter().map(|(j, n)| (j, *n))
     }
 }
 
-fn flatten_into(pdn: &Pdn, top: NetId, bottom: NetId, graph: &mut PdnGraph, path: &mut Vec<u32>) {
-    match pdn {
-        Pdn::Transistor(signal) => graph.transistors.push(PdnTransistor {
-            signal: *signal,
+fn flatten_into(pdn: PdnRef<'_>, top: NetId, bottom: NetId, graph: &mut PdnGraph) {
+    match pdn.root() {
+        PdnNode::Transistor(signal) => graph.transistors.push(PdnTransistor {
+            signal,
             upper: top,
             lower: bottom,
         }),
-        Pdn::Series(children) => {
+        PdnNode::Series(children) => {
+            // Reserve this node's slots now, so slots stay grouped by node
+            // in pre-order while nets are numbered depth-first.
+            let last = children.count() - 1;
+            let first = graph.junctions.len();
+            graph.first_junction[pdn.at as usize] = first as u32;
+            graph.junctions.extend((0..last).map(|i| {
+                (
+                    JunctionRef::new(pdn.at, i as u32),
+                    PdnGraph::FOOT, // overwritten below
+                )
+            }));
             let mut upper = top;
-            for (i, child) in children.iter().enumerate() {
-                let lower = if i + 1 == children.len() {
+            for (i, child) in children.enumerate() {
+                let lower = if i == last {
                     bottom
                 } else {
                     let net = NetId(graph.net_count);
                     graph.net_count += 1;
-                    graph
-                        .junctions
-                        .insert(JunctionRef::new(path.clone(), i as u32), net);
+                    graph.junctions[first + i].1 = net;
                     net
                 };
-                path.push(i as u32);
-                flatten_into(child, upper, lower, graph, path);
-                path.pop();
+                flatten_into(child, upper, lower, graph);
                 upper = lower;
             }
         }
-        Pdn::Parallel(children) => {
-            for (i, child) in children.iter().enumerate() {
-                path.push(i as u32);
-                flatten_into(child, top, bottom, graph, path);
-                path.pop();
+        PdnNode::Parallel(children) => {
+            for child in children {
+                flatten_into(child, top, bottom, graph);
             }
         }
     }
@@ -455,8 +846,8 @@ mod tests {
     #[test]
     fn series_normalization_splices() {
         let p = Pdn::series(vec![Pdn::series(vec![sig(0), sig(1)]), sig(2)]);
-        match &p {
-            Pdn::Series(children) => assert_eq!(children.len(), 3),
+        match p.view().root() {
+            PdnNode::Series(children) => assert_eq!(children.count(), 3),
             other => panic!("expected series, got {other:?}"),
         }
     }
@@ -468,13 +859,74 @@ mod tests {
     }
 
     #[test]
+    fn words_are_packed_in_pre_order_with_subtree_lengths() {
+        let p = fig2a();
+        let w = p.words();
+        assert_eq!(w.len(), 6);
+        assert!(w[0].is_series() && w[0].span() == 6);
+        assert!(w[1].is_parallel() && w[1].span() == 4);
+        assert_eq!(w[5].signal(), Some(Signal::input(3)));
+        assert_eq!(format!("{w:?}"), "[S6, P4, i0, i1, i2, i3]");
+        let neg = PdnWord::transistor(Signal::input_neg(7)).unwrap();
+        assert_eq!(neg.signal(), Some(Signal::input_neg(7)));
+        let gate = PdnWord::transistor(Signal::Gate(GateId::from_index(9))).unwrap();
+        assert_eq!(gate.signal(), Some(Signal::Gate(GateId::from_index(9))));
+        assert!(!gate.is_primary() && neg.is_primary());
+    }
+
+    #[test]
+    fn oversized_payloads_are_typed_errors() {
+        let max = PdnWord::MAX_PAYLOAD;
+        assert!(PdnWord::transistor(Signal::input(max / 2)).is_ok());
+        assert!(matches!(
+            PdnWord::transistor(Signal::input(max / 2 + 1)),
+            Err(DominoError::TooLarge { .. })
+        ));
+        assert!(matches!(
+            PdnWord::transistor(Signal::Gate(GateId::from_index(max + 1))),
+            Err(DominoError::TooLarge { .. })
+        ));
+        assert!(PdnWord::series(max).is_ok());
+        assert!(matches!(
+            PdnWord::parallel(max + 1),
+            Err(DominoError::TooLarge { .. })
+        ));
+    }
+
+    #[test]
+    fn malformed_words_are_rejected() {
+        let t = |i| PdnWord::transistor(Signal::input(i)).unwrap();
+        let s = |n| PdnWord::series(n).unwrap();
+        let p = |n| PdnWord::parallel(n).unwrap();
+        assert!(Pdn::from_words(vec![s(3), t(0), t(1)]).is_ok());
+        for bad in [
+            vec![],
+            vec![t(0), t(1)],                   // two roots
+            vec![s(2), t(0)],                   // one child
+            vec![s(4), t(0), t(1)],             // runs past the end
+            vec![s(5), s(3), t(0), t(1), t(2)], // unspliced series
+            vec![s(4), p(2), t(0), t(1)],       // parallel with one child
+            vec![s(4), p(4), t(0), t(1)],       // child overruns its parent
+            vec![s(3), p(0), t(1)],             // empty subtree
+        ] {
+            assert!(
+                matches!(
+                    Pdn::from_words(bad.clone()),
+                    Err(DominoError::MalformedPdn { .. })
+                ),
+                "{bad:?}"
+            );
+        }
+    }
+
+    #[test]
     fn flatten_fig2a() {
         let p = fig2a();
         let g = p.flatten();
         assert_eq!(g.transistors.len(), 4);
         // One junction between the parallel stack and D.
         assert_eq!(g.net_count(), 3);
-        let j = JunctionRef::new(vec![], 0);
+        let j = JunctionRef::new(0, 0);
         let net = g.junction_net(&j).unwrap();
         // The three parallel transistors end at the junction; D starts there.
         for t in &g.transistors[..3] {
@@ -483,6 +935,9 @@ mod tests {
         }
         assert_eq!(g.transistors[3].upper, net);
         assert_eq!(g.transistors[3].lower, PdnGraph::FOOT);
+        assert_eq!(g.junction_net(&JunctionRef::new(0, 1)), None);
+        assert_eq!(g.junction_net(&JunctionRef::new(1, 0)), None);
+        assert_eq!(g.junction_net(&JunctionRef::new(99, 0)), None);
     }
 
     #[test]
@@ -491,18 +946,50 @@ mod tests {
         let p = Pdn::parallel(vec![Pdn::series(vec![sig(0), sig(1)]), sig(2)]);
         let g = p.flatten();
         assert_eq!(g.net_count(), 3);
-        let j = JunctionRef::new(vec![0], 0);
+        let j = JunctionRef::new(1, 0);
         assert!(g.junction_net(&j).is_some());
+        assert!(p.view().has_junction(j));
+        assert!(!p.view().has_junction(JunctionRef::new(1, 1)));
+        assert!(!p.view().has_junction(JunctionRef::new(0, 0)));
     }
 
     #[test]
-    fn subtree_resolution() {
+    fn junctions_iterate_in_reference_order_with_depth_first_nets() {
+        // (a + b*c) * d * (e*f + g)
+        let p = Pdn::series(vec![
+            Pdn::parallel(vec![sig(0), Pdn::series(vec![sig(1), sig(2)])]),
+            sig(3),
+            Pdn::parallel(vec![Pdn::series(vec![sig(4), sig(5)]), sig(6)]),
+        ]);
+        let g = p.flatten();
+        let listed: Vec<(JunctionRef, NetId)> = g.junctions().map(|(j, n)| (*j, n)).collect();
+        assert_eq!(
+            listed,
+            vec![
+                (JunctionRef::new(0, 0), NetId(2)),
+                (JunctionRef::new(0, 1), NetId(4)),
+                (JunctionRef::new(3, 0), NetId(3)),
+                (JunctionRef::new(8, 0), NetId(5)),
+            ]
+        );
+    }
+
+    #[test]
+    fn views_walk_children_and_offsets() {
         let p = fig2a();
-        assert_eq!(p.subtree(&[]), Some(&p));
-        assert_eq!(p.subtree(&[1]), Some(&sig(3)));
-        assert_eq!(p.subtree(&[0, 2]), Some(&sig(2)));
-        assert_eq!(p.subtree(&[5]), None);
-        assert_eq!(p.subtree(&[1, 0]), None);
+        let root = p.view();
+        assert_eq!(root.offset(), 0);
+        let PdnNode::Series(children) = root.root() else {
+            panic!("series root");
+        };
+        let kids: Vec<_> = children.collect();
+        assert_eq!(kids.len(), 2);
+        assert_eq!(kids[0].offset(), 1);
+        assert_eq!(kids[1].offset(), 5);
+        assert_eq!(kids[1], sig(3));
+        assert_eq!(kids[0], Pdn::parallel(vec![sig(0), sig(1), sig(2)]));
+        assert_eq!(root.at(2).map(PdnRef::words), Some(sig(0).words()));
+        assert!(root.at(6).is_none());
     }
 
     #[test]
@@ -516,6 +1003,7 @@ mod tests {
     fn display_renders_structure() {
         let p = fig2a();
         assert_eq!(p.to_string(), "((i0 + i1 + i2) * i3)");
+        assert_eq!(format!("{p:?}"), "Pdn(((i0 + i1 + i2) * i3))");
     }
 
     #[test]
@@ -532,7 +1020,7 @@ mod tests {
     #[test]
     fn signals_in_tree_order() {
         let p = fig2a();
-        let sigs = p.signals();
+        let sigs: Vec<Signal> = p.signals().collect();
         assert_eq!(sigs.len(), 4);
         assert_eq!(sigs[0], Signal::input(0));
         assert_eq!(sigs[3], Signal::input(3));

@@ -18,7 +18,7 @@
 //! is meant for *relative* comparisons — bulk vs SOI, area vs depth
 //! mappings, protected vs unprotected — not for signoff.
 
-use crate::{DominoCircuit, DominoGate, GateId, Pdn, PdnGraph, Signal};
+use crate::{DominoCircuit, GateRef, JunctionRef, PdnGraph, PdnNode, PdnRef, Signal};
 
 /// Technology parameters for the RC model. Units are arbitrary but
 /// consistent (think kΩ, fF, ps).
@@ -71,7 +71,8 @@ impl TechParams {
 /// Pre-discharge transistors add junction capacitance to the nets they
 /// protect — the "slight performance penalty" the paper accepts (§VI
 /// footnote) and the reason `SOI_Domino_Map` minimizes their number.
-pub fn gate_delay(gate: &DominoGate, fanout: usize, tech: &TechParams) -> f64 {
+pub fn gate_delay<'a>(gate: impl Into<GateRef<'a>>, fanout: usize, tech: &TechParams) -> f64 {
+    let gate = gate.into();
     let graph = gate.pdn().flatten();
     // Capacitance per net.
     let mut cap = vec![tech.c_wire; graph.net_count()];
@@ -92,56 +93,47 @@ pub fn gate_delay(gate: &DominoGate, fanout: usize, tech: &TechParams) -> f64 {
     }
 
     let foot_r = if gate.is_footed() { tech.r_on } else { 0.0 };
-    let (delay, _r) = worst_path(gate.pdn(), &graph, &cap, tech, &mut Vec::new(), foot_r);
-    // The dynamic node itself discharges through the full path resistance.
-    let top_term = cap[PdnGraph::TOP.index()] * (_r + foot_r_extra(gate, tech));
+    let (delay, r) = worst_path(gate.pdn(), &graph, &cap, tech, foot_r);
+    // The dynamic node itself discharges through the full path resistance
+    // (the foot's is already folded into the walk's starting resistance).
+    let top_term = cap[PdnGraph::TOP.index()] * r;
     delay + top_term + tech.output_stage + tech.load_factor * fanout as f64
-}
-
-fn foot_r_extra(_gate: &DominoGate, _tech: &TechParams) -> f64 {
-    // The foot resistance is already folded into the recursion's starting
-    // resistance; nothing extra here. Kept for clarity.
-    0.0
 }
 
 /// Walks the PDN tree bottom-up along the worst conducting finger.
 /// Returns `(Σ C·R_below, total path resistance including the start)`.
 fn worst_path(
-    pdn: &Pdn,
+    pdn: PdnRef<'_>,
     graph: &PdnGraph,
     cap: &[f64],
     tech: &TechParams,
-    path: &mut Vec<u32>,
     r_start: f64,
 ) -> (f64, f64) {
-    match pdn {
-        Pdn::Transistor(_) => (0.0, r_start + tech.r_on),
-        Pdn::Parallel(children) => {
+    match pdn.root() {
+        PdnNode::Transistor(_) => (0.0, r_start + tech.r_on),
+        PdnNode::Parallel(children) => {
             let mut worst = (0.0, r_start + tech.r_on);
-            for (i, child) in children.iter().enumerate() {
-                path.push(i as u32);
-                let candidate = worst_path(child, graph, cap, tech, path, r_start);
-                path.pop();
+            for child in children {
+                let candidate = worst_path(child, graph, cap, tech, r_start);
                 if candidate.0 + candidate.1 > worst.0 + worst.1 {
                     worst = candidate;
                 }
             }
             worst
         }
-        Pdn::Series(children) => {
+        PdnNode::Series(children) => {
             // Bottom to top: resistance accumulates; every junction net's
             // capacitance is charged through the resistance below it.
+            let children: Vec<PdnRef<'_>> = children.collect();
             let mut delay = 0.0;
             let mut r = r_start;
-            for (i, child) in children.iter().enumerate().rev() {
-                path.push(i as u32);
-                let (d, r_after) = worst_path(child, graph, cap, tech, path, r);
-                path.pop();
+            for (i, child) in children.into_iter().enumerate().rev() {
+                let (d, r_after) = worst_path(child, graph, cap, tech, r);
                 delay += d;
                 r = r_after;
                 if i > 0 {
                     // Net above this child: junction (i - 1) of this series.
-                    let junction = crate::JunctionRef::new(path.clone(), (i - 1) as u32);
+                    let junction = JunctionRef::new(pdn.offset(), (i - 1) as u32);
                     let net = graph
                         .junction_net(&junction)
                         .expect("series junction exists");
@@ -179,17 +171,17 @@ pub fn analyze(circuit: &DominoCircuit, tech: &TechParams) -> TimingReport {
         fanouts[binding.gate.index()] += 1;
     }
 
-    let mut gate_delay = Vec::with_capacity(circuit.gate_count());
+    let mut delays = Vec::with_capacity(circuit.gate_count());
     let mut arrival = Vec::with_capacity(circuit.gate_count());
     for (id, gate) in circuit.iter() {
-        let d = gate_delay_of(circuit, id, gate, fanouts[id.index()], tech);
+        let d = gate_delay(gate, fanouts[id.index()], tech);
         let mut at = 0.0f64;
         for signal in gate.pdn().signals() {
             if let Signal::Gate(g) = signal {
                 at = at.max(arrival[g.index()]);
             }
         }
-        gate_delay.push(d);
+        delays.push(d);
         arrival.push(at + d);
     }
     let critical = circuit
@@ -198,26 +190,16 @@ pub fn analyze(circuit: &DominoCircuit, tech: &TechParams) -> TimingReport {
         .map(|b| arrival[b.gate.index()])
         .fold(0.0, f64::max);
     TimingReport {
-        gate_delay,
+        gate_delay: delays,
         arrival,
         critical,
     }
 }
 
-fn gate_delay_of(
-    _circuit: &DominoCircuit,
-    _id: GateId,
-    gate: &DominoGate,
-    fanout: usize,
-    tech: &TechParams,
-) -> f64 {
-    gate_delay(gate, fanout, tech)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{DominoGate, JunctionRef};
+    use crate::{DominoGate, Pdn};
 
     fn t(i: usize) -> Pdn {
         Pdn::transistor(Signal::input(i))
@@ -267,7 +249,7 @@ mod tests {
         let pdn = Pdn::series(vec![Pdn::parallel(vec![t(0), t(1)]), t(2)]);
         let bare = DominoGate::footed(pdn.clone());
         let mut protected = DominoGate::footed(pdn);
-        protected.add_discharge(JunctionRef::new(vec![], 0));
+        protected.add_discharge(JunctionRef::new(0, 0));
         assert!(gate_delay(&protected, 1, &tech) > gate_delay(&bare, 1, &tech));
     }
 

@@ -20,7 +20,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use soi_domino_ir::{DominoCircuit, GateId, JunctionRef, Pdn, Signal};
+use soi_domino_ir::{DominoCircuit, GateId, JunctionRef, Pdn, PdnNode, PdnRef, Signal};
 use soi_mapper::MapConfig;
 use soi_netlist::{Network, Node, NodeId};
 use soi_pbe::hazard;
@@ -319,7 +319,7 @@ pub fn drop_discharge(circuit: &DominoCircuit, seed: u64) -> Option<DominoCircui
         let mut mutated = circuit.clone();
         let mut discharge = mutated.gate(id).discharge().to_vec();
         discharge.remove(j);
-        mutated.gate_mut(id).set_discharge_unchecked(discharge);
+        mutated.set_discharge_unchecked(id, &discharge);
         if hazard::check(&mutated).len() > baseline {
             return Some(mutated);
         }
@@ -343,44 +343,34 @@ pub fn retarget_discharge(circuit: &DominoCircuit, seed: u64) -> Option<DominoCi
     let mut mutated = circuit.clone();
     let mut discharge = mutated.gate(id).discharge().to_vec();
     let j = rng.gen_range(0..discharge.len());
-    discharge[j] = JunctionRef::new(vec![rng.gen_range(500..1000u32)], 0);
-    mutated.gate_mut(id).set_discharge_unchecked(discharge);
+    discharge[j] = JunctionRef::new(rng.gen_range(500..1000u32), 0);
+    mutated.set_discharge_unchecked(id, &discharge);
     mutated.validate().is_err().then_some(mutated)
 }
 
 /// Number of `Series` subtrees in a PDN.
-fn count_series(pdn: &Pdn) -> usize {
-    match pdn {
-        Pdn::Transistor(_) => 0,
-        Pdn::Series(children) => 1 + children.iter().map(count_series).sum::<usize>(),
-        Pdn::Parallel(children) => children.iter().map(count_series).sum(),
-    }
+fn count_series(pdn: PdnRef<'_>) -> usize {
+    pdn.words().iter().filter(|w| w.is_series()).count()
 }
 
 /// Rebuilds a PDN with the `target`-th `Series` subtree's children reversed
 /// (pre-order numbering via `k`).
-fn reverse_nth_series(pdn: &Pdn, target: usize, k: &mut usize) -> Pdn {
-    match pdn {
-        Pdn::Transistor(s) => Pdn::transistor(*s),
-        Pdn::Series(children) => {
+fn reverse_nth_series(pdn: PdnRef<'_>, target: usize, k: &mut usize) -> Pdn {
+    match pdn.root() {
+        PdnNode::Transistor(s) => Pdn::transistor(s),
+        PdnNode::Series(children) => {
             let here = *k;
             *k += 1;
-            let rebuilt: Vec<Pdn> = children
-                .iter()
-                .map(|c| reverse_nth_series(c, target, k))
-                .collect();
+            let rebuilt: Vec<Pdn> = children.map(|c| reverse_nth_series(c, target, k)).collect();
             if here == target {
                 Pdn::series(rebuilt.into_iter().rev().collect())
             } else {
                 Pdn::series(rebuilt)
             }
         }
-        Pdn::Parallel(children) => Pdn::parallel(
-            children
-                .iter()
-                .map(|c| reverse_nth_series(c, target, k))
-                .collect(),
-        ),
+        PdnNode::Parallel(children) => {
+            Pdn::parallel(children.map(|c| reverse_nth_series(c, target, k)).collect())
+        }
     }
 }
 
@@ -405,11 +395,11 @@ pub fn flip_pdn_junction(circuit: &DominoCircuit, seed: u64) -> Option<DominoCir
         let (id, s) = candidates[(start + k) % candidates.len()];
         let mut counter = 0;
         let flipped = reverse_nth_series(circuit.gate(id).pdn(), s, &mut counter);
-        if &flipped == circuit.gate(id).pdn() {
+        if flipped == circuit.gate(id).pdn() {
             continue; // palindromic stack: not a mutation at all
         }
         let mut mutated = circuit.clone();
-        mutated.gate_mut(id).set_pdn_unchecked(flipped);
+        mutated.set_pdn_unchecked(id, flipped.view());
         if mutated.validate().is_err() || !hazard::check(&mutated).is_empty() {
             return Some(mutated);
         }
@@ -419,22 +409,20 @@ pub fn flip_pdn_junction(circuit: &DominoCircuit, seed: u64) -> Option<DominoCir
 
 /// Rebuilds a PDN with the `target`-th transistor's signal replaced
 /// (flatten-order numbering via `k`).
-fn replace_signal(pdn: &Pdn, target: usize, with: Signal, k: &mut usize) -> Pdn {
-    match pdn {
-        Pdn::Transistor(s) => {
-            let signal = if *k == target { with } else { *s };
+fn replace_signal(pdn: PdnRef<'_>, target: usize, with: Signal, k: &mut usize) -> Pdn {
+    match pdn.root() {
+        PdnNode::Transistor(s) => {
+            let signal = if *k == target { with } else { s };
             *k += 1;
             Pdn::transistor(signal)
         }
-        Pdn::Series(children) => Pdn::series(
+        PdnNode::Series(children) => Pdn::series(
             children
-                .iter()
                 .map(|c| replace_signal(c, target, with, k))
                 .collect(),
         ),
-        Pdn::Parallel(children) => Pdn::parallel(
+        PdnNode::Parallel(children) => Pdn::parallel(
             children
-                .iter()
                 .map(|c| replace_signal(c, target, with, k))
                 .collect(),
         ),
@@ -466,7 +454,12 @@ pub fn retarget_fanin(circuit: &DominoCircuit, seed: u64) -> Option<(DominoCircu
     let start = rng.gen_range(0..candidates.len());
     for k in 0..candidates.len() {
         let (id, t) = candidates[(start + k) % candidates.len()];
-        let old = circuit.gate(id).pdn().signals()[t];
+        let old = circuit
+            .gate(id)
+            .pdn()
+            .signals()
+            .nth(t)
+            .expect("transistor index in range");
         // Flip an input literal's phase; rewire a gate tap to an input.
         let with = match old {
             Signal::Input { index, phase } => Signal::Input {
@@ -478,7 +471,7 @@ pub fn retarget_fanin(circuit: &DominoCircuit, seed: u64) -> Option<(DominoCircu
         let mut counter = 0;
         let rewired = replace_signal(circuit.gate(id).pdn(), t, with, &mut counter);
         let mut mutated = circuit.clone();
-        mutated.gate_mut(id).set_pdn_unchecked(rewired);
+        mutated.set_pdn_unchecked(id, rewired.view());
         if mutated.validate().is_err() {
             continue; // keep this mutator purely functional
         }
@@ -601,9 +594,9 @@ pub fn strip_protection(circuit: &DominoCircuit) -> Option<DominoCircuit> {
     let mut mutated = circuit.clone();
     let mut removed = 0;
     for id in 0..mutated.gate_count() {
-        let gate = mutated.gate_mut(GateId::from_index(id));
-        removed += gate.discharge().len();
-        gate.set_discharge_unchecked(Vec::new());
+        let id = GateId::from_index(id);
+        removed += mutated.gate(id).discharge().len();
+        mutated.set_discharge_unchecked(id, &[]);
     }
     if removed == 0 || hazard::check(&mutated).is_empty() {
         return None;
@@ -718,8 +711,7 @@ mod tests {
                 Pdn::transistor(Signal::input(3)),
             ]),
         );
-        c.gate_mut(GateId::from_index(0))
-            .add_discharge(JunctionRef::new(vec![], 0));
+        c.add_discharge(GateId::from_index(0), JunctionRef::new(0, 0));
         assert!(hazard::is_safe(&c));
 
         for seed in 0..20 {
@@ -744,17 +736,22 @@ mod tests {
     #[test]
     fn forgers_touch_only_the_root_table() {
         let mut c = DominoCircuit::new(vec!["a".into(), "b".into()]);
-        let g0 = c.add_rooted_gate(
-            soi_domino_ir::DominoGate::footed(Pdn::transistor(Signal::input(0))),
-            0,
-        );
-        let g1 = c.add_rooted_gate(
-            soi_domino_ir::DominoGate::footed(Pdn::series(vec![
-                Pdn::transistor(Signal::Gate(g0)),
-                Pdn::transistor(Signal::input(1)),
-            ])),
-            2,
-        );
+        let g0 = c
+            .push_gate(
+                soi_domino_ir::DominoGate::footed(Pdn::transistor(Signal::input(0))).view(),
+                Some(0),
+            )
+            .unwrap();
+        let g1 = c
+            .push_gate(
+                soi_domino_ir::DominoGate::footed(Pdn::series(vec![
+                    Pdn::transistor(Signal::Gate(g0)),
+                    Pdn::transistor(Signal::input(1)),
+                ]))
+                .view(),
+                Some(2),
+            )
+            .unwrap();
         c.add_output("f", g1);
         for seed in 0..20 {
             for (name, forged) in [

@@ -495,22 +495,22 @@ fn components(graph: &PdnGraph, conducting: &[bool], nets: usize) -> Vec<usize> 
 }
 
 /// Evaluates a PDN tree against a flat per-device conduction vector in tree
-/// order (the same order as [`Pdn::flatten`]).
-fn conducts_indexed(pdn: &soi_domino_ir::Pdn, on: &[bool], k: &mut usize) -> bool {
-    match pdn {
-        soi_domino_ir::Pdn::Transistor(_) => {
+/// order (the same order as [`PdnRef::flatten`](soi_domino_ir::PdnRef::flatten)).
+fn conducts_indexed(pdn: soi_domino_ir::PdnRef<'_>, on: &[bool], k: &mut usize) -> bool {
+    match pdn.root() {
+        soi_domino_ir::PdnNode::Transistor(_) => {
             let v = on[*k];
             *k += 1;
             v
         }
-        soi_domino_ir::Pdn::Series(children) => {
+        soi_domino_ir::PdnNode::Series(children) => {
             let mut all = true;
             for c in children {
                 all &= conducts_indexed(c, on, k);
             }
             all
         }
-        soi_domino_ir::Pdn::Parallel(children) => {
+        soi_domino_ir::PdnNode::Parallel(children) => {
             let mut any = false;
             for c in children {
                 any |= conducts_indexed(c, on, k);
@@ -562,8 +562,7 @@ mod tests {
         let mut c = fig2a_circuit();
         // Inject a pre-discharge transistor aimed at a junction path that
         // does not exist in the pull-down network.
-        c.gate_mut(GateId::from_index(0))
-            .set_discharge_unchecked(vec![JunctionRef::new(vec![7, 7], 3)]);
+        c.set_discharge_unchecked(GateId::from_index(0), &[JunctionRef::new(77, 3)]);
         let Err(err) = BodySimulator::new(&c, BodySimConfig::default()) else {
             panic!("a dangling discharge junction must be rejected");
         };
@@ -576,8 +575,7 @@ mod tests {
     #[test]
     fn discharge_transistor_prevents_failure() {
         let mut c = fig2a_circuit();
-        c.gate_mut(GateId::from_index(0))
-            .add_discharge(JunctionRef::new(vec![], 0));
+        c.add_discharge(GateId::from_index(0), JunctionRef::new(0, 0));
         let mut sim = BodySimulator::new(&c, BodySimConfig::default()).expect("valid circuit");
         let report = paper_scenario(&mut sim);
         assert!(report.pbe_events.is_empty());
@@ -724,8 +722,7 @@ mod tests {
         // Discharge on node 1 of (A+B+C)*D with A held high during
         // precharge creates a precharge contention through A.
         let mut c = fig2a_circuit();
-        c.gate_mut(GateId::from_index(0))
-            .add_discharge(JunctionRef::new(vec![], 0));
+        c.add_discharge(GateId::from_index(0), JunctionRef::new(0, 0));
         let mut sim = BodySimulator::new(&c, BodySimConfig::default()).expect("valid circuit");
         let r = sim.step(&[true, false, false, false]).unwrap();
         assert!(r.contentions > 0);

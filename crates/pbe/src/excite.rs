@@ -25,9 +25,7 @@
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use soi_domino_ir::{
-    DominoCircuit, DominoGate, GateId, JunctionRef, NetId, PdnGraph, Phase, Signal,
-};
+use soi_domino_ir::{DominoCircuit, GateId, GateRef, JunctionRef, NetId, PdnGraph, Phase, Signal};
 
 /// Declared knowledge about the circuit's inputs.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -146,7 +144,7 @@ struct GateModel {
 }
 
 impl GateModel {
-    fn new(gate: &DominoGate) -> GateModel {
+    fn new(gate: GateRef<'_>) -> GateModel {
         let graph = gate.pdn().flatten();
         let mut vars: Vec<Var> = Vec::new();
         let mut terms = Vec::with_capacity(graph.transistors.len());
@@ -221,13 +219,13 @@ impl GateModel {
 /// # Panics
 ///
 /// Panics if the junction does not exist in the gate's PDN.
-pub fn junction_excitability(
-    gate: &DominoGate,
+pub fn junction_excitability<'a>(
+    gate: impl Into<GateRef<'a>>,
     junction: &JunctionRef,
     constraints: &InputConstraints,
     config: &ExciteConfig,
 ) -> Excitability {
-    let model = GateModel::new(gate);
+    let model = GateModel::new(gate.into());
     let net = model
         .graph
         .junction_net(junction)
@@ -332,10 +330,10 @@ pub fn prune_discharge_traced(
                 let verdict = junction_excitability(circuit.gate(id), j, constraints, config);
                 verdict != Excitability::ProvenSafe
             })
-            .cloned()
+            .copied()
             .collect();
         removed += (circuit.gate(id).discharge().len() - keep.len()) as u32;
-        circuit.gate_mut(id).set_discharge(keep);
+        circuit.set_discharge(id, &keep);
     }
     trace.count(soi_trace::Counter::DischargesPruned, u64::from(removed));
     removed
@@ -350,16 +348,16 @@ pub fn verify_safe(
     constraints: &InputConstraints,
     config: &ExciteConfig,
 ) -> bool {
-    for (id, gate) in circuit.iter() {
-        let analysis = crate::points::analyze(gate.pdn());
-        for junction in analysis.committed {
-            if gate.discharge().contains(&junction) {
+    let mut analyzer = crate::points::Analyzer::default();
+    for (_, gate) in circuit.iter() {
+        analyzer.run(gate.pdn());
+        for junction in analyzer.committed() {
+            if gate.discharge().contains(junction) {
                 continue;
             }
-            if junction_excitability(gate, &junction, constraints, config)
+            if junction_excitability(gate, junction, constraints, config)
                 != Excitability::ProvenSafe
             {
-                let _ = id;
                 return false;
             }
         }
@@ -387,7 +385,7 @@ mod tests {
         ]));
         let verdict = junction_excitability(
             &gate,
-            &JunctionRef::new(vec![], 0),
+            &JunctionRef::new(0, 0),
             &InputConstraints::none(),
             &ExciteConfig::default(),
         );
@@ -409,7 +407,7 @@ mod tests {
         let constraints = InputConstraints::none().with_mutex(vec![0, 1]);
         let verdict = junction_excitability(
             &gate,
-            &JunctionRef::new(vec![], 2),
+            &JunctionRef::new(0, 2),
             &constraints,
             &ExciteConfig::default(),
         );
@@ -417,7 +415,7 @@ mod tests {
         // Without the constraint it is excitable.
         let verdict = junction_excitability(
             &gate,
-            &JunctionRef::new(vec![], 2),
+            &JunctionRef::new(0, 2),
             &InputConstraints::none(),
             &ExciteConfig::default(),
         );
@@ -436,7 +434,7 @@ mod tests {
         let constraints = InputConstraints::none().with_fixed(0, false);
         let verdict = junction_excitability(
             &gate,
-            &JunctionRef::new(vec![], 0),
+            &JunctionRef::new(0, 0),
             &constraints,
             &ExciteConfig::default(),
         );
@@ -506,7 +504,7 @@ mod tests {
         let constraints = InputConstraints::none().with_mutex(vec![1, 2]);
         let verdict = junction_excitability(
             &gate,
-            &JunctionRef::new(vec![], 0),
+            &JunctionRef::new(0, 0),
             &constraints,
             &ExciteConfig::default(),
         );

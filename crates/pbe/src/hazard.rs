@@ -56,9 +56,10 @@ impl fmt::Display for Hazard {
 /// ```
 pub fn check(circuit: &DominoCircuit) -> Vec<Hazard> {
     let mut hazards = Vec::new();
+    let mut analyzer = points::Analyzer::default();
     for (id, gate) in circuit.iter() {
-        let analysis = points::analyze(gate.pdn());
-        for junction in analysis.committed {
+        analyzer.run(gate.pdn());
+        for &junction in analyzer.committed() {
             if !gate.discharge().contains(&junction) {
                 hazards.push(Hazard { gate: id, junction });
             }
@@ -77,14 +78,12 @@ pub fn is_safe(circuit: &DominoCircuit) -> bool {
 /// over-protecting.
 pub fn redundant_discharge(circuit: &DominoCircuit) -> Vec<Hazard> {
     let mut redundant = Vec::new();
+    let mut analyzer = points::Analyzer::default();
     for (id, gate) in circuit.iter() {
-        let analysis = points::analyze(gate.pdn());
-        for junction in gate.discharge() {
-            if !analysis.committed.contains(junction) {
-                redundant.push(Hazard {
-                    gate: id,
-                    junction: junction.clone(),
-                });
+        analyzer.run(gate.pdn());
+        for &junction in gate.discharge() {
+            if !analyzer.committed().contains(&junction) {
+                redundant.push(Hazard { gate: id, junction });
             }
         }
     }
@@ -131,8 +130,7 @@ mod tests {
     fn partial_protection_reports_remainder() {
         let mut c = risky_circuit();
         let needed = points::analyze(c.gate(GateId::from_index(0)).pdn()).committed;
-        c.gate_mut(GateId::from_index(0))
-            .set_discharge(vec![needed[0].clone()]);
+        c.set_discharge(GateId::from_index(0), &needed[..1]);
         assert_eq!(check(&c).len(), 1);
     }
 
@@ -143,8 +141,7 @@ mod tests {
             Pdn::series(vec![t(0), t(1)]),
         );
         // A pure series chain needs nothing; protecting it is redundant.
-        c.gate_mut(GateId::from_index(0))
-            .set_discharge(vec![soi_domino_ir::JunctionRef::new(vec![], 0)]);
+        c.set_discharge(GateId::from_index(0), &[JunctionRef::new(0, 0)]);
         assert!(is_safe(&c));
         assert_eq!(redundant_discharge(&c).len(), 1);
     }

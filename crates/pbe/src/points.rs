@@ -1,7 +1,7 @@
 //! Potential-discharge-point analysis over pull-down networks.
 //!
 //! This is the paper's `p_dis` / `par_b` calculus (§V) applied to concrete
-//! [`Pdn`] trees. Two kinds of internal junctions matter:
+//! pull-down networks. Two kinds of internal junctions matter:
 //!
 //! * **committed** points must carry a pre-discharge transistor no matter
 //!   what: they sit inside or directly below structure that can never be
@@ -16,9 +16,9 @@
 //! context (it becomes a committed junction when the structure is stacked on
 //! top of something else).
 
-use soi_domino_ir::{JunctionRef, Pdn};
+use soi_domino_ir::{JunctionRef, PdnNode, PdnRef};
 
-/// Result of analysing a [`Pdn`] tree.
+/// Result of analysing a pull-down network.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PointAnalysis {
     /// Junctions needing discharge iff the structure's bottom is never
@@ -35,21 +35,6 @@ impl PointAnalysis {
     /// The paper's `p_dis` value.
     pub fn p_dis(&self) -> u32 {
         self.potential.len() as u32
-    }
-
-    /// Discharge transistors required if the structure is used with its
-    /// bottom grounded (e.g. as a complete gate PDN): just the committed
-    /// points.
-    pub fn grounded_discharge(&self) -> Vec<JunctionRef> {
-        self.committed.clone()
-    }
-
-    /// Consuming variant of
-    /// [`grounded_discharge`](PointAnalysis::grounded_discharge) — hands
-    /// over the committed list without cloning it (reconstruct attaches
-    /// a discharge set to every SOI gate, so the clone was measurable).
-    pub fn into_grounded_discharge(self) -> Vec<JunctionRef> {
-        self.committed
     }
 
     /// Discharge count if the bottom is grounded.
@@ -72,71 +57,100 @@ impl PointAnalysis {
 ///
 /// See the paper's Fig. 4 and Fig. 5; both worked examples are reproduced in
 /// this module's tests.
-pub fn analyze(pdn: &Pdn) -> PointAnalysis {
-    let mut result = PointAnalysis::default();
-    let mut path = Vec::new();
-    let mut pool = Vec::new();
-    result.par_b = analyze_into(
-        pdn,
-        &mut path,
-        &mut result.potential,
-        &mut result.committed,
-        &mut pool,
-    );
-    result
+pub fn analyze<'a>(pdn: impl Into<PdnRef<'a>>) -> PointAnalysis {
+    let mut analyzer = Analyzer::default();
+    let par_b = analyzer.run(pdn);
+    PointAnalysis {
+        potential: analyzer.potential,
+        committed: analyzer.committed,
+        par_b,
+    }
+}
+
+/// The analysis with reusable buffers: after the first few networks,
+/// analysing another allocates nothing. Reconstruct and the whole-circuit
+/// passes run one per gate, so they keep one of these.
+#[derive(Debug, Clone, Default)]
+pub struct Analyzer {
+    potential: Vec<JunctionRef>,
+    committed: Vec<JunctionRef>,
+    /// Recycled buffers for a series top-child's potential points.
+    pool: Vec<Vec<JunctionRef>>,
+    /// Child offsets of the series nodes being folded, innermost last.
+    kids: Vec<u32>,
+}
+
+impl Analyzer {
+    /// Analyses `pdn`, replacing the previous result, and returns its
+    /// `par_b`.
+    pub fn run<'a>(&mut self, pdn: impl Into<PdnRef<'a>>) -> bool {
+        self.potential.clear();
+        self.committed.clear();
+        analyze_into(
+            pdn.into(),
+            &mut self.potential,
+            &mut self.committed,
+            &mut self.pool,
+            &mut self.kids,
+        )
+    }
+
+    /// The last network's committed points.
+    pub fn committed(&self) -> &[JunctionRef] {
+        &self.committed
+    }
+
+    /// The last network's potential points.
+    pub fn potential(&self) -> &[JunctionRef] {
+        &self.potential
+    }
 }
 
 /// Appends `pdn`'s potential and committed points directly to the caller's
 /// sinks and returns its `par_b`. Subtrees write into the final lists
-/// instead of building per-level `PointAnalysis` values that get merged
-/// and dropped on the way up — reconstruct runs this for every
-/// materialized SOI gate, and the per-level `Vec` churn dominated its
-/// profile. The append order is exactly the old fold's concatenation
-/// order, so the reported lists (and with them every discharge-set
-/// rendering) are unchanged.
+/// instead of building per-level results that get merged and dropped on
+/// the way up.
 ///
 /// `pool` recycles the scratch buffers that hold a series top-child's
 /// potential points on their way into `committed` (a top's potential
 /// points cannot go to `potential` directly, but its committed points
-/// can — and must keep ordering ahead of them).
+/// can — and must keep ordering ahead of them). `kids` holds each series
+/// node's child offsets while it is folded bottom-up.
 fn analyze_into(
-    pdn: &Pdn,
-    path: &mut Vec<u32>,
+    pdn: PdnRef<'_>,
     potential: &mut Vec<JunctionRef>,
     committed: &mut Vec<JunctionRef>,
     pool: &mut Vec<Vec<JunctionRef>>,
+    kids: &mut Vec<u32>,
 ) -> bool {
-    match pdn {
-        Pdn::Transistor(_) => false,
-        Pdn::Parallel(children) => {
+    match pdn.root() {
+        PdnNode::Transistor(_) => false,
+        PdnNode::Parallel(children) => {
             // Branch bottoms merge with the shared bottom node; each branch's
             // internal points remain potential, resolved by the context.
             // Each child's par_b is absorbed: the branch's parallel bottom
             // *is* this stack's bottom node.
-            for (i, child) in children.iter().enumerate() {
-                path.push(i as u32);
-                analyze_into(child, path, potential, committed, pool);
-                path.pop();
+            for child in children {
+                analyze_into(child, potential, committed, pool, kids);
             }
             true
         }
-        Pdn::Series(children) => {
+        PdnNode::Series(children) => {
             // Fold bottom-up. The bottom child keeps its potential points
             // and determines par_b; every child above is never grounded, so
             // its potential points commit, and the junction directly below
             // it commits too when it ends in a parallel stack (otherwise the
             // junction is a plain series point and stays potential).
-            let last = children.len() - 1;
-            path.push(last as u32);
-            let par_b = analyze_into(&children[last], path, potential, committed, pool);
-            path.pop();
+            let base = kids.len();
+            kids.extend(children.map(PdnRef::offset));
+            let last = kids.len() - 1;
+            let child = |kids: &[u32], i: usize| pdn.at(kids[i]).expect("child offset");
+            let par_b = analyze_into(child(kids, last), potential, committed, pool, kids);
             let mut scratch = pool.pop().unwrap_or_default();
-            for i in (0..last).rev() {
-                path.push(i as u32);
-                let top_par_b = analyze_into(&children[i], path, &mut scratch, committed, pool);
-                path.pop();
+            for i in (base..last).rev() {
+                let top_par_b = analyze_into(child(kids, i), &mut scratch, committed, pool, kids);
                 committed.append(&mut scratch);
-                let junction = JunctionRef::new(path.clone(), i as u32);
+                let junction = JunctionRef::new(pdn.offset(), (i - base) as u32);
                 if top_par_b {
                     committed.push(junction);
                 } else {
@@ -144,6 +158,7 @@ fn analyze_into(
                 }
             }
             pool.push(scratch);
+            kids.truncate(base);
             par_b
         }
     }
@@ -152,7 +167,7 @@ fn analyze_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use soi_domino_ir::Signal;
+    use soi_domino_ir::{Pdn, Signal};
 
     fn t(i: usize) -> Pdn {
         Pdn::transistor(Signal::input(i))
@@ -167,7 +182,7 @@ mod tests {
         assert_eq!(a.p_dis(), 1);
         assert!(a.par_b);
         assert!(a.committed.is_empty());
-        assert_eq!(a.potential[0], JunctionRef::new(vec![0], 0));
+        assert_eq!(a.potential[0], JunctionRef::new(1, 0));
         assert_eq!(a.grounded_count(), 0);
         // Ungrounded: the internal junction plus the stack bottom.
         assert_eq!(a.ungrounded_count(), 2);
@@ -184,11 +199,11 @@ mod tests {
         let a = analyze(&pdn);
         // Committed: A-B junction (inside top) + the inter-stack junction.
         assert_eq!(a.committed.len(), 2);
-        assert!(a.committed.contains(&JunctionRef::new(vec![0, 0], 0)));
-        assert!(a.committed.contains(&JunctionRef::new(vec![], 0)));
+        assert!(a.committed.contains(&JunctionRef::new(2, 0)));
+        assert!(a.committed.contains(&JunctionRef::new(0, 0)));
         // Potential: D-E junction inside the bottom stack.
         assert_eq!(a.p_dis(), 1);
-        assert_eq!(a.potential[0], JunctionRef::new(vec![1, 0], 0));
+        assert_eq!(a.potential[0], JunctionRef::new(7, 0));
         assert!(a.par_b);
         assert_eq!(a.grounded_count(), 2);
     }
@@ -248,7 +263,7 @@ mod tests {
         let pdn = Pdn::series(vec![Pdn::parallel(vec![t(0), t(1), t(2)]), t(3)]);
         let a = analyze(&pdn);
         assert_eq!(a.grounded_count(), 1);
-        assert_eq!(a.committed[0], JunctionRef::new(vec![], 0));
+        assert_eq!(a.committed[0], JunctionRef::new(0, 0));
         assert_eq!(a.p_dis(), 0);
         assert!(!a.par_b);
     }

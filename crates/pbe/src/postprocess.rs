@@ -49,12 +49,12 @@ pub fn insert_discharge(circuit: &mut DominoCircuit) -> u32 {
 /// With `TraceHandle::off()` this is exactly `insert_discharge`.
 pub fn insert_discharge_traced(circuit: &mut DominoCircuit, trace: soi_trace::TraceHandle) -> u32 {
     let mut added = 0;
+    let mut analyzer = points::Analyzer::default();
     for idx in 0..circuit.gate_count() {
         let id = soi_domino_ir::GateId::from_index(idx);
-        let analysis = points::analyze(circuit.gate(id).pdn());
-        let set = analysis.grounded_discharge();
-        added += set.len() as u32;
-        circuit.gate_mut(id).set_discharge(set);
+        analyzer.run(circuit.gate(id).pdn());
+        added += analyzer.committed().len() as u32;
+        circuit.set_discharge(id, analyzer.committed());
     }
     trace.count(soi_trace::Counter::DischargesInserted, u64::from(added));
     added

@@ -13,78 +13,88 @@
 //! suffices to pick the best *bottom* element — the relative order of the
 //! rest is irrelevant and preserved for stability.
 
-use soi_domino_ir::{DominoCircuit, Pdn};
+use soi_domino_ir::{DominoCircuit, Pdn, PdnRef, PdnWord};
 
 use crate::points;
 
 /// Rearranges every series stack in the PDN, moving parallel-bearing,
 /// high-`p_dis` elements toward ground. `grounded` says whether the PDN's
 /// bottom terminal is (eventually) connected to ground; for a complete gate
-/// PDN it is `true`.
+/// PDN it is `true`. An ungrounded PDN is returned unchanged: only a
+/// grounded bottom absolves anything.
 ///
 /// Junction references into the old tree are invalidated; run this *before*
 /// [`postprocess::insert_discharge`](crate::postprocess::insert_discharge).
 pub fn rearrange_pdn(pdn: &Pdn, grounded: bool) -> Pdn {
-    match pdn {
-        Pdn::Transistor(_) => pdn.clone(),
-        Pdn::Parallel(children) => {
-            // All branch bottoms share this node's bottom terminal.
-            Pdn::parallel(
-                children
-                    .iter()
-                    .map(|c| rearrange_pdn(c, grounded))
-                    .collect(),
-            )
-        }
-        Pdn::Series(children) => {
-            // Recurse first: only the bottom position is grounded, but the
-            // rearrangement below may move any child there, so children are
-            // rearranged under their *final* grounding. Rearrange assuming
-            // not-grounded first, pick the bottom, then redo the chosen
-            // bottom child as grounded.
-            let mut rearranged: Vec<Pdn> =
-                children.iter().map(|c| rearrange_pdn(c, false)).collect();
-            if grounded {
-                let best = rearranged
-                    .iter()
-                    .enumerate()
-                    .max_by_key(|(i, c)| {
-                        let a = points::analyze(c);
-                        // Score: points recovered by grounding this child.
-                        // Ties keep the later (already lower) element to
-                        // minimize churn.
-                        (a.p_dis() + u32::from(a.par_b), *i)
-                    })
-                    .map(|(i, _)| i)
-                    .expect("series has children");
-                let chosen = rearranged.remove(best);
-                let chosen = rearrange_pdn(&chosen, true);
-                rearranged.push(chosen);
-            }
-            Pdn::series(rearranged)
-        }
+    if !grounded {
+        return pdn.clone();
     }
+    let mut words = pdn.words().to_vec();
+    rearrange_words(&mut words, 0, &mut points::Analyzer::default());
+    Pdn::from_words(words).expect("a reordered tree is a tree")
+}
+
+/// Rearranges the grounded subtree at word offset `at`, in place. The
+/// reordering is a permutation of sibling subtrees, so every node keeps
+/// its length and the tree stays normalized.
+fn rearrange_words(words: &mut [PdnWord], at: usize, analyzer: &mut points::Analyzer) {
+    let head = words[at];
+    if head.is_transistor() {
+        return;
+    }
+    let end = at + head.span();
+    if head.is_parallel() {
+        // All branch bottoms share this node's (grounded) bottom terminal.
+        let mut child = at + 1;
+        while child < end {
+            let span = words[child].span();
+            rearrange_words(words, child, analyzer);
+            child += span;
+        }
+        return;
+    }
+    // Series: only the bottom position is grounded. Pick the child whose
+    // grounding recovers the most points — ties keep the later (already
+    // lower) element to minimize churn — move it to the bottom, keeping
+    // the others' order, and rearrange it as grounded.
+    let (mut child, mut best) = (at + 1, (0, 0, at + 1));
+    let mut i = 0;
+    while child < end {
+        let span = words[child].span();
+        let tree = PdnRef::new(&words[child..child + span]).expect("a subtree is a tree");
+        let par_b = analyzer.run(tree);
+        let score = analyzer.potential().len() as u32 + u32::from(par_b);
+        if (score, i) >= (best.0, best.1) {
+            best = (score, i, child);
+        }
+        child += span;
+        i += 1;
+    }
+    let chosen = best.2;
+    let span = words[chosen].span();
+    words[chosen..end].rotate_left(span);
+    rearrange_words(words, end - span, analyzer);
 }
 
 /// Applies [`rearrange_pdn`] to every gate of the circuit, clearing any
 /// existing discharge transistors (they refer to the old trees). Returns the
-/// number of gates whose PDN changed.
+/// number of gates whose PDN changed. Each gate is reordered in a reused
+/// buffer and written back in place.
 pub fn rearrange_stacks(circuit: &mut DominoCircuit) -> u32 {
     let mut changed = 0;
+    let mut words = Vec::new();
+    let mut analyzer = points::Analyzer::default();
     for idx in 0..circuit.gate_count() {
         let id = soi_domino_ir::GateId::from_index(idx);
-        let gate = circuit.gate_mut(id);
-        let new_pdn = rearrange_pdn(gate.pdn(), true);
-        if new_pdn != *gate.pdn() {
+        let old = circuit.gate(id).pdn().words();
+        words.clear();
+        words.extend_from_slice(old);
+        rearrange_words(&mut words, 0, &mut analyzer);
+        if words != old {
             changed += 1;
         }
-        let footed = gate.is_footed();
-        let replacement = if footed {
-            soi_domino_ir::DominoGate::footed(new_pdn)
-        } else {
-            soi_domino_ir::DominoGate::footless(new_pdn)
-        };
-        *gate = replacement;
+        let new_pdn = PdnRef::new(&words).expect("a reordered tree is a tree");
+        circuit.set_pdn(id, new_pdn);
     }
     changed
 }

@@ -70,8 +70,8 @@ pub fn convert(network: &Network, options: &Options) -> Result<UnateNetwork, Una
         let (signal, inverted) = match options.output_phase {
             OutputPhase::Positive => (builder.build(port.driver, Phase::Pos), false),
             OutputPhase::Cheapest => {
-                let pos_cost = builder.estimate(port.driver, Phase::Pos, &mut FxHashMap::default());
-                let neg_cost = builder.estimate(port.driver, Phase::Neg, &mut FxHashMap::default());
+                let pos_cost = builder.estimate(port.driver, Phase::Pos);
+                let neg_cost = builder.estimate(port.driver, Phase::Neg);
                 if neg_cost < pos_cost {
                     (builder.build(port.driver, Phase::Neg), true)
                 } else {
@@ -149,6 +149,45 @@ struct Builder<'a> {
     hash: FxHashMap<(bool, UId, UId), UId>,
     /// Produced literal per `input * 2 + phase`.
     lit_cache: Vec<Option<UId>>,
+    /// One bit per [`slot`]: visited by the running `estimate` (clear
+    /// between calls; allocated on first use).
+    seen: Vec<u64>,
+    /// [`Builder::build`]'s stack of parent frames, kept between calls.
+    frames: Vec<Frame>,
+}
+
+/// A pair being built: its [`slot`], the slots of the operands it reads
+/// in build order, how its signal follows from theirs, and how many
+/// operands have been visited.
+#[derive(Clone, Copy)]
+struct Frame {
+    slot: u32,
+    operands: [u32; 4],
+    kind: Kind,
+    len: u8,
+    next: u8,
+}
+
+/// How a frame's signal follows from its operands'.
+#[derive(Clone, Copy)]
+enum Kind {
+    /// An input literal or a constant: no operands.
+    Leaf,
+    /// A buffer or inverter: its one operand's signal.
+    Wire,
+    /// A 2-input AND or OR of the two operands.
+    Gate { and: bool },
+    /// XOR/XNOR over `a⁺ a⁻ b⁺ b⁻`, as an OR of two ANDs.
+    Xor { odd: bool },
+}
+
+/// The phase a [`slot`] stands for.
+fn phase_of(slot: u32) -> Phase {
+    if slot % 2 == 1 {
+        Phase::Neg
+    } else {
+        Phase::Pos
+    }
 }
 
 impl<'a> Builder<'a> {
@@ -175,8 +214,13 @@ impl<'a> Builder<'a> {
             input_pos,
             out: UnateNetwork::new(input_names),
             memo: vec![None; network.len() * 2],
-            hash: FxHashMap::default(),
+            // Sized for about one gate per source node, which is what
+            // `synth-mult136` builds (365,298 from 366,383 nodes): growing
+            // from empty would rehash every entry at each doubling.
+            hash: FxHashMap::with_capacity_and_hasher(network.len(), Default::default()),
             lit_cache: vec![None; network.inputs().len() * 2],
+            seen: Vec::new(),
+            frames: Vec::new(),
         })
     }
 
@@ -227,114 +271,199 @@ impl<'a> Builder<'a> {
         }
     }
 
+    /// Builds `(node, phase)` and everything it needs, depth-first. The
+    /// operands of a pair are built in the order the recursive definition
+    /// names them — `a` before `b`, and for XOR/XNOR `a⁺ a⁻ b⁺ b⁻` — and
+    /// a pair's own gates right after its operands. The certificate check
+    /// re-converts and relies on that numbering.
+    ///
+    /// The walk keeps its own stack, so a netlist's depth never bounds the
+    /// thread's: the frame being worked on lives in locals and its parents
+    /// on `frames`. A frame holds only its operands' slots. An operand
+    /// stays the current one until its signal is in the memo — a parent
+    /// popped back looks at it again — and the signals are read back from
+    /// the memo once all are built.
     fn build(&mut self, node: NodeId, phase: Phase) -> USignal {
         if let Some(sig) = self.memo[slot(node, phase)] {
             return sig;
         }
-        let sig = match self.network.node(node) {
-            Node::Input { .. } => {
-                let input = self.input_pos[node.index()];
-                USignal::Node(self.literal(Literal { input, phase }))
-            }
-            Node::Const { value } => USignal::Const(phase.apply(*value)),
-            Node::Unary { op, a } => match op {
-                UnOp::Buf => self.build(*a, phase),
-                UnOp::Inv => self.build(*a, phase.flipped()),
-            },
-            Node::Binary { op, a, b } => {
-                let (a, b) = (*a, *b);
-                match (op, phase) {
-                    (BinOp::And, Phase::Pos) | (BinOp::Nand, Phase::Neg) => {
-                        let x = self.build(a, Phase::Pos);
-                        let y = self.build(b, Phase::Pos);
-                        self.gate(true, x, y)
+        let mut parents = std::mem::take(&mut self.frames);
+        let mut cur = self.frame(node, phase);
+        let sig = loop {
+            if cur.next < cur.len {
+                let s = cur.operands[usize::from(cur.next)] as usize;
+                if self.memo[s].is_some() {
+                    cur.next += 1;
+                    continue;
+                }
+                let (mut node, mut phase) = (NodeId::from_index(s / 2), phase_of(s as u32));
+                // A buffer or inverter builds nothing: it takes its
+                // operand's signal, so the walk goes straight on to that
+                // operand and copies the signal once it is built.
+                if let Node::Unary { op, a } = self.network.node(node) {
+                    if *op == UnOp::Inv {
+                        phase = phase.flipped();
                     }
-                    // De Morgan: !(a & b) = !a | !b
-                    (BinOp::And, Phase::Neg) | (BinOp::Nand, Phase::Pos) => {
-                        let x = self.build(a, Phase::Neg);
-                        let y = self.build(b, Phase::Neg);
-                        self.gate(false, x, y)
-                    }
-                    (BinOp::Or, Phase::Pos) | (BinOp::Nor, Phase::Neg) => {
-                        let x = self.build(a, Phase::Pos);
-                        let y = self.build(b, Phase::Pos);
-                        self.gate(false, x, y)
-                    }
-                    // De Morgan: !(a | b) = !a & !b
-                    (BinOp::Or, Phase::Neg) | (BinOp::Nor, Phase::Pos) => {
-                        let x = self.build(a, Phase::Neg);
-                        let y = self.build(b, Phase::Neg);
-                        self.gate(true, x, y)
-                    }
-                    // xor = a*b' + a'*b ; xnor = a*b + a'*b'
-                    (BinOp::Xor, Phase::Pos) | (BinOp::Xnor, Phase::Neg) => {
-                        self.build_xorish(a, b, true)
-                    }
-                    (BinOp::Xor, Phase::Neg) | (BinOp::Xnor, Phase::Pos) => {
-                        self.build_xorish(a, b, false)
+                    node = *a;
+                    if let Some(sig) = self.memo[slot(node, phase)] {
+                        self.memo[s] = Some(sig);
+                        cur.next += 1;
+                        continue;
                     }
                 }
+                parents.push(cur);
+                cur = self.frame(node, phase);
+                continue;
+            }
+            let sig = self.assemble(&cur);
+            self.memo[cur.slot as usize] = Some(sig);
+            match parents.pop() {
+                Some(parent) => cur = parent,
+                None => break sig,
             }
         };
-        self.memo[slot(node, phase)] = Some(sig);
+        self.frames = parents;
         sig
     }
 
-    fn build_xorish(&mut self, a: NodeId, b: NodeId, odd: bool) -> USignal {
-        let ap = self.build(a, Phase::Pos);
-        let an = self.build(a, Phase::Neg);
-        let bp = self.build(b, Phase::Pos);
-        let bn = self.build(b, Phase::Neg);
-        let (t1, t2) = if odd {
-            (self.gate(true, ap, bn), self.gate(true, an, bp))
-        } else {
-            (self.gate(true, ap, bp), self.gate(true, an, bn))
+    /// A frame for `(node, phase)`, before any operand is visited.
+    // Inlined by force, as is `assemble`: left to the compiler, neither
+    // is, and converting `synth-mult136` then takes about 40 % longer.
+    #[inline(always)]
+    fn frame(&self, node: NodeId, phase: Phase) -> Frame {
+        let mut frame = Frame {
+            slot: slot(node, phase) as u32,
+            operands: [0; 4],
+            kind: Kind::Leaf,
+            len: 0,
+            next: 0,
         };
-        self.gate(false, t1, t2)
+        let mut push = |n: NodeId, p: Phase| {
+            frame.operands[usize::from(frame.len)] = slot(n, p) as u32;
+            frame.len += 1;
+        };
+        let kind = match self.network.node(node) {
+            Node::Input { .. } | Node::Const { .. } => Kind::Leaf,
+            Node::Unary { op, a } => {
+                push(
+                    *a,
+                    match op {
+                        UnOp::Buf => phase,
+                        UnOp::Inv => phase.flipped(),
+                    },
+                );
+                Kind::Wire
+            }
+            Node::Binary { op, a, b } => {
+                let (and, p) = match (op, phase) {
+                    // xor = a*b' + a'*b ; xnor = a*b + a'*b'
+                    (BinOp::Xor | BinOp::Xnor, _) => {
+                        for (n, p) in [
+                            (a, Phase::Pos),
+                            (a, Phase::Neg),
+                            (b, Phase::Pos),
+                            (b, Phase::Neg),
+                        ] {
+                            push(*n, p);
+                        }
+                        let odd = matches!(
+                            (op, phase),
+                            (BinOp::Xor, Phase::Pos) | (BinOp::Xnor, Phase::Neg)
+                        );
+                        frame.kind = Kind::Xor { odd };
+                        return frame;
+                    }
+                    (BinOp::And, Phase::Pos) | (BinOp::Nand, Phase::Neg) => (true, Phase::Pos),
+                    // De Morgan: !(a & b) = !a | !b
+                    (BinOp::And, Phase::Neg) | (BinOp::Nand, Phase::Pos) => (false, Phase::Neg),
+                    (BinOp::Or, Phase::Pos) | (BinOp::Nor, Phase::Neg) => (false, Phase::Pos),
+                    // De Morgan: !(a | b) = !a & !b
+                    (BinOp::Or, Phase::Neg) | (BinOp::Nor, Phase::Pos) => (true, Phase::Neg),
+                };
+                push(*a, p);
+                push(*b, p);
+                Kind::Gate { and }
+            }
+        };
+        frame.kind = kind;
+        frame
+    }
+
+    /// The signal of a frame whose operands are all built.
+    #[inline(always)]
+    fn assemble(&mut self, frame: &Frame) -> USignal {
+        let built = |b: &Self, i: usize| {
+            b.memo[frame.operands[i] as usize].expect("operands are built before their pair")
+        };
+        match frame.kind {
+            Kind::Leaf => {
+                let node = frame.slot as usize / 2;
+                let phase = phase_of(frame.slot);
+                match self.network.node(NodeId::from_index(node)) {
+                    Node::Const { value } => USignal::Const(phase.apply(*value)),
+                    _ => {
+                        let input = self.input_pos[node];
+                        USignal::Node(self.literal(Literal { input, phase }))
+                    }
+                }
+            }
+            Kind::Wire => built(self, 0),
+            Kind::Gate { and } => {
+                let (x, y) = (built(self, 0), built(self, 1));
+                self.gate(and, x, y)
+            }
+            // xor = a*b' + a'*b ; xnor = a*b + a'*b'
+            Kind::Xor { odd } => {
+                let [ap, an, bp, bn] = [0, 1, 2, 3].map(|i| built(self, i));
+                let (t1, t2) = if odd {
+                    (self.gate(true, ap, bn), self.gate(true, an, bp))
+                } else {
+                    (self.gate(true, ap, bp), self.gate(true, an, bn))
+                };
+                self.gate(false, t1, t2)
+            }
+        }
     }
 
     /// Counts how many *new* unate nodes building `(node, phase)` would
     /// create, given the current memo state. Used by
     /// [`OutputPhase::Cheapest`].
-    fn estimate(
-        &self,
-        node: NodeId,
-        phase: Phase,
-        visiting: &mut FxHashMap<(NodeId, Phase), ()>,
-    ) -> usize {
-        if self.memo[slot(node, phase)].is_some() || visiting.contains_key(&(node, phase)) {
-            return 0;
+    ///
+    /// Every pair reachable from `(node, phase)` through pairs not yet
+    /// built counts once, whatever the visiting order, so the walk is an
+    /// explicit-stack DFS over a dense visited bit per slot; the bits it
+    /// sets are cleared again before it returns.
+    fn estimate(&mut self, node: NodeId, phase: Phase) -> usize {
+        if self.seen.is_empty() {
+            self.seen = vec![0; self.memo.len().div_ceil(64)];
         }
-        visiting.insert((node, phase), ());
-        match self.network.node(node) {
-            Node::Input { .. } => 1,
-            Node::Const { .. } => 0,
-            Node::Unary { op, a } => match op {
-                UnOp::Buf => self.estimate(*a, phase, visiting),
-                UnOp::Inv => self.estimate(*a, phase.flipped(), visiting),
-            },
-            Node::Binary { op, a, b } => {
-                let (a, b) = (*a, *b);
-                match (op, phase) {
-                    (BinOp::And | BinOp::Or, Phase::Pos)
-                    | (BinOp::Nand | BinOp::Nor, Phase::Neg) => {
-                        1 + self.estimate(a, Phase::Pos, visiting)
-                            + self.estimate(b, Phase::Pos, visiting)
-                    }
-                    (BinOp::And | BinOp::Or, Phase::Neg)
-                    | (BinOp::Nand | BinOp::Nor, Phase::Pos) => {
-                        1 + self.estimate(a, Phase::Neg, visiting)
-                            + self.estimate(b, Phase::Neg, visiting)
-                    }
-                    (BinOp::Xor | BinOp::Xnor, _) => {
-                        3 + self.estimate(a, Phase::Pos, visiting)
-                            + self.estimate(a, Phase::Neg, visiting)
-                            + self.estimate(b, Phase::Pos, visiting)
-                            + self.estimate(b, Phase::Neg, visiting)
-                    }
-                }
+        let mut total = 0;
+        let mut touched = Vec::new();
+        let mut stack = vec![(node, phase)];
+        while let Some((node, phase)) = stack.pop() {
+            let s = slot(node, phase);
+            if self.memo[s].is_some() || self.seen[s / 64] >> (s % 64) & 1 == 1 {
+                continue;
             }
+            self.seen[s / 64] |= 1 << (s % 64);
+            touched.push(s);
+            let frame = self.frame(node, phase);
+            total += match frame.kind {
+                Kind::Leaf => usize::from(matches!(self.network.node(node), Node::Input { .. })),
+                Kind::Wire => 0,
+                Kind::Gate { .. } => 1,
+                Kind::Xor { .. } => 3,
+            };
+            stack.extend(
+                frame.operands[..usize::from(frame.len)]
+                    .iter()
+                    .map(|&s| (NodeId::from_index(s as usize / 2), phase_of(s))),
+            );
         }
+        for s in touched {
+            self.seen[s / 64] &= !(1 << (s % 64));
+        }
+        total
     }
 }
 
@@ -554,5 +683,183 @@ mod tests {
             n.add_output(format!("o{k}"), driver);
         }
         check(&n);
+    }
+
+    /// The recursion `build` replaced, as the reference for its order:
+    /// each pair's operands first, in the order the definition names
+    /// them, then the pair's own gates.
+    fn build_ref(b: &mut Builder<'_>, node: NodeId, phase: Phase) -> USignal {
+        if let Some(sig) = b.memo[slot(node, phase)] {
+            return sig;
+        }
+        let network = b.network;
+        let sig = match network.node(node) {
+            Node::Input { .. } => {
+                let input = b.input_pos[node.index()];
+                USignal::Node(b.literal(Literal { input, phase }))
+            }
+            Node::Const { value } => USignal::Const(phase.apply(*value)),
+            Node::Unary { op: UnOp::Buf, a } => build_ref(b, *a, phase),
+            Node::Unary { op: UnOp::Inv, a } => build_ref(b, *a, phase.flipped()),
+            Node::Binary { op, a, b: c } => {
+                let (a, c) = (*a, *c);
+                let (pos, neg) = (Phase::Pos, Phase::Neg);
+                match (op, phase) {
+                    (BinOp::Xor | BinOp::Xnor, _) => {
+                        let odd = matches!(
+                            (op, phase),
+                            (BinOp::Xor, Phase::Pos) | (BinOp::Xnor, Phase::Neg)
+                        );
+                        let ap = build_ref(b, a, pos);
+                        let an = build_ref(b, a, neg);
+                        let bp = build_ref(b, c, pos);
+                        let bn = build_ref(b, c, neg);
+                        let (t1, t2) = if odd {
+                            (b.gate(true, ap, bn), b.gate(true, an, bp))
+                        } else {
+                            (b.gate(true, ap, bp), b.gate(true, an, bn))
+                        };
+                        b.gate(false, t1, t2)
+                    }
+                    (BinOp::And, Phase::Pos) | (BinOp::Nand, Phase::Neg) => {
+                        let (x, y) = (build_ref(b, a, pos), build_ref(b, c, pos));
+                        b.gate(true, x, y)
+                    }
+                    (BinOp::And, Phase::Neg) | (BinOp::Nand, Phase::Pos) => {
+                        let (x, y) = (build_ref(b, a, neg), build_ref(b, c, neg));
+                        b.gate(false, x, y)
+                    }
+                    (BinOp::Or, Phase::Pos) | (BinOp::Nor, Phase::Neg) => {
+                        let (x, y) = (build_ref(b, a, pos), build_ref(b, c, pos));
+                        b.gate(false, x, y)
+                    }
+                    (BinOp::Or, Phase::Neg) | (BinOp::Nor, Phase::Pos) => {
+                        let (x, y) = (build_ref(b, a, neg), build_ref(b, c, neg));
+                        b.gate(true, x, y)
+                    }
+                }
+            }
+        };
+        b.memo[slot(node, phase)] = Some(sig);
+        sig
+    }
+
+    /// The explicit stack builds in recursion's order: converting a
+    /// random network with every gate kind yields the same network, node
+    /// for node, as the recursive walk it replaced.
+    #[test]
+    fn the_explicit_stack_builds_in_recursion_order() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(7);
+        let mut n = Network::new("rnd");
+        let mut pool: Vec<NodeId> = (0..6).map(|i| n.add_input(format!("i{i}"))).collect();
+        for _ in 0..400 {
+            let a = pool[rng.gen_range(0..pool.len())];
+            let b = pool[rng.gen_range(0..pool.len())];
+            let id = match rng.gen_range(0..8) {
+                0 => n.and2(a, b),
+                1 => n.or2(a, b),
+                2 => n.nand2(a, b),
+                3 => n.nor2(a, b),
+                4 => n.xor2(a, b),
+                5 => n.xnor2(a, b),
+                6 => n.buf(a),
+                _ => n.inv(a),
+            };
+            pool.push(id);
+        }
+        for k in 0..8 {
+            n.add_output(format!("o{k}"), pool[pool.len() - 1 - k * 11]);
+        }
+        let build_all = |recursive: bool| {
+            let mut builder = Builder::new(&n).unwrap();
+            for (o, port) in n.outputs().iter().enumerate() {
+                let phase = if o % 2 == 0 { Phase::Pos } else { Phase::Neg };
+                let signal = if recursive {
+                    build_ref(&mut builder, port.driver, phase)
+                } else {
+                    builder.build(port.driver, phase)
+                };
+                builder
+                    .out
+                    .add_output(port.name.clone(), signal, phase == Phase::Neg);
+            }
+            builder.out
+        };
+        let recursive = build_all(true);
+        assert!(recursive.stats().gates() > 100);
+        assert_eq!(build_all(false), recursive);
+    }
+
+    /// The walk `estimate` replaced, as the reference: one recursive
+    /// visit per pair not yet built, each counted once.
+    fn estimate_ref(b: &Builder<'_>, node: NodeId, phase: Phase, seen: &mut Vec<bool>) -> usize {
+        let s = slot(node, phase);
+        if b.memo[s].is_some() || seen[s] {
+            return 0;
+        }
+        seen[s] = true;
+        let mut rec = |n: NodeId, p: Phase| estimate_ref(b, n, p, seen);
+        match b.network.node(node) {
+            Node::Input { .. } => 1,
+            Node::Const { .. } => 0,
+            Node::Unary { op: UnOp::Buf, a } => rec(*a, phase),
+            Node::Unary { op: UnOp::Inv, a } => rec(*a, phase.flipped()),
+            Node::Binary { op, a, b: c } => match (op, phase) {
+                (BinOp::Xor | BinOp::Xnor, _) => {
+                    3 + rec(*a, Phase::Pos)
+                        + rec(*a, Phase::Neg)
+                        + rec(*c, Phase::Pos)
+                        + rec(*c, Phase::Neg)
+                }
+                (BinOp::And | BinOp::Or, Phase::Pos) | (BinOp::Nand | BinOp::Nor, Phase::Neg) => {
+                    1 + rec(*a, Phase::Pos) + rec(*c, Phase::Pos)
+                }
+                _ => 1 + rec(*a, Phase::Neg) + rec(*c, Phase::Neg),
+            },
+        }
+    }
+
+    /// The iterative estimate counts what the recursive one did, for
+    /// every pair of a random network, before and after part of it is
+    /// built — and leaves no visited bit behind.
+    #[test]
+    fn estimate_matches_the_recursive_count() {
+        use rand::rngs::SmallRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(11);
+        let mut n = Network::new("rnd");
+        let mut pool: Vec<NodeId> = (0..5).map(|i| n.add_input(format!("i{i}"))).collect();
+        for _ in 0..150 {
+            let a = pool[rng.gen_range(0..pool.len())];
+            let b = pool[rng.gen_range(0..pool.len())];
+            let id = match rng.gen_range(0..7) {
+                0 => n.and2(a, b),
+                1 => n.or2(a, b),
+                2 => n.nand2(a, b),
+                3 => n.nor2(a, b),
+                4 => n.xor2(a, b),
+                5 => n.xnor2(a, b),
+                _ => n.inv(a),
+            };
+            pool.push(id);
+        }
+        let mut builder = Builder::new(&n).unwrap();
+        for round in 0..2 {
+            for (id, _) in n.iter() {
+                for phase in [Phase::Pos, Phase::Neg] {
+                    let mut seen = vec![false; builder.memo.len()];
+                    let want = estimate_ref(&builder, id, phase, &mut seen);
+                    assert_eq!(
+                        builder.estimate(id, phase),
+                        want,
+                        "round {round} {id:?} {phase:?}"
+                    );
+                }
+            }
+            assert!(builder.seen.iter().all(|&w| w == 0));
+            builder.build(pool[pool.len() - 1], Phase::Pos);
+        }
     }
 }

@@ -68,9 +68,7 @@ fn main() {
 
     // 2. Same structure with the pre-discharge transistor of Fig. 2(c).
     let mut protected = fig2a(true);
-    protected
-        .gate_mut(GateId::from_index(0))
-        .add_discharge(JunctionRef::new(vec![], 0));
+    protected.add_discharge(GateId::from_index(0), JunctionRef::new(0, 0));
     drive("parallel stack on top + p-discharge on node 1", &protected);
 
     // 3. The reordering fix: stack at the bottom needs nothing.

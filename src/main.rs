@@ -16,6 +16,8 @@
 //! mapping is proved equivalent to its source and PBE-safe.
 
 use std::error::Error;
+use std::fmt;
+use std::io::{self, Write};
 use std::path::Path;
 use std::process::ExitCode;
 use std::time::Instant;
@@ -32,8 +34,16 @@ use soi_domino::pbe::hazard;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match run(&args) {
+    let mut out = Out {
+        w: io::stdout().lock(),
+        closed: false,
+    };
+    match run(&args, &mut out).and_then(|code| Ok(out.flush().map(|()| code)?)) {
         Ok(code) => code,
+        Err(e) if e.is::<OutputError>() => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
         Err(e) => {
             eprintln!("error: {e}");
             eprintln!();
@@ -42,6 +52,63 @@ fn main() -> ExitCode {
         }
     }
 }
+
+/// Standard output, locked once: every command writes through this, so a
+/// failed write is an [`OutputError`] instead of a `println!` panic.
+///
+/// A reader that went away (`soi-domino list | head -1`) is not an error:
+/// there is nobody left to tell, and nothing went wrong on this side. The
+/// rest of the output is dropped and the command ends with the exit code
+/// it decides itself, so `verify` still exits with its verdict.
+struct Out<W: Write> {
+    w: W,
+    /// A write failed with a broken pipe; later writes are dropped.
+    closed: bool,
+}
+
+impl<W: Write> Out<W> {
+    /// Lets `write!`/`writeln!` target an `Out`.
+    fn write_fmt(&mut self, args: fmt::Arguments<'_>) -> Result<(), OutputError> {
+        if self.closed {
+            return Ok(());
+        }
+        let written = self.w.write_fmt(args);
+        self.settle(written)
+    }
+
+    fn flush(&mut self) -> Result<(), OutputError> {
+        if self.closed {
+            return Ok(());
+        }
+        let flushed = self.w.flush();
+        self.settle(flushed)
+    }
+
+    /// A broken pipe closes the output; any other error is returned.
+    fn settle(&mut self, result: io::Result<()>) -> Result<(), OutputError> {
+        match result {
+            Err(e) if e.kind() == io::ErrorKind::BrokenPipe => {
+                self.closed = true;
+                Ok(())
+            }
+            r => r.map_err(OutputError),
+        }
+    }
+}
+
+/// A write to standard output failed.
+#[derive(Debug)]
+struct OutputError(io::Error);
+
+impl fmt::Display for OutputError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "writing output: {}", self.0)
+    }
+}
+
+impl Error for OutputError {}
+
+type Stdout<'a> = Out<io::StdoutLock<'a>>;
 
 const USAGE: &str = "usage:
   soi-domino list
@@ -57,19 +124,19 @@ and .aig files are read as AIGER, any other file as BLIF.";
 
 /// Runs one subcommand; `Ok` carries the exit code of a command that ran
 /// to completion (only `verify` can fail that way).
-fn run(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
+fn run(args: &[String], out: &mut Stdout<'_>) -> Result<ExitCode, Box<dyn Error>> {
     match args.first().map(String::as_str) {
         Some("list") => {
             for name in registry::names() {
                 let n = registry::benchmark(name)
                     .ok_or_else(|| format!("registered benchmark `{name}` failed to build"))?;
-                println!("{name:8} {}", n.stats());
+                writeln!(out, "{name:8} {}", n.stats())?;
             }
         }
-        Some("map") => cmd_map(&args[1..])?,
-        Some("compare") => cmd_compare(&args[1..])?,
-        Some("stress") => cmd_stress(&args[1..])?,
-        Some("verify") => return cmd_verify(&args[1..]),
+        Some("map") => cmd_map(&args[1..], out)?,
+        Some("compare") => cmd_compare(&args[1..], out)?,
+        Some("stress") => cmd_stress(&args[1..], out)?,
+        Some("verify") => return cmd_verify(&args[1..], out),
         _ => return Err("missing or unknown subcommand".into()),
     }
     Ok(ExitCode::SUCCESS)
@@ -154,36 +221,37 @@ fn mapper_for(flags: &Flags) -> Mapper {
     }
 }
 
-fn cmd_map(args: &[String]) -> Result<(), Box<dyn Error>> {
+fn cmd_map(args: &[String], out: &mut Stdout<'_>) -> Result<(), Box<dyn Error>> {
     let spec = args.first().ok_or("map needs a circuit")?;
     let flags = parse_flags(&args[1..])?;
     let network = load_circuit(spec)?;
     let result = mapper_for(&flags).run(&network)?;
     match flags.emit.as_str() {
         "counts" => {
-            println!("{result}");
-            println!("pbe-safe: {}", hazard::is_safe(&result.circuit));
+            writeln!(out, "{result}")?;
+            writeln!(out, "pbe-safe: {}", hazard::is_safe(&result.circuit))?;
         }
-        "netlist" => print!("{}", export::netlist(&result.circuit)),
-        "dot" => print!("{}", dot::render(&network)),
+        "netlist" => write!(out, "{}", export::netlist(&result.circuit))?,
+        "dot" => write!(out, "{}", dot::render(&network))?,
         "timing" => {
             let report = analyze(&result.circuit, &TechParams::soi());
-            println!("{result}");
-            println!("critical path (SOI params): {:.1}", report.critical);
-            println!(
+            writeln!(out, "{result}")?;
+            writeln!(out, "critical path (SOI params): {:.1}", report.critical)?;
+            writeln!(
+                out,
                 "critical path (bulk params): {:.1}",
                 analyze(&result.circuit, &TechParams::bulk()).critical
-            );
+            )?;
         }
         other => return Err(format!("unknown emit mode `{other}`").into()),
     }
     Ok(())
 }
 
-fn cmd_compare(args: &[String]) -> Result<(), Box<dyn Error>> {
+fn cmd_compare(args: &[String], out: &mut Stdout<'_>) -> Result<(), Box<dyn Error>> {
     let spec = args.first().ok_or("compare needs a circuit")?;
     let network = load_circuit(spec)?;
-    println!("{}: {}", network.name(), network.stats());
+    writeln!(out, "{}: {}", network.name(), network.stats())?;
     for mapper in [
         Mapper::baseline(MapConfig::default()),
         Mapper::rearrange_stacks(MapConfig::default()),
@@ -191,24 +259,21 @@ fn cmd_compare(args: &[String]) -> Result<(), Box<dyn Error>> {
     ] {
         let result = mapper.run(&network)?;
         let timing = analyze(&result.circuit, &TechParams::soi());
-        println!("  {result}  delay={:.1}", timing.critical);
+        writeln!(out, "  {result}  delay={:.1}", timing.critical)?;
     }
     Ok(())
 }
 
-fn cmd_stress(args: &[String]) -> Result<(), Box<dyn Error>> {
+fn cmd_stress(args: &[String], out: &mut Stdout<'_>) -> Result<(), Box<dyn Error>> {
     let spec = args.first().ok_or("stress needs a circuit")?;
     let flags = parse_flags(&args[1..])?;
     let network = load_circuit(spec)?;
     let mut result = mapper_for(&flags).run(&network)?;
     if flags.strip {
         for idx in 0..result.circuit.gate_count() {
-            result
-                .circuit
-                .gate_mut(GateId::from_index(idx))
-                .set_discharge(Vec::new());
+            result.circuit.set_discharge(GateId::from_index(idx), &[]);
         }
-        println!("(protection stripped)");
+        writeln!(out, "(protection stripped)")?;
     }
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
@@ -226,20 +291,21 @@ fn cmd_stress(args: &[String]) -> Result<(), Box<dyn Error>> {
         events += report.pbe_events.len();
         bad_cycles += usize::from(report.misevaluated());
     }
-    println!(
+    writeln!(
+        out,
         "{} cycles: {} bipolar events, {} mis-evaluated cycles, hysteresis exposure {}",
         flags.cycles,
         events,
         bad_cycles,
         sim.hysteresis_exposure()
-    );
+    )?;
     Ok(())
 }
 
 /// Maps the circuit, then proves the mapping equivalent to its source
 /// (`check_mapped`) and PBE-safe (`verify_safe_sat`), printing both
 /// verdicts and times; the exit code is non-zero unless both hold.
-fn cmd_verify(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
+fn cmd_verify(args: &[String], out: &mut Stdout<'_>) -> Result<ExitCode, Box<dyn Error>> {
     let spec = args.first().ok_or("verify needs a circuit")?;
     let flags = parse_flags(&args[1..])?;
     let network = load_circuit(spec)?;
@@ -257,7 +323,7 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
     );
     let pbe_ms = start.elapsed().as_secs_f64() * 1e3;
 
-    println!("{result}");
+    writeln!(out, "{result}")?;
     let verdict = match &report.verdict {
         CecVerdict::Equivalent => "equivalent".to_string(),
         CecVerdict::NotEquivalent(cex) => format!("NOT equivalent (output {})", cex.output),
@@ -268,15 +334,17 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
         CecPath::Certificate => ("certificate", gates, 0),
         CecPath::Sweep => ("sat sweep", 0, 1),
     };
-    println!("equivalence: {verdict} via {path} in {cec_ms:.1} ms");
-    println!(
+    writeln!(out, "equivalence: {verdict} via {path} in {cec_ms:.1} ms")?;
+    writeln!(
+        out,
         "certified gates: {certified} of {gates}, fallbacks: {fallbacks}, sat calls: {}",
         report.sat_calls
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "pbe-safe: {} ({} junctions checked, {} excitable, {} unknown) in {pbe_ms:.1} ms",
         safety.safe, safety.junctions_checked, safety.excitable, safety.unknown
-    );
+    )?;
     Ok(
         if report.is_equivalent() && safety.safe && safety.unknown == 0 {
             ExitCode::SUCCESS
@@ -284,4 +352,43 @@ fn cmd_verify(args: &[String]) -> Result<ExitCode, Box<dyn Error>> {
             ExitCode::FAILURE
         },
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A writer whose every write fails with one error kind.
+    struct Failing(io::ErrorKind);
+
+    impl Write for Failing {
+        fn write(&mut self, _: &[u8]) -> io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// A broken pipe closes the output without an error, so a command
+    /// runs on to the exit code it decides; any other failure is one.
+    #[test]
+    fn a_broken_pipe_drops_the_rest_and_other_errors_surface() {
+        let mut out = Out {
+            w: Failing(io::ErrorKind::BrokenPipe),
+            closed: false,
+        };
+        assert!(writeln!(out, "first").is_ok());
+        assert!(out.closed);
+        assert!(writeln!(out, "second").is_ok());
+        assert!(out.flush().is_ok());
+
+        let mut out = Out {
+            w: Failing(io::ErrorKind::PermissionDenied),
+            closed: false,
+        };
+        assert!(writeln!(out, "first").is_err());
+        assert!(!out.closed);
+    }
 }

@@ -14,9 +14,7 @@ use soi_domino::pbe::bodysim::{BodySimConfig, BodySimulator};
 fn strip_protection(circuit: &DominoCircuit) -> DominoCircuit {
     let mut stripped = circuit.clone();
     for idx in 0..stripped.gate_count() {
-        stripped
-            .gate_mut(GateId::from_index(idx))
-            .set_discharge(Vec::new());
+        stripped.set_discharge(GateId::from_index(idx), &[]);
     }
     stripped
 }

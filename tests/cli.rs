@@ -1,10 +1,12 @@
 //! The `soi-domino` binary end to end: `verify` proves mappings through
 //! their certificates, AIGER files load by extension and every other file
-//! as BLIF, and bad inputs exit non-zero with one `error:` line instead of
-//! a panic.
+//! as BLIF, bad inputs exit non-zero with one `error:` line instead of
+//! a panic, and a reader that closes the output early ends the run
+//! quietly.
 
+use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn soi_domino(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_soi-domino"))
@@ -111,5 +113,46 @@ fn list_names_every_registry_circuit() {
                 .any(|l| l.split_whitespace().next() == Some(name)),
             "`{name}` missing from list"
         );
+    }
+}
+
+/// `soi-domino list | head -1`: the reader closes the pipe early, after
+/// one line or before the first, and the writes that follow fail with a
+/// broken pipe. The rest of the output is dropped and the run ends with
+/// the exit code the command decides, with nothing on stderr — not a
+/// `println!` panic. For `verify` that code is its verdict, which a closed
+/// pipe must not turn into success; `c880` verifies, so it is success here.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    for args in [
+        vec!["list"],
+        vec!["map", "c880", "--emit", "netlist"],
+        vec!["verify", "c880"],
+    ] {
+        for read_first_line in [true, false] {
+            let mut child = Command::new(env!("CARGO_BIN_EXE_soi-domino"))
+                .args(&args)
+                .stdout(Stdio::piped())
+                .stderr(Stdio::piped())
+                .spawn()
+                .expect("the binary starts");
+            let mut reader = BufReader::new(child.stdout.take().expect("piped stdout"));
+            if read_first_line {
+                let mut first = String::new();
+                reader.read_line(&mut first).expect("one line arrives");
+                assert!(!first.is_empty(), "{args:?}: no output");
+            }
+            drop(reader);
+            let mut err = String::new();
+            child
+                .stderr
+                .take()
+                .expect("piped stderr")
+                .read_to_string(&mut err)
+                .expect("stderr reads");
+            let status = child.wait().expect("the binary exits");
+            assert!(status.success(), "{args:?}: {status} {err}");
+            assert!(err.is_empty(), "{args:?}: {err}");
+        }
     }
 }

@@ -43,7 +43,7 @@ fn recount(circuit: &DominoCircuit) -> TransistorCounts {
         ..TransistorCounts::default()
     };
     for (_, gate) in circuit.iter() {
-        let pdn_tx = gate.pdn().signals().len() as u32;
+        let pdn_tx = gate.pdn().signals().count() as u32;
         let overhead = 4 + u32::from(gate.is_footed());
         counts.logic += pdn_tx + overhead;
         counts.discharge += gate.discharge().len() as u32;
