@@ -8,42 +8,18 @@
 //! Mapping failures never panic the harness: every table cell is a
 //! [`RowResult`] carrying either the measured counts or the typed
 //! [`MapError`], and a circuit that trips the shape limits is retried with
-//! [`MapConfig::degrade_unmappable`] before its error is recorded. By
-//! default the benchmark list is fanned out across scoped threads
-//! ([`HarnessMode::Parallel`]); [`HarnessMode::Serial`] pins everything —
-//! harness and inner DP — to one thread. Both modes produce bit-identical
-//! rows in the same order.
+//! [`MapConfig::degrade_unmappable`] before its error is recorded. The
+//! benchmark list is fanned out across scoped threads; rows come back in
+//! list order.
 
 use std::fmt::Write as _;
 
 use soi_circuits::registry;
 use soi_domino_ir::TransistorCounts;
-use soi_mapper::{MapConfig, MapError, Mapper, Parallelism};
+use soi_mapper::{MapConfig, MapError, Mapper};
 use soi_netlist::Network;
 
 use crate::paper;
-
-/// How a `run_table*` call schedules its work.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum HarnessMode {
-    /// One circuit at a time, inner DP forced serial. The reference
-    /// schedule for determinism checks and single-thread timing.
-    Serial,
-    /// Circuits fan out across scoped threads and the inner DP keeps its
-    /// configured [`Parallelism`]. The default.
-    #[default]
-    Parallel,
-}
-
-impl HarnessMode {
-    /// Applies the mode to a mapper configuration.
-    fn apply(self, mut config: MapConfig) -> MapConfig {
-        if self == HarnessMode::Serial {
-            config.parallelism = Parallelism::Serial;
-        }
-        config
-    }
-}
 
 /// One successful mapping inside a table row.
 #[derive(Debug, Clone)]
@@ -83,21 +59,14 @@ fn map_one(make: impl Fn(MapConfig) -> Mapper, config: MapConfig, network: &Netw
     })
 }
 
-/// Runs `f` over every name, either in order on this thread or fanned out
-/// over scoped threads in contiguous chunks. Results keep input order.
-fn run_rows<R: Send>(
-    mode: HarnessMode,
-    names: &[&'static str],
-    f: impl Fn(&'static str) -> R + Sync,
-) -> Vec<R> {
-    let threads = match mode {
-        HarnessMode::Serial => 1,
-        HarnessMode::Parallel => std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            .min(names.len())
-            .max(1),
-    };
+/// Runs `f` over every name, fanned out over scoped threads in contiguous
+/// chunks (in order on this thread when the host has one). Results keep
+/// input order.
+fn run_rows<R: Send>(names: &[&'static str], f: impl Fn(&'static str) -> R + Sync) -> Vec<R> {
+    let threads = std::thread::available_parallelism()
+        .map_or(1, |n| n.get())
+        .min(names.len())
+        .max(1);
     if threads <= 1 {
         return names.iter().map(|&n| f(n)).collect();
     }
@@ -138,16 +107,10 @@ pub struct Table1Row {
     pub rs: RowResult,
 }
 
-/// Maps the Table I benchmark list with `Domino_Map` and `RS_Map` using
-/// the default (parallel) schedule.
+/// Maps the Table I benchmark list with `Domino_Map` and `RS_Map`.
 pub fn run_table1() -> Vec<Table1Row> {
-    run_table1_with(HarnessMode::default())
-}
-
-/// [`run_table1`] under an explicit [`HarnessMode`].
-pub fn run_table1_with(mode: HarnessMode) -> Vec<Table1Row> {
-    let config = mode.apply(MapConfig::default());
-    run_rows(mode, registry::TABLE1, |name| {
+    let config = MapConfig::default();
+    run_rows(registry::TABLE1, |name| {
         let network = registry::benchmark(name).expect("registered benchmark");
         let base = map_one(Mapper::baseline, config, &network);
         let rs = map_one(Mapper::rearrange_stacks, config, &network);
@@ -168,15 +131,10 @@ pub struct Table2Row {
 }
 
 /// Maps the Table II benchmark list with `Domino_Map` and
-/// `SOI_Domino_Map` using the default (parallel) schedule.
+/// `SOI_Domino_Map`.
 pub fn run_table2() -> Vec<Table2Row> {
-    run_table2_with(HarnessMode::default())
-}
-
-/// [`run_table2`] under an explicit [`HarnessMode`].
-pub fn run_table2_with(mode: HarnessMode) -> Vec<Table2Row> {
-    let config = mode.apply(MapConfig::default());
-    run_rows(mode, registry::TABLE2, |name| {
+    let config = MapConfig::default();
+    run_rows(registry::TABLE2, |name| {
         let network = registry::benchmark(name).expect("registered benchmark");
         let base = map_one(Mapper::baseline, config, &network);
         let soi = map_one(Mapper::soi, config, &network);
@@ -201,25 +159,12 @@ pub struct Table3Row {
 }
 
 /// Maps the Table III benchmark list with `SOI_Domino_Map` at clock
-/// weights 1 and 2 using the default (parallel) schedule.
+/// weights 1 and 2.
 pub fn run_table3() -> Vec<Table3Row> {
-    run_table3_with(HarnessMode::default())
-}
-
-/// [`run_table3`] under an explicit [`HarnessMode`].
-pub fn run_table3_with(mode: HarnessMode) -> Vec<Table3Row> {
-    run_rows(mode, registry::TABLE3, |name| {
+    run_rows(registry::TABLE3, |name| {
         let network = registry::benchmark(name).expect("registered benchmark");
-        let k1 = map_one(
-            Mapper::soi,
-            mode.apply(MapConfig::with_clock_weight(1)),
-            &network,
-        );
-        let k2 = map_one(
-            Mapper::soi,
-            mode.apply(MapConfig::with_clock_weight(2)),
-            &network,
-        );
+        let k1 = map_one(Mapper::soi, MapConfig::with_clock_weight(1), &network);
+        let k2 = map_one(Mapper::soi, MapConfig::with_clock_weight(2), &network);
         eprintln!("  {name}: k1 {} / k2 {}", describe(&k1), describe(&k2));
         Table3Row { name, k1, k2 }
     })
@@ -237,16 +182,10 @@ pub struct Table4Row {
     pub soi: RowResult,
 }
 
-/// Maps the Table IV benchmark list under the depth objective using the
-/// default (parallel) schedule.
+/// Maps the Table IV benchmark list under the depth objective.
 pub fn run_table4() -> Vec<Table4Row> {
-    run_table4_with(HarnessMode::default())
-}
-
-/// [`run_table4`] under an explicit [`HarnessMode`].
-pub fn run_table4_with(mode: HarnessMode) -> Vec<Table4Row> {
-    let config = mode.apply(MapConfig::depth());
-    run_rows(mode, registry::TABLE4, |name| {
+    let config = MapConfig::depth();
+    run_rows(registry::TABLE4, |name| {
         let network = registry::benchmark(name).expect("registered benchmark");
         let base = map_one(Mapper::baseline, config, &network);
         let soi = map_one(Mapper::soi, config, &network);
@@ -510,51 +449,6 @@ pub fn render_table4(rows: &[Table4Row]) -> String {
     out
 }
 
-/// One audited benchmark mapping: the counts plus proof the cross-stage
-/// audit passed.
-#[derive(Debug, Clone)]
-pub struct AuditedRow {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Measured counts of the audited mapping.
-    pub counts: TransistorCounts,
-    /// Whether the run needed graceful degradation.
-    pub degraded: bool,
-    /// What the audit exercised.
-    pub audit: soi_guard::AuditReport,
-}
-
-/// Runs a benchmark list through the hardened [`soi_guard::Pipeline`] —
-/// every mapping is validated, checked for PBE hazards, and audited
-/// end-to-end against the source network before its counts are trusted.
-///
-/// Like the `run_table*` functions this never panics on a mapping
-/// failure: the typed [`soi_guard::StageError`] is returned instead, naming
-/// the stage and circuit that broke.
-///
-/// # Errors
-///
-/// Returns the first [`soi_guard::StageError`] a circuit produces.
-pub fn run_audited(
-    names: &[&'static str],
-    mapper: Mapper,
-) -> Result<Vec<AuditedRow>, soi_guard::StageError> {
-    let pipeline = soi_guard::Pipeline::new(mapper);
-    names
-        .iter()
-        .map(|&name| {
-            let network = registry::benchmark(name).expect("registered benchmark");
-            let report = pipeline.run(&network)?;
-            Ok(AuditedRow {
-                name,
-                counts: report.result.counts,
-                degraded: report.degraded,
-                audit: report.audit.expect("pipeline audit is enabled"),
-            })
-        })
-        .collect()
-}
-
 /// Average discharge-reduction percentage of a measured Table II run —
 /// the paper's headline number (53%). Rows that failed to map are
 /// excluded.
@@ -696,12 +590,10 @@ mod tests {
     }
 
     #[test]
-    fn serial_and_parallel_row_runners_agree() {
-        let names: &[&'static str] = &["cm150", "mux", "z4ml", "b9"];
-        let serial = run_rows(HarnessMode::Serial, names, |n| n.len());
-        let parallel = run_rows(HarnessMode::Parallel, names, |n| n.len());
-        assert_eq!(serial, parallel);
-        assert_eq!(serial, vec![5, 3, 4, 2]);
+    fn row_runner_keeps_input_order() {
+        let names = registry::TABLE2;
+        let sequential: Vec<(&str, usize)> = names.iter().map(|&n| (n, n.len())).collect();
+        assert_eq!(run_rows(names, |n| (n, n.len())), sequential);
     }
 
     #[test]
@@ -718,20 +610,6 @@ mod tests {
         match row {
             Ok(m) => assert!(m.degraded, "expected the degraded retry to be recorded"),
             Err(e) => panic!("expected degraded success, got {e}"),
-        }
-    }
-
-    #[test]
-    fn audited_rows_match_unaudited_counts() {
-        let config = MapConfig::default();
-        let rows = run_audited(&["cm150", "mux"], Mapper::soi(config)).expect("audit passes");
-        assert_eq!(rows.len(), 2);
-        for row in &rows {
-            let network = registry::benchmark(row.name).unwrap();
-            let plain = Mapper::soi(config).run(&network).unwrap();
-            assert_eq!(row.counts, plain.counts, "{}", row.name);
-            assert!(!row.degraded);
-            assert!(row.audit.vectors_checked > 0);
         }
     }
 

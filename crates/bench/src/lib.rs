@@ -13,16 +13,15 @@
 //!   and `k = 2` (Table III),
 //! * `table4` — depth objective (Table IV),
 //! * `ablation` — the design-choice studies indexed in `DESIGN.md`,
-//! * `bench` — wall-clock serial-vs-parallel baseline, written to
-//!   `BENCH_pr2.json`.
+//! * `bench` — the three CI performance gates (`--smoke`,
+//!   `--corpus-smoke`, `--cec-smoke`), each pass or fail.
 //!
-//! Criterion benches in `benches/` measure mapper throughput.
+//! Performance is measured by the repository benchmark in `perfbench/`.
 
 pub mod harness;
 pub mod paper;
 
 pub use harness::{
-    run_table1, run_table1_with, run_table2, run_table2_with, run_table3, run_table3_with,
-    run_table4, run_table4_with, HarnessMode, RowMeasure, RowResult, Table1Row, Table2Row,
+    run_table1, run_table2, run_table3, run_table4, RowMeasure, RowResult, Table1Row, Table2Row,
     Table3Row, Table4Row,
 };

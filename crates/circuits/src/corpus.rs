@@ -18,8 +18,7 @@
 //! [`load`] resolves a corpus name to a [`Network`]; [`load_path`] reads a
 //! file from disk dispatching on extension (`.aag`, `.aig`, `.blif`). Both
 //! return a typed [`CorpusError`] — an unreadable or malformed corpus file
-//! is a reportable error, never a skip or a panic. [`SizeBucket`] is the
-//! size classification the bench harness groups its rows by.
+//! is a reportable error, never a skip or a panic.
 
 use std::fmt;
 use std::path::Path;
@@ -85,44 +84,6 @@ impl std::error::Error for CorpusError {
     }
 }
 
-/// Size class of a circuit, by two-input gate count. The bench harness
-/// groups its corpus rows by bucket so the ≥100k-gate tier is visible at a
-/// glance.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum SizeBucket {
-    /// Fewer than 1 000 gates.
-    Small,
-    /// 1 000 – 9 999 gates.
-    Medium,
-    /// 10 000 – 99 999 gates.
-    Large,
-    /// 100 000 gates or more.
-    Huge,
-}
-
-impl SizeBucket {
-    /// Classifies a gate count.
-    pub fn of(gates: usize) -> SizeBucket {
-        match gates {
-            0..=999 => SizeBucket::Small,
-            1_000..=9_999 => SizeBucket::Medium,
-            10_000..=99_999 => SizeBucket::Large,
-            _ => SizeBucket::Huge,
-        }
-    }
-}
-
-impl fmt::Display for SizeBucket {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            SizeBucket::Small => "small",
-            SizeBucket::Medium => "medium",
-            SizeBucket::Large => "large",
-            SizeBucket::Huge => "huge",
-        })
-    }
-}
-
 /// Where a corpus entry's bits come from.
 #[derive(Debug, Clone, Copy)]
 pub enum Source {
@@ -134,26 +95,16 @@ pub enum Source {
     Synthetic,
 }
 
-/// One corpus circuit: a name [`load`] resolves plus enough metadata to plan
-/// a benchmark run without materializing the network.
+/// One corpus circuit: a name [`load`] resolves, where its bits come from,
+/// and what it is.
 #[derive(Debug, Clone, Copy)]
 pub struct CorpusEntry {
     /// Corpus-unique name (`load` key).
     pub name: &'static str,
     /// Where the bits come from.
     pub source: Source,
-    /// Approximate two-input gate count (exact for vendored entries is
-    /// whatever the file holds; synthetic generators overshoot slightly).
-    pub approx_gates: usize,
     /// One-line description.
     pub description: &'static str,
-}
-
-impl CorpusEntry {
-    /// The size class this entry lands in.
-    pub fn bucket(&self) -> SizeBucket {
-        SizeBucket::of(self.approx_gates)
-    }
 }
 
 const ADD8_AAG: &str = include_str!("../corpus/add8.aag");
@@ -169,61 +120,51 @@ pub const ENTRIES: &[CorpusEntry] = &[
     CorpusEntry {
         name: "add8",
         source: Source::VendoredAscii(ADD8_AAG),
-        approx_gates: 80,
         description: "8-bit ripple-carry adder, vendored ASCII AIGER",
     },
     CorpusEntry {
         name: "cmp8",
         source: Source::VendoredAscii(CMP8_AAG),
-        approx_gates: 60,
         description: "8-bit magnitude comparator, vendored ASCII AIGER",
     },
     CorpusEntry {
         name: "count4of8",
         source: Source::VendoredAscii(COUNT4OF8_AAG),
-        approx_gates: 70,
         description: "symmetric popcount==4 detector, vendored ASCII AIGER",
     },
     CorpusEntry {
         name: "mux16",
         source: Source::VendoredAscii(MUX16_AAG),
-        approx_gates: 60,
         description: "16-way multiplexer tree, vendored ASCII AIGER",
     },
     CorpusEntry {
         name: "parity8",
         source: Source::VendoredAscii(PARITY8_AAG),
-        approx_gates: 25,
         description: "8-bit parity tree, vendored ASCII AIGER",
     },
     CorpusEntry {
         name: "mult4",
         source: Source::VendoredBinary(MULT4_AIG),
-        approx_gates: 90,
         description: "4x4 array multiplier, vendored binary AIGER",
     },
     CorpusEntry {
         name: "synth-mult32",
         source: Source::Synthetic,
-        approx_gates: 6_000,
         description: "32x32 array multiplier (EPFL arithmetic profile)",
     },
     CorpusEntry {
         name: "synth-control-25k",
         source: Source::Synthetic,
-        approx_gates: 30_000,
         description: "seeded random control logic, ~30k gates",
     },
     CorpusEntry {
         name: "synth-mult136",
         source: Source::Synthetic,
-        approx_gates: 110_000,
         description: "136x136 array multiplier, >=100k gates (EPFL arithmetic profile)",
     },
     CorpusEntry {
         name: "synth-control-120k",
         source: Source::Synthetic,
-        approx_gates: 145_000,
         description: "seeded random control logic, >=100k gates (EPFL control profile)",
     },
 ];
@@ -351,20 +292,6 @@ mod tests {
         let b = load("synth-mult32").unwrap();
         assert_eq!(a, b);
         a.validate().unwrap();
-    }
-
-    #[test]
-    fn buckets_classify_entries() {
-        assert_eq!(entry("add8").unwrap().bucket(), SizeBucket::Small);
-        assert_eq!(entry("synth-mult32").unwrap().bucket(), SizeBucket::Medium);
-        assert_eq!(
-            entry("synth-control-25k").unwrap().bucket(),
-            SizeBucket::Large
-        );
-        assert_eq!(entry("synth-mult136").unwrap().bucket(), SizeBucket::Huge);
-        assert_eq!(SizeBucket::of(0), SizeBucket::Small);
-        assert_eq!(SizeBucket::of(100_000), SizeBucket::Huge);
-        assert!(SizeBucket::Small < SizeBucket::Huge);
     }
 
     #[test]

@@ -174,7 +174,9 @@ impl Budget {
     }
 }
 
-/// Rejects networks larger than the gate budget before any DP work.
+/// Rejects, before any DP work, networks larger than the gate budget and
+/// networks whose worst-case [`cost_bound`] at the configured clock weight
+/// does not fit the DP's `u32` costs, which the hot path adds unchecked.
 pub(crate) fn check_gate_budget(unate: &UnateNetwork, config: &MapConfig) -> Result<(), MapError> {
     if unate.len() > config.limits.max_gates {
         return Err(MapError::BudgetExceeded {
@@ -185,7 +187,60 @@ pub(crate) fn check_gate_budget(unate: &UnateNetwork, config: &MapConfig) -> Res
             ),
         });
     }
+    let bound = cost_bound(unate.len(), config);
+    if bound > u64::from(u32::MAX) {
+        return Err(MapError::BudgetExceeded {
+            what: format!(
+                "clock weight {} on {} unate nodes can reach a cost of {bound}, past the \
+                 DP's 32-bit limit {}",
+                config.clock_weight,
+                unate.len(),
+                u32::MAX
+            ),
+        });
+    }
     Ok(())
+}
+
+/// Worst-case value of any [`Cost`] field the DP builds for a network of
+/// `nodes` unate nodes: `(nodes + 1) · (3k + 7)` at clock weight `k`,
+/// times `W_max · H_max` with duplication. Computed in `u64`, saturating.
+///
+/// * Every field is at most `wtx`: a transistor counts 1 in `tx` and 1 or
+///   `k ≥ 1` in `wtx`, discharges are transistors, and levels grow by at
+///   most one per node.
+/// * One node adds at most `3k + 7` to a structure's `wtx`: its gate
+///   periphery, at most `2k + 3` ([`gate_overhead`]); one discharge point
+///   — an AND junction or an OR bottom, each committed at most once —
+///   worth `k` ([`Cost::with_discharge`]); and two operand transistors,
+///   each a literal or a child's gate input (the `+ 1` of
+///   [`exported_gate_cand`]), plus 1 each where a duplication share
+///   `⌈c / f⌉` rounds up.
+/// * Without duplication a shared node exports only its input transistor,
+///   so a structure covers a fanout-free cone and charges each node at
+///   most once: `nodes · (3k + 7)` bounds every field.
+/// * With duplication a shared node's gate is split into shares over its
+///   `f` consumers, but its bare structures are exported whole, so a
+///   consumer may cover it once per path. A pull-down network of shape
+///   `(w, h)` has at most `w · h` transistors, so a structure holds at
+///   most `W_max · H_max` gate inputs, each at most one gate
+///   (`nodes · (3k + 7)`) plus its transistor, and `W_max · H_max − 1`
+///   discharge points; `1 + k ≤ 3k + 7` gives the `nodes + 1`. This holds
+///   for `SOI_Domino_Map` under the area objective, where a gate is the
+///   cheapest by `wtx` and so never costlier than the gate that takes
+///   both operands as inputs. Where a gate is picked for its transistor
+///   count or its level instead, it may repeat paths itself, and the
+///   factor is a margin rather than a proof.
+fn cost_bound(nodes: usize, config: &MapConfig) -> u64 {
+    let k = u64::from(config.clock_weight);
+    let paths = if config.allow_duplication {
+        u64::from(config.w_max) * u64::from(config.h_max)
+    } else {
+        1
+    };
+    (nodes as u64 + 1)
+        .saturating_mul(3 * k + 7)
+        .saturating_mul(paths)
 }
 
 /// Per-worker context for solver invocations: the shared read-only run
@@ -981,7 +1036,7 @@ pub(crate) fn fanouts(unate: &UnateNetwork) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Algorithm;
+    use crate::{Algorithm, Mapper};
     use soi_unate::Phase;
 
     fn lit() -> Literal {
@@ -1109,5 +1164,78 @@ mod tests {
         );
         let view = SolView { table: &table };
         assert_eq!(view.get(UId::from_index(1)).exported.total_candidates(), 1);
+    }
+
+    /// The largest clock weight [`check_gate_budget`] admits for `unate`.
+    fn largest_admitted_weight(unate: &UnateNetwork, config: MapConfig) -> u32 {
+        let admits = |clock_weight| {
+            check_gate_budget(
+                unate,
+                &MapConfig {
+                    clock_weight,
+                    ..config
+                },
+            )
+            .is_ok()
+        };
+        let (mut lo, mut hi) = (1u32, u32::MAX);
+        assert!(admits(lo) && !admits(hi));
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if admits(mid) {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        lo
+    }
+
+    /// Mapping at the largest admitted clock weight must not overflow a
+    /// `u32` cost — in a debug build an overflow panics inside the DP and
+    /// comes back as `WorkerPanicked` — and one above it is a typed budget
+    /// error before any DP work.
+    #[test]
+    fn largest_admitted_clock_weight_maps_without_overflow() {
+        use soi_circuits::misc::random::{generate, RandomSpec};
+        use soi_circuits::registry;
+
+        let networks = [
+            registry::benchmark("c880").expect("registered"),
+            registry::benchmark("des").expect("registered"),
+            generate(&RandomSpec::control("ctl", 24, 8, 1_500, 0x5eed)),
+        ];
+        for network in &networks {
+            let unate = soi_unate::convert(network, &soi_unate::Options::default()).unwrap();
+            for allow_duplication in [false, true] {
+                let config = MapConfig {
+                    allow_duplication,
+                    ..MapConfig::default()
+                };
+                let k = largest_admitted_weight(&unate, config);
+                for make in [Mapper::baseline, Mapper::rearrange_stacks, Mapper::soi] {
+                    let run = |clock_weight| {
+                        make(MapConfig {
+                            clock_weight,
+                            ..config
+                        })
+                        .run(network)
+                    };
+                    let at = run(k);
+                    assert!(
+                        at.is_ok(),
+                        "{}: k = {k}, duplication {allow_duplication}: {:?}",
+                        network.name(),
+                        at.err()
+                    );
+                    assert!(
+                        matches!(run(k + 1), Err(MapError::BudgetExceeded { .. })),
+                        "{}: k = {} must exceed the budget",
+                        network.name(),
+                        k + 1
+                    );
+                }
+            }
+        }
     }
 }

@@ -12,14 +12,11 @@
 //! bit-identical with tracing on or off; the test suite asserts this
 //! across serial, parallel and memoized runs.
 //!
-//! Three sinks ship with the crate:
-//!
-//! * [`Recorder`] — lock-free counter/gauge aggregation plus span and
-//!   per-worker logs, for tests and metric oracles.
-//! * [`JsonLines`] — one JSON object per event, for offline analysis
-//!   (the bench bin writes one next to its summary JSON).
-//! * [`Recorder::summary_table`] — a human-readable rollup of whatever a
-//!   recorder saw.
+//! One sink ships with the crate: [`Recorder`] — lock-free counter/gauge
+//! aggregation plus span and per-worker logs, for tests, metric oracles
+//! and the benchmark's per-layer metrics — with
+//! [`Recorder::summary_table`] as a human-readable rollup of whatever it
+//! saw.
 //!
 //! The typed vocabulary ([`Stage`], [`Counter`], [`Gauge`]) is the
 //! contract that turns metrics into *oracles*: e.g. for every node the
@@ -44,7 +41,6 @@
 
 use std::fmt;
 use std::fmt::Write as _;
-use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -54,12 +50,6 @@ use std::time::Instant;
 /// encloses the cone-partition span) simply emit both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Stage {
-    /// Front-end ingest: reading and parsing the source artifact (BLIF
-    /// text, AIGER binary, or a generated corpus entry) into a
-    /// [`Network`](../soi_netlist/struct.Network.html). Emitted by the
-    /// caller that owns the I/O (the bench harness wraps its corpus
-    /// loads); in-memory flows that never touch a front-end emit nothing.
-    Ingest,
     /// BLIF text parsing (only flows that start from text emit this).
     Parse,
     /// Structural netlist validation (guard pipeline).
@@ -96,8 +86,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in flow order.
-    pub const ALL: [Stage; 14] = [
-        Stage::Ingest,
+    pub const ALL: [Stage; 13] = [
         Stage::Parse,
         Stage::NetlistValidate,
         Stage::UnateConvert,
@@ -116,7 +105,6 @@ impl Stage {
     /// The stage's kebab-case display name.
     pub fn name(self) -> &'static str {
         match self {
-            Stage::Ingest => "ingest",
             Stage::Parse => "parse",
             Stage::NetlistValidate => "netlist-validate",
             Stage::UnateConvert => "unate-convert",
@@ -525,7 +513,7 @@ impl Drop for Span {
 
 /// In-memory aggregating sink: atomic counters, max-gauges, and span and
 /// worker logs behind mutexes. The workhorse of the instrumentation test
-/// suite and the bench bin's metric blocks.
+/// suite and the benchmark's per-layer metrics.
 #[derive(Debug, Default)]
 pub struct Recorder {
     counters: [AtomicU64; Counter::ALL.len()],
@@ -662,53 +650,6 @@ impl Sink for Recorder {
     }
 }
 
-/// A sink writing one JSON object per event, newline-delimited — the
-/// bench bin's offline-analysis format. The writer sits behind a mutex;
-/// ordering between concurrent emitters is arbitrary but each line is
-/// written atomically.
-#[derive(Debug)]
-pub struct JsonLines<W: Write + Send> {
-    out: Mutex<W>,
-}
-
-impl<W: Write + Send> JsonLines<W> {
-    /// Wraps a writer.
-    pub fn new(out: W) -> JsonLines<W> {
-        JsonLines {
-            out: Mutex::new(out),
-        }
-    }
-
-    /// Unwraps the writer (e.g. to inspect a `Vec<u8>` in tests).
-    pub fn into_inner(self) -> W {
-        self.out.into_inner().expect("jsonl writer poisoned")
-    }
-}
-
-impl<W: Write + Send> Sink for JsonLines<W> {
-    fn record(&self, event: &Event) {
-        let line = match *event {
-            Event::Counter { id, delta } => {
-                format!("{{\"kind\":\"counter\",\"name\":\"{}\",\"delta\":{delta}}}", id.name())
-            }
-            Event::Gauge { id, value } => {
-                format!("{{\"kind\":\"gauge\",\"name\":\"{}\",\"value\":{value}}}", id.name())
-            }
-            Event::Span { stage, nanos } => {
-                format!("{{\"kind\":\"span\",\"stage\":\"{}\",\"nanos\":{nanos}}}", stage.name())
-            }
-            Event::Worker(w) => format!(
-                "{{\"kind\":\"worker\",\"worker\":{},\"units\":{},\"steals\":{},\"wakeups\":{},\"parks\":{}}}",
-                w.worker, w.units, w.steals, w.wakeups, w.parks
-            ),
-        };
-        let mut out = self.out.lock().expect("jsonl writer poisoned");
-        // Instrumentation must never take the pipeline down: I/O errors
-        // on a diagnostics stream are swallowed.
-        let _ = writeln!(out, "{line}");
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -802,41 +743,6 @@ mod tests {
         assert_eq!(workers.len(), 4);
         // `workers()` sorts by index regardless of completion order.
         assert!(workers.windows(2).all(|w| w[0].worker < w[1].worker));
-    }
-
-    #[test]
-    fn json_lines_formats_one_object_per_event() {
-        let sink = JsonLines::new(Vec::new());
-        sink.record(&Event::Counter {
-            id: Counter::NodeTierHits,
-            delta: 2,
-        });
-        sink.record(&Event::Span {
-            stage: Stage::UnateConvert,
-            nanos: 1500,
-        });
-        sink.record(&Event::Worker(WorkerStats {
-            worker: 1,
-            units: 8,
-            steals: 2,
-            wakeups: 1,
-            parks: 3,
-        }));
-        let text = String::from_utf8(sink.into_inner()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 3);
-        assert_eq!(
-            lines[0],
-            "{\"kind\":\"counter\",\"name\":\"node_tier_hits\",\"delta\":2}"
-        );
-        assert_eq!(
-            lines[1],
-            "{\"kind\":\"span\",\"stage\":\"unate-convert\",\"nanos\":1500}"
-        );
-        assert_eq!(
-            lines[2],
-            "{\"kind\":\"worker\",\"worker\":1,\"units\":8,\"steals\":2,\"wakeups\":1,\"parks\":3}"
-        );
     }
 
     #[test]

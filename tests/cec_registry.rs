@@ -3,7 +3,8 @@
 //!
 //! Four claims, each over the whole `soi-circuits` registry:
 //!
-//! 1. every mapped circuit is provably equivalent to its source network,
+//! 1. every mapped circuit — and every corpus circuit below the
+//!    ≥100k-gate tier — is provably equivalent to its source network,
 //!    under the serial, parallel and memoized schedules, and its
 //!    certificate decides it;
 //! 2. `check_mapped` returns the SAT sweep's verdict under all three
@@ -23,7 +24,7 @@ use soi_domino::cec::{
     CecPath, CecVerdict,
 };
 use soi_domino::circuits::misc::random::{generate, RandomSpec};
-use soi_domino::circuits::registry;
+use soi_domino::circuits::{corpus, registry};
 use soi_domino::domino::DominoCircuit;
 use soi_domino::guard::inject;
 use soi_domino::mapper::{MapConfig, Mapper, Parallelism};
@@ -62,13 +63,31 @@ fn schedules() -> [(&'static str, MapConfig); 3] {
     ]
 }
 
-/// Every registry circuit, mapped under every schedule, SAT-proves
-/// equivalent to its source network with no unproven miters.
+/// The ≥100k-gate corpus circuits. The `--cec-smoke` CI gate proves
+/// their mappings; they are too slow for a debug test run.
+const HUGE_CORPUS: [&str; 2] = ["synth-mult136", "synth-control-120k"];
+
+/// Every registry circuit and every corpus circuit below the huge tier,
+/// mapped under every schedule, proves equivalent to its source network
+/// with no unproven miters. A corpus entry that fails to load fails the
+/// test.
 #[test]
 fn registry_sweep_proves_mapped_equivalence_across_schedules() {
     let opts = CecOptions::default();
-    for name in registry::names() {
-        let network = registry::benchmark(name).expect("registry circuit exists");
+    let registry = registry::names().into_iter().map(|name| {
+        (
+            name,
+            registry::benchmark(name).expect("registry circuit exists"),
+        )
+    });
+    let corpus = corpus::ENTRIES
+        .iter()
+        .filter(|e| !HUGE_CORPUS.contains(&e.name))
+        .map(|e| {
+            let network = corpus::load(e.name).unwrap_or_else(|err| panic!("{}: {err}", e.name));
+            (e.name, network)
+        });
+    for (name, network) in registry.chain(corpus) {
         for (schedule, config) in schedules() {
             let result = Mapper::soi(config)
                 .run(&network)

@@ -97,6 +97,10 @@ fn bad_inputs_fail_with_an_error_line() {
         vec!["verify", "c880", "--algorithm", "nope"],
         vec!["verify"],
         vec!["frobnicate"],
+        // Clock weights whose worst-case cost overflows the DP's u32
+        // arithmetic: a typed budget error, not a wrapped cost or a panic.
+        vec!["map", "c880", "--clock-weight", "500000000"],
+        vec!["map", "c880", "--clock-weight", "4294967295"],
     ] {
         assert_clean_failure(&soi_domino(&args), &format!("{args:?}"));
     }
