@@ -31,8 +31,11 @@
 //!   every gate records as a certificate, with no SAT call, and falls
 //!   back to lowering the circuit with [`lower::circuit_to_network`] and
 //!   sweeping when the certificate is absent or fails; and [`pbe_sat`]
-//!   proves junction excitability verdicts that [`soi_pbe::excite`] can
-//!   only sample beyond its enumeration limit.
+//!   decides junction excitability under declared input constraints by
+//!   SAT: [`prune_discharge`] removes the pre-discharge transistors it
+//!   proves unneeded and [`verify_safe_sat`] proves the rest of a
+//!   circuit safe, with [`soi_pbe::excite`]'s bounded enumeration kept
+//!   as their test oracle.
 //!
 //! Everything is instrumented through [`soi_trace`]: `cec_sat_calls`,
 //! `cec_sim_filtered`, `conflicts`, `cec_refinements`, `cex_replays`,
@@ -54,7 +57,8 @@ pub use cec::{
 pub use cnf::{Lit, Var};
 pub use encode::{Encoder, NetworkLits};
 pub use pbe_sat::{
-    junction_excitability_sat, verify_safe_sat, verify_safe_sat_traced, PbeSafetyReport,
+    junction_excitability_sat, prune_discharge, verify_safe_sat, verify_safe_sat_traced,
+    PbeSafetyReport,
 };
 pub use solver::{SatResult, Solver};
 

@@ -1,10 +1,7 @@
-//! SAT-formulated PBE-safety checking.
+//! SAT-formulated PBE-safety checking and discharge pruning.
 //!
-//! [`soi_pbe::excite`] decides junction excitability by enumerating (or
-//! sampling) the assignments of a gate's distinct input variables — exact
-//! only up to `exact_limit` variables, `Unknown` beyond. This module asks
-//! the same two questions as CNF queries, so wide gates get *proofs*
-//! instead of samples:
+//! The §VII extension asks, for each committed junction and declared
+//! input constraints, two questions as CNF queries:
 //!
 //! * **charge**: is there an admissible assignment connecting the
 //!   junction to the dynamic node (TOP) but not to the foot?
@@ -18,11 +15,15 @@
 //! as unrolled reachability from the junction's net: layer `k+1` of net
 //! `n` is layer `k` of `n` OR any incident conducting transistor whose
 //! far end was reached at layer `k`; `net_count - 1` layers reach a
-//! fixpoint. The admissibility encoding mirrors the enumerator's
-//! semantics exactly — inputs absent from the gate read as `false`, so a
-//! fixed-true absent input empties the assignment space — and every
-//! satisfying model is **replayed** through a concrete union-find
-//! connectivity check before the witness is believed.
+//! fixpoint. An input the gate does not read takes its fixed value, or
+//! `false` when it has none, and every satisfying model is **replayed**
+//! through a concrete union-find connectivity check before the witness
+//! is believed.
+//!
+//! [`prune_discharge`] removes every pre-discharge transistor whose
+//! junction is proven unexcitable; [`verify_safe_sat`] proves that every
+//! junction left without one is. [`soi_pbe::excite::junction_excitability`]
+//! is the independent, bounded enumeration both are tested against.
 
 use soi_domino_ir::{DominoCircuit, GateId, GateRef, JunctionRef, PdnGraph, Phase, Signal};
 use soi_pbe::excite::{Excitability, InputConstraints};
@@ -94,38 +95,31 @@ impl SatModel {
         SatModel { graph, vars, terms }
     }
 
-    /// Encodes the admissibility constraints over the variable literals,
-    /// matching the enumerator: inputs absent from this gate read as
-    /// `false`.
+    /// Encodes the admissibility constraints over the variable literals;
+    /// an input this gate does not read is the constant
+    /// [`absent_value`].
     fn assert_constraints(
         &self,
         enc: &mut Encoder,
         var_lits: &[Lit],
         constraints: &InputConstraints,
     ) {
-        let lit_of = |input: usize| {
-            self.vars
-                .iter()
-                .position(|v| *v == Var::Input(input))
-                .map(|i| var_lits[i])
+        let lit_true = enc.constant(true);
+        let lit_of = |input: usize| match self.vars.iter().position(|v| *v == Var::Input(input)) {
+            Some(i) => var_lits[i],
+            None => lit_true.xor_sign(!absent_value(constraints, input)),
         };
         for &(input, value) in constraints.fixed() {
-            match lit_of(input) {
-                Some(l) => {
-                    enc.add_clause(&[l.xor_sign(!value)]);
-                }
-                // An absent input reads false; fixing it true empties
-                // the admissible space.
-                None if value => {
-                    enc.add_clause(&[]);
-                }
-                None => {}
-            }
+            enc.add_clause(&[lit_of(input).xor_sign(!value)]);
         }
         for group in constraints.mutex_groups() {
-            let present: Vec<Lit> = group.iter().filter_map(|&i| lit_of(i)).collect();
-            for (i, &a) in present.iter().enumerate() {
-                for &b in &present[i + 1..] {
+            let members: Vec<Lit> = group
+                .iter()
+                .map(|&i| lit_of(i))
+                .filter(|&l| l != !lit_true)
+                .collect();
+            for (i, &a) in members.iter().enumerate() {
+                for &b in &members[i + 1..] {
                     enc.add_clause(&[!a, !b]);
                 }
             }
@@ -185,16 +179,28 @@ impl SatModel {
         (0..nets).map(|n| find(&mut parent, n)).collect()
     }
 
+    /// Whether a model's assignment is admissible.
     fn admissible(&self, constraints: &InputConstraints, bits: &[bool]) -> bool {
-        constraints.admits(&|input| {
-            self.vars
-                .iter()
-                .position(|v| *v == Var::Input(input))
-                .is_some_and(|i| bits[i])
-        })
+        constraints.admits(
+            &|input| match self.vars.iter().position(|v| *v == Var::Input(input)) {
+                Some(i) => bits[i],
+                None => absent_value(constraints, input),
+            },
+        )
     }
 }
 
+/// The value of an input a gate does not read: the constant it is fixed
+/// to, or `false` when it is not fixed (`false` never violates a mutex).
+fn absent_value(constraints: &InputConstraints, input: usize) -> bool {
+    constraints
+        .fixed()
+        .iter()
+        .find(|&&(i, _)| i == input)
+        .is_some_and(|&(_, value)| value)
+}
+
+#[derive(Default)]
 struct Stats {
     sat_calls: u64,
     conflicts: u64,
@@ -249,9 +255,9 @@ fn query(
 
 /// Decides whether a junction of a gate is excitable under the
 /// constraints, by SAT. Agrees with
-/// [`soi_pbe::excite::junction_excitability`] wherever the latter is
-/// exact, and returns proofs where it can only sample — `Unknown` here
-/// means a conflict budget ran out, not that the space was too large.
+/// [`soi_pbe::excite::junction_excitability`] wherever the latter
+/// answers, and has no variable bound — `Unknown` here means a conflict
+/// budget ran out.
 ///
 /// # Panics
 ///
@@ -262,11 +268,7 @@ pub fn junction_excitability_sat<'a>(
     constraints: &InputConstraints,
     budget: u64,
 ) -> Excitability {
-    let mut stats = Stats {
-        sat_calls: 0,
-        conflicts: 0,
-        cex_replays: 0,
-    };
+    let mut stats = Stats::default();
     excitability_with_stats(gate.into(), junction, constraints, budget, &mut stats)
 }
 
@@ -315,10 +317,75 @@ fn excitability_with_stats(
     }
 }
 
+/// Removes every pre-discharge transistor whose junction SAT proves
+/// unexcitable under the constraints, and returns how many it removed. A
+/// device whose proof runs out of `budget` stays.
+///
+/// With [`InputConstraints::none`] this removes nothing from a mapper's
+/// output: committed junctions are excitable in the unconstrained worst
+/// case.
+///
+/// # Example
+///
+/// ```rust
+/// use soi_cec::{prune_discharge, verify_safe_sat};
+/// use soi_domino_ir::{DominoCircuit, Pdn, Signal};
+/// use soi_pbe::excite::InputConstraints;
+/// use soi_pbe::postprocess;
+///
+/// // s0 and s1 in series above a stack: with one-hot selects, the inner
+/// // junction can never charge (s0·s1 is inadmissible).
+/// let mut c = DominoCircuit::single_gate(
+///     vec!["s0".into(), "s1".into(), "a".into(), "b".into()],
+///     Pdn::series(vec![
+///         Pdn::transistor(Signal::input(0)),
+///         Pdn::transistor(Signal::input(1)),
+///         Pdn::parallel(vec![
+///             Pdn::transistor(Signal::input(2)),
+///             Pdn::transistor(Signal::input(3)),
+///         ]),
+///         Pdn::transistor(Signal::input(2)),
+///     ]),
+/// );
+/// postprocess::insert_discharge(&mut c);
+/// let before = c.counts().discharge;
+/// let one_hot = InputConstraints::none().with_mutex(vec![0, 1]);
+/// let removed = prune_discharge(&mut c, &one_hot, 100_000);
+/// assert!(removed > 0);
+/// assert_eq!(c.counts().discharge, before - removed);
+/// assert!(verify_safe_sat(&c, &one_hot, 100_000).safe);
+/// ```
+pub fn prune_discharge(
+    circuit: &mut DominoCircuit,
+    constraints: &InputConstraints,
+    budget: u64,
+) -> u32 {
+    let mut stats = Stats::default();
+    let mut removed = 0;
+    for idx in 0..circuit.gate_count() {
+        let id = GateId::from_index(idx);
+        let gate = circuit.gate(id);
+        let keep: Vec<JunctionRef> = gate
+            .discharge()
+            .iter()
+            .filter(|j| {
+                excitability_with_stats(gate, j, constraints, budget, &mut stats)
+                    != Excitability::ProvenSafe
+            })
+            .copied()
+            .collect();
+        let dropped = gate.discharge().len() - keep.len();
+        if dropped > 0 {
+            removed += dropped as u32;
+            circuit.set_discharge(id, &keep);
+        }
+    }
+    removed
+}
+
 /// Checks that every committed junction *not* covered by a discharge
-/// transistor is provably unexcitable under the constraints — the SAT
-/// counterpart of [`soi_pbe::excite::verify_safe`], with per-junction
-/// proofs instead of enumeration and a report instead of a bare `bool`.
+/// transistor is provably unexcitable under the constraints — the safety
+/// criterion for a circuit [`prune_discharge`] pruned.
 pub fn verify_safe_sat(
     circuit: &DominoCircuit,
     constraints: &InputConstraints,
@@ -335,11 +402,7 @@ pub fn verify_safe_sat_traced(
     budget: u64,
     trace: TraceHandle,
 ) -> PbeSafetyReport {
-    let mut stats = Stats {
-        sat_calls: 0,
-        conflicts: 0,
-        cex_replays: 0,
-    };
+    let mut stats = Stats::default();
     let mut report = PbeSafetyReport {
         safe: true,
         junctions_checked: 0,
@@ -385,7 +448,7 @@ pub fn verify_safe_sat_traced(
 mod tests {
     use super::*;
     use soi_domino_ir::{DominoGate, Pdn};
-    use soi_pbe::excite::{junction_excitability, ExciteConfig};
+    use soi_pbe::excite::junction_excitability;
     use soi_pbe::postprocess;
 
     fn t(i: usize) -> Pdn {
@@ -431,7 +494,8 @@ mod tests {
     }
 
     /// Fixed inputs: a present one asserts a unit clause; an absent one
-    /// fixed *true* empties the space (absent inputs read false).
+    /// takes its fixed value, so tying it high leaves the gate's own
+    /// inputs free, exactly as the enumerator reads it.
     #[test]
     fn fixed_inputs_match_enumeration_semantics() {
         let gate = DominoGate::footed(Pdn::series(vec![
@@ -445,17 +509,52 @@ mod tests {
             junction_excitability_sat(&gate, &j, &low, BUDGET),
             Excitability::ProvenSafe
         );
-        // Input 9 does not appear in the gate; tying it high forbids
-        // every assignment, and the enumerator agrees.
+        // Input 9 does not appear in the gate; tying it high constrains
+        // nothing the gate reads, and the enumerator agrees.
         let absent = InputConstraints::none().with_fixed(9, true);
         assert_eq!(
             junction_excitability_sat(&gate, &j, &absent, BUDGET),
+            Excitability::Excitable
+        );
+        assert_eq!(
+            junction_excitability(&gate, &j, &absent),
+            Excitability::Excitable
+        );
+        // Through a mutex it does: input 9 high forces input 0 low.
+        let shared = absent.with_mutex(vec![0, 9]);
+        assert_eq!(
+            junction_excitability_sat(&gate, &j, &shared, BUDGET),
             Excitability::ProvenSafe
         );
         assert_eq!(
-            junction_excitability(&gate, &j, &absent, &ExciteConfig::default()),
+            junction_excitability(&gate, &j, &shared),
             Excitability::ProvenSafe
         );
+    }
+
+    /// A 4-input circuit whose one gate, `(i0 + i1)·i2`, never reads
+    /// input 3: tying input 3 high must not prove the protected junction
+    /// safe, whichever value it is tied to.
+    #[test]
+    fn an_unread_tied_input_prunes_nothing() {
+        for value in [false, true] {
+            let mut c = DominoCircuit::single_gate(
+                (0..4).map(|i| format!("i{i}")).collect(),
+                Pdn::series(vec![Pdn::parallel(vec![t(0), t(1)]), t(2)]),
+            );
+            postprocess::insert_discharge(&mut c);
+            assert_eq!(c.counts().discharge, 1);
+            let tied = InputConstraints::none().with_fixed(3, value);
+            assert_eq!(prune_discharge(&mut c, &tied, BUDGET), 0, "tied {value}");
+            assert!(soi_pbe::hazard::check(&c).is_empty());
+            assert!(verify_safe_sat(&c, &tied, BUDGET).safe);
+
+            c.set_discharge(GateId::from_index(0), &[]);
+            assert_eq!(soi_pbe::hazard::check(&c).len(), 1);
+            let stripped = verify_safe_sat(&c, &tied, BUDGET);
+            assert!(!stripped.safe, "tied {value}: {stripped:?}");
+            assert_eq!(stripped.excitable, 1);
+        }
     }
 
     /// Every junction of a spread of gates: the SAT verdict equals the
@@ -494,12 +593,11 @@ mod tests {
                 .with_fixed(1, true)
                 .with_mutex(vec![2, 3]),
         ];
-        let config = ExciteConfig::default();
         for (g, gate) in gates.iter().enumerate() {
             let graph = gate.pdn().flatten();
             for (c, constraints) in constraint_sets.iter().enumerate() {
                 for (junction, _) in graph.junctions() {
-                    let exact = junction_excitability(gate, junction, constraints, &config);
+                    let exact = junction_excitability(gate, junction, constraints);
                     let sat = junction_excitability_sat(gate, junction, constraints, BUDGET);
                     assert_eq!(sat, exact, "gate {g} constraints {c} junction {junction:?}");
                 }
@@ -522,6 +620,25 @@ mod tests {
         ));
     }
 
+    /// Pruning with no constraints removes nothing from a well-formed
+    /// post-processed circuit.
+    #[test]
+    fn unconstrained_prune_is_noop() {
+        let mut c = DominoCircuit::single_gate(
+            (0..5).map(|i| format!("i{i}")).collect(),
+            Pdn::series(vec![
+                Pdn::parallel(vec![Pdn::series(vec![t(0), t(1)]), t(2)]),
+                Pdn::parallel(vec![t(3), t(4)]),
+            ]),
+        );
+        postprocess::insert_discharge(&mut c);
+        assert!(c.counts().discharge > 0);
+        assert_eq!(
+            prune_discharge(&mut c, &InputConstraints::none(), BUDGET),
+            0
+        );
+    }
+
     /// End to end on a circuit: covered junctions are skipped; pruning
     /// under constraints stays provably safe under those constraints and
     /// provably unsafe without them.
@@ -537,11 +654,12 @@ mod tests {
         assert_eq!(covered.junctions_checked, 0);
 
         let constraints = InputConstraints::none().with_mutex(vec![0, 1]);
-        let removed =
-            soi_pbe::excite::prune_discharge(&mut c, &constraints, &ExciteConfig::default());
+        let removed = prune_discharge(&mut c, &constraints, BUDGET);
         assert!(removed > 0);
         let pruned = verify_safe_sat(&c, &constraints, BUDGET);
         assert!(pruned.safe, "{pruned:?}");
+        // The worst-case checker now (rightly) complains.
+        assert!(!soi_pbe::hazard::is_safe(&c));
         assert!(pruned.junctions_checked > 0);
         assert!(pruned.sat_calls > 0);
 
@@ -561,7 +679,7 @@ mod tests {
         );
         postprocess::insert_discharge(&mut c);
         let constraints = InputConstraints::none().with_mutex(vec![0, 1]);
-        soi_pbe::excite::prune_discharge(&mut c, &constraints, &ExciteConfig::default());
+        prune_discharge(&mut c, &constraints, BUDGET);
         let report = verify_safe_sat_traced(&c, &constraints, BUDGET, trace);
         assert_eq!(rec.counter(Counter::CecSatCalls), report.sat_calls);
         assert_eq!(rec.counter(Counter::Conflicts), report.conflicts);

@@ -2,78 +2,48 @@
 //! pipeline run.
 //!
 //! [`check_pipeline`] re-derives everything the flow claims from first
-//! principles and compares:
+//! principles and compares, in this order:
 //!
-//! 1. the unate network is functionally equivalent to the source netlist
-//!    (randomized simulation, [`soi_unate::verify::equivalent`]);
-//! 2. the mapped circuit is structurally valid
+//! 1. the mapped circuit is structurally valid
 //!    ([`DominoCircuit::validate`](soi_domino_ir::DominoCircuit::validate));
-//! 3. the circuit is PBE-safe: no committed discharge point is left
-//!    unprotected ([`soi_pbe::hazard::check`]);
-//! 4. the transistor accounting is consistent: the reported
+//! 2. the circuit is PBE-safe in the worst case: no committed discharge
+//!    point is left unprotected ([`soi_pbe::hazard::check`]);
+//! 3. the transistor accounting is consistent: the reported
 //!    [`TransistorCounts`] match a recount from the circuit, and the
 //!    repo's accounting invariant `total == logic + discharge` holds.
 //!    (The paper's tables tally `T_clock` as a *separate, overlapping*
 //!    column — clock devices are already inside the per-gate overhead that
 //!    `logic` includes — so the invariant here is deliberately **not**
 //!    `total == logic + discharge + clock`.)
-//! 5. the mapped circuit computes the same function as the source netlist
-//!    on corner and seeded-random vectors (differential simulation).
+//! 4. the mapped circuit computes the source netlist's function:
+//!    [`soi_cec::check_mapped`] proves it, by the certificate the mapper
+//!    recorded or, when that fails, by the SAT sweep.
 //!
-//! Each violation is a distinct [`AuditError`] variant, so a fault-injection
-//! harness can assert not just *that* corruption is caught but *which*
-//! check catches it.
+//! Every check is exact; nothing is sampled. Each violation is a distinct
+//! [`AuditError`] variant, so a fault-injection harness can assert not
+//! just *that* corruption is caught but *which* check catches it.
 
 use std::error::Error;
 use std::fmt;
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use soi_cec::{CecError, CecOptions, CecReport, CecVerdict, Counterexample};
 use soi_domino_ir::{DominoError, TransistorCounts};
 use soi_mapper::{MappingResult, PartialMapping};
-use soi_netlist::{Network, NetworkError};
-use soi_pbe::hazard;
-use soi_unate::{verify, UnateError, UnateNetwork};
-
-/// Effort and seeding knobs for the audit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AuditConfig {
-    /// Rounds of 64-wide random vectors for the unate-equivalence check.
-    pub equivalence_rounds: usize,
-    /// Number of seeded-random vectors for the differential functional
-    /// check (corner vectors are always included on top).
-    pub functional_vectors: usize,
-    /// Seed for both randomized checks.
-    pub seed: u64,
-}
-
-impl Default for AuditConfig {
-    fn default() -> AuditConfig {
-        AuditConfig {
-            equivalence_rounds: 8,
-            functional_vectors: 64,
-            seed: 0x5001_d0e5,
-        }
-    }
-}
+use soi_netlist::Network;
+use soi_pbe::hazard::{self, Hazard};
+use soi_trace::TraceHandle;
 
 /// A violated cross-stage invariant.
 #[derive(Debug)]
 pub enum AuditError {
-    /// Random simulation distinguished the unate network from the source.
-    UnateMismatch {
-        /// How many rounds were tried before the mismatch surfaced.
-        rounds: usize,
-    },
-    /// The equivalence checker itself failed (arity mismatch, typically a
-    /// corrupted intermediate).
-    Equivalence(UnateError),
     /// The mapped circuit is structurally invalid.
     CircuitInvalid(DominoError),
     /// The circuit's discharge set leaves committed points unprotected.
     Hazards {
         /// Number of unprotected points.
         count: usize,
+        /// The first of them.
+        first: Hazard,
     },
     /// The reported counts disagree with a recount from the circuit.
     CountsMismatch {
@@ -87,19 +57,18 @@ pub enum AuditError {
         /// The recomputed counts that violate the identity.
         counts: TransistorCounts,
     },
-    /// The mapped circuit disagrees with the source netlist on a vector.
-    FunctionalMismatch {
-        /// The distinguishing input vector.
-        vector: Vec<bool>,
-        /// What the source netlist computes.
-        expected: Vec<bool>,
-        /// What the mapped circuit computes.
-        got: Vec<bool>,
+    /// The equivalence checker could not compare the circuit with the
+    /// source (mismatched interfaces, typically a corrupted circuit).
+    Cec(CecError),
+    /// The mapped circuit is **not** equivalent to the source netlist: a
+    /// replay-confirmed counterexample.
+    NotEquivalent(Counterexample),
+    /// The equivalence proof left output miters open within its conflict
+    /// budget — a failure, never a pass.
+    Unproven {
+        /// Number of unproven output miters.
+        unproven: usize,
     },
-    /// Simulating the source netlist failed.
-    NetworkSim(NetworkError),
-    /// Evaluating the mapped circuit failed.
-    CircuitEval(DominoError),
     /// A salvaged [`PartialMapping`] violates its own accounting
     /// invariants.
     PartialInconsistent {
@@ -111,15 +80,12 @@ pub enum AuditError {
 impl fmt::Display for AuditError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            AuditError::UnateMismatch { rounds } => write!(
-                f,
-                "unate network is not equivalent to the source netlist ({rounds} rounds)"
-            ),
-            AuditError::Equivalence(e) => write!(f, "equivalence check failed: {e}"),
             AuditError::CircuitInvalid(e) => write!(f, "mapped circuit is invalid: {e}"),
-            AuditError::Hazards { count } => {
-                write!(f, "{count} PBE-susceptible junction(s) left unprotected")
-            }
+            AuditError::Hazards { count, first } => write!(
+                f,
+                "{count} PBE-susceptible junction(s) left unprotected, first at gate {} junction {}",
+                first.gate, first.junction
+            ),
             AuditError::CountsMismatch {
                 recomputed,
                 reported,
@@ -131,16 +97,15 @@ impl fmt::Display for AuditError {
                 f,
                 "accounting identity total == logic + discharge broken: [{counts}]"
             ),
-            AuditError::FunctionalMismatch {
-                vector,
-                expected,
-                got,
-            } => write!(
+            AuditError::Cec(e) => write!(f, "equivalence check failed: {e}"),
+            AuditError::NotEquivalent(cex) => write!(
                 f,
-                "mapped circuit disagrees with the source on {vector:?}: expected {expected:?}, got {got:?}"
+                "mapped circuit differs from the source at output {} (source {}, circuit {})",
+                cex.output, cex.lhs, cex.rhs
             ),
-            AuditError::NetworkSim(e) => write!(f, "source simulation failed: {e}"),
-            AuditError::CircuitEval(e) => write!(f, "circuit evaluation failed: {e}"),
+            AuditError::Unproven { unproven } => {
+                write!(f, "{unproven} output miter(s) unproven within budget")
+            }
             AuditError::PartialInconsistent { what } => {
                 write!(f, "salvaged partial mapping is inconsistent: {what}")
             }
@@ -151,60 +116,52 @@ impl fmt::Display for AuditError {
 impl Error for AuditError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            AuditError::Equivalence(e) => Some(e),
-            AuditError::CircuitInvalid(e) | AuditError::CircuitEval(e) => Some(e),
-            AuditError::NetworkSim(e) => Some(e),
+            AuditError::CircuitInvalid(e) => Some(e),
+            AuditError::Cec(e) => Some(e),
             _ => None,
         }
     }
 }
 
-/// What a passing audit actually exercised.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AuditReport {
-    /// Rounds of 64-wide vectors used by the equivalence check.
-    pub equivalence_rounds: usize,
-    /// Vectors used by the differential functional check.
-    pub vectors_checked: usize,
-}
-
-/// Runs every cross-stage check; see the module docs for the list.
+/// Runs every cross-stage check; see the module docs for the list. The
+/// report is the equivalence proof's: which path decided it, and what
+/// it cost.
 ///
 /// # Errors
 ///
 /// Returns the first violated invariant as an [`AuditError`].
 pub fn check_pipeline(
     network: &Network,
-    unate: &UnateNetwork,
     result: &MappingResult,
-    cfg: &AuditConfig,
-) -> Result<AuditReport, AuditError> {
-    // 1. Unate network still computes the source function.
-    match verify::equivalent(network, unate, cfg.equivalence_rounds, cfg.seed) {
-        Ok(true) => {}
-        Ok(false) => {
-            return Err(AuditError::UnateMismatch {
-                rounds: cfg.equivalence_rounds,
-            })
-        }
-        Err(e) => return Err(AuditError::Equivalence(e)),
-    }
+    opts: &CecOptions,
+) -> Result<CecReport, AuditError> {
+    audit(network, result, opts, TraceHandle::off())
+}
 
-    // 2. Structural validity of the mapped circuit.
+/// [`check_pipeline`] with the equivalence proof traced
+/// ([`soi_cec::check_mapped_traced`]).
+pub(crate) fn audit(
+    network: &Network,
+    result: &MappingResult,
+    opts: &CecOptions,
+    trace: TraceHandle,
+) -> Result<CecReport, AuditError> {
+    // 1. Structural validity of the mapped circuit.
     result
         .circuit
         .validate()
         .map_err(AuditError::CircuitInvalid)?;
 
-    // 3. PBE safety.
+    // 2. PBE safety.
     let hazards = hazard::check(&result.circuit);
-    if !hazards.is_empty() {
+    if let Some(first) = hazards.first() {
         return Err(AuditError::Hazards {
             count: hazards.len(),
+            first: first.clone(),
         });
     }
 
-    // 4. Transistor accounting.
+    // 3. Transistor accounting.
     let recomputed = result.circuit.counts();
     if recomputed != result.counts {
         return Err(AuditError::CountsMismatch {
@@ -216,37 +173,14 @@ pub fn check_pipeline(
         return Err(AuditError::AccountingBroken { counts: recomputed });
     }
 
-    // 5. Differential function check: source netlist vs mapped circuit.
-    let arity = network.inputs().len();
-    let mut rng = SmallRng::seed_from_u64(cfg.seed);
-    let mut vectors_checked = 0;
-    let check = |vector: Vec<bool>| -> Result<(), AuditError> {
-        let expected = network.simulate(&vector).map_err(AuditError::NetworkSim)?;
-        let got = result
-            .circuit
-            .evaluate(&vector)
-            .map_err(AuditError::CircuitEval)?;
-        if expected != got {
-            return Err(AuditError::FunctionalMismatch {
-                vector,
-                expected,
-                got,
-            });
-        }
-        Ok(())
-    };
-    check(vec![false; arity])?;
-    check(vec![true; arity])?;
-    vectors_checked += 2;
-    for _ in 0..cfg.functional_vectors {
-        check((0..arity).map(|_| rng.gen()).collect())?;
-        vectors_checked += 1;
+    // 4. The mapped circuit computes the source function.
+    let report = soi_cec::check_mapped_traced(network, &result.circuit, opts, trace)
+        .map_err(AuditError::Cec)?;
+    match report.verdict {
+        CecVerdict::Equivalent => Ok(report),
+        CecVerdict::NotEquivalent(cex) => Err(AuditError::NotEquivalent(cex)),
+        CecVerdict::Undecided { unproven } => Err(AuditError::Unproven { unproven }),
     }
-
-    Ok(AuditReport {
-        equivalence_rounds: cfg.equivalence_rounds,
-        vectors_checked,
-    })
 }
 
 /// Checks a salvaged [`PartialMapping`]'s internal accounting: unit counts
@@ -298,11 +232,11 @@ pub fn check_partial(partial: &PartialMapping) -> Result<(), AuditError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use soi_cec::CecPath;
     use soi_domino_ir::GateId;
     use soi_mapper::{MapConfig, Mapper};
-    use soi_unate::{convert, Options};
 
-    fn mapped() -> (Network, UnateNetwork, MappingResult) {
+    fn mapped() -> (Network, MappingResult) {
         let mut n = Network::new("aoi");
         let a = n.add_input("a");
         let b = n.add_input("b");
@@ -310,19 +244,16 @@ mod tests {
         let ab = n.and2(a, b);
         let f = n.nor2(ab, c);
         n.add_output("f", f);
-        let unate = convert(&n, &Options::default()).expect("converts");
-        let result = Mapper::soi(MapConfig::default())
-            .run_unate(&unate)
-            .expect("maps");
-        (n, unate, result)
+        let result = Mapper::soi(MapConfig::default()).run(&n).expect("maps");
+        (n, result)
     }
 
     #[test]
-    fn clean_run_passes_and_reports_effort() {
-        let (n, u, r) = mapped();
-        let report = check_pipeline(&n, &u, &r, &AuditConfig::default()).expect("audit passes");
-        assert_eq!(report.vectors_checked, 66);
-        assert_eq!(report.equivalence_rounds, 8);
+    fn clean_run_passes_by_certificate() {
+        let (n, r) = mapped();
+        let report = check_pipeline(&n, &r, &CecOptions::default()).expect("audit passes");
+        assert_eq!(report.path, CecPath::Certificate);
+        assert_eq!(report.sat_calls, 0);
     }
 
     #[test]
@@ -337,9 +268,8 @@ mod tests {
         let t = n.or2(a, b);
         let f = n.and2(t, c);
         n.add_output("f", f);
-        let u = convert(&n, &Options::default()).expect("converts");
         let mut r = Mapper::baseline(MapConfig::default())
-            .run_unate(&u)
+            .run(&n)
             .expect("maps");
         let mut stripped = false;
         for id in 0..r.circuit.gate_count() {
@@ -354,35 +284,56 @@ mod tests {
         // trips, not the accounting comparison.
         r.counts = r.circuit.counts();
         assert!(matches!(
-            check_pipeline(&n, &u, &r, &AuditConfig::default()),
+            check_pipeline(&n, &r, &CecOptions::default()),
             Err(AuditError::Hazards { .. })
         ));
     }
 
     #[test]
     fn stale_counts_are_caught() {
-        let (n, u, mut r) = mapped();
+        let (n, mut r) = mapped();
         r.counts.total += 1;
         assert!(matches!(
-            check_pipeline(&n, &u, &r, &AuditConfig::default()),
+            check_pipeline(&n, &r, &CecOptions::default()),
             Err(AuditError::CountsMismatch { .. })
         ));
     }
 
     #[test]
-    fn retargeted_output_is_caught_functionally_or_structurally() {
-        let (n, u, mut r) = mapped();
-        // Point the output at gate 0 instead of the final gate; with more
-        // than one gate this either breaks validation or the function.
-        if r.circuit.gate_count() < 2 {
-            return;
-        }
-        r.circuit
-            .set_output_gate_unchecked(0, GateId::from_index(0));
-        let err = check_pipeline(&n, &u, &r, &AuditConfig::default()).unwrap_err();
+    fn an_inverted_output_is_refuted_with_a_counterexample() {
+        let (n, mut r) = mapped();
+        let inverted = r.circuit.outputs()[0].inverted;
+        r.circuit.set_output_inverted(0, !inverted);
+        // Keep the books in sync (the boundary inverter is counted) so the
+        // equivalence proof is what trips.
+        r.counts = r.circuit.counts();
+        let err = check_pipeline(&n, &r, &CecOptions::default()).unwrap_err();
+        let AuditError::NotEquivalent(cex) = err else {
+            panic!("expected a refutation, got {err}");
+        };
+        let source = n.simulate(&cex.inputs).unwrap();
+        let circuit = r.circuit.evaluate(&cex.inputs).unwrap();
+        assert_eq!(source[cex.output], cex.lhs);
+        assert_eq!(circuit[cex.output], cex.rhs);
+        assert_ne!(cex.lhs, cex.rhs);
+    }
+
+    #[test]
+    fn a_circuit_with_the_wrong_interface_cannot_be_compared() {
+        let (n, mut r) = mapped();
+        let (_, other) = {
+            let mut m = Network::new("wide");
+            let inputs: Vec<_> = (0..4).map(|i| m.add_input(format!("i{i}"))).collect();
+            let g = m.and2(inputs[0], inputs[3]);
+            m.add_output("f", g);
+            let result = Mapper::soi(MapConfig::default()).run(&m).expect("maps");
+            (m, result)
+        };
+        r.circuit = other.circuit;
+        r.counts = other.counts;
         assert!(matches!(
-            err,
-            AuditError::FunctionalMismatch { .. } | AuditError::CircuitInvalid(_)
+            check_pipeline(&n, &r, &CecOptions::default()),
+            Err(AuditError::Cec(_))
         ));
     }
 }

@@ -433,9 +433,8 @@ fn replace_signal(pdn: PdnRef<'_>, target: usize, with: Signal, k: &mut usize) -
 /// that keeps the circuit structurally valid but changes its function.
 ///
 /// Returns the mutated circuit together with a **witness vector** on which
-/// it disagrees with the original, so callers can demonstrate the fault is
-/// caught by differential simulation (the audit's functional check) without
-/// depending on random vectors happening to hit it.
+/// it disagrees with the original: the fault is functional by
+/// construction, so the audit's equivalence proof must refute it.
 pub fn retarget_fanin(circuit: &DominoCircuit, seed: u64) -> Option<(DominoCircuit, Vec<bool>)> {
     let arity = circuit.input_names().len();
     if arity == 0 {

@@ -41,7 +41,6 @@
 //! ```
 
 pub mod aiger;
-pub mod bdd;
 pub mod blif;
 pub mod builder;
 pub mod cone;

@@ -23,6 +23,10 @@
 //!   transistors;
 //! * [`hazard`] — a static checker that a circuit's discharge set actually
 //!   covers every PBE-susceptible node;
+//! * [`excite`] — the §VII extension's input constraints (one-hot groups,
+//!   tied-off pins) and a bounded exact oracle for whether a junction can
+//!   see the charge-then-yank sequence under them; `soi-cec` proves the
+//!   same question by SAT for whole circuits and prunes by it;
 //! * [`bodysim`] — a two-phase switch-level simulator with per-transistor
 //!   floating-body state that *demonstrates* the mis-evaluation dynamically
 //!   and validates that protected circuits do not exhibit it.

@@ -66,17 +66,12 @@ pub enum Stage {
     Reconstruct,
     /// Baseline discharge insertion (`Domino_Map`/`RS_Map` only).
     PbePostprocess,
-    /// Discharge-coverage verification (guard pipeline).
-    DischargeProtect,
-    /// The cross-stage consistency audit (guard pipeline).
+    /// The cross-stage audit (guard pipeline): structural validity, PBE
+    /// coverage, accounting and the equivalence proof.
     Audit,
     /// Scheduler drain after an interrupt or contained panic: from the
     /// first failure observation until the last worker returned.
     Drain,
-    /// SAT-based combinational equivalence check of the mapped circuit
-    /// against the source network, plus the SAT-formulated PBE-safety
-    /// proof (the opt-in guard pipeline post-map stage).
-    Cec,
     /// The certificate check of a mapped circuit: re-deriving the unate
     /// network and proving each gate against the unate root it records
     /// (emitted by `soi_cec::check_mapped_traced`, fallback sweep
@@ -86,7 +81,7 @@ pub enum Stage {
 
 impl Stage {
     /// Every stage, in flow order.
-    pub const ALL: [Stage; 13] = [
+    pub const ALL: [Stage; 11] = [
         Stage::Parse,
         Stage::NetlistValidate,
         Stage::UnateConvert,
@@ -95,10 +90,8 @@ impl Stage {
         Stage::Dp,
         Stage::Reconstruct,
         Stage::PbePostprocess,
-        Stage::DischargeProtect,
         Stage::Audit,
         Stage::Drain,
-        Stage::Cec,
         Stage::CecCertify,
     ];
 
@@ -113,10 +106,8 @@ impl Stage {
             Stage::Dp => "dp",
             Stage::Reconstruct => "reconstruct",
             Stage::PbePostprocess => "pbe-postprocess",
-            Stage::DischargeProtect => "discharge-protect",
             Stage::Audit => "audit",
             Stage::Drain => "drain",
-            Stage::Cec => "cec",
             Stage::CecCertify => "cec-certify",
         }
     }
@@ -172,10 +163,6 @@ pub enum Counter {
     DegradedNodes,
     /// Pre-discharge transistors inserted (DP-attached or post-processed).
     DischargesInserted,
-    /// Pre-discharge transistors removed by excitability pruning.
-    DischargesPruned,
-    /// Input vectors the guard audit simulated.
-    AuditVectors,
     /// Interrupts (cancellation, deterministic trip, deadline) a run
     /// observed — latched to one per trip, however many workers race to it.
     CancelsObserved,
@@ -218,7 +205,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 27] = [
+    pub const ALL: [Counter; 25] = [
         Counter::CandidatesGenerated,
         Counter::CandidatesPruned,
         Counter::CandidatesExported,
@@ -231,8 +218,6 @@ impl Counter {
         Counter::SchedParks,
         Counter::DegradedNodes,
         Counter::DischargesInserted,
-        Counter::DischargesPruned,
-        Counter::AuditVectors,
         Counter::CancelsObserved,
         Counter::PanicsContained,
         Counter::UnitsSalvaged,
@@ -263,8 +248,6 @@ impl Counter {
             Counter::SchedParks => "sched_parks",
             Counter::DegradedNodes => "degraded_nodes",
             Counter::DischargesInserted => "discharges_inserted",
-            Counter::DischargesPruned => "discharges_pruned",
-            Counter::AuditVectors => "audit_vectors",
             Counter::CancelsObserved => "cancels_observed",
             Counter::PanicsContained => "panics_contained",
             Counter::UnitsSalvaged => "units_salvaged",
@@ -757,7 +740,7 @@ mod tests {
         assert!(table.contains("12"));
         assert!(table.contains("peak_candidates"));
         // Untouched counters stay out of the rollup.
-        assert!(!table.contains("audit_vectors"));
+        assert!(!table.contains("cancels_observed"));
     }
 
     #[test]

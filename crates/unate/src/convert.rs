@@ -470,12 +470,13 @@ impl<'a> Builder<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{verify, UNode};
+    use crate::UNode;
+    use soi_netlist::sim;
 
     fn check(n: &Network) -> UnateNetwork {
         let u = convert(n, &Options::default()).unwrap();
         assert!(u.is_inverter_free());
-        assert!(verify::equivalent(n, &u, 16, 99).unwrap());
+        assert!(sim::exhaustive_equivalent(n, &u.to_network()).unwrap());
         u
     }
 
@@ -580,7 +581,7 @@ mod tests {
         let u = convert(&n, &Options::default()).unwrap();
         // a & a' is not folded by phase-pushing alone (it becomes a*a'
         // literal AND), but the network still evaluates correctly.
-        assert!(verify::equivalent(&n, &u, 8, 5).unwrap());
+        assert!(sim::exhaustive_equivalent(&n, &u.to_network()).unwrap());
     }
 
     #[test]
@@ -605,7 +606,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(verify::equivalent(&n, &u, 16, 3).unwrap());
+        assert!(sim::exhaustive_equivalent(&n, &u.to_network()).unwrap());
         // With the positive AND cone already built for `g`, output `f`
         // should reuse it through a boundary inverter.
         assert!(u.outputs().iter().any(|o| o.inverted));

@@ -12,11 +12,6 @@ pub enum UnateError {
         /// The underlying network error.
         source: NetworkError,
     },
-    /// A simulation step failed during verification.
-    Simulation {
-        /// The underlying network error.
-        source: NetworkError,
-    },
 }
 
 impl fmt::Display for UnateError {
@@ -25,9 +20,6 @@ impl fmt::Display for UnateError {
             UnateError::InvalidNetwork { source } => {
                 write!(f, "input network is invalid: {source}")
             }
-            UnateError::Simulation { source } => {
-                write!(f, "simulation failed during verification: {source}")
-            }
         }
     }
 }
@@ -35,9 +27,7 @@ impl fmt::Display for UnateError {
 impl Error for UnateError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
-            UnateError::InvalidNetwork { source } | UnateError::Simulation { source } => {
-                Some(source)
-            }
+            UnateError::InvalidNetwork { source } => Some(source),
         }
     }
 }

@@ -30,15 +30,18 @@
 //!
 //! let u = convert(&n, &Options::default())?;
 //! assert!(u.is_inverter_free());
-//! assert!(soi_unate::verify::equivalent(&n, &u, 16, 7)?);
+//! assert_eq!(soi_netlist::sim::exhaustive_equivalent(&n, &u.to_network()), Ok(true));
 //! # Ok(())
 //! # }
 //! ```
+//!
+//! [`UnateNetwork::to_network`] lowers the result back to a netlist, so
+//! any netlist equivalence check applies: `sim::exhaustive_equivalent`
+//! on small networks, as above, and `soi_cec::check_networks` at scale.
 
 mod convert;
 mod error;
 mod network;
-pub mod verify;
 
 pub use convert::{convert, convert_in_phases, Images, Options, OutputPhase};
 pub use error::UnateError;

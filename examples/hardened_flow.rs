@@ -1,10 +1,11 @@
 //! The hardened mapping flow: staged pipeline, typed stage errors, resource
-//! guards, graceful degradation, and the cross-stage audit.
+//! guards, graceful degradation, and the cross-stage audit that proves
+//! every mapping.
 //!
 //! Run with `cargo run --release --example hardened_flow`.
 
 use soi_domino::circuits::registry;
-use soi_domino::guard::{inject, Pipeline, StageError};
+use soi_domino::guard::{check_pipeline, inject, Pipeline, StageError};
 use soi_domino::mapper::{Limits, MapConfig, Mapper};
 use soi_domino::netlist::Network;
 
@@ -13,12 +14,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let network = registry::benchmark("cm150").expect("registered benchmark");
     let pipeline = Pipeline::new(Mapper::soi(MapConfig::default()));
     let report = pipeline.run(&network)?;
-    let audit = report.audit.expect("audit enabled by default");
     println!("cm150 through the hardened flow:");
     println!("  {}", report.result);
     println!(
-        "  audit: equivalence x{} rounds, differential x{} vectors — all clean",
-        audit.equivalence_rounds, audit.vectors_checked
+        "  audit: valid, protected, counts consistent, proved equivalent via {:?} \
+         ({} SAT calls)",
+        report.cec.path, report.cec.sat_calls
     );
 
     // ---- 2. A corrupted netlist is rejected with a typed stage error. ----
@@ -59,40 +60,27 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         relaxed.result.degraded_nodes.len()
     );
 
-    // ---- 5. The audit catches silent protection loss. --------------------
+    // ---- 5. The audit catches silent protection loss and wrong wires. ----
+    // cm150's SOI mapping may need no protection at all, so strip the
+    // baseline mapping's instead. The tampered results keep their books
+    // in sync, so the check under test is what trips.
+    let opts = pipeline.cec_options();
+    let base = Pipeline::new(Mapper::baseline(MapConfig::default())).run(&network)?;
+    let mut tampered = base.result.clone();
+    tampered.circuit = inject::strip_protection(&tampered.circuit)
+        .expect("the baseline mapping carries discharge transistors");
+    tampered.counts = tampered.circuit.counts();
+    let verdict = check_pipeline(&network, &tampered, &opts);
+    println!(
+        "\nstripped pre-discharge transistors: {}",
+        verdict.unwrap_err()
+    );
     let mut tampered = report.result.clone();
-    if let Some(stripped) = inject::strip_protection(&tampered.circuit) {
-        tampered.circuit = stripped;
-        tampered.counts = tampered.circuit.counts();
-        let verdict = soi_domino::guard::check_pipeline(
-            &network,
-            &report.unate,
-            &tampered,
-            &soi_domino::guard::AuditConfig::default(),
-        );
-        println!(
-            "\nstripped pre-discharge transistors: {}",
-            verdict.unwrap_err()
-        );
-    } else {
-        // cm150's SOI mapping may already need no protection — demonstrate
-        // on the baseline mapping instead.
-        let base = Pipeline::new(Mapper::baseline(MapConfig::default())).run(&network)?;
-        let mut tampered = base.result.clone();
-        tampered.circuit = inject::strip_protection(&tampered.circuit)
-            .expect("the baseline mapping carries discharge transistors");
-        tampered.counts = tampered.circuit.counts();
-        let verdict = soi_domino::guard::check_pipeline(
-            &network,
-            &base.unate,
-            &tampered,
-            &soi_domino::guard::AuditConfig::default(),
-        );
-        println!(
-            "\nstripped pre-discharge transistors: {}",
-            verdict.unwrap_err()
-        );
-    }
+    (tampered.circuit, _) =
+        inject::retarget_fanin(&tampered.circuit, 7).expect("cm150 has transistors to rewire");
+    tampered.counts = tampered.circuit.counts();
+    let verdict = check_pipeline(&network, &tampered, &opts);
+    println!("rewired one transistor: {}", verdict.unwrap_err());
 
     // ---- 6. Everything composes on a hand-built netlist too. -------------
     let mut n = Network::new("demo");

@@ -2,14 +2,18 @@
 //! for a particular sequence of input logic values" — so discharge
 //! transistors protecting junctions that can never see that sequence are
 //! wasted clock load. Declare what you know about the inputs (one-hot
-//! groups, pins tied off in mission mode) and let the excitability
-//! analysis prune.
+//! groups, pins tied off in mission mode) and let SAT prove which
+//! devices can go.
 //!
 //! Run with `cargo run --release --example sequence_pruning`.
 
+use soi_domino::cec::{prune_discharge, verify_safe_sat};
 use soi_domino::domino::{DominoCircuit, Pdn, Signal};
-use soi_domino::pbe::excite::{prune_discharge, verify_safe, ExciteConfig, InputConstraints};
+use soi_domino::pbe::excite::InputConstraints;
 use soi_domino::pbe::postprocess;
+
+/// Conflict budget per excitability query.
+const BUDGET: u64 = 100_000;
 
 fn t(i: usize) -> Pdn {
     Pdn::transistor(Signal::input(i))
@@ -52,16 +56,12 @@ fn main() {
     // dynamic node crosses the dead transistor — while the mission
     // branch's junction remains excitable and keeps its device.
     let constraints = InputConstraints::none().with_fixed(0, false);
-    let removed = prune_discharge(&mut circuit, &constraints, &ExciteConfig::default());
+    let removed = prune_discharge(&mut circuit, &constraints, BUDGET);
     let after = circuit.counts();
 
     println!("\ndeclared: test ≡ 0");
     println!("pruned {removed} discharge transistor(s): {after}");
-    assert!(verify_safe(
-        &circuit,
-        &constraints,
-        &ExciteConfig::default()
-    ));
+    assert!(verify_safe_sat(&circuit, &constraints, BUDGET).safe);
     println!("excitability check under the declared constraints: safe");
     println!(
         "\nclock-connected devices: {} -> {} ({} fewer loads on the clock tree)",

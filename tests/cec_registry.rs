@@ -14,14 +14,16 @@
 //!    confirmed counterexample, or proven a functional no-op — never
 //!    silently accepted — and no forged certificate changes a verdict;
 //! 4. the SAT formulation of PBE excitability agrees with the `pbe`
-//!    crate's exact enumeration on every committed junction.
+//!    crate's exact enumeration on every committed junction, and the
+//!    SAT-decided discharge pruning removes exactly the devices that
+//!    enumeration proves unneeded.
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use soi_domino::cec::{
-    check_mapped, check_networks, junction_excitability_sat, lower, verify_safe_sat, CecOptions,
-    CecPath, CecVerdict,
+    check_mapped, check_networks, junction_excitability_sat, lower, prune_discharge,
+    verify_safe_sat, CecOptions, CecPath, CecVerdict,
 };
 use soi_domino::circuits::misc::random::{generate, RandomSpec};
 use soi_domino::circuits::{corpus, registry};
@@ -29,10 +31,8 @@ use soi_domino::domino::DominoCircuit;
 use soi_domino::guard::inject;
 use soi_domino::mapper::{MapConfig, Mapper, Parallelism};
 use soi_domino::netlist::Network;
-use soi_domino::pbe::excite::{
-    junction_excitability, Excitability, ExciteConfig, InputConstraints,
-};
-use soi_domino::pbe::points;
+use soi_domino::pbe::excite::{junction_excitability, Excitability, InputConstraints};
+use soi_domino::pbe::{hazard, points};
 use soi_domino::unate::OutputPhase;
 
 fn schedules() -> [(&'static str, MapConfig); 3] {
@@ -374,14 +374,13 @@ fn circuit_mutations_on(source: &str, opts: &CecOptions) {
 }
 
 /// The SAT formulation of junction excitability agrees with the `pbe`
-/// crate's verdicts on every committed junction of every mapped registry
-/// circuit: exact-enumeration verdicts (`Excitable`/`ProvenSafe`) must
-/// be reproduced verbatim, and sampling `Unknown`s may only be resolved,
-/// never contradicted.
+/// crate's enumeration on every committed junction of every mapped
+/// registry circuit: its verdicts (`Excitable`/`ProvenSafe`) must be
+/// reproduced verbatim, and past its variable bound (`Unknown`) SAT must
+/// still decide.
 #[test]
 fn pbe_sat_agrees_with_enumeration_on_every_registry_circuit() {
     let constraints = InputConstraints::none();
-    let config = ExciteConfig::default();
     let budget = 1_000_000;
     let map_config = MapConfig {
         parallelism: Parallelism::Serial,
@@ -396,16 +395,16 @@ fn pbe_sat_agrees_with_enumeration_on_every_registry_circuit() {
         for (gate_id, gate) in mapped.circuit.iter() {
             for junction in points::analyze(gate.pdn()).committed {
                 junctions += 1;
-                let by_enum = junction_excitability(gate, &junction, &constraints, &config);
+                let by_enum = junction_excitability(gate, &junction, &constraints);
                 let by_sat = junction_excitability_sat(gate, &junction, &constraints, budget);
                 match by_enum {
                     Excitability::Excitable | Excitability::ProvenSafe => assert_eq!(
                         by_sat, by_enum,
                         "{name} gate {gate_id} junction {junction}: SAT diverges"
                     ),
-                    // Sampling gave up; the complete method may answer
-                    // either way but must not itself give up with this
-                    // budget on gate-sized formulas.
+                    // Too wide to enumerate; the complete method may
+                    // answer either way but must not itself give up with
+                    // this budget on gate-sized formulas.
                     Excitability::Unknown => assert_ne!(
                         by_sat,
                         Excitability::Unknown,
@@ -414,15 +413,80 @@ fn pbe_sat_agrees_with_enumeration_on_every_registry_circuit() {
                 }
             }
         }
-        // Circuit-level verdicts line up too (protected circuits: both
-        // sides must call the mapped result safe).
-        let by_enum = soi_domino::pbe::excite::verify_safe(&mapped.circuit, &constraints, &config);
+        // Circuit-level verdicts line up with the structural check: a
+        // mapped circuit protects every committed junction, so both call
+        // it safe.
         let by_sat = verify_safe_sat(&mapped.circuit, &constraints, budget);
-        assert_eq!(
-            by_enum, by_sat.safe,
-            "{name}: circuit-level verdicts differ"
-        );
+        assert!(hazard::is_safe(&mapped.circuit), "{name}: unprotected");
         assert!(by_sat.safe, "{name}: mapped circuit flagged unsafe");
     }
     assert!(junctions > 0, "registry produced no committed junctions");
+}
+
+/// Under declared input constraints, `prune_discharge` removes exactly the
+/// discharge devices whose junctions enumeration proves unexcitable, on
+/// every registry circuit mapped by `mapper`, and the pruned circuit is
+/// proven safe under the same constraints. Where a gate is too wide to
+/// enumerate, SAT alone decides. Returns the devices seen and removed.
+fn assert_pruning_matches_enumeration(mapper: fn(MapConfig) -> Mapper) -> (usize, u32) {
+    let budget = 1_000_000;
+    let constraint_sets = [
+        InputConstraints::none(),
+        InputConstraints::none().with_fixed(0, false),
+        InputConstraints::none().with_mutex(vec![0, 1, 2, 3]),
+    ];
+    let map_config = MapConfig {
+        parallelism: Parallelism::Serial,
+        ..MapConfig::default()
+    };
+    let algorithm = mapper(map_config).algorithm();
+    let (mut devices, mut removed) = (0usize, 0u32);
+    for name in registry::names() {
+        let network = registry::benchmark(name).expect("registry circuit exists");
+        let mapped = mapper(map_config)
+            .run(&network)
+            .unwrap_or_else(|e| panic!("{name} maps: {e}"));
+        for (c, constraints) in constraint_sets.iter().enumerate() {
+            let mut pruned = mapped.circuit.clone();
+            removed += prune_discharge(&mut pruned, constraints, budget);
+            for ((id, gate), (_, kept)) in mapped.circuit.iter().zip(pruned.iter()) {
+                devices += gate.discharge().len();
+                let verdicts: Vec<_> = gate
+                    .discharge()
+                    .iter()
+                    .map(|j| junction_excitability(gate, j, constraints))
+                    .collect();
+                if verdicts.contains(&Excitability::Unknown) {
+                    continue;
+                }
+                let needed: Vec<_> = gate
+                    .discharge()
+                    .iter()
+                    .zip(&verdicts)
+                    .filter(|(_, &v)| v != Excitability::ProvenSafe)
+                    .map(|(&j, _)| j)
+                    .collect();
+                assert_eq!(
+                    kept.discharge(),
+                    needed.as_slice(),
+                    "{name} {algorithm:?} constraints {c} gate {id}"
+                );
+            }
+            let safety = verify_safe_sat(&pruned, constraints, budget);
+            assert!(safety.safe, "{name} constraints {c}: {safety:?}");
+        }
+    }
+    (devices, removed)
+}
+
+#[test]
+fn sat_pruning_matches_enumeration_on_domino_map() {
+    let (devices, removed) = assert_pruning_matches_enumeration(Mapper::baseline);
+    assert!(devices > 0 && removed > 0, "{removed} of {devices} pruned");
+}
+
+#[test]
+fn sat_pruning_matches_enumeration_on_rs_map() {
+    let (devices, removed) = assert_pruning_matches_enumeration(Mapper::rearrange_stacks);
+    assert!(devices > 0 && removed > 0, "{removed} of {devices} pruned");
 }

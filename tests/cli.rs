@@ -1,12 +1,16 @@
 //! The `soi-domino` binary end to end: `verify` proves mappings through
 //! their certificates, AIGER files load by extension and every other file
-//! as BLIF, bad inputs exit non-zero with one `error:` line instead of
-//! a panic, and a reader that closes the output early ends the run
-//! quietly.
+//! as BLIF, bad and mutated inputs exit non-zero with one `error:` line
+//! instead of a panic, and a reader that closes the output early ends the
+//! run quietly.
 
 use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
+
+use soi_domino::circuits::registry;
+use soi_domino::guard::inject;
+use soi_domino::netlist::{aiger, blif};
 
 fn soi_domino(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_soi-domino"))
@@ -27,13 +31,18 @@ fn stderr(out: &Output) -> String {
     String::from_utf8_lossy(&out.stderr).into_owned()
 }
 
-/// A failed run: non-zero exit, an `error:` line, no panic.
+/// A failed run: non-zero exit, one `error:` line, no panic.
 fn assert_clean_failure(out: &Output, what: &str) {
     let err = stderr(out);
     assert!(!out.status.success(), "{what}: exited 0");
     assert!(
         err.starts_with("error: "),
         "{what}: no error line in {err:?}"
+    );
+    assert_eq!(
+        err.lines().filter(|l| l.starts_with("error:")).count(),
+        1,
+        "{what}: {err}"
     );
     assert!(!err.contains("panicked"), "{what}: panicked: {err}");
 }
@@ -104,6 +113,59 @@ fn bad_inputs_fail_with_an_error_line() {
     ] {
         assert_clean_failure(&soi_domino(&args), &format!("{args:?}"));
     }
+}
+
+/// A fuzz sweep over the input surface: seeded `guard::inject` mutants of
+/// two registry circuits — the four BLIF mutators on `blif::write`'s
+/// output, truncation and garbling on both AIGER forms, header
+/// perturbation on the ASCII form — each through `map` and `verify`, one
+/// process at a time. Every run exits 0, or exits non-zero with one
+/// `error:` line and no panic.
+#[test]
+fn mutated_inputs_map_or_fail_with_one_error_line() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR"));
+    let (mut succeeded, mut failed) = (0u32, 0u32);
+    for name in ["cm150", "z4ml"] {
+        let network = registry::benchmark(name).expect("registered benchmark");
+        let blif = blif::write(&network).into_bytes();
+        let aag = aiger::write_ascii(&network).into_bytes();
+        let aig = aiger::write_binary(&network);
+        for seed in 0..10 {
+            let mutants = [
+                ("truncate.blif", inject::truncate_blif(&blif, seed)),
+                ("garble.blif", inject::garble_blif(&blif, seed)),
+                ("drop-line.blif", inject::drop_blif_line(&blif, seed)),
+                ("swap-lines.blif", inject::swap_blif_lines(&blif, seed)),
+                ("truncate.aag", inject::truncate_aiger(&aag, seed)),
+                ("garble.aag", inject::garble_aiger(&aag, seed)),
+                ("truncate.aig", inject::truncate_aiger(&aig, seed)),
+                ("garble.aig", inject::garble_aiger(&aig, seed)),
+                ("header.aag", inject::perturb_aiger_header(&aag, seed)),
+            ];
+            for (kind, bytes) in mutants {
+                let path = dir.join(format!("fuzz-{name}-{seed}-{kind}"));
+                std::fs::write(&path, bytes.expect("the mutator applies"))
+                    .expect("temp file writes");
+                let path = path.to_str().expect("utf-8 path");
+                for command in ["map", "verify"] {
+                    let out = soi_domino(&[command, path]);
+                    if out.status.success() {
+                        succeeded += 1;
+                    } else {
+                        assert_clean_failure(&out, &format!("{command} {name} seed {seed} {kind}"));
+                        failed += 1;
+                    }
+                }
+            }
+        }
+    }
+    // 2 circuits x 10 seeds x 9 mutants x 2 commands, and the sweep
+    // exercises both outcomes.
+    assert_eq!(succeeded + failed, 360);
+    assert!(
+        succeeded > 0 && failed > 0,
+        "{succeeded} ok, {failed} failed"
+    );
 }
 
 #[test]

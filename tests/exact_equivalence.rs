@@ -1,11 +1,9 @@
-//! Exact (BDD-based) verification of the flow on the benchmarks whose
-//! functions stay tractable — a stronger statement than the random-vector
-//! checks used elsewhere.
+//! Exact verification of the unate conversion on registry benchmarks: the
+//! SAT sweep proves each source network equivalent to its lowered unate
+//! network. (Mapped circuits are proved in `tests/cec_registry.rs`.)
 
-use soi_domino::cec::lower::circuit_to_network;
+use soi_domino::cec::{check_networks, CecOptions};
 use soi_domino::circuits::registry;
-use soi_domino::mapper::{MapConfig, Mapper};
-use soi_domino::netlist::bdd;
 use soi_domino::unate::{convert, Options};
 
 #[test]
@@ -13,45 +11,12 @@ fn unate_conversion_is_exactly_equivalent() {
     for name in ["cm150", "mux", "z4ml", "9symml", "frg1", "c432"] {
         let network = registry::benchmark(name).expect("registered");
         let unate = convert(&network, &Options::default()).expect("converts");
-        let lowered = unate.to_network();
-        match bdd::equivalent(&network, &lowered, 1 << 21) {
-            Ok(eq) => assert!(eq, "{name}: unate conversion changed the function"),
-            Err(overflow) => panic!("{name}: unexpected BDD overflow ({overflow})"),
-        }
+        let report = check_networks(&network, &unate.to_network(), &CecOptions::default())
+            .expect("the interfaces match");
+        assert!(
+            report.is_equivalent(),
+            "{name}: unate conversion changed the function: {:?}",
+            report.verdict
+        );
     }
-}
-
-#[test]
-fn mapped_circuits_are_exactly_equivalent() {
-    for name in ["cm150", "z4ml", "9symml", "c432"] {
-        let network = registry::benchmark(name).expect("registered");
-        for mapper in [
-            Mapper::baseline(MapConfig::default()),
-            Mapper::rearrange_stacks(MapConfig::default()),
-            Mapper::soi(MapConfig::default()),
-        ] {
-            let result = mapper.run(&network).expect("maps");
-            let lowered = circuit_to_network(&result.circuit);
-            match bdd::equivalent(&network, &lowered, 1 << 21) {
-                Ok(eq) => assert!(
-                    eq,
-                    "{name}: {:?} mapping changed the function",
-                    mapper.algorithm()
-                ),
-                Err(overflow) => panic!("{name}: unexpected BDD overflow ({overflow})"),
-            }
-        }
-    }
-}
-
-#[test]
-fn duplication_is_exactly_equivalent() {
-    let network = registry::benchmark("cm150").expect("registered");
-    let config = MapConfig {
-        allow_duplication: true,
-        ..MapConfig::default()
-    };
-    let result = Mapper::soi(config).run(&network).expect("maps");
-    let lowered = circuit_to_network(&result.circuit);
-    assert!(bdd::equivalent(&network, &lowered, 1 << 21).expect("tractable"));
 }

@@ -1,9 +1,15 @@
 //! Excitability pruning (the §VII future-work extension) applied to fully
-//! mapped benchmark circuits.
+//! mapped benchmark circuits: `soi_cec::prune_discharge` decides each
+//! device by SAT and `verify_safe_sat` proves the result.
 
+use soi_domino::cec::{check_mapped, prune_discharge, verify_safe_sat, CecOptions};
 use soi_domino::circuits::registry;
 use soi_domino::mapper::{MapConfig, Mapper};
-use soi_domino::pbe::excite::{prune_discharge, verify_safe, ExciteConfig, InputConstraints};
+use soi_domino::pbe::excite::InputConstraints;
+
+/// Conflict budget per excitability query: gate-sized formulas never
+/// come near it.
+const BUDGET: u64 = 1_000_000;
 
 #[test]
 fn tied_off_enable_prunes_everything_behind_it() {
@@ -25,11 +31,12 @@ fn tied_off_enable_prunes_everything_behind_it() {
         .position(|n| n == "en")
         .expect("cm150 has an enable input");
     let constraints = InputConstraints::none().with_fixed(en_index, false);
-    let config = ExciteConfig::default();
-    let removed = prune_discharge(&mut circuit, &constraints, &config);
+    let removed = prune_discharge(&mut circuit, &constraints, BUDGET);
+    assert!(removed > 0, "the enable gates protected junctions");
     let after = circuit.counts().discharge;
     assert_eq!(after, before - removed);
-    assert!(verify_safe(&circuit, &constraints, &config));
+    let safety = verify_safe_sat(&circuit, &constraints, BUDGET);
+    assert!(safety.safe, "{safety:?}");
 }
 
 #[test]
@@ -43,11 +50,7 @@ fn unconstrained_pruning_never_removes_needed_protection() {
             let mapped = mapper.run(&network).unwrap();
             let mut circuit = mapped.circuit;
             let before = circuit.counts().discharge;
-            let removed = prune_discharge(
-                &mut circuit,
-                &InputConstraints::none(),
-                &ExciteConfig::default(),
-            );
+            let removed = prune_discharge(&mut circuit, &InputConstraints::none(), BUDGET);
             // Worst-case committed points are excitable by construction;
             // pruning without knowledge must be a no-op.
             assert_eq!(removed, 0, "{name}: pruned {removed} of {before}");
@@ -70,15 +73,10 @@ fn pruned_circuit_still_computes_the_function() {
     prune_discharge(
         &mut circuit,
         &InputConstraints::none().with_fixed(en_index, false),
-        &ExciteConfig::default(),
+        BUDGET,
     );
     circuit.validate().unwrap();
     // Discharge devices never affect the boolean function.
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-    let mut rng = SmallRng::seed_from_u64(404);
-    for _ in 0..32 {
-        let v: Vec<bool> = (0..network.inputs().len()).map(|_| rng.gen()).collect();
-        assert_eq!(circuit.evaluate(&v).unwrap(), network.simulate(&v).unwrap());
-    }
+    let report = check_mapped(&network, &circuit, &CecOptions::default()).unwrap();
+    assert!(report.is_equivalent(), "{:?}", report.verdict);
 }

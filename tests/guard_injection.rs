@@ -4,15 +4,14 @@
 //! test is uniform: **every effective corruption is caught by a typed error
 //! or by the cross-stage audit; nothing panics; nothing passes silently.**
 
+use soi_domino::cec::{CecOptions, CecPath};
 use soi_domino::circuits::registry;
-use soi_domino::guard::{
-    check_partial, check_pipeline, inject, AuditConfig, AuditError, Pipeline, Stage,
-};
+use soi_domino::domino::DominoCircuit;
+use soi_domino::guard::{check_partial, check_pipeline, inject, AuditError, Pipeline, Stage};
 use soi_domino::mapper::{MapConfig, MapError, Mapper, MappingResult, Parallelism};
-use soi_domino::netlist::blif;
+use soi_domino::netlist::{blif, Network};
 use soi_domino::pbe::bodysim::{BodySimConfig, BodySimulator};
 use soi_domino::pbe::hazard;
-use soi_domino::unate::{convert, Options, UnateNetwork};
 
 /// Registry circuits exercised by every mutator (≥ 5 as required).
 const CIRCUITS: &[&str] = &["cm150", "mux", "z4ml", "cordic", "frg1", "b9"];
@@ -84,37 +83,53 @@ fn mutated_blif_never_panics_the_parser() {
 
 /// Swaps a mutated circuit into a mapping result, keeping the originally
 /// reported counts (a tamperer would not fix the books).
-fn with_circuit(
-    result: &MappingResult,
-    circuit: soi_domino::domino::DominoCircuit,
-) -> MappingResult {
+fn with_circuit(result: &MappingResult, circuit: DominoCircuit) -> MappingResult {
     let mut tampered = result.clone();
     tampered.circuit = circuit;
     tampered
 }
 
+/// Asserts that the audit refutes a functional mutant with a
+/// counterexample that really distinguishes the source and the mutant.
+/// The books are fixed (an output inverter is counted, and a rewired
+/// fanin can change the depth), so the proof is what must trip.
+fn assert_refuted(network: &Network, result: &MappingResult, mutant: DominoCircuit, what: &str) {
+    let mut tampered = with_circuit(result, mutant);
+    tampered.counts = tampered.circuit.counts();
+    match check_pipeline(network, &tampered, &CecOptions::default()) {
+        Err(AuditError::NotEquivalent(cex)) => {
+            let source = network.simulate(&cex.inputs).expect("simulates");
+            let mapped = tampered.circuit.evaluate(&cex.inputs).expect("evaluates");
+            assert_eq!(source[cex.output], cex.lhs, "{what}");
+            assert_eq!(mapped[cex.output], cex.rhs, "{what}");
+            assert_ne!(
+                source, mapped,
+                "{what}: the counterexample does not distinguish"
+            );
+        }
+        verdict => panic!("{what}: expected a refutation, got {verdict:?}"),
+    }
+}
+
 #[test]
 fn corrupted_circuits_are_caught_by_audit_or_validation() {
-    let audit_cfg = AuditConfig::default();
+    let opts = CecOptions::default();
     let mut injected = 0u32;
+    let mut refuted = [0u32; 2];
     for &name in CIRCUITS {
         let network = registry::benchmark(name).expect("registered benchmark");
-        let unate: UnateNetwork =
-            convert(&network, &Options::default()).expect("registry circuits convert");
         for mapper in [
             Mapper::baseline(MapConfig::default()),
             Mapper::soi(MapConfig::default()),
         ] {
-            let result = mapper.run_unate(&unate).expect("registry circuits map");
-            assert!(
-                check_pipeline(&network, &unate, &result, &audit_cfg).is_ok(),
-                "{name}: the untampered mapping must pass its own audit"
-            );
+            let result = mapper.run(&network).expect("registry circuits map");
+            let clean = check_pipeline(&network, &result, &opts)
+                .unwrap_or_else(|e| panic!("{name}: the untampered mapping fails its audit: {e}"));
+            assert_eq!(clean.path, CecPath::Certificate, "{name}");
             for seed in 0..SEEDS {
                 if let Some(m) = inject::drop_discharge(&result.circuit, seed) {
                     injected += 1;
-                    let verdict =
-                        check_pipeline(&network, &unate, &with_circuit(&result, m), &audit_cfg);
+                    let verdict = check_pipeline(&network, &with_circuit(&result, m), &opts);
                     assert!(
                         matches!(verdict, Err(AuditError::Hazards { .. })),
                         "{name} seed {seed} drop_discharge: {verdict:?}"
@@ -122,8 +137,7 @@ fn corrupted_circuits_are_caught_by_audit_or_validation() {
                 }
                 if let Some(m) = inject::retarget_discharge(&result.circuit, seed) {
                     injected += 1;
-                    let verdict =
-                        check_pipeline(&network, &unate, &with_circuit(&result, m), &audit_cfg);
+                    let verdict = check_pipeline(&network, &with_circuit(&result, m), &opts);
                     assert!(
                         matches!(verdict, Err(AuditError::CircuitInvalid(_))),
                         "{name} seed {seed} retarget_discharge: {verdict:?}"
@@ -131,8 +145,7 @@ fn corrupted_circuits_are_caught_by_audit_or_validation() {
                 }
                 if let Some(m) = inject::flip_pdn_junction(&result.circuit, seed) {
                     injected += 1;
-                    let verdict =
-                        check_pipeline(&network, &unate, &with_circuit(&result, m), &audit_cfg);
+                    let verdict = check_pipeline(&network, &with_circuit(&result, m), &opts);
                     assert!(
                         matches!(
                             verdict,
@@ -141,23 +154,30 @@ fn corrupted_circuits_are_caught_by_audit_or_validation() {
                         "{name} seed {seed} flip_pdn_junction: {verdict:?}"
                     );
                 }
-                if let Some((m, witness)) = inject::retarget_fanin(&result.circuit, seed) {
+                if let Some((m, _witness)) = inject::retarget_fanin(&result.circuit, seed) {
                     injected += 1;
-                    // The mutator hands back the distinguishing vector: the
-                    // differential oracle (source network vs mapped circuit)
-                    // catches the wrong-wire fault on it deterministically.
-                    let expected = network.simulate(&witness).expect("simulates");
-                    let got = m.evaluate(&witness).expect("evaluates");
-                    assert_ne!(
-                        expected, got,
-                        "{name} seed {seed} retarget_fanin went unnoticed"
+                    refuted[0] += 1;
+                    assert_refuted(
+                        &network,
+                        &result,
+                        m,
+                        &format!("{name} seed {seed} retarget_fanin"),
+                    );
+                }
+                if let Some(m) = inject::flip_output_inversion(&result.circuit, seed) {
+                    injected += 1;
+                    refuted[1] += 1;
+                    assert_refuted(
+                        &network,
+                        &result,
+                        m,
+                        &format!("{name} seed {seed} flip_output_inversion"),
                     );
                 }
             }
             if let Some(m) = inject::strip_protection(&result.circuit) {
                 injected += 1;
-                let verdict =
-                    check_pipeline(&network, &unate, &with_circuit(&result, m), &audit_cfg);
+                let verdict = check_pipeline(&network, &with_circuit(&result, m), &opts);
                 assert!(
                     matches!(verdict, Err(AuditError::Hazards { .. })),
                     "{name} strip_protection: {verdict:?}"
@@ -167,8 +187,34 @@ fn corrupted_circuits_are_caught_by_audit_or_validation() {
     }
     // Not every circuit admits every fault (the SOI mapper often needs no
     // discharge transistors at all), but the harness must have exercised a
-    // substantial population.
+    // substantial population, and every circuit admits both functional
+    // faults: 6 circuits x 2 mappers x 20 seeds each.
     assert!(injected >= 200, "only {injected} circuit faults injected");
+    assert_eq!(refuted, [240, 240]);
+}
+
+/// Every untampered registry mapping, under all three algorithms, passes
+/// the audit, and its certificate decides the proof.
+#[test]
+fn untampered_registry_mappings_pass_the_audit_by_certificate() {
+    for name in registry::names() {
+        let network = registry::benchmark(name).expect("registered benchmark");
+        for mapper in [
+            Mapper::baseline(MapConfig::default()),
+            Mapper::rearrange_stacks(MapConfig::default()),
+            Mapper::soi(MapConfig::default()),
+        ] {
+            let algorithm = mapper.algorithm();
+            let report = Pipeline::new(mapper)
+                .run(&network)
+                .unwrap_or_else(|e| panic!("{name} {algorithm:?}: {e}"));
+            assert_eq!(
+                report.cec.path,
+                CecPath::Certificate,
+                "{name} {algorithm:?}"
+            );
+        }
+    }
 }
 
 /// The mapper-level fault injection: a seeded poisoned cone unit always
@@ -263,9 +309,10 @@ fn degradation_recovers_tight_limits_and_passes_the_audit() {
             .expect("degradation must recover the flow");
         assert!(report.degraded, "{name}: degradation must be recorded");
         assert!(report.result.is_degraded());
-        // The audit ran inside the pipeline: functional equivalence,
-        // PBE-safety and accounting all hold for the degraded mapping.
-        assert!(report.audit.is_some(), "{name}");
+        // The audit ran inside the pipeline: validity, PBE coverage and
+        // accounting hold for the degraded mapping, and its certificate
+        // proves it equivalent.
+        assert_eq!(report.cec.path, CecPath::Certificate, "{name}");
     }
 }
 
