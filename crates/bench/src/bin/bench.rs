@@ -7,8 +7,8 @@
 //! exits 2:
 //!   cargo run --release -p soi-bench --bin bench -- --smoke
 //!     Maps three small circuits serial vs forced 2-thread DP (best of 5)
-//!     and fails if the scheduler loses by more than 1.5x on the largest,
-//!     so the spawn-per-level scheduler overhead cannot come back.
+//!     and fails if the level schedule loses by more than 1.5x on the
+//!     largest, so its cost per level stays a barrier, not a thread spawn.
 //!   cargo run --release -p soi-bench --bin bench -- --corpus-smoke
 //!     Parses and maps every vendored corpus AIG end to end, then races
 //!     the shipped default config against serial with the memo off (best
@@ -152,8 +152,9 @@ fn same_outcome(a: &MappingResult, b: &MappingResult) -> bool {
         && a.degraded_nodes == b.degraded_nodes
 }
 
-/// `--smoke`: the work-stealing scheduler must not lose badly to serial on
-/// small circuits even when forced to multithread on a small host.
+/// `--smoke`: the level schedule (workers spawned once per run, a barrier
+/// per level) must not lose badly to serial on small circuits even when
+/// forced to multithread on a small host.
 fn smoke() {
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let serial = soi_mapper(Parallelism::Serial);

@@ -26,7 +26,7 @@
 //! is the independent, bounded enumeration both are tested against.
 
 use soi_domino_ir::{DominoCircuit, GateId, GateRef, JunctionRef, PdnGraph, Phase, Signal};
-use soi_pbe::excite::{Excitability, InputConstraints};
+use soi_pbe::excite::{ConstraintError, Excitability, InputConstraints};
 use soi_pbe::points;
 use soi_trace::{Counter, TraceHandle};
 
@@ -325,6 +325,12 @@ fn excitability_with_stats(
 /// output: committed junctions are excitable in the unconstrained worst
 /// case.
 ///
+/// # Errors
+///
+/// The [`ConstraintError`] of [`InputConstraints::check`] when no input
+/// assignment satisfies the constraints (which would make every junction
+/// vacuously unexcitable); the circuit is left untouched.
+///
 /// # Example
 ///
 /// ```rust
@@ -350,7 +356,7 @@ fn excitability_with_stats(
 /// postprocess::insert_discharge(&mut c);
 /// let before = c.counts().discharge;
 /// let one_hot = InputConstraints::none().with_mutex(vec![0, 1]);
-/// let removed = prune_discharge(&mut c, &one_hot, 100_000);
+/// let removed = prune_discharge(&mut c, &one_hot, 100_000).unwrap();
 /// assert!(removed > 0);
 /// assert_eq!(c.counts().discharge, before - removed);
 /// assert!(verify_safe_sat(&c, &one_hot, 100_000).safe);
@@ -359,7 +365,8 @@ pub fn prune_discharge(
     circuit: &mut DominoCircuit,
     constraints: &InputConstraints,
     budget: u64,
-) -> u32 {
+) -> Result<u32, ConstraintError> {
+    constraints.check(circuit.input_names().len())?;
     let mut stats = Stats::default();
     let mut removed = 0;
     for idx in 0..circuit.gate_count() {
@@ -380,12 +387,14 @@ pub fn prune_discharge(
             circuit.set_discharge(id, &keep);
         }
     }
-    removed
+    Ok(removed)
 }
 
 /// Checks that every committed junction *not* covered by a discharge
 /// transistor is provably unexcitable under the constraints — the safety
-/// criterion for a circuit [`prune_discharge`] pruned.
+/// criterion for a circuit [`prune_discharge`] pruned. Under constraints
+/// that [`InputConstraints::check`] rejects, every such junction counts
+/// as `unknown`: a contradiction never proves safety.
 pub fn verify_safe_sat(
     circuit: &DominoCircuit,
     constraints: &InputConstraints,
@@ -413,6 +422,7 @@ pub fn verify_safe_sat_traced(
         conflicts: 0,
         cex_replays: 0,
     };
+    let satisfiable = constraints.check(circuit.input_names().len()).is_ok();
     let mut analyzer = points::Analyzer::default();
     for (id, gate) in circuit.iter() {
         analyzer.run(gate.pdn());
@@ -421,7 +431,11 @@ pub fn verify_safe_sat_traced(
                 continue;
             }
             report.junctions_checked += 1;
-            let verdict = excitability_with_stats(gate, &junction, constraints, budget, &mut stats);
+            let verdict = if satisfiable {
+                excitability_with_stats(gate, &junction, constraints, budget, &mut stats)
+            } else {
+                Excitability::Unknown
+            };
             if verdict != Excitability::ProvenSafe {
                 report.safe = false;
                 match verdict {
@@ -545,7 +559,11 @@ mod tests {
             postprocess::insert_discharge(&mut c);
             assert_eq!(c.counts().discharge, 1);
             let tied = InputConstraints::none().with_fixed(3, value);
-            assert_eq!(prune_discharge(&mut c, &tied, BUDGET), 0, "tied {value}");
+            assert_eq!(
+                prune_discharge(&mut c, &tied, BUDGET),
+                Ok(0),
+                "tied {value}"
+            );
             assert!(soi_pbe::hazard::check(&c).is_empty());
             assert!(verify_safe_sat(&c, &tied, BUDGET).safe);
 
@@ -635,7 +653,7 @@ mod tests {
         assert!(c.counts().discharge > 0);
         assert_eq!(
             prune_discharge(&mut c, &InputConstraints::none(), BUDGET),
-            0
+            Ok(0)
         );
     }
 
@@ -654,7 +672,7 @@ mod tests {
         assert_eq!(covered.junctions_checked, 0);
 
         let constraints = InputConstraints::none().with_mutex(vec![0, 1]);
-        let removed = prune_discharge(&mut c, &constraints, BUDGET);
+        let removed = prune_discharge(&mut c, &constraints, BUDGET).unwrap();
         assert!(removed > 0);
         let pruned = verify_safe_sat(&c, &constraints, BUDGET);
         assert!(pruned.safe, "{pruned:?}");
@@ -679,7 +697,7 @@ mod tests {
         );
         postprocess::insert_discharge(&mut c);
         let constraints = InputConstraints::none().with_mutex(vec![0, 1]);
-        prune_discharge(&mut c, &constraints, BUDGET);
+        prune_discharge(&mut c, &constraints, BUDGET).unwrap();
         let report = verify_safe_sat_traced(&c, &constraints, BUDGET, trace);
         assert_eq!(rec.counter(Counter::CecSatCalls), report.sat_calls);
         assert_eq!(rec.counter(Counter::Conflicts), report.conflicts);

@@ -139,27 +139,21 @@ pub struct PipelineReport {
 #[derive(Debug, Clone)]
 pub struct Pipeline {
     mapper: Mapper,
-    unate_options: Options,
     degrade_on_unmappable: bool,
     salvage_retries: u32,
 }
 
 impl Pipeline {
-    /// Creates a pipeline around a mapper, with default unate-conversion
-    /// options and no degradation or salvage retries.
+    /// Creates a pipeline around a mapper, with no degradation or salvage
+    /// retries. The unate conversion follows the mapper's configuration
+    /// ([`output_phase`](soi_mapper::MapConfig::output_phase)), as
+    /// [`Mapper::run`] does.
     pub fn new(mapper: Mapper) -> Pipeline {
         Pipeline {
             mapper,
-            unate_options: Options::default(),
             degrade_on_unmappable: false,
             salvage_retries: 0,
         }
-    }
-
-    /// Replaces the unate-conversion options.
-    pub fn with_unate_options(mut self, options: Options) -> Pipeline {
-        self.unate_options = options;
-        self
     }
 
     /// Enables or disables the graceful-degradation retry: when the map
@@ -229,7 +223,10 @@ impl Pipeline {
         // Stage 2: unate-convert.
         let unate = {
             let _span = trace.span(TraceStage::UnateConvert);
-            convert(network, &self.unate_options)
+            let options = Options {
+                output_phase: self.mapper.config().output_phase,
+            };
+            convert(network, &options)
                 .map_err(|e| ctx(Stage::UnateConvert, StageFailure::Unate(e)))?
         };
 

@@ -4,8 +4,7 @@
 //! Each unate node accumulates the cheapest cost for every feasible
 //! pull-down shape `(W, H)`; AND stacks combine as
 //! `{max(W1,W2), H1+H2}` and OR stacks as `{W1+W2, max(H1,H2)}` (§IV,
-//! Listing 1). Stack order inside an AND follows
-//! [`MapConfig::baseline_order`] — by default the bulk-CMOS-typical
+//! Listing 1). Stack order inside an AND is the bulk-CMOS-typical
 //! parallel-toward-the-dynamic-node orientation of the paper's §III-B,
 //! which is exactly what excites the PBE. The consequences are somebody
 //! else's problem, namely `soi_pbe::postprocess` (and `soi_pbe::rearrange`
@@ -132,7 +131,7 @@ fn solve_node(
                 continue;
             }
             for &(rb, cb) in &right[rstart as usize..(rstart + rlen) as usize] {
-                let cand = combine(config.baseline_order, is_and, ra, &ca, rb, &cb);
+                let cand = combine(is_and, ra, &ca, rb, &cb);
                 generated += 1;
                 pruned += u64::from(consider(bare, cands, model, key, cand));
             }
@@ -165,7 +164,7 @@ fn solve_node(
                 } else {
                     ra.key.or(rb.key)
                 };
-                let cand = combine(config.baseline_order, is_and, ra, &ca, rb, &cb);
+                let cand = combine(is_and, ra, &ca, rb, &cb);
                 generated += 1;
                 pruned += u64::from(consider(bare, cands, model, key, cand));
             }
@@ -236,14 +235,7 @@ fn solve_node(
 /// PBE-blind combination. Potential-point bookkeeping (`p_dis`, `par_b`)
 /// is still tracked — not to influence the cost, which stays pure logic,
 /// but to drive the bulk-typical stack orientation.
-fn combine(
-    order: crate::AndOrder,
-    is_and: bool,
-    ra: CandRef,
-    ca: &Cand,
-    rb: CandRef,
-    cb: &Cand,
-) -> Cand {
+fn combine(is_and: bool, ra: CandRef, ca: &Cand, rb: CandRef, cb: &Cand) -> Cand {
     let g = ca.g.combine(cb.g);
     let touches_pi = ca.touches_pi || cb.touches_pi;
     if !is_and {
@@ -257,14 +249,11 @@ fn combine(
             form: Form::Or { a: ra, b: rb },
         };
     }
-    let a_on_top = match order {
-        // Bulk practice: the parallel-bearing, junction-rich operand goes
-        // toward the dynamic node (§III-B "typical configuration").
-        crate::AndOrder::BulkTypical => {
-            ca.p_branch + u32::from(ca.par_b) >= cb.p_branch + u32::from(cb.par_b)
-        }
-        _ => true,
-    };
+    // Bulk practice: the parallel-bearing, junction-rich operand goes
+    // toward the dynamic node (§III-B "typical configuration": wide
+    // sections at the top minimize the internal diffusion capacitance
+    // exposed to charge sharing in bulk).
+    let a_on_top = ca.p_branch + u32::from(ca.par_b) >= cb.p_branch + u32::from(cb.par_b);
     let (rt, ct, rbm, cbm) = if a_on_top {
         (ra, ca, rb, cb)
     } else {

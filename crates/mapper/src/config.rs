@@ -65,31 +65,25 @@ pub enum AndOrder {
     Exhaustive,
     /// Always put the first operand on top (a neutral PBE-blind order).
     FirstOnTop,
-    /// Parallel stacks toward the dynamic node — "a typical configuration
-    /// in bulk CMOS" (§III-B): wide sections at the top minimize the
-    /// internal diffusion capacitance exposed to charge sharing in bulk,
-    /// and are exactly what excites the PBE in SOI. This is what the
-    /// PBE-blind `Domino_Map` baseline uses.
-    BulkTypical,
 }
 
 /// How the DP schedules its work across threads.
 ///
 /// The parallel schedule partitions the unate network into fanout-free
-/// cone units and solves them on a persistent work-stealing worker pool
-/// driven by per-cone dependency counters, joining only at multi-fanout
-/// boundaries. Results are bit-identical across all modes: every per-node
-/// computation is a pure function of its fanins' solutions and candidate
-/// enumeration order is deterministic, so the only thing parallelism
-/// changes is wall-clock time.
+/// cone units, which join only at multi-fanout boundaries, and walks the
+/// partition's dependency levels in order: the workers share out each
+/// level's units and meet at a barrier before the next level. Results are
+/// bit-identical across all modes: every per-node computation is a pure
+/// function of its fanins' solutions and candidate enumeration order is
+/// deterministic, so the only thing parallelism changes is wall-clock
+/// time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {
     /// Use the hardware threads when the estimated DP work is above the
     /// threading break-even; stay serial below it. The cutoff is a cost
     /// model over the gate count (per-gate DP work dwarfs per-unit
     /// scheduling overhead only once the network is big enough) and the
-    /// cone-unit count (each worker needs a few units to itself for
-    /// stealing to pay).
+    /// cone-unit count (each worker needs a few units to itself).
     #[default]
     Auto,
     /// Single-threaded topological walk (the reference schedule).
@@ -101,16 +95,16 @@ pub enum Parallelism {
 
 impl Parallelism {
     /// Networks with fewer 2-input gates than this run serially under
-    /// [`Parallelism::Auto`]. The break-even comes from the pool's fixed
-    /// costs — thread spawning (tens of microseconds each) plus per-unit
-    /// queue traffic — against per-gate DP work in the hundreds of
+    /// [`Parallelism::Auto`]. The break-even comes from the schedule's
+    /// fixed costs — thread spawning (tens of microseconds each) plus a
+    /// barrier per level — against per-gate DP work in the hundreds of
     /// nanoseconds: below roughly a thousand gates the whole DP finishes
     /// in well under a millisecond and threads cannot pay for themselves.
     pub const AUTO_MIN_PARALLEL_GATES: usize = 1024;
 
     /// Under [`Parallelism::Auto`], each worker must have at least this
     /// many cone units on average; otherwise the schedule has too little
-    /// independent work for stealing to beat the queue traffic.
+    /// independent work to share out.
     pub const AUTO_UNITS_PER_THREAD: usize = 4;
 
     /// The worker-thread count for a network of `gates` 2-input gates
@@ -225,17 +219,12 @@ pub struct MapConfig {
     /// n-clock and pre-discharge). `1` = plain transistor counting
     /// (Tables I/II); Table III uses `2`.
     pub clock_weight: u32,
-    /// Weight of one gate level against one discharge transistor under the
-    /// depth objective (`SOI_Domino_Map` only): the DP accepts one extra
-    /// level if it saves more than this many discharge transistors.
-    pub depth_level_weight: u32,
     /// Foot n-clock policy.
     pub footing: Footing,
-    /// AND stack-order policy for `SOI_Domino_Map`.
+    /// AND stack-order policy for `SOI_Domino_Map`. The PBE-blind
+    /// baselines always use the bulk-typical orientation (see
+    /// `Domino_Map`'s DP).
     pub and_order: AndOrder,
-    /// AND stack-order policy for the PBE-blind `Domino_Map`/`RS_Map`
-    /// baselines (default [`AndOrder::BulkTypical`]).
-    pub baseline_order: AndOrder,
     /// Maximum Pareto candidates kept per `(W, H)` tuple in the SOI DP.
     pub max_candidates: usize,
     /// Output-phase policy of the unate conversion front end.
@@ -290,10 +279,8 @@ impl Default for MapConfig {
             h_max: 8,
             objective: Objective::Area,
             clock_weight: 1,
-            depth_level_weight: 4,
             footing: Footing::AtPrimaryInputs,
             and_order: AndOrder::PaperHeuristic,
-            baseline_order: AndOrder::BulkTypical,
             max_candidates: 4,
             output_phase: OutputPhase::Positive,
             allow_duplication: false,

@@ -59,16 +59,19 @@ impl Cost {
 pub struct CostModel {
     objective: Objective,
     algorithm: Algorithm,
-    depth_level_weight: u32,
 }
 
 impl CostModel {
+    /// λ of the `SOI_Domino_Map` depth key (§VI-D): the weight of one gate
+    /// level against one discharge transistor, so the DP accepts one extra
+    /// level if it saves more than this many discharge transistors.
+    pub const DEPTH_LEVEL_WEIGHT: u64 = 4;
+
     /// Builds the model for an algorithm under a configuration.
     pub fn new(config: &MapConfig, algorithm: Algorithm) -> CostModel {
         CostModel {
             objective: config.objective,
             algorithm,
-            depth_level_weight: config.depth_level_weight,
         }
     }
 
@@ -80,7 +83,8 @@ impl CostModel {
     ///   including committed discharges.
     /// * Depth, `Domino_Map`/`RS_Map`: `(level, tx)` — levels first.
     /// * Depth, `SOI_Domino_Map`: `(level·λ + disch, wtx, tx)` with
-    ///   λ = `depth_level_weight` — the paper's "combination of delay and
+    ///   λ = [`DEPTH_LEVEL_WEIGHT`](CostModel::DEPTH_LEVEL_WEIGHT) — the
+    ///   paper's "combination of delay and
     ///   number of discharge transistors" (§VI-D), which may trade a level
     ///   for enough discharge savings.
     pub fn key(&self, cost: &Cost) -> (u64, u64, u64) {
@@ -97,7 +101,7 @@ impl CostModel {
                 (u64::from(cost.level), u64::from(cost.tx), 0)
             }
             (Objective::Depth, Algorithm::SoiDominoMap) => (
-                u64::from(cost.level) * u64::from(self.depth_level_weight) + u64::from(cost.disch),
+                u64::from(cost.level) * Self::DEPTH_LEVEL_WEIGHT + u64::from(cost.disch),
                 u64::from(cost.wtx),
                 u64::from(cost.tx),
             ),
@@ -120,11 +124,6 @@ impl CostModel {
     /// Whether `a` is strictly better than `b`.
     pub fn better(&self, a: &Cost, b: &Cost) -> bool {
         self.key(a) < self.key(b)
-    }
-
-    /// Whether `a` is at least as good as `b`.
-    pub fn at_least_as_good(&self, a: &Cost, b: &Cost) -> bool {
-        self.key(a) <= self.key(b)
     }
 }
 
@@ -205,7 +204,6 @@ mod tests {
     fn depth_soi_trades_levels_for_discharges() {
         let cfg = MapConfig {
             objective: Objective::Depth,
-            depth_level_weight: 4,
             ..MapConfig::default()
         };
         let m = CostModel::new(&cfg, Algorithm::SoiDominoMap);

@@ -1,6 +1,6 @@
 //! Shared pieces of the two tuple DPs, including the driver that walks a
-//! unate network — serially, or across independent fanout-free cones on a
-//! persistent work-stealing worker pool — and hands each node to an
+//! unate network — serially, or level by level across the independent
+//! fanout-free cones of its cone partition — and hands each node to an
 //! algorithm-specific solver, replaying repeated gates from the per-run
 //! [`NodeMemo`] along the way.
 
@@ -337,18 +337,19 @@ pub(crate) struct Scratch {
 ///
 /// Slots are written exactly once — by the single worker that solves the
 /// owning cone, or by the driver seeding a salvaged cone before any worker
-/// starts — and only read by workers whose cone depends on that one, after
-/// the scheduler has established a happens-before edge (dependency-counter
-/// release/acquire plus the queue mutex). That write-once/read-after
-/// discipline is what makes the `UnsafeCell` sound and buys the O(1)
-/// fanin lookup that replaced the old worker-local overlay scan.
+/// starts — and only read by workers whose cone depends on that one. Such
+/// a cone sits in a later level of the cone partition, and the scheduler's
+/// barrier between levels orders the write before the read. That
+/// write-once/read-after discipline is what makes the `UnsafeCell` sound
+/// and buys the O(1) fanin lookup that replaced the old worker-local
+/// overlay scan.
 pub(crate) struct SolTable {
     slots: Box<[std::cell::UnsafeCell<Option<NodeSol>>]>,
 }
 
 // SAFETY: see the type docs — each slot has exactly one writer, and every
-// reader is ordered after that write by the scheduler's synchronization
-// (or, for a seeded slot, by the spawn of the worker threads).
+// reader is ordered after that write by the barrier that ends the
+// writer's level (or, for a seeded slot, by the spawn of the workers).
 unsafe impl Sync for SolTable {}
 
 impl SolTable {
@@ -641,18 +642,19 @@ pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// Runs a per-node solver over the whole network, serially or on the
-/// work-stealing pool according to [`MapConfig::parallelism`], through
-/// `memo` when given, and resuming from `salvage` when given.
+/// Runs a per-node solver over the whole network, serially or on parallel
+/// workers according to [`MapConfig::parallelism`], through `memo` when
+/// given, and resuming from `salvage` when given.
 ///
 /// Both paths iterate cone units ([`UnateNetwork::cone_partition`]); the
-/// serial path walks them in index order (a valid topological order), the
-/// parallel path lets [`crate::sched`] schedule them as their dependencies
-/// resolve. Because every per-node computation is a pure function of its
-/// fanins' solutions — and the sorted [`crate::tuple::ExportMap`] makes
-/// candidate enumeration order deterministic — the result is bit-identical
-/// across all schedules, with the memo ([`crate::memo`]) on or off, and
-/// whether a unit was solved here or seeded from a salvage.
+/// serial path walks them in index order (a valid topological order, and
+/// the reference schedule), the parallel path lets [`crate::sched`] walk
+/// the partition's levels behind a barrier. Because every per-node
+/// computation is a pure function of its fanins' solutions — and the
+/// sorted [`crate::tuple::ExportMap`] makes candidate enumeration order
+/// deterministic — the result is bit-identical across all schedules, with
+/// the memo ([`crate::memo`]) on or off, and whether a unit was solved
+/// here or seeded from a salvage.
 pub(crate) fn run_dp<S: NodeSolver>(
     unate: &UnateNetwork,
     config: &MapConfig,

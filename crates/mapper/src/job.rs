@@ -245,10 +245,8 @@ fn fingerprint(config: &MapConfig, algorithm: Algorithm) -> u64 {
     config.h_max.hash(&mut h);
     config.objective.hash(&mut h);
     config.clock_weight.hash(&mut h);
-    config.depth_level_weight.hash(&mut h);
     config.footing.hash(&mut h);
     config.and_order.hash(&mut h);
-    config.baseline_order.hash(&mut h);
     config.max_candidates.hash(&mut h);
     config.output_phase.hash(&mut h);
     config.allow_duplication.hash(&mut h);

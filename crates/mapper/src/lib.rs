@@ -22,13 +22,13 @@
 //! construction; `soi-pbe`'s hazard checker and body simulator validate
 //! this in the test suite.
 //!
-//! The DP itself runs over the network's fanout-free cone partition — on a
-//! persistent work-stealing worker pool when [`MapConfig::parallelism`]
-//! resolves to more than one thread, and, on networks of at least
-//! [`MapConfig::cone_cache_min_gates`] gates, through a per-run gate memo
-//! that solves each distinct gate-over-fanin-profiles step once, so
-//! repetitive netlists (array multipliers, adders) skip most of their DP
-//! work. Both are pure scheduling concerns: results are bit-identical
+//! The DP itself runs over the network's fanout-free cone partition — level
+//! by level, with a barrier between the partition's dependency levels, when
+//! [`MapConfig::parallelism`] resolves to more than one thread, and, on
+//! networks of at least [`MapConfig::cone_cache_min_gates`] gates, through
+//! a per-run gate memo that solves each distinct gate-over-fanin-profiles
+//! step once, so repetitive netlists (array multipliers, adders) skip most
+//! of their DP work. Both are pure scheduling concerns: results are bit-identical
 //! across thread counts and with the memo on or off.
 //!
 //! The whole pipeline is observable through `soi-trace`: attach a sink

@@ -1,283 +1,124 @@
-//! Persistent work-stealing scheduler for the cone-unit DP.
+//! Level-synchronous scheduler for the cone-unit DP.
 //!
-//! PR 2 parallelized the DP with one `thread::scope` per dependency level
-//! of the cone partition: every level paid a full spawn-and-join round
-//! trip, and the level barrier idled all workers until the slowest unit of
-//! the level finished. On millisecond-scale mapping workloads those fixed
-//! costs exceeded the DP itself (BENCH_pr2.json: 0.685× overall).
+//! The DP solves each fanout-free cone as a tree and joins cones only at
+//! multi-fanout nodes, so the dependency levels of the cone partition
+//! ([`ConePartition::levels`]) are a complete parallel schedule: the units
+//! of a level are mutually independent and read only earlier levels.
+//! [`run_units`] spawns its workers once per run and walks the levels in
+//! order. Within a level each worker claims the next unit from one shared
+//! atomic index, the units ordered largest first by node count (ties by
+//! index) so the long units start early; a [`Barrier`] ends each level.
+//! The scheduler decides only *when* and *where* a unit runs, never what
+//! it reads, so results are bit-identical to the serial walk.
 //!
-//! This module replaces that with a pool that spawns its workers **once
-//! per run** and drives them with per-unit atomic dependency counters: a
-//! unit becomes runnable the moment its last dependency finishes, with no
-//! barrier in between. Each worker owns a deque — it pushes and pops work
-//! at the back (LIFO, cache-warm) and victims steal from the front (FIFO,
-//! the oldest and therefore usually largest subtrees). Idle workers park
-//! on a condvar with a short timeout, so a quiet pool costs microseconds,
-//! not spins.
+//! **Happens-before.** The barrier is the edge the DP's `SolTable` relies
+//! on: a unit's slot writes happen before its worker reaches the barrier
+//! that ends the unit's level, and every reader of those slots belongs to
+//! a later level, claimed only after that barrier released it.
 //!
-//! The schedule remains bit-identical to the serial walk for the same
-//! reason the level schedule was: every unit computation is a pure
-//! function of its dependencies' published solutions, and the scheduler
-//! only decides *when* and *where* a unit runs, never what it reads.
-//!
-//! # Failure and drain protocol
-//!
-//! A task that returns an error, a task that panics, and an interrupt
-//! observed by the `check` hook all funnel into [`Pool::fail`]: the first
-//! failure is recorded, the `abort` flag is raised, and every parked
-//! worker is woken. Workers re-check `abort` before popping, so the drain
-//! needs no level barrier even though a failed unit's consumers keep
-//! nonzero dependency counters forever — nobody will ever pop them.
-//! Parks are bounded by [`PARK_TIMEOUT`], so a lost wakeup delays the
-//! drain by microseconds, never hangs it. Panics are contained with
-//! `catch_unwind` at the task boundary and surface as
-//! [`MapError::WorkerPanicked`]; the pool itself never unwinds, and the
+//! **Drain.** A task error, a task panic and an interrupt seen by `check`
+//! all go to [`Walk::fail`]: the first failure takes the error slot,
+//! stamps the drain start and raises the abort flag. After an abort,
+//! workers claim nothing more but still wait at every remaining barrier,
+//! so no worker waits on a peer that has returned. Every task call runs
+//! inside `catch_unwind`, since behind a barrier an escaped panic would
+//! hang the peers; it surfaces as [`MapError::WorkerPanicked`], and the
 //! caller always gets every worker's state back for salvage. The time
-//! from the first failure to the last worker returning is emitted as a
+//! from the first failure to the last worker's return is a
 //! [`Stage::Drain`] span.
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Barrier, Mutex};
+use std::time::Instant;
 
 use soi_trace::{Counter, Event, Stage, TraceHandle, WorkerStats};
 use soi_unate::ConePartition;
 
 use crate::MapError;
 
-/// How long an idle worker parks before re-polling the queues. A bound on
-/// the cost of any lost wakeup; steady-state wakeups go through the
-/// condvar and never wait this long.
-const PARK_TIMEOUT: Duration = Duration::from_micros(200);
-
-/// Shared state of one pool run.
-struct Pool {
-    /// Per-worker deques: own end is the back, steals come off the front.
-    queues: Vec<Mutex<VecDeque<u32>>>,
-    /// Unfinished-dependency counters, one per unit. The worker that
-    /// decrements a counter to zero enqueues the unit.
-    deps_left: Vec<AtomicU32>,
-    /// Reverse dependency edges: `consumers[u]` lists the units waiting on
-    /// unit `u`.
-    consumers: Vec<Vec<u32>>,
-    /// Units currently sitting in some queue (a cheap "is there work?"
-    /// hint for parking decisions).
-    queued: AtomicUsize,
-    /// Units not yet completed; 0 means the run is done.
-    remaining: AtomicUsize,
-    /// Set on the first failure; workers drain out promptly.
+/// Shared state of one walk.
+struct Walk {
+    /// Each level's units, largest first by node count (ties by index),
+    /// and the position of its next unit to claim.
+    levels: Vec<(Vec<usize>, AtomicUsize)>,
+    /// Separates the levels; `None` with one worker.
+    barrier: Option<Barrier>,
+    /// Set on the first failure; workers stop claiming.
     abort: AtomicBool,
-    /// The first error a task (or the interrupt check) produced.
-    error: Mutex<Option<MapError>>,
-    /// When the first failure was recorded — the start of the drain.
-    drain_started: Mutex<Option<Instant>>,
-    /// Workers currently parked (wakeup elision hint).
-    sleepers: AtomicUsize,
-    idle: Mutex<()>,
-    wake: Condvar,
+    /// The first failure and when it was recorded (the drain start).
+    failure: Mutex<Option<(MapError, Instant)>>,
 }
 
-impl Pool {
-    fn new(partition: &ConePartition, workers: usize) -> Pool {
-        let units = partition.units();
-        let mut consumers: Vec<Vec<u32>> = vec![Vec::new(); units.len()];
-        let mut deps_left = Vec::with_capacity(units.len());
-        for (u, unit) in units.iter().enumerate() {
-            deps_left.push(AtomicU32::new(unit.deps().len() as u32));
-            for &d in unit.deps() {
-                consumers[d].push(u as u32);
-            }
-        }
-        // Seed the initially-runnable units round-robin across workers.
-        let mut queues: Vec<VecDeque<u32>> = (0..workers).map(|_| VecDeque::new()).collect();
-        let mut seeded = 0usize;
-        for (u, unit) in units.iter().enumerate() {
-            if unit.deps().is_empty() {
-                queues[seeded % workers].push_back(u as u32);
-                seeded += 1;
-            }
-        }
-        Pool {
-            queues: queues.into_iter().map(Mutex::new).collect(),
-            deps_left,
-            consumers,
-            queued: AtomicUsize::new(seeded),
-            remaining: AtomicUsize::new(units.len()),
-            abort: AtomicBool::new(false),
-            error: Mutex::new(None),
-            drain_started: Mutex::new(None),
-            sleepers: AtomicUsize::new(0),
-            idle: Mutex::new(()),
-            wake: Condvar::new(),
-        }
-    }
-
-    /// Pops from the caller's own queue, stealing from the others when it
-    /// is empty. At most one queue lock is ever held at a time — the own
-    /// pop is a standalone statement so its guard drops before stealing
-    /// (holding it across the victim locks would deadlock two workers
-    /// stealing from each other).
-    /// The popped unit is tagged with whether it was stolen from another
-    /// worker's queue (instrumentation only).
-    fn pop(&self, me: usize) -> Option<(u32, bool)> {
-        let own = self.queues[me].lock().expect("queue poisoned").pop_back();
-        let found = own.map(|u| (u, false)).or_else(|| {
-            (1..self.queues.len()).find_map(|i| {
-                let victim = (me + i) % self.queues.len();
-                self.queues[victim]
-                    .lock()
-                    .expect("queue poisoned")
-                    .pop_front()
-                    .map(|u| (u, true))
-            })
-        });
-        if found.is_some() {
-            self.queued.fetch_sub(1, Ordering::Relaxed);
-        }
-        found
-    }
-
-    /// Enqueues a newly-runnable unit on the caller's own queue. Returns
-    /// whether a sleeping worker was notified (instrumentation only).
-    fn push(&self, me: usize, unit: u32) -> bool {
-        self.queues[me]
-            .lock()
-            .expect("queue poisoned")
-            .push_back(unit);
-        self.queued.fetch_add(1, Ordering::Release);
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            let _guard = self.idle.lock().expect("idle lock poisoned");
-            self.wake.notify_one();
-            return true;
-        }
-        false
-    }
-
-    /// Parks the caller until work might exist, with a bounded timeout.
-    fn park(&self) {
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        {
-            let guard = self.idle.lock().expect("idle lock poisoned");
-            let busy = self.abort.load(Ordering::Acquire)
-                || self.remaining.load(Ordering::Acquire) == 0
-                || self.queued.load(Ordering::SeqCst) > 0;
-            if !busy {
-                let _ = self
-                    .wake
-                    .wait_timeout(guard, PARK_TIMEOUT)
-                    .expect("idle lock poisoned");
-            }
-        }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// Records the first failure (and the drain start) and drains the
-    /// pool.
+impl Walk {
+    /// Records the first failure and stops further claims.
     fn fail(&self, e: MapError) {
-        {
-            let mut slot = self.error.lock().expect("error lock poisoned");
-            if slot.is_none() {
-                *slot = Some(e);
-                *self.drain_started.lock().expect("drain lock poisoned") = Some(Instant::now());
-            }
+        let mut slot = self.failure.lock().expect("failure lock poisoned");
+        if slot.is_none() {
+            *slot = Some((e, Instant::now()));
         }
         self.abort.store(true, Ordering::Release);
-        self.wake_all();
-    }
-
-    fn wake_all(&self) {
-        let _guard = self.idle.lock().expect("idle lock poisoned");
-        self.wake.notify_all();
     }
 }
 
-/// One worker's main loop: run units until the pool is drained or aborted.
-/// Scheduling tallies (units run, steals, wakeups sent, parks) accumulate
-/// in `stats`, worker-locally — zero shared-state cost when tracing is off.
+/// One worker's walk over every level. Its tallies (units run, barrier
+/// waits) accumulate in `stats`, worker-locally.
 fn work<W>(
-    pool: &Pool,
-    me: usize,
+    walk: &Walk,
     state: &mut W,
     stats: &mut WorkerStats,
     task: &(impl Fn(&mut W, usize) -> Result<(), MapError> + Sync),
     check: &(impl Fn() -> Result<(), MapError> + Sync),
     trace: TraceHandle,
 ) {
-    loop {
-        if pool.abort.load(Ordering::Acquire) || pool.remaining.load(Ordering::Acquire) == 0 {
-            return;
+    for (level, next) in &walk.levels {
+        while !walk.abort.load(Ordering::Acquire) {
+            // Poll before every claim, so an interrupt reaches a worker
+            // whose peers hold the level's last units. The claim is
+            // Relaxed: it publishes nothing; the barrier orders the slots.
+            if let Err(e) = check() {
+                walk.fail(e);
+                break;
+            }
+            let Some(&unit) = level.get(next.fetch_add(1, Ordering::Relaxed)) else {
+                break;
+            };
+            stats.units += 1;
+            // The DP isolates its own panics per unit; this catch is for
+            // tasks that unwind past that. AssertUnwindSafe: a failed run
+            // abandons all task state, and salvage only reads units
+            // recorded as completed.
+            match std::panic::catch_unwind(AssertUnwindSafe(|| task(state, unit))) {
+                Ok(Ok(())) => {}
+                Ok(Err(e)) => walk.fail(e),
+                Err(payload) => {
+                    trace.count(Counter::PanicsContained, 1);
+                    walk.fail(MapError::WorkerPanicked {
+                        unit,
+                        payload: crate::dp::panic_text(payload.as_ref()),
+                        partial: None,
+                    });
+                }
+            }
         }
-        // Interrupt poll at the schedule boundary: a worker spinning over
-        // an empty queue (its peers still solving) observes a cancellation
-        // or deadline here even though it never charges a combine step.
-        if let Err(e) = check() {
-            pool.fail(e);
-            return;
-        }
-        let Some((unit, stolen)) = pool.pop(me) else {
+        if let Some(barrier) = &walk.barrier {
+            barrier.wait();
             stats.parks += 1;
-            pool.park();
-            continue;
-        };
-        stats.units += 1;
-        stats.steals += u64::from(stolen);
-        // Second line of panic defense: the DP's per-unit isolation
-        // converts its own panics before they reach this frame, so this
-        // catch only fires for tasks that unwind past it. Either way a
-        // panicking task can never abort the process or strand the pool —
-        // the dead unit's consumers keep nonzero dependency counters, but
-        // every worker re-checks `abort` before popping, so the drain
-        // terminates without a level barrier.
-        // AssertUnwindSafe: a failed run abandons all task state; the
-        // salvage path only reads units recorded as completed.
-        match std::panic::catch_unwind(AssertUnwindSafe(|| task(state, unit as usize))) {
-            Ok(Ok(())) => {}
-            Ok(Err(e)) => {
-                pool.fail(e);
-                return;
-            }
-            Err(payload) => {
-                trace.count(Counter::PanicsContained, 1);
-                pool.fail(MapError::WorkerPanicked {
-                    unit: unit as usize,
-                    payload: crate::dp::panic_text(payload.as_ref()),
-                    partial: None,
-                });
-                return;
-            }
-        }
-        // Release the consumers whose last dependency this was. The
-        // `AcqRel` decrement pairs with the other producers' decrements:
-        // whichever worker reaches zero has acquired every producer's
-        // published solutions, and the queue mutex hands that visibility
-        // to whoever pops the consumer unit.
-        for &c in &pool.consumers[unit as usize] {
-            if pool.deps_left[c as usize].fetch_sub(1, Ordering::AcqRel) == 1 {
-                stats.wakeups += u64::from(pool.push(me, c));
-            }
-        }
-        if pool.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-            pool.wake_all();
         }
     }
 }
 
-/// Runs `task` over every unit of `partition` on `threads` persistent
-/// workers (the calling thread is worker 0), respecting unit dependencies.
-/// Each worker gets its own `make_worker(index)` state; `check` is polled
-/// at every schedule boundary so interrupts reach idle workers too.
+/// Runs `task` over every unit of `partition` on `threads` workers (the
+/// calling thread is worker 0), level by level, with `make_worker(i)` as
+/// worker `i`'s state and `check` polled before every claim.
 ///
-/// Always returns every worker's state — on failure the caller salvages
-/// what the workers completed — alongside the run outcome: `Ok(())`, or
-/// the first error any task returned, the first interrupt `check`
-/// reported, or a [`MapError::WorkerPanicked`] for a contained panic.
-///
-/// With `trace` enabled, each worker's scheduling tallies are emitted as a
-/// [`WorkerStats`] event at the end of the run, plus aggregate
-/// steal/wakeup/park counters; a failed run also emits a [`Stage::Drain`]
-/// span covering first-failure-to-last-worker-return.
+/// Always returns every worker's state, for salvage, with the outcome:
+/// `Ok(())`, or the first task error, interrupt or contained panic
+/// ([`MapError::WorkerPanicked`]). With `trace` on, it emits each worker's
+/// [`WorkerStats`], the `sched_parks` barrier waits (`threads × levels`
+/// when `threads > 1`) and, after a failure, a [`Stage::Drain`] span from
+/// the first failure to the last worker's return.
 pub(crate) fn run_units<W: Send>(
     partition: &ConePartition,
     threads: usize,
@@ -287,66 +128,47 @@ pub(crate) fn run_units<W: Send>(
     trace: TraceHandle,
 ) -> (Vec<W>, Result<(), MapError>) {
     let threads = threads.clamp(1, partition.units().len().max(1));
-    let pool = Pool::new(partition, threads);
+    let largest_first = |level: &Vec<usize>| {
+        let mut level = level.clone();
+        level.sort_by_key(|&u| (Reverse(partition.unit(u).nodes().len()), u));
+        (level, AtomicUsize::new(0))
+    };
+    let walk = Walk {
+        levels: partition.levels().iter().map(largest_first).collect(),
+        barrier: (threads > 1).then(|| Barrier::new(threads)),
+        abort: AtomicBool::new(false),
+        failure: Mutex::new(None),
+    };
     let mut states: Vec<W> = (0..threads).map(&make_worker).collect();
     let mut stats: Vec<WorkerStats> = (0..threads)
-        .map(|i| WorkerStats {
-            worker: i,
+        .map(|worker| WorkerStats {
+            worker,
             ..WorkerStats::default()
         })
         .collect();
-    {
-        let (first, rest) = states.split_first_mut().expect("at least one worker");
-        let (first_stats, rest_stats) = stats.split_first_mut().expect("at least one worker");
-        let pool = &pool;
-        let task = &task;
-        let check = &check;
-        std::thread::scope(|s| {
-            let handles: Vec<_> = rest
-                .iter_mut()
-                .zip(rest_stats.iter_mut())
-                .enumerate()
-                .map(|(i, (state, stat))| {
-                    s.spawn(move || work(pool, i + 1, state, stat, task, check, trace))
-                })
-                .collect();
-            work(pool, 0, first, first_stats, task, check, trace);
-            for h in handles {
-                // Tasks are panic-isolated above; an unwind here would be a
-                // bug in the worker loop itself.
-                h.join().expect("DP worker loop panicked");
-            }
-        });
-    }
-    // All workers have returned: a recorded drain start means the span is
-    // now complete.
+    std::thread::scope(|s| {
+        let (walk, task, check) = (&walk, &task, &check);
+        let mut pairs = states.iter_mut().zip(stats.iter_mut());
+        let (first, first_stats) = pairs.next().expect("at least one worker");
+        for (state, stat) in pairs {
+            s.spawn(move || work(walk, state, stat, task, check, trace));
+        }
+        work(walk, first, first_stats, task, check, trace);
+    });
+    let failure = walk.failure.into_inner().expect("failure lock poisoned");
     if trace.enabled() {
-        if let Some(at) = *pool.drain_started.lock().expect("drain lock poisoned") {
+        if let Some((_, at)) = &failure {
             trace.emit(&Event::Span {
                 stage: Stage::Drain,
                 nanos: at.elapsed().as_nanos() as u64,
             });
         }
-        let (mut steals, mut wakeups, mut parks) = (0u64, 0u64, 0u64);
         for &s in &stats {
-            steals += s.steals;
-            wakeups += s.wakeups;
-            parks += s.parks;
             trace.worker(s);
         }
-        trace.count(Counter::SchedSteals, steals);
-        trace.count(Counter::SchedWakeups, wakeups);
-        trace.count(Counter::SchedParks, parks);
+        trace.count(Counter::SchedParks, stats.iter().map(|s| s.parks).sum());
     }
-    let error = pool.error.into_inner().expect("error lock poisoned");
-    debug_assert!(
-        error.is_some() || pool.remaining.load(Ordering::Relaxed) == 0,
-        "scheduler drained without completing every unit"
-    );
-    match error {
-        Some(e) => (states, Err(e)),
-        None => (states, Ok(())),
-    }
+    (states, failure.map_or(Ok(()), |(e, _)| Err(e)))
 }
 
 #[cfg(test)]
@@ -354,8 +176,8 @@ mod tests {
     use super::*;
     use soi_unate::{Literal, Phase, USignal, UnateNetwork};
 
-    /// A diamond of shared nodes: enough units and cross-unit dependencies
-    /// to exercise counters, stealing and seeding.
+    /// A diamond of shared nodes: enough units, levels and cross-unit
+    /// dependencies to exercise claiming and the barriers.
     fn diamond(width: usize) -> UnateNetwork {
         let mut u = UnateNetwork::new((0..width).map(|i| format!("i{i}")).collect());
         let lits: Vec<_> = (0..width)
@@ -378,7 +200,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_visits_every_unit_exactly_once_in_dependency_order() {
+    fn walk_visits_every_unit_exactly_once_in_dependency_order() {
         let network = diamond(16);
         let partition = network.cone_partition();
         let n = partition.units().len();
@@ -410,7 +232,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_propagates_the_first_error_and_drains() {
+    fn walk_propagates_the_first_error_and_drains() {
         let network = diamond(12);
         let partition = network.cone_partition();
         let (states, outcome) = run_units(
@@ -434,7 +256,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_clamps_thread_count_to_unit_count() {
+    fn walk_clamps_thread_count_to_unit_count() {
         let mut u = UnateNetwork::new(vec!["a".into()]);
         let a = u.add_literal(Literal {
             input: 0,
@@ -455,7 +277,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_contains_task_panics_and_returns_states() {
+    fn walk_contains_task_panics_and_returns_states() {
         let network = diamond(12);
         let partition = network.cone_partition();
         let target = partition.units().len() - 1;
@@ -489,7 +311,7 @@ mod tests {
     }
 
     #[test]
-    fn pool_observes_interrupts_from_the_check_hook() {
+    fn walk_observes_interrupts_from_the_check_hook() {
         let network = diamond(12);
         let partition = network.cone_partition();
         let (_, outcome) = run_units(
@@ -520,18 +342,103 @@ mod tests {
         assert_eq!(workers.len(), 3);
         // Every unit ran on exactly one worker.
         assert_eq!(workers.iter().map(|w| w.units).sum::<u64>(), n);
-        // The aggregate counters match the per-worker tallies.
-        assert_eq!(
-            recorder.counter(Counter::SchedSteals),
-            workers.iter().map(|w| w.steals).sum::<u64>()
+        // Every worker waited once at the barrier ending each level.
+        let levels = partition.levels().len() as u64;
+        assert!(levels > 1);
+        assert!(workers.iter().all(|w| w.parks == levels));
+        assert_eq!(recorder.counter(Counter::SchedParks), 3 * levels);
+        assert_eq!(recorder.counter(Counter::SchedSteals), 0);
+    }
+
+    #[test]
+    fn one_worker_walks_without_a_barrier() {
+        let network = diamond(8);
+        let partition = network.cone_partition();
+        let (recorder, trace) = soi_trace::Recorder::install();
+        let (_, outcome) = run_units(&partition, 1, |_| (), |_, _| Ok(()), || Ok(()), trace);
+        outcome.expect("runs");
+        assert_eq!(recorder.counter(Counter::SchedParks), 0);
+        assert_eq!(recorder.workers()[0].parks, 0);
+    }
+
+    #[test]
+    fn every_earlier_level_finishes_before_a_later_one_starts() {
+        let network = diamond(16);
+        let partition = network.cone_partition();
+        let levels = partition.levels();
+        assert!(levels.len() > 1);
+        let mut level_of = vec![0; partition.units().len()];
+        for (l, units) in levels.iter().enumerate() {
+            for &u in units {
+                level_of[u] = l;
+            }
+        }
+        for threads in [1, 2, 4] {
+            let finished: Vec<AtomicUsize> = levels.iter().map(|_| AtomicUsize::new(0)).collect();
+            let (_, outcome) = run_units(
+                &partition,
+                threads,
+                |_| (),
+                |_, u| {
+                    let l = level_of[u];
+                    for (k, units) in levels[..l].iter().enumerate() {
+                        assert_eq!(
+                            finished[k].load(Ordering::SeqCst),
+                            units.len(),
+                            "{threads} threads: unit {u} of level {l} ran before level {k} finished"
+                        );
+                    }
+                    finished[l].fetch_add(1, Ordering::SeqCst);
+                    Ok(())
+                },
+                || Ok(()),
+                TraceHandle::off(),
+            );
+            outcome.expect("no task errors");
+        }
+    }
+
+    #[test]
+    fn each_level_is_claimed_largest_first() {
+        // A wide level whose units differ in size: a chain of 1..=6 ANDs
+        // per output, all reading the same shared literal pair.
+        let mut u = UnateNetwork::new(vec!["a".into(), "b".into()]);
+        let a = u.add_literal(Literal {
+            input: 0,
+            phase: Phase::Pos,
+        });
+        let b = u.add_literal(Literal {
+            input: 1,
+            phase: Phase::Pos,
+        });
+        let shared = u.add_and(a, b);
+        for len in [2, 5, 1, 6, 3] {
+            let mut x = shared;
+            for _ in 0..len {
+                x = u.add_or(x, b);
+            }
+            u.add_output(format!("f{len}"), USignal::Node(x), false);
+        }
+        let partition = u.cone_partition();
+        let order = Mutex::new(Vec::new());
+        let (_, outcome) = run_units(
+            &partition,
+            1,
+            |_| (),
+            |_, unit| {
+                order.lock().unwrap().push(unit);
+                Ok(())
+            },
+            || Ok(()),
+            TraceHandle::off(),
         );
-        assert_eq!(
-            recorder.counter(Counter::SchedParks),
-            workers.iter().map(|w| w.parks).sum::<u64>()
-        );
-        assert_eq!(
-            recorder.counter(Counter::SchedWakeups),
-            workers.iter().map(|w| w.wakeups).sum::<u64>()
-        );
+        outcome.expect("runs");
+        let order = order.into_inner().unwrap();
+        let last = partition.levels().last().unwrap();
+        let sizes: Vec<usize> = order[order.len() - last.len()..]
+            .iter()
+            .map(|&unit| partition.unit(unit).nodes().len())
+            .collect();
+        assert_eq!(sizes, [6, 5, 3, 2, 1]);
     }
 }

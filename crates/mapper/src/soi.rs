@@ -382,15 +382,6 @@ fn and_orders<'c>(
     match order {
         AndOrder::FirstOnTop => ([fwd, rev], 1),
         AndOrder::Exhaustive => ([fwd, rev], 2),
-        AndOrder::BulkTypical => {
-            // The adversarial bulk orientation, available to the SOI DP for
-            // ablation studies.
-            if score(ca) >= score(cb) {
-                ([fwd, rev], 1)
-            } else {
-                ([rev, fwd], 1)
-            }
-        }
         AndOrder::PaperHeuristic => {
             // The operand with a parallel bottom — or, between two such
             // operands, the one with more potential points — goes to the

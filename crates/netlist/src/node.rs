@@ -173,11 +173,6 @@ impl Node {
     pub fn is_input(&self) -> bool {
         matches!(self, Node::Input { .. })
     }
-
-    /// Whether the node is a two-input gate.
-    pub fn is_binary(&self) -> bool {
-        matches!(self, Node::Binary { .. })
-    }
 }
 
 /// Iterator over a node's fanins, produced by [`Node::fanins`].

@@ -25,6 +25,9 @@
 //! no code with the SAT model, so a bug in one shows up as a disagreement
 //! with the other.
 
+use std::error::Error;
+use std::fmt;
+
 use soi_domino_ir::{GateId, GateRef, JunctionRef, PdnGraph, Phase, Signal};
 
 /// Declared knowledge about the circuit's inputs.
@@ -90,7 +93,92 @@ impl InputConstraints {
     pub fn fixed(&self) -> &[(usize, bool)] {
         &self.fixed
     }
+
+    /// Checks that some assignment of a circuit's `inputs` primary inputs
+    /// satisfies every declaration. A set no assignment satisfies would
+    /// make every junction vacuously unexcitable.
+    ///
+    /// # Errors
+    ///
+    /// Exactly the unsatisfiable sets are rejected — any other set is met
+    /// by fixing the fixed inputs and setting every other input low:
+    ///
+    /// * [`ConstraintError::InputOutOfRange`]: an index ≥ `inputs`;
+    /// * [`ConstraintError::FixedBothWays`]: an input fixed high and low;
+    /// * [`ConstraintError::MutexFixedHigh`]: a mutex group with two or
+    ///   more entries fixed high, counting repeated entries (as
+    ///   [`admits`](InputConstraints::admits) does).
+    pub fn check(&self, inputs: usize) -> Result<(), ConstraintError> {
+        let named = self.fixed.iter().map(|&(i, _)| i);
+        if let Some(input) = named
+            .chain(self.mutex_groups.iter().flatten().copied())
+            .find(|&i| i >= inputs)
+        {
+            return Err(ConstraintError::InputOutOfRange { input, inputs });
+        }
+        if let Some(&(input, _)) = self
+            .fixed
+            .iter()
+            .find(|&&(i, v)| self.fixed.contains(&(i, !v)))
+        {
+            return Err(ConstraintError::FixedBothWays { input });
+        }
+        for (group, members) in self.mutex_groups.iter().enumerate() {
+            let high = members
+                .iter()
+                .filter(|&&i| self.fixed.contains(&(i, true)))
+                .count();
+            if high > 1 {
+                return Err(ConstraintError::MutexFixedHigh { group, high });
+            }
+        }
+        Ok(())
+    }
 }
+
+/// Why [`InputConstraints::check`] rejected a constraint set: no input
+/// assignment satisfies it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+#[non_exhaustive]
+pub enum ConstraintError {
+    /// A declaration names an input the circuit does not have.
+    InputOutOfRange {
+        /// The named input index.
+        input: usize,
+        /// The circuit's primary-input count.
+        inputs: usize,
+    },
+    /// An input is fixed both high and low.
+    FixedBothWays {
+        /// The input index.
+        input: usize,
+    },
+    /// A mutex group has two or more entries fixed high.
+    MutexFixedHigh {
+        /// Index of the group in declaration order.
+        group: usize,
+        /// Its entries fixed high, repeated entries counted each time.
+        high: usize,
+    },
+}
+
+impl fmt::Display for ConstraintError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConstraintError::InputOutOfRange { input, inputs } => {
+                write!(f, "input {input} out of range for {inputs} inputs")
+            }
+            ConstraintError::FixedBothWays { input } => {
+                write!(f, "input {input} is fixed both high and low")
+            }
+            ConstraintError::MutexFixedHigh { group, high } => {
+                write!(f, "mutex group {group} has {high} entries fixed high")
+            }
+        }
+    }
+}
+
+impl Error for ConstraintError {}
 
 /// The most distinct variables [`junction_excitability`] enumerates.
 pub const EXACT_LIMIT: usize = 16;
@@ -358,5 +446,97 @@ mod tests {
         assert!(!c.admits(&|i| i == 0)); // fixed violated
         assert!(InputConstraints::none().is_empty());
         assert!(!c.is_empty());
+    }
+
+    #[test]
+    fn check_rejects_the_unsatisfiable_sets() {
+        let none = InputConstraints::none();
+        assert_eq!(
+            none.clone().with_fixed(4, true).check(4),
+            Err(ConstraintError::InputOutOfRange {
+                input: 4,
+                inputs: 4
+            })
+        );
+        assert_eq!(
+            none.clone().with_mutex(vec![0, 9]).check(4),
+            Err(ConstraintError::InputOutOfRange {
+                input: 9,
+                inputs: 4
+            })
+        );
+        assert_eq!(
+            none.clone()
+                .with_fixed(0, true)
+                .with_fixed(0, false)
+                .check(4),
+            Err(ConstraintError::FixedBothWays { input: 0 })
+        );
+        assert_eq!(
+            none.clone()
+                .with_fixed(0, true)
+                .with_fixed(1, true)
+                .with_mutex(vec![0, 1])
+                .check(4),
+            Err(ConstraintError::MutexFixedHigh { group: 0, high: 2 })
+        );
+        // A repeated entry counts twice, as `admits` counts it.
+        assert_eq!(
+            none.clone()
+                .with_mutex(vec![2, 3])
+                .with_mutex(vec![1, 1])
+                .with_fixed(1, true)
+                .check(4),
+            Err(ConstraintError::MutexFixedHigh { group: 1, high: 2 })
+        );
+    }
+
+    #[test]
+    fn check_accepts_satisfiable_sets() {
+        let none = InputConstraints::none();
+        assert_eq!(none.check(0), Ok(()));
+        // One input of a group tied high.
+        assert_eq!(
+            none.clone()
+                .with_mutex(vec![0, 1, 2])
+                .with_fixed(1, true)
+                .check(3),
+            Ok(())
+        );
+        // The same tie twice, and a repeated entry nothing ties high.
+        assert_eq!(
+            none.clone()
+                .with_fixed(0, false)
+                .with_fixed(0, false)
+                .with_mutex(vec![1, 1])
+                .check(2),
+            Ok(())
+        );
+    }
+
+    /// `check` accepts a set exactly when some assignment of its inputs
+    /// satisfies it, over every small set a seeded generator draws.
+    #[test]
+    fn check_agrees_with_enumeration() {
+        const N: usize = 4;
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound) as usize
+        };
+        for _ in 0..2000 {
+            let mut c = InputConstraints::none();
+            for _ in 0..next(4) {
+                c = c.with_fixed(next(N as u64), next(2) == 1);
+            }
+            for _ in 0..next(3) {
+                let group = (0..1 + next(3)).map(|_| next(N as u64)).collect();
+                c = c.with_mutex(group);
+            }
+            let satisfiable = (0..1u32 << N).any(|bits| c.admits(&|i| bits >> i & 1 == 1));
+            assert_eq!(c.check(N).is_ok(), satisfiable, "{c:?}");
+        }
     }
 }

@@ -153,11 +153,13 @@ pub enum Counter {
     NodeTierHits,
     /// Gate-memo misses (the gate was solved and captured).
     NodeTierMisses,
-    /// Units a scheduler worker obtained from another worker's queue.
+    /// Retired, always 0: it counted units a worker took from another
+    /// worker's queue, and the level-synchronous scheduler steals
+    /// nothing. It stays so that readers of `sched_steals` (perfbench)
+    /// keep working.
     SchedSteals,
-    /// Condvar wakeups sent by workers publishing new runnable units.
-    SchedWakeups,
-    /// Times a worker parked on the idle condvar (bounded idle-spins).
+    /// Barrier waits of the DP's scheduler workers: one per worker per
+    /// cone-partition level when a run uses more than one worker.
     SchedParks,
     /// Nodes where the degradation fallback forced a gate boundary.
     DegradedNodes,
@@ -205,7 +207,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 25] = [
+    pub const ALL: [Counter; 24] = [
         Counter::CandidatesGenerated,
         Counter::CandidatesPruned,
         Counter::CandidatesExported,
@@ -214,7 +216,6 @@ impl Counter {
         Counter::NodeTierHits,
         Counter::NodeTierMisses,
         Counter::SchedSteals,
-        Counter::SchedWakeups,
         Counter::SchedParks,
         Counter::DegradedNodes,
         Counter::DischargesInserted,
@@ -244,7 +245,6 @@ impl Counter {
             Counter::NodeTierHits => "node_tier_hits",
             Counter::NodeTierMisses => "node_tier_misses",
             Counter::SchedSteals => "sched_steals",
-            Counter::SchedWakeups => "sched_wakeups",
             Counter::SchedParks => "sched_parks",
             Counter::DegradedNodes => "degraded_nodes",
             Counter::DischargesInserted => "discharges_inserted",
@@ -317,11 +317,7 @@ pub struct WorkerStats {
     pub worker: usize,
     /// Units this worker executed.
     pub units: u64,
-    /// Units it popped from another worker's queue.
-    pub steals: u64,
-    /// Condvar wakeups it sent while publishing runnable units.
-    pub wakeups: u64,
-    /// Times it parked on the idle condvar.
+    /// Times it waited at the barrier that ends a level.
     pub parks: u64,
 }
 
@@ -595,13 +591,9 @@ impl Recorder {
         }
         let workers = self.workers();
         if !workers.is_empty() {
-            out.push_str("worker  units  steals  wakeups  parks\n");
+            out.push_str("worker  units  parks\n");
             for w in workers {
-                let _ = writeln!(
-                    out,
-                    "  {:<5} {:>6} {:>7} {:>8} {:>6}",
-                    w.worker, w.units, w.steals, w.wakeups, w.parks
-                );
+                let _ = writeln!(out, "  {:<5} {:>6} {:>6}", w.worker, w.units, w.parks);
             }
         }
         out
@@ -711,7 +703,7 @@ mod tests {
             for w in 0..4 {
                 s.spawn(move || {
                     for _ in 0..1000 {
-                        t.count(Counter::SchedSteals, 1);
+                        t.count(Counter::SchedParks, 1);
                     }
                     t.worker(WorkerStats {
                         worker: w,
@@ -721,7 +713,7 @@ mod tests {
                 });
             }
         });
-        assert_eq!(r.counter(Counter::SchedSteals), 4000);
+        assert_eq!(r.counter(Counter::SchedParks), 4000);
         let workers = r.workers();
         assert_eq!(workers.len(), 4);
         // `workers()` sorts by index regardless of completion order.

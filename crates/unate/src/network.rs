@@ -168,8 +168,8 @@ impl ConeUnit {
 }
 
 /// A partition of a network's topological order into fanout-free cone
-/// units plus a dependency-level schedule — see
-/// [`UnateNetwork::cone_partition`].
+/// units plus their dependency levels, which are the mapper's parallel
+/// schedule — see [`UnateNetwork::cone_partition`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConePartition {
     units: Vec<ConeUnit>,
@@ -187,8 +187,10 @@ impl ConePartition {
         &self.units[index]
     }
 
-    /// Unit indices grouped by schedule level: units within one level are
-    /// mutually independent, and depend only on units of earlier levels.
+    /// Unit indices grouped by dependency level, each level in index
+    /// order: units within one level are mutually independent, and depend
+    /// only on units of earlier levels. The mapper's parallel DP walks
+    /// these levels in order with a barrier between them.
     pub fn levels(&self) -> &[Vec<usize>] {
         &self.levels
     }
@@ -411,9 +413,11 @@ impl UnateNetwork {
     /// multi-fanout boundaries, which makes each unit an independently
     /// solvable tree for any DP that joins at those boundaries.
     ///
-    /// The returned partition also carries a level schedule: units in the
-    /// same level have no dependencies among themselves and can be
-    /// processed concurrently once all earlier levels are done.
+    /// The returned partition also carries the level schedule the mapper's
+    /// parallel DP walks: units in the same level have no dependencies
+    /// among themselves and run concurrently once all earlier levels are
+    /// done. Each level lists its units in index order; the scheduler
+    /// chooses its own claim order.
     pub fn cone_partition(&self) -> ConePartition {
         let n = self.nodes.len();
         let fanout = self.fanout_counts();

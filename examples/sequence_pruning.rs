@@ -56,7 +56,8 @@ fn main() {
     // dynamic node crosses the dead transistor — while the mission
     // branch's junction remains excitable and keeps its device.
     let constraints = InputConstraints::none().with_fixed(0, false);
-    let removed = prune_discharge(&mut circuit, &constraints, BUDGET);
+    let removed = prune_discharge(&mut circuit, &constraints, BUDGET)
+        .expect("one tied input is a satisfiable constraint set");
     let after = circuit.counts();
 
     println!("\ndeclared: test ≡ 0");

@@ -448,7 +448,8 @@ fn assert_pruning_matches_enumeration(mapper: fn(MapConfig) -> Mapper) -> (usize
             .unwrap_or_else(|e| panic!("{name} maps: {e}"));
         for (c, constraints) in constraint_sets.iter().enumerate() {
             let mut pruned = mapped.circuit.clone();
-            removed += prune_discharge(&mut pruned, constraints, budget);
+            removed += prune_discharge(&mut pruned, constraints, budget)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
             for ((id, gate), (_, kept)) in mapped.circuit.iter().zip(pruned.iter()) {
                 devices += gate.discharge().len();
                 let verdicts: Vec<_> = gate

@@ -4,7 +4,7 @@
 //! per netlist level.
 
 use soi_domino::cec::{check_mapped, verify_safe_sat, CecOptions, CecPath};
-use soi_domino::mapper::{MapConfig, Mapper};
+use soi_domino::mapper::{MapConfig, Mapper, Parallelism};
 use soi_domino::netlist::{BinOp, Network};
 use soi_domino::pbe::excite::InputConstraints;
 
@@ -30,6 +30,28 @@ fn chain(levels: usize, kinds: &[BinOp]) -> Network {
 fn deep_chains_map_and_prove_on_the_default_stack() {
     maps_and_proves(&chain(200_000, &[BinOp::And, BinOp::Or]));
     maps_and_proves(&chain(50_000, &[BinOp::Xor, BinOp::Xnor]));
+}
+
+/// A 10,000-level XOR/XNOR chain maps to the same circuit on the forced
+/// 2-thread level schedule as serially. Its cone partition is about two
+/// units wide, so the walk crosses a barrier for nearly every unit.
+#[test]
+fn a_deep_narrow_partition_maps_identically_on_two_threads() {
+    let network = chain(10_000, &[BinOp::Xor, BinOp::Xnor]);
+    let run = |parallelism| {
+        Mapper::soi(MapConfig {
+            parallelism,
+            ..MapConfig::default()
+        })
+        .run(&network)
+        .expect("the chain maps")
+    };
+    let serial = run(Parallelism::Serial);
+    let parallel = run(Parallelism::Threads(2));
+    assert_eq!(parallel.threads_used, 2);
+    assert_eq!(serial.counts, parallel.counts);
+    assert_eq!(serial.combine_steps, parallel.combine_steps);
+    assert!(serial.circuit == parallel.circuit, "the circuits differ");
 }
 
 /// Maps `network` with the default config, proves the mapping by its

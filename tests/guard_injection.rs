@@ -12,6 +12,7 @@ use soi_domino::mapper::{MapConfig, MapError, Mapper, MappingResult, Parallelism
 use soi_domino::netlist::{blif, Network};
 use soi_domino::pbe::bodysim::{BodySimConfig, BodySimulator};
 use soi_domino::pbe::hazard;
+use soi_domino::unate::OutputPhase;
 
 /// Registry circuits exercised by every mutator (≥ 5 as required).
 const CIRCUITS: &[&str] = &["cm150", "mux", "z4ml", "cordic", "frg1", "b9"];
@@ -214,6 +215,26 @@ fn untampered_registry_mappings_pass_the_audit_by_certificate() {
                 "{name} {algorithm:?}"
             );
         }
+    }
+}
+
+/// The pipeline converts with the mapper's own output-phase policy: under
+/// `OutputPhase::Cheapest` every registry circuit maps to the same circuit
+/// through `Pipeline::run` as through `Mapper::run`.
+#[test]
+fn the_pipeline_maps_like_the_mapper_under_cheapest_output_phases() {
+    let config = MapConfig {
+        output_phase: OutputPhase::Cheapest,
+        ..MapConfig::default()
+    };
+    for name in registry::names() {
+        let network = registry::benchmark(name).expect("registered benchmark");
+        let direct = Mapper::soi(config).run(&network).expect("maps");
+        let report = Pipeline::new(Mapper::soi(config))
+            .run(&network)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(direct.counts, report.result.counts, "{name}");
+        assert!(direct.circuit == report.result.circuit, "{name}");
     }
 }
 

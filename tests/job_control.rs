@@ -26,7 +26,7 @@ use soi_domino::guard::check_partial;
 use soi_domino::mapper::{
     CancelToken, Limits, MapConfig, MapError, Mapper, MappingResult, Parallelism, PartialMapping,
 };
-use soi_domino::netlist::Network;
+use soi_domino::netlist::{BinOp, Network};
 use soi_domino::trace::{Counter, Recorder};
 use soi_domino::unate::{convert, Options};
 
@@ -309,6 +309,55 @@ fn registry_circuits_cancel_and_resume_bit_identically() {
              {clean_generated} — salvaged units were solved again ({partial})"
         );
     }
+}
+
+/// A 5,000-level XOR/XNOR chain under the forced 2-thread level schedule:
+/// its cone partition is about two units wide and thousands of levels
+/// deep, so the walk crosses a barrier for nearly every unit. An early
+/// deterministic cancel returns a typed `Cancelled` with a partial, which
+/// needs every worker to pass the remaining barriers after the abort
+/// (CI runs this file under a hard timeout, so a barrier that never
+/// releases fails the step), and resuming the partial gives the clean
+/// mapping.
+#[test]
+fn a_deep_chain_cancels_through_the_level_barriers_and_resumes() {
+    let mut network = Network::new("deep-xor-chain");
+    let inputs: Vec<_> = (0..8).map(|i| network.add_input(format!("x{i}"))).collect();
+    let mut acc = inputs[0];
+    for level in 0..5_000 {
+        let op = if level % 2 == 0 {
+            BinOp::Xor
+        } else {
+            BinOp::Xnor
+        };
+        acc = network.binary(op, acc, inputs[(level + 1) % inputs.len()]);
+    }
+    network.add_output("f", acc);
+    let base = MapConfig {
+        parallelism: Parallelism::Threads(2),
+        ..MapConfig::default()
+    };
+    let clean = Mapper::soi(base).run(&network).expect("clean maps");
+    assert_eq!(clean.threads_used, 2);
+    let config = MapConfig {
+        limits: Limits {
+            cancel_after_steps: Some(clean.combine_steps / 10),
+            ..base.limits
+        },
+        ..base
+    };
+    let err = Mapper::soi(config)
+        .run(&network)
+        .expect_err("the early trip must fire");
+    let MapError::Cancelled { partial, .. } = err else {
+        panic!("expected Cancelled, got {err:?}");
+    };
+    let partial = partial.expect("interrupts carry salvage");
+    assert!(
+        partial.completed_units() > 0 && partial.completed_units() < partial.total_units(),
+        "{partial}"
+    );
+    assert_resume_matches(&clean, &partial, config, &network, "deep chain");
 }
 
 /// A partial resumes only the run it was recorded for: a different

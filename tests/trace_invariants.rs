@@ -20,8 +20,9 @@
 //!   MappingResult::cone_cache_misses` — every memoized gate solve is
 //!   counted exactly once;
 //! * **scheduler conservation**: per-worker unit counts sum to the cone
-//!   partition's unit count, and the aggregate steal/wakeup/park counters
-//!   equal the per-worker sums;
+//!   partition's unit count, every worker waits once at the barrier ending
+//!   each level (`sched_parks == threads_used × levels`, and the per-worker
+//!   waits sum to it), and nothing counts a steal;
 //! * **discharge accounting**: `discharges_inserted` equals the circuit's
 //!   `TransistorCounts::discharge` for all three algorithms;
 //! * **gauges**: `peak_candidates` and `threads_used` read back exactly;
@@ -162,7 +163,6 @@ fn check_network(rec: &'static Recorder, trace: TraceHandle, network: &Network, 
     // Serial, memo off: no scheduler or memo activity may be recorded.
     for quiet in [
         Counter::SchedSteals,
-        Counter::SchedWakeups,
         Counter::SchedParks,
         Counter::NodeTierProbes,
     ] {
@@ -191,31 +191,27 @@ fn check_network(rec: &'static Recorder, trace: TraceHandle, network: &Network, 
             parallel.threads_used,
             "{what}: worker stats don't cover every worker"
         );
-        let unit_count = unate::convert(network, &unate::Options::default())
+        let partition = unate::convert(network, &unate::Options::default())
             .expect("unate converts")
-            .cone_partition()
-            .units()
-            .len() as u64;
+            .cone_partition();
         assert_eq!(
             workers.iter().map(|w| w.units).sum::<u64>(),
-            unit_count,
+            partition.units().len() as u64,
             "{what}: per-worker unit counts don't sum to the cone partition"
         );
-        for (aggregate, per_worker) in [
-            (Counter::SchedSteals, workers.iter().map(|w| w.steals).sum()),
-            (
-                Counter::SchedWakeups,
-                workers.iter().map(|w| w.wakeups).sum(),
-            ),
-            (Counter::SchedParks, workers.iter().map(|w| w.parks).sum()),
-        ] {
-            let sum: u64 = per_worker;
-            assert_eq!(
-                rec.counter(aggregate),
-                sum,
-                "{what}: aggregate {aggregate:?} disagrees with per-worker sums"
-            );
-        }
+        // Every worker waits once at the barrier ending each level.
+        let parks = (parallel.threads_used * partition.levels().len()) as u64;
+        assert_eq!(
+            rec.counter(Counter::SchedParks),
+            parks,
+            "{what}: sched_parks is not threads_used × levels"
+        );
+        assert_eq!(
+            workers.iter().map(|w| w.parks).sum::<u64>(),
+            parks,
+            "{what}: per-worker barrier waits don't sum to sched_parks"
+        );
+        assert_eq!(rec.counter(Counter::SchedSteals), 0, "{what}: a steal");
     }
 
     // Traced 2-thread + gate memo: the memo joins the balance.
