@@ -146,10 +146,10 @@ fn soi_mapper(parallelism: Parallelism) -> Mapper {
     })
 }
 
+/// Two schedules agree when they map to the same circuit, gate for gate,
+/// with the same counts and candidate high-water mark.
 fn same_outcome(a: &MappingResult, b: &MappingResult) -> bool {
-    a.counts == b.counts
-        && a.peak_candidates == b.peak_candidates
-        && a.degraded_nodes == b.degraded_nodes
+    a.counts == b.counts && a.peak_candidates == b.peak_candidates && a.circuit == b.circuit
 }
 
 /// `--smoke`: the level schedule (workers spawned once per run, a barrier

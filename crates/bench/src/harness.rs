@@ -7,10 +7,8 @@
 //!
 //! Mapping failures never panic the harness: every table cell is a
 //! [`RowResult`] carrying either the measured counts or the typed
-//! [`MapError`], and a circuit that trips the shape limits is retried with
-//! [`MapConfig::degrade_unmappable`] before its error is recorded. The
-//! benchmark list is fanned out across scoped threads; rows come back in
-//! list order.
+//! [`MapError`]. The benchmark list is fanned out across scoped threads;
+//! rows come back in list order.
 
 use std::fmt::Write as _;
 
@@ -26,9 +24,6 @@ use crate::paper;
 pub struct RowMeasure {
     /// The transistor accounting.
     pub counts: TransistorCounts,
-    /// Whether the mapper had to relax the shape limits to finish (see
-    /// `MapConfig::degrade_unmappable`).
-    pub degraded: bool,
     /// Depth of the unate 2-input network (the paper's `L` column in
     /// Table IV).
     pub depth: u32,
@@ -38,23 +33,10 @@ pub struct RowMeasure {
 /// circuit. Errors are rendered in place and excluded from averages.
 pub type RowResult = Result<RowMeasure, MapError>;
 
-/// Maps one network, retrying with graceful degradation if the strict
-/// shape limits make it unmappable.
-fn map_one(make: impl Fn(MapConfig) -> Mapper, config: MapConfig, network: &Network) -> RowResult {
-    let first = make(config).run(network);
-    let result = match first {
-        Err(MapError::Unmappable { .. }) if !config.degrade_unmappable => {
-            let relaxed = MapConfig {
-                degrade_unmappable: true,
-                ..config
-            };
-            make(relaxed).run(network)
-        }
-        other => other,
-    };
-    result.map(|r| RowMeasure {
+/// Maps one network into a table cell.
+fn map_one(mapper: Mapper, network: &Network) -> RowResult {
+    mapper.run(network).map(|r| RowMeasure {
         counts: r.counts,
-        degraded: r.is_degraded(),
         depth: r.unate_depth,
     })
 }
@@ -90,7 +72,6 @@ fn run_rows<R: Send>(names: &[&'static str], f: impl Fn(&'static str) -> R + Syn
 
 fn describe(cell: &RowResult) -> String {
     match cell {
-        Ok(m) if m.degraded => format!("{} [degraded]", m.counts),
         Ok(m) => m.counts.to_string(),
         Err(e) => format!("error: {e}"),
     }
@@ -112,8 +93,8 @@ pub fn run_table1() -> Vec<Table1Row> {
     let config = MapConfig::default();
     run_rows(registry::TABLE1, |name| {
         let network = registry::benchmark(name).expect("registered benchmark");
-        let base = map_one(Mapper::baseline, config, &network);
-        let rs = map_one(Mapper::rearrange_stacks, config, &network);
+        let base = map_one(Mapper::baseline(config), &network);
+        let rs = map_one(Mapper::rearrange_stacks(config), &network);
         eprintln!("  {name}: base {} / rs {}", describe(&base), describe(&rs));
         Table1Row { name, base, rs }
     })
@@ -136,8 +117,8 @@ pub fn run_table2() -> Vec<Table2Row> {
     let config = MapConfig::default();
     run_rows(registry::TABLE2, |name| {
         let network = registry::benchmark(name).expect("registered benchmark");
-        let base = map_one(Mapper::baseline, config, &network);
-        let soi = map_one(Mapper::soi, config, &network);
+        let base = map_one(Mapper::baseline(config), &network);
+        let soi = map_one(Mapper::soi(config), &network);
         eprintln!(
             "  {name}: base {} / soi {}",
             describe(&base),
@@ -163,8 +144,8 @@ pub struct Table3Row {
 pub fn run_table3() -> Vec<Table3Row> {
     run_rows(registry::TABLE3, |name| {
         let network = registry::benchmark(name).expect("registered benchmark");
-        let k1 = map_one(Mapper::soi, MapConfig::with_clock_weight(1), &network);
-        let k2 = map_one(Mapper::soi, MapConfig::with_clock_weight(2), &network);
+        let k1 = map_one(Mapper::soi(MapConfig::with_clock_weight(1)), &network);
+        let k2 = map_one(Mapper::soi(MapConfig::with_clock_weight(2)), &network);
         eprintln!("  {name}: k1 {} / k2 {}", describe(&k1), describe(&k2));
         Table3Row { name, k1, k2 }
     })
@@ -187,8 +168,8 @@ pub fn run_table4() -> Vec<Table4Row> {
     let config = MapConfig::depth();
     run_rows(registry::TABLE4, |name| {
         let network = registry::benchmark(name).expect("registered benchmark");
-        let base = map_one(Mapper::baseline, config, &network);
-        let soi = map_one(Mapper::soi, config, &network);
+        let base = map_one(Mapper::baseline(config), &network);
+        let soi = map_one(Mapper::soi(config), &network);
         eprintln!(
             "  {name}: base {} / soi {}",
             describe(&base),
@@ -482,11 +463,7 @@ mod tests {
     use soi_mapper::Algorithm;
 
     fn measure(counts: TransistorCounts) -> RowResult {
-        Ok(RowMeasure {
-            counts,
-            degraded: false,
-            depth: 2,
-        })
+        Ok(RowMeasure { counts, depth: 2 })
     }
 
     /// A miniature version of the table pipeline on the three smallest
@@ -562,15 +539,15 @@ mod tests {
             Table2Row {
                 name: "bad",
                 base: measure(ok_counts),
-                soi: Err(MapError::Unmappable {
-                    what: "node 7 exceeds H_max".into(),
+                soi: Err(MapError::BudgetExceeded {
+                    what: "combine-step budget of 3 exhausted at node 7".into(),
                 }),
             },
         ];
         let text = render_table2(&rows);
         assert!(text.contains("good"));
         assert!(text.contains("bad"));
-        assert!(text.contains("unmapped: no feasible tuple"));
+        assert!(text.contains("unmapped: resource budget exceeded"));
         // The failed row contributes nothing to the average (0% change on
         // the identical good row).
         assert_eq!(table2_average_discharge_reduction(&rows), 0.0);
@@ -597,20 +574,19 @@ mod tests {
     }
 
     #[test]
-    fn map_one_retries_unmappable_with_degradation() {
-        // No 2-input node fits W≤1, H≤1; the harness must come back with
-        // a degraded measurement instead of an error.
+    fn map_one_records_invalid_limits_as_an_error_cell() {
         let network = registry::benchmark("mux").unwrap();
         let config = MapConfig {
             w_max: 1,
             h_max: 1,
             ..MapConfig::default()
         };
-        let row = map_one(Mapper::soi, config, &network);
-        match row {
-            Ok(m) => assert!(m.degraded, "expected the degraded retry to be recorded"),
-            Err(e) => panic!("expected degraded success, got {e}"),
-        }
+        let row = map_one(Mapper::soi(config), &network);
+        assert!(
+            matches!(row, Err(MapError::InvalidConfig { .. })),
+            "{row:?}"
+        );
+        assert!(describe(&row).starts_with("error: invalid configuration"));
     }
 
     #[test]

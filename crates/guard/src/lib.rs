@@ -6,12 +6,12 @@
 //!
 //! Three pieces:
 //!
-//! * [`pipeline`] — a staged runner (`netlist-validate → unate-convert →
-//!   map → audit`) whose failures all surface as one typed
-//!   [`StageError`], naming the stage and wrapping the underlying crate
-//!   error. Every run is audited. Optional graceful degradation retries an
-//!   `Unmappable` mapping with forced gate boundaries, and optional
-//!   salvage retries resume an interrupted map stage.
+//! * [`pipeline`] — a staged runner (`netlist-validate → map → audit`)
+//!   whose failures all surface as one typed [`StageError`], naming the
+//!   stage and wrapping the underlying crate error. The map stage is
+//!   [`Mapper::run`](soi_mapper::Mapper::run), so an out-of-bounds
+//!   configuration fails it before any work. Every run is audited, and
+//!   optional salvage retries resume an interrupted map stage.
 //! * [`audit`] — the cross-stage check [`check_pipeline`]: circuit
 //!   structural validity, worst-case PBE coverage, transistor-accounting
 //!   consistency, and a proof that the mapped circuit computes the source

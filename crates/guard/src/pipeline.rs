@@ -1,19 +1,22 @@
 //! The staged pipeline runner with unified, typed stage errors.
 //!
-//! [`Pipeline::run`] executes the full flow — `netlist-validate` →
-//! `unate-convert` → `map` → `audit` — and converts every failure into a
-//! [`StageError`] that names the [`Stage`] and wraps the underlying crate
-//! error, so a caller can always tell *where* the flow broke and *why*,
-//! without any stage being able to panic its way out. Every run is
-//! audited: the `audit` stage proves the mapping equivalent to the source
-//! and checks its protection and accounting
+//! [`Pipeline::run`] executes the full flow — `netlist-validate` → `map`
+//! → `audit` — and converts every failure into a [`StageError`] that names
+//! the [`Stage`] and wraps the underlying crate error, so a caller can
+//! always tell *where* the flow broke and *why*, without any stage being
+//! able to panic its way out. The `map` stage is [`Mapper::run`] itself,
+//! unate conversion included, so the pipeline maps exactly as the mapper
+//! does. Every run is audited: the `audit` stage proves the mapping
+//! equivalent to the source and checks its protection and accounting
 //! ([`check_pipeline`](crate::check_pipeline)).
 //! [`Pipeline::run_blif`] prepends a `parse` stage that reads BLIF text.
 //!
 //! Each stage is wrapped in a `soi-trace` span derived from the mapper's
-//! [`MapConfig::trace`](soi_mapper::MapConfig) handle, and the audit's
-//! equivalence proof reports its own counters inside the `audit` span —
-//! attach a [`soi_trace::Recorder`] to the config to observe the flow.
+//! [`MapConfig::trace`](soi_mapper::MapConfig) handle (the mapper's own
+//! `unate-convert`, `dp`, `reconstruct` and `pbe-postprocess` spans nest
+//! inside `map`), and the audit's equivalence proof reports its own
+//! counters inside the `audit` span — attach a [`soi_trace::Recorder`] to
+//! the config to observe the flow.
 
 use std::error::Error;
 use std::fmt;
@@ -22,7 +25,6 @@ use soi_cec::{CecOptions, CecReport};
 use soi_mapper::{Algorithm, MapError, Mapper, MappingResult};
 use soi_netlist::{Network, NetworkError};
 use soi_trace::Stage as TraceStage;
-use soi_unate::{convert, Options, UnateError};
 
 use crate::audit::{self, AuditError};
 
@@ -33,9 +35,8 @@ pub enum Stage {
     Parse,
     /// Structural validation of the input [`Network`].
     NetlistValidate,
-    /// Binate-to-unate conversion.
-    UnateConvert,
-    /// The tuple-DP technology mapping.
+    /// The technology mapping, [`Mapper::run`]: configuration check,
+    /// unate conversion and the tuple DP.
     Map,
     /// The cross-stage audit ([`crate::audit::check_pipeline`]).
     Audit,
@@ -47,7 +48,6 @@ impl Stage {
         match self {
             Stage::Parse => "parse",
             Stage::NetlistValidate => "netlist-validate",
-            Stage::UnateConvert => "unate-convert",
             Stage::Map => "map",
             Stage::Audit => "audit",
         }
@@ -66,8 +66,6 @@ impl fmt::Display for Stage {
 pub enum StageFailure {
     /// A [`NetworkError`] from the netlist layer.
     Network(NetworkError),
-    /// A [`UnateError`] from the unate-conversion layer.
-    Unate(UnateError),
     /// A [`MapError`] from the mapper.
     Map(MapError),
     /// The cross-stage audit failed.
@@ -78,7 +76,6 @@ impl fmt::Display for StageFailure {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             StageFailure::Network(e) => write!(f, "{e}"),
-            StageFailure::Unate(e) => write!(f, "{e}"),
             StageFailure::Map(e) => write!(f, "{e}"),
             StageFailure::Audit(e) => write!(f, "{e}"),
         }
@@ -110,7 +107,6 @@ impl Error for StageError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match &self.failure {
             StageFailure::Network(e) => Some(e),
-            StageFailure::Unate(e) => Some(e),
             StageFailure::Map(e) => Some(e),
             StageFailure::Audit(e) => Some(e),
         }
@@ -122,9 +118,6 @@ impl Error for StageError {
 pub struct PipelineReport {
     /// The mapping itself.
     pub result: MappingResult,
-    /// Whether the run needed the graceful-degradation retry (or the
-    /// mapper's own in-config degradation fired).
-    pub degraded: bool,
     /// Interrupted map attempts recovered by resuming from their salvaged
     /// partial results (0 on a clean first attempt).
     pub salvage_retries: u32,
@@ -139,39 +132,25 @@ pub struct PipelineReport {
 #[derive(Debug, Clone)]
 pub struct Pipeline {
     mapper: Mapper,
-    degrade_on_unmappable: bool,
     salvage_retries: u32,
 }
 
 impl Pipeline {
-    /// Creates a pipeline around a mapper, with no degradation or salvage
-    /// retries. The unate conversion follows the mapper's configuration
-    /// ([`output_phase`](soi_mapper::MapConfig::output_phase)), as
-    /// [`Mapper::run`] does.
+    /// Creates a pipeline around a mapper, with no salvage retries.
     pub fn new(mapper: Mapper) -> Pipeline {
         Pipeline {
             mapper,
-            degrade_on_unmappable: false,
             salvage_retries: 0,
         }
-    }
-
-    /// Enables or disables the graceful-degradation retry: when the map
-    /// stage fails with [`MapError::Unmappable`], rerun it with
-    /// [`degrade_unmappable`](soi_mapper::MapConfig::degrade_unmappable)
-    /// set, forcing gate boundaries at
-    /// the offending nodes instead of failing the flow.
-    pub fn with_degradation(mut self, enabled: bool) -> Pipeline {
-        self.degrade_on_unmappable = enabled;
-        self
     }
 
     /// Allows up to `retries` map-stage resumes from salvaged partial
     /// results: when the map stage is interrupted (cancellation trip,
     /// deadline, contained worker panic) and the error carries a non-empty
     /// [`PartialMapping`](soi_mapper::PartialMapping), the stage reruns
-    /// from it ([`Mapper::with_salvage`]) — solving only what the
-    /// interrupt cut off — instead of failing the flow. The deterministic
+    /// from it ([`Mapper::with_salvage`]) — converting the network again,
+    /// deterministically, and solving only what the interrupt cut off —
+    /// instead of failing the flow. The deterministic
     /// `cancel_after_steps` test trip is cleared on resume (it would
     /// re-fire identically); a wall-clock deadline grants each attempt a
     /// fresh allowance over strictly less work, and a tripped
@@ -220,18 +199,8 @@ impl Pipeline {
                 .map_err(|e| ctx(Stage::NetlistValidate, StageFailure::Network(e)))?;
         }
 
-        // Stage 2: unate-convert.
-        let unate = {
-            let _span = trace.span(TraceStage::UnateConvert);
-            let options = Options {
-                output_phase: self.mapper.config().output_phase,
-            };
-            convert(network, &options)
-                .map_err(|e| ctx(Stage::UnateConvert, StageFailure::Unate(e)))?
-        };
-
-        // Stage 3: map, with the optional degradation and salvage retries.
-        // The span covers the whole stage; the mapper opens its own `dp` /
+        // Stage 2: map, with the optional salvage retries. The span covers
+        // the whole stage; the mapper opens its own `unate-convert` / `dp` /
         // `reconstruct` / `pbe-postprocess` child spans inside it.
         let map_span = trace.span(TraceStage::Map);
         let rebuild = |algorithm: Algorithm, config| match algorithm {
@@ -240,21 +209,10 @@ impl Pipeline {
             Algorithm::SoiDominoMap => Mapper::soi(config),
         };
         let mut mapper = self.mapper.clone();
-        let mut degrade_retried = false;
         let mut salvage_retries = 0u32;
         let result = loop {
-            match mapper.run_unate(&unate) {
+            match mapper.run(network) {
                 Ok(result) => break result,
-                Err(MapError::Unmappable { .. })
-                    if self.degrade_on_unmappable && !mapper.config().degrade_unmappable =>
-                {
-                    // Graceful degradation: force gate boundaries at the
-                    // offending nodes instead of failing the flow.
-                    let mut config = *mapper.config();
-                    config.degrade_unmappable = true;
-                    mapper = rebuild(mapper.algorithm(), config);
-                    degrade_retried = true;
-                }
                 Err(e) => {
                     let salvage = e.partial().filter(|p| !p.is_empty()).cloned();
                     match salvage {
@@ -274,7 +232,7 @@ impl Pipeline {
         };
         map_span.finish();
 
-        // Stage 4: audit — validity, PBE coverage, accounting and the
+        // Stage 3: audit — validity, PBE coverage, accounting and the
         // equivalence proof.
         let cec = {
             let _span = trace.span(TraceStage::Audit);
@@ -282,10 +240,8 @@ impl Pipeline {
                 .map_err(|e| ctx(Stage::Audit, StageFailure::Audit(e)))?
         };
 
-        let degraded = degrade_retried || result.is_degraded();
         Ok(PipelineReport {
             result,
-            degraded,
             salvage_retries,
             cec,
         })
@@ -362,7 +318,6 @@ mod tests {
         let report = Pipeline::new(Mapper::soi(MapConfig::default()))
             .run(&nand_or())
             .expect("pipeline passes");
-        assert!(!report.degraded);
         assert!(report.cec.is_equivalent());
         assert_eq!(report.cec.path, CecPath::Certificate);
     }
@@ -383,27 +338,20 @@ mod tests {
     }
 
     #[test]
-    fn unmappable_fails_map_stage_then_degrades_when_asked() {
+    fn invalid_limits_fail_the_map_stage() {
         let config = MapConfig {
             w_max: 1,
             h_max: 1,
             ..MapConfig::default()
         };
-        let strict = Pipeline::new(Mapper::soi(config));
-        let err = strict.run(&nand_or()).expect_err("h_max 1 is unmappable");
+        let err = Pipeline::new(Mapper::soi(config))
+            .run(&nand_or())
+            .expect_err("1 × 1 limits are rejected");
         assert_eq!(err.stage, Stage::Map);
         assert!(matches!(
             err.failure,
-            StageFailure::Map(MapError::Unmappable { .. })
+            StageFailure::Map(MapError::InvalidConfig { .. })
         ));
-
-        let report = strict
-            .with_degradation(true)
-            .run(&nand_or())
-            .expect("degradation recovers the flow");
-        assert!(report.degraded);
-        assert!(report.result.is_degraded());
-        assert_eq!(report.cec.path, CecPath::Certificate);
     }
 
     #[test]
@@ -440,6 +388,12 @@ mod tests {
                 "missing span for {stage:?}"
             );
         }
+        // The mapper's conversion span nests inside `map`: it completes
+        // after `netlist-validate` and before `map`.
+        let order: Vec<TraceStage> = rec.spans().iter().map(|&(s, _)| s).collect();
+        let at = |stage| order.iter().position(|&s| s == stage).unwrap();
+        assert!(at(TraceStage::NetlistValidate) < at(TraceStage::UnateConvert));
+        assert!(at(TraceStage::UnateConvert) < at(TraceStage::Map));
         // The certificate decided: every gate certified, no fallback and
         // no SAT call.
         assert_eq!(report.cec.path, CecPath::Certificate);
@@ -473,7 +427,7 @@ mod tests {
             .run_blif(text)
             .expect("blif flow passes");
         assert!(rec.stage_nanos(TraceStage::Parse).is_some());
-        assert!(!report.degraded);
+        assert!(report.cec.is_equivalent());
     }
 
     #[test]

@@ -13,7 +13,7 @@
 use soi_unate::{UId, UNode, UnateNetwork};
 
 use crate::arena::CandArena;
-use crate::dp::{self, NodeCtx, NodeOutcome, Scratch, SolView};
+use crate::dp::{self, NodeCtx, Scratch, SolView};
 use crate::memo::NodeMemo;
 use crate::tuple::{Cand, CandRef, ExportMap, Form, NodeSol, TupleKey};
 use crate::{Algorithm, CostModel, MapConfig, MapError, PartialMapping};
@@ -67,11 +67,11 @@ fn solve_node(
     scratch: &mut Scratch,
     id: UId,
     node: UNode,
-) -> Result<NodeOutcome, MapError> {
+) -> Result<NodeSol, MapError> {
     let config = ctx.config;
     let model = ctx.model;
     let (a, b, is_and) = match node {
-        UNode::Lit(l) => return Ok((dp::literal_sol(id, l, config, model), false)),
+        UNode::Lit(l) => return Ok(dp::literal_sol(id, l, config, model)),
         UNode::And(a, b) => (a, b, true),
         UNode::Or(a, b) => (a, b, false),
     };
@@ -137,65 +137,12 @@ fn solve_node(
             }
         }
     }
-    let mut degraded = false;
-    if bare.is_empty() && config.degrade_unmappable {
-        // Forced gate boundary: combine the children's single-gate `{1,1}`
-        // candidates, accepting the out-of-limits shape, and record the
-        // node as degraded.
-        let units_a = left
-            .iter()
-            .filter(|&&(r, _)| r.key == TupleKey::UNIT)
-            .count();
-        let units_b = right
-            .iter()
-            .filter(|&&(r, _)| r.key == TupleKey::UNIT)
-            .count();
-        ctx.charge_many(units_a as u64 * units_b as u64, id)?;
-        for &(ra, ca) in left.iter() {
-            if ra.key != TupleKey::UNIT {
-                continue;
-            }
-            for &(rb, cb) in right.iter() {
-                if rb.key != TupleKey::UNIT {
-                    continue;
-                }
-                let key = if is_and {
-                    ra.key.and(rb.key)
-                } else {
-                    ra.key.or(rb.key)
-                };
-                let cand = combine(is_and, ra, &ca, rb, &cb);
-                generated += 1;
-                pruned += u64::from(consider(bare, cands, model, key, cand));
-            }
-        }
-        degraded = true;
-    }
-    if bare.is_empty() {
-        return Err(MapError::Unmappable {
-            what: format!(
-                "node {id} has no (W ≤ {}, H ≤ {}) combination",
-                config.w_max, config.h_max
-            ),
-        });
-    }
-    // The baseline keeps one candidate per shape, so the tuple cap is a
-    // shape cap: `enforce_tuple_cap` keeps the cheapest shapes.
     shapes.clear();
     staged.clear();
     for (i, &(key, h)) in bare.iter().enumerate() {
         staged.push(h);
         shapes.push((key, i as u32, 1));
     }
-    crate::soi::enforce_tuple_cap(
-        shapes,
-        staged,
-        cands,
-        model,
-        config.limits.max_tuples_per_node,
-    );
-    let survivors: u64 = shapes.iter().map(|&(_, _, len)| u64::from(len)).sum();
-    pruned += staged.len() as u64 - survivors;
     // Gate formation runs straight off the staged runs; a shared node
     // never materializes the export set it is about to discard.
     let mut sol = NodeSol {
@@ -211,9 +158,11 @@ fn solve_node(
         ),
         ..NodeSol::default()
     };
-    let gate = sol.gate.as_ref().expect("nonempty bare set");
+    // As in the SOI DP, validated limits always fit the AND or OR of the
+    // fanins' `{1,1}` candidates: a node without a gate is unreachable.
+    let gate = sol.gate.as_ref().expect("an in-limit combination exists");
     let gate_cand = dp::exported_gate_cand(id, gate, ctx.fanouts[id.index()], config);
-    let mut bare_exported = survivors;
+    let mut bare_exported = bare.len() as u64;
     if ctx.fanouts[id.index()] <= 1 || config.allow_duplication {
         sol.exported = ExportMap::from_runs_with_unit(shapes, staged, cands, gate_cand);
     } else {
@@ -229,7 +178,7 @@ fn solve_node(
         trace.count(soi_trace::Counter::CandidatesPruned, pruned);
         trace.count(soi_trace::Counter::CandidatesExported, bare_exported);
     }
-    Ok((sol, degraded))
+    Ok(sol)
 }
 
 /// PBE-blind combination. Potential-point bookkeeping (`p_dis`, `par_b`)
@@ -349,19 +298,39 @@ mod tests {
 
     #[test]
     fn shallow_limits_force_gate_boundaries() {
-        let u = fig3_unate();
+        // f = (a·b)·(c·d) at the smallest admitted limits: the two bare
+        // `{1,2}` stacks would need H = 4, so the top AND can only stack
+        // its fanins' formed gates.
+        let mut u = UnateNetwork::new((0..4).map(|i| format!("i{i}")).collect());
+        let lits: Vec<_> = (0..4)
+            .map(|i| {
+                u.add_literal(Literal {
+                    input: i,
+                    phase: Phase::Pos,
+                })
+            })
+            .collect();
+        let and1 = u.add_and(lits[0], lits[1]);
+        let and2 = u.add_and(lits[2], lits[3]);
+        let f = u.add_and(and1, and2);
+        u.add_output("f", USignal::Node(f), false);
         let config = MapConfig {
             w_max: 2,
-            h_max: 1,
+            h_max: 2,
             ..MapConfig::default()
         };
-        // H_max = 1 forbids the bare AND stack; ANDs must form gates...
-        // but an AND of two {1,1} literals needs H = 2, so the AND node
-        // itself is unmappable.
-        assert!(matches!(
-            solve(&u, &config, None, None),
-            Err(MapError::Unmappable { .. })
-        ));
+        let sols = solve(&u, &config, None, None).unwrap().sols;
+        let top = &sols[f.index()];
+        let shapes: Vec<TupleKey> = top.exported.shape_runs().map(|(k, _)| k).collect();
+        assert_eq!(shapes, [TupleKey::UNIT, TupleKey { w: 1, h: 2 }]);
+        for cand in &top.exported[&TupleKey { w: 1, h: 2 }] {
+            assert!(
+                matches!(cand.form, Form::And { top, bottom }
+                    if top.key == TupleKey::UNIT && bottom.key == TupleKey::UNIT),
+                "{:?}",
+                cand.form
+            );
+        }
     }
 
     #[test]

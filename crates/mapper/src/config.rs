@@ -103,15 +103,17 @@ impl Parallelism {
     pub const AUTO_MIN_PARALLEL_GATES: usize = 1024;
 
     /// Under [`Parallelism::Auto`], each worker must have at least this
-    /// many cone units on average; otherwise the schedule has too little
-    /// independent work to share out.
+    /// many cone units per dependency level on average; otherwise the
+    /// schedule has too little independent work to share out between two
+    /// barriers.
     pub const AUTO_UNITS_PER_THREAD: usize = 4;
 
     /// The worker-thread count for a network of `gates` 2-input gates
-    /// partitioned into `units` cone units, on a machine with `hw`
-    /// hardware threads. Pure so the cutoff is unit-testable; the DP
-    /// passes `std::thread::available_parallelism` for `hw`.
-    pub fn resolved_threads(self, hw: usize, gates: usize, units: usize) -> usize {
+    /// partitioned into `units` cone units over `levels` dependency
+    /// levels, on a machine with `hw` hardware threads. Pure so the cutoff
+    /// is unit-testable; the DP passes `std::thread::available_parallelism`
+    /// for `hw`.
+    pub fn resolved_threads(self, hw: usize, gates: usize, units: usize, levels: usize) -> usize {
         match self {
             Parallelism::Serial => 1,
             Parallelism::Threads(n) => n.max(1),
@@ -119,7 +121,8 @@ impl Parallelism {
                 if hw <= 1 || gates < Self::AUTO_MIN_PARALLEL_GATES {
                     return 1;
                 }
-                let t = hw.min(units / Self::AUTO_UNITS_PER_THREAD);
+                let per_thread = levels.max(1).saturating_mul(Self::AUTO_UNITS_PER_THREAD);
+                let t = hw.min(units / per_thread);
                 if t < 2 {
                     1
                 } else {
@@ -132,23 +135,18 @@ impl Parallelism {
 
 /// Deterministic resource budget for one mapping run.
 ///
-/// Untrusted or adversarial networks can blow up the tuple DP — wide
-/// fanin cones multiply candidate sets, and a hostile shape mix makes the
-/// per-node combination loop quadratic in them. The limits below turn
-/// "the mapper hangs" into either a typed
-/// [`MapError::BudgetExceeded`](crate::MapError::BudgetExceeded) (hard
-/// budgets) or a documented precision loss (the per-node tuple cap, which
-/// falls back to tighter Pareto capping instead of failing).
+/// Untrusted or adversarial networks can blow up the tuple DP — a huge
+/// network, or enough nodes whose combination loops each run quadratic in
+/// their fanins' candidate sets. The limits below turn "the mapper hangs"
+/// into a typed
+/// [`MapError::BudgetExceeded`](crate::MapError::BudgetExceeded). A single
+/// node's candidate set needs no budget: [`MapConfig::validate`] bounds it
+/// by the configuration alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Limits {
     /// Maximum number of unate nodes the DP will accept. Exceeding it
     /// fails fast with `BudgetExceeded` before any DP work happens.
     pub max_gates: usize,
-    /// Cap on the *total* exported candidates of a single node, across all
-    /// `(W, H)` shapes. Exceeding it is not an error: the node's sets are
-    /// re-pruned with a tighter per-shape Pareto cap (and, if the shape
-    /// count alone exceeds the cap, only the cheapest shapes survive).
-    pub max_tuples_per_node: usize,
     /// Maximum number of candidate-combination steps summed over the whole
     /// run. Exceeding it aborts with `BudgetExceeded`.
     pub max_combine_steps: u64,
@@ -176,7 +174,6 @@ impl Default for Limits {
     fn default() -> Limits {
         Limits {
             max_gates: 1_000_000,
-            max_tuples_per_node: 1024,
             max_combine_steps: 100_000_000,
             deadline: None,
             cancel: CancelToken::none(),
@@ -193,7 +190,7 @@ impl Limits {
     /// Returns [`MapError::InvalidConfig`](crate::MapError::InvalidConfig)
     /// if any budget is zero.
     pub fn validate(&self) -> Result<(), crate::MapError> {
-        if self.max_gates == 0 || self.max_tuples_per_node == 0 || self.max_combine_steps == 0 {
+        if self.max_gates == 0 || self.max_combine_steps == 0 {
             return Err(crate::MapError::InvalidConfig {
                 what: "limits must all be at least 1".into(),
             });
@@ -256,14 +253,6 @@ pub struct MapConfig {
     /// [`MapError::WorkerPanicked`](crate::MapError::WorkerPanicked). Never
     /// set in production configs; `None` by default.
     pub poison_node: Option<u32>,
-    /// When a node has no `(W ≤ w_max, H ≤ h_max)` combination, force a
-    /// gate boundary there by combining the children's single-gate
-    /// candidates even though the resulting shape violates the limits, and
-    /// record the node as degraded in the
-    /// [`MappingResult`](crate::MappingResult) instead of failing with
-    /// [`MapError::Unmappable`](crate::MapError::Unmappable). Off by
-    /// default: the strict behaviour is the error.
-    pub degrade_unmappable: bool,
     /// Instrumentation handle ([`soi_trace`]): stage spans, counters and
     /// gauges flow to its sink when enabled. Purely observational — a
     /// salvaged partial resumes under any handle, and results are
@@ -288,7 +277,6 @@ impl Default for MapConfig {
             parallelism: Parallelism::default(),
             cone_cache_min_gates: MapConfig::DEFAULT_CONE_CACHE_MIN_GATES,
             poison_node: None,
-            degrade_unmappable: false,
             trace: TraceHandle::off(),
         }
     }
@@ -317,21 +305,45 @@ impl MapConfig {
         }
     }
 
-    /// Validates the configuration bounds.
+    /// Largest admitted `w_max · h_max · max_candidates`, the bound on
+    /// one node's exported candidates (see [`MapConfig::validate`]).
+    pub const MAX_NODE_CANDIDATES: usize = 1024;
+
+    /// Validates the configuration bounds, before any DP work.
+    ///
+    /// Both shape limits must be at least 2. Every node exports a `{1,1}`
+    /// candidate (its formed gate, or its literal), and an AND of two such
+    /// candidates fits `{1,2}`, an OR `{2,1}`, so at these limits every
+    /// node can close into a gate. A node then exports at most
+    /// `max_candidates` candidates for each of fewer than `w_max · h_max`
+    /// bare shapes, plus its `{1,1}` gate candidate; that product must not
+    /// exceed [`MapConfig::MAX_NODE_CANDIDATES`].
     ///
     /// # Errors
     ///
     /// Returns [`MapError::InvalidConfig`](crate::MapError::InvalidConfig)
-    /// if a limit is zero or the candidate cap is zero.
+    /// if a shape limit is below 2, the candidate cap, the clock weight or
+    /// a budget is zero, or the candidate bound is too large.
     pub fn validate(&self) -> Result<(), crate::MapError> {
-        if self.w_max == 0 || self.h_max == 0 {
+        if self.w_max < 2 || self.h_max < 2 {
             return Err(crate::MapError::InvalidConfig {
-                what: "w_max and h_max must be at least 1".into(),
+                what: "w_max and h_max must be at least 2".into(),
             });
         }
         if self.max_candidates == 0 {
             return Err(crate::MapError::InvalidConfig {
                 what: "max_candidates must be at least 1".into(),
+            });
+        }
+        let bound = (self.w_max as usize)
+            .checked_mul(self.h_max as usize)
+            .and_then(|shapes| shapes.checked_mul(self.max_candidates));
+        if bound.is_none_or(|b| b > Self::MAX_NODE_CANDIDATES) {
+            return Err(crate::MapError::InvalidConfig {
+                what: format!(
+                    "w_max · h_max · max_candidates must be at most {}",
+                    Self::MAX_NODE_CANDIDATES
+                ),
             });
         }
         if self.clock_weight == 0 {
@@ -362,23 +374,35 @@ mod tests {
         let auto = MapConfig::default().parallelism;
         assert_eq!(auto, Parallelism::Auto);
         // Small networks resolve to 1 thread no matter the hardware.
-        assert_eq!(auto.resolved_threads(8, 90, 40), 1);
-        assert_eq!(auto.resolved_threads(64, 1023, 4096), 1);
+        assert_eq!(auto.resolved_threads(8, 90, 40, 1), 1);
+        assert_eq!(auto.resolved_threads(64, 1023, 4096, 1), 1);
         // One hardware thread is always serial.
-        assert_eq!(auto.resolved_threads(1, 1_000_000, 100_000), 1);
+        assert_eq!(auto.resolved_threads(1, 1_000_000, 100_000, 1), 1);
         // Too few units per worker is serial even past the gate cutoff.
-        assert_eq!(auto.resolved_threads(8, 5000, 7), 1);
+        assert_eq!(auto.resolved_threads(8, 5000, 7, 1), 1);
+        // So is a deep, narrow partition: a 50,000-level chain of two
+        // units per level has too few per level to share out between two
+        // barriers.
+        assert_eq!(auto.resolved_threads(8, 100_000, 100_000, 50_000), 1);
+        // An empty partition divides by no zero.
+        assert_eq!(auto.resolved_threads(8, 5000, 0, 0), 1);
     }
 
     #[test]
     fn auto_parallelism_scales_with_hardware_and_units() {
         let auto = Parallelism::Auto;
-        assert_eq!(auto.resolved_threads(8, 5000, 400), 8);
+        assert_eq!(auto.resolved_threads(8, 5000, 400, 1), 8);
+        assert_eq!(auto.resolved_threads(8, 5000, 400, 10), 8);
         // Unit-starved schedules get fewer workers than the hardware has.
-        assert_eq!(auto.resolved_threads(8, 5000, 12), 3);
-        assert_eq!(Parallelism::Serial.resolved_threads(8, 5000, 400), 1);
-        assert_eq!(Parallelism::Threads(3).resolved_threads(8, 10, 1), 3);
-        assert_eq!(Parallelism::Threads(0).resolved_threads(8, 10, 1), 1);
+        assert_eq!(auto.resolved_threads(8, 5000, 12, 1), 3);
+        assert_eq!(auto.resolved_threads(8, 5000, 400, 50), 2);
+        // `synth-mult136`'s shape (272.5 units per level) keeps the
+        // hardware threads.
+        assert_eq!(auto.resolved_threads(2, 365_298, 147_150, 540), 2);
+        assert_eq!(auto.resolved_threads(8, 365_298, 147_150, 540), 8);
+        assert_eq!(Parallelism::Serial.resolved_threads(8, 5000, 400, 1), 1);
+        assert_eq!(Parallelism::Threads(3).resolved_threads(8, 10, 1, 1), 3);
+        assert_eq!(Parallelism::Threads(0).resolved_threads(8, 10, 1, 1), 1);
     }
 
     #[test]
@@ -397,29 +421,60 @@ mod tests {
 
     #[test]
     fn invalid_configs_rejected() {
-        let c = MapConfig {
-            w_max: 0,
-            ..MapConfig::default()
+        let invalid = |c: MapConfig| {
+            assert!(
+                matches!(c.validate(), Err(crate::MapError::InvalidConfig { .. })),
+                "{c:?} must be rejected"
+            );
         };
-        assert!(c.validate().is_err());
-        let c = MapConfig {
+        for (w_max, h_max) in [(0, 8), (1, 8), (5, 1), (1, 1), (u32::MAX, 1)] {
+            invalid(MapConfig {
+                w_max,
+                h_max,
+                ..MapConfig::default()
+            });
+        }
+        // The candidate bound: 5 · 8 · 26 = 1,040 is over 1,024.
+        invalid(MapConfig {
+            max_candidates: 26,
+            ..MapConfig::default()
+        });
+        invalid(MapConfig {
+            w_max: u32::MAX,
+            h_max: u32::MAX,
+            ..MapConfig::default()
+        });
+        // The product is computed without overflow.
+        invalid(MapConfig {
+            max_candidates: usize::MAX,
+            ..MapConfig::default()
+        });
+        invalid(MapConfig {
             max_candidates: 0,
             ..MapConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = MapConfig {
+        });
+        invalid(MapConfig {
             clock_weight: 0,
             ..MapConfig::default()
-        };
-        assert!(c.validate().is_err());
-        let c = MapConfig {
+        });
+        invalid(MapConfig {
             limits: Limits {
                 max_combine_steps: 0,
                 ..Limits::default()
             },
             ..MapConfig::default()
-        };
-        assert!(c.validate().is_err());
+        });
+        // The edge is admitted: 2 × 2 is the smallest shape space, and
+        // 5 · 8 · 25 = 1,000 and 32 · 32 · 1 = 1,024 sit within the bound.
+        for (w_max, h_max, max_candidates) in [(2, 2, 1), (2, 2, 256), (5, 8, 25), (32, 32, 1)] {
+            let c = MapConfig {
+                w_max,
+                h_max,
+                max_candidates,
+                ..MapConfig::default()
+            };
+            assert!(c.validate().is_ok(), "{c:?} must be admitted");
+        }
     }
 
     #[test]
@@ -427,7 +482,6 @@ mod tests {
         let l = Limits::default();
         assert!(l.validate().is_ok());
         assert!(l.max_gates >= 100_000);
-        assert!(l.max_tuples_per_node >= 64);
     }
 
     #[test]

@@ -10,7 +10,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use soi_netlist::fx::FxHashSet;
 use soi_trace::{Counter, Gauge, Stage, TraceHandle};
 use soi_unate::{ConePartition, ConeUnit, Literal, UId, UNode, UnateNetwork};
 
@@ -24,9 +23,6 @@ use crate::{Algorithm, Cost, CostModel, Footing, MapConfig, MapError};
 pub(crate) struct Solution {
     /// One solution per unate node.
     pub(crate) sols: Vec<NodeSol>,
-    /// Nodes where the degradation fallback forced a gate boundary (empty
-    /// unless [`MapConfig::degrade_unmappable`] is set and triggered).
-    pub(crate) degraded: Vec<UId>,
     /// Largest exported-candidate count any single node reached — the
     /// memory high-water mark of the DP (diagnostics; deterministic).
     pub(crate) peak_candidates: usize,
@@ -424,10 +420,6 @@ impl SolView<'_> {
     }
 }
 
-/// What a per-node solver returns: the node's solution plus whether the
-/// degradation fallback fired.
-pub(crate) type NodeOutcome = (NodeSol, bool);
-
 /// A per-node DP step: solves `node` given the solutions of its fanins.
 pub(crate) trait NodeSolver: Sync {
     fn solve_node(
@@ -437,13 +429,12 @@ pub(crate) trait NodeSolver: Sync {
         scratch: &mut Scratch,
         id: UId,
         node: UNode,
-    ) -> Result<NodeOutcome, MapError>;
+    ) -> Result<NodeSol, MapError>;
 }
 
 impl<F> NodeSolver for F
 where
-    F: Fn(&NodeCtx<'_>, &SolView<'_>, &mut Scratch, UId, UNode) -> Result<NodeOutcome, MapError>
-        + Sync,
+    F: Fn(&NodeCtx<'_>, &SolView<'_>, &mut Scratch, UId, UNode) -> Result<NodeSol, MapError> + Sync,
 {
     fn solve_node(
         &self,
@@ -452,7 +443,7 @@ where
         scratch: &mut Scratch,
         id: UId,
         node: UNode,
-    ) -> Result<NodeOutcome, MapError> {
+    ) -> Result<NodeSol, MapError> {
         self(ctx, view, scratch, id, node)
     }
 }
@@ -468,7 +459,6 @@ pub(crate) struct CompletedUnit {
 /// Per-worker accumulator merged into the [`Solution`] at the end.
 #[derive(Default)]
 pub(crate) struct UnitAcc {
-    pub degraded: Vec<UId>,
     pub peak_candidates: usize,
     /// Largest candidate count the worker's scratch arena held for one
     /// node (pre-prune frontier high-water; see `Gauge::ScratchHighWater`).
@@ -503,7 +493,7 @@ fn solve_nodes<S: NodeSolver>(
     for &id in nodes {
         let node = unate.node(id);
         let memo = memo.filter(|m| m.enabled());
-        let (sol, deg) = match memo {
+        let sol = match memo {
             Some(memo) if node.is_gate() => {
                 let (key, level_base, hit) = memo.probe(node, ctx.fanouts[id.index()], table);
                 trace.count(Counter::NodeTierProbes, 1);
@@ -520,20 +510,16 @@ fn solve_nodes<S: NodeSolver>(
                     state.acc.cache_misses += 1;
                     let steps_before = ctx.steps_so_far();
                     let view = SolView { table };
-                    let (mut sol, deg) =
-                        solver.solve_node(ctx, &view, &mut state.scratch, id, node)?;
+                    let mut sol = solver.solve_node(ctx, &view, &mut state.scratch, id, node)?;
                     sol.profile = memo::profile(&sol.exported);
                     let steps = ctx.steps_so_far() - steps_before;
-                    memo.insert(
-                        key,
-                        NodeEntry::capture(id, node, &sol, deg, steps, level_base),
-                    );
-                    (sol, deg)
+                    memo.insert(key, NodeEntry::capture(id, node, &sol, steps, level_base));
+                    sol
                 }
             }
             _ => {
                 let view = SolView { table };
-                let (mut sol, deg) = solver.solve_node(ctx, &view, &mut state.scratch, id, node)?;
+                let mut sol = solver.solve_node(ctx, &view, &mut state.scratch, id, node)?;
                 if memo.is_some() {
                     // Literal solutions feed gate probes: they need
                     // profiles too (all-level-0 candidates, so the min
@@ -541,7 +527,7 @@ fn solve_nodes<S: NodeSolver>(
                     // reads profiles again, so the digest walk stops too.
                     sol.profile = memo::profile(&sol.exported);
                 }
-                (sol, deg)
+                sol
             }
         };
         state.acc.peak_candidates = state
@@ -549,9 +535,6 @@ fn solve_nodes<S: NodeSolver>(
             .peak_candidates
             .max(sol.exported.total_candidates());
         state.acc.scratch_high_water = state.acc.scratch_high_water.max(state.scratch.cands.len());
-        if deg {
-            state.acc.degraded.push(id);
-        }
         table.set(id, sol);
     }
     Ok(())
@@ -581,7 +564,6 @@ fn run_unit_isolated<S: NodeSolver>(
             unit: u as u32,
             steps: seed.steps,
         });
-        state.acc.degraded.extend_from_slice(&seed.degraded);
         for sol in &seed.sols {
             state.acc.peak_candidates = state
                 .acc
@@ -678,7 +660,7 @@ pub(crate) fn run_dp<S: NodeSolver>(
         .unwrap_or(1);
     let threads = config
         .parallelism
-        .resolved_threads(hw, gates, partition.units().len())
+        .resolved_threads(hw, gates, partition.units().len(), partition.levels().len())
         .clamp(1, partition.units().len().max(1));
     let mut table = SolTable::new(unate.len());
     let seeds = match salvage {
@@ -752,23 +734,18 @@ pub(crate) fn run_dp<S: NodeSolver>(
         )
     };
 
-    let mut degraded: Vec<UId> = Vec::new();
     let mut completed: Vec<CompletedUnit> = Vec::new();
     let mut peak_candidates = 0usize;
     let mut scratch_high_water = 0usize;
     let mut cache_hits = 0u64;
     let mut cache_misses = 0u64;
     for acc in accs {
-        degraded.extend(acc.degraded);
         completed.extend(acc.completed);
         peak_candidates = peak_candidates.max(acc.peak_candidates);
         scratch_high_water = scratch_high_water.max(acc.scratch_high_water);
         cache_hits += acc.cache_hits;
         cache_misses += acc.cache_misses;
     }
-    // Workers report degradations in unit-completion order; restore the
-    // global topological order (what a serial walk produces).
-    degraded.sort_unstable();
     completed.sort_unstable_by_key(|c| c.unit);
 
     let combine_steps = budget.total();
@@ -782,22 +759,20 @@ pub(crate) fn run_dp<S: NodeSolver>(
                     job::digest(unate, config, algorithm),
                     &partition,
                     &completed,
-                    &degraded,
                     &mut table,
                     combine_steps,
                     trace,
                 );
                 err.with_partial(Arc::new(salvage))
             }
-            // Deterministic failures (budget trips, unmappable nodes)
-            // recur identically on a resume — no salvage.
+            // Deterministic failures (budget trips) recur identically on
+            // a resume — no salvage.
             other => other,
         });
     }
 
     if trace.enabled() {
         trace.count(Counter::CombineSteps, combine_steps);
-        trace.count(Counter::DegradedNodes, degraded.len() as u64);
         trace.gauge(Gauge::PeakCandidates, peak_candidates as u64);
         trace.gauge(Gauge::ThreadsUsed, threads as u64);
         trace.gauge(Gauge::ScratchHighWater, scratch_high_water as u64);
@@ -805,7 +780,6 @@ pub(crate) fn run_dp<S: NodeSolver>(
 
     Ok(Solution {
         sols: table.into_sols(),
-        degraded,
         peak_candidates,
         threads_used: threads,
         cache_hits,
@@ -864,12 +838,11 @@ fn seed_table<'p>(
 /// Collects everything an interrupted run finished into the
 /// [`PartialMapping`] that rides on the interrupt error: the solutions of
 /// every completed unit (moved out of the table), the steps each charged,
-/// its degraded nodes, and the frontier the interrupt cut off.
+/// and the frontier the interrupt cut off.
 fn build_salvage(
     digest: u64,
     partition: &ConePartition,
     completed: &[CompletedUnit],
-    degraded: &[UId],
     table: &mut SolTable,
     combine_steps: u64,
     trace: TraceHandle,
@@ -884,7 +857,6 @@ fn build_salvage(
     let frontier: Vec<usize> = (0..total)
         .filter(|&u| !done[u] && partition.unit(u).deps().iter().all(|&d| done[d]))
         .collect();
-    let degraded: FxHashSet<UId> = degraded.iter().copied().collect();
     let units = completed
         .iter()
         .map(|c| {
@@ -893,11 +865,6 @@ fn build_salvage(
                 unit: c.unit as usize,
                 steps: c.steps,
                 sols: nodes.iter().map(|&id| table.take(id)).collect(),
-                degraded: nodes
-                    .iter()
-                    .copied()
-                    .filter(|id| degraded.contains(id))
-                    .collect(),
             }
         })
         .collect();

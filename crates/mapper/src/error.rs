@@ -29,11 +29,6 @@ pub enum MapError {
         /// The output's name.
         name: String,
     },
-    /// A node admits no tuple within the `(W_max, H_max)` limits.
-    Unmappable {
-        /// Description of the node.
-        what: String,
-    },
     /// A deterministic resource budget from
     /// [`Limits`](crate::Limits) was exhausted.
     BudgetExceeded {
@@ -109,7 +104,6 @@ impl fmt::Display for MapError {
                     "output `{name}` is constant and cannot be mapped to domino"
                 )
             }
-            MapError::Unmappable { what } => write!(f, "no feasible tuple: {what}"),
             MapError::BudgetExceeded { what } => write!(f, "resource budget exceeded: {what}"),
             MapError::Cancelled { what, .. } => write!(f, "mapping cancelled: {what}"),
             MapError::DeadlineExceeded {

@@ -17,7 +17,7 @@ use std::hash::{BuildHasher, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use soi_netlist::fx::FxBuildHasher;
-use soi_unate::{UId, UnateNetwork};
+use soi_unate::UnateNetwork;
 
 use crate::tuple::NodeSol;
 use crate::{Algorithm, MapConfig};
@@ -138,8 +138,6 @@ pub(crate) struct SalvagedUnit {
     pub steps: u64,
     /// The unit's solutions, aligned with its `ConeUnit::nodes`.
     pub sols: Vec<NodeSol>,
-    /// The unit's nodes where the degradation fallback fired.
-    pub degraded: Vec<UId>,
 }
 
 impl PartialMapping {
@@ -250,13 +248,11 @@ fn fingerprint(config: &MapConfig, algorithm: Algorithm) -> u64 {
     config.max_candidates.hash(&mut h);
     config.output_phase.hash(&mut h);
     config.allow_duplication.hash(&mut h);
-    config.degrade_unmappable.hash(&mut h);
     // Of the limits, only the semantic budgets participate: the job-control
     // fields (deadline, cancel token, step trip) interrupt a run without
     // changing any solution, and a resume must digest identically to the
     // interrupted run it is reviving.
     config.limits.max_gates.hash(&mut h);
-    config.limits.max_tuples_per_node.hash(&mut h);
     config.limits.max_combine_steps.hash(&mut h);
     h.finish()
 }
@@ -292,7 +288,6 @@ mod tests {
             unit,
             steps: 7,
             sols: Vec::new(),
-            degraded: Vec::new(),
         };
         let p = PartialMapping::new(10, vec![4, 7], 1234, 0, (0..4).map(unit).collect());
         assert_eq!(p.total_units(), 10);
@@ -321,7 +316,7 @@ mod tests {
         assert_ne!(f, fingerprint(&narrow, Algorithm::SoiDominoMap));
         let tighter = MapConfig {
             limits: crate::Limits {
-                max_tuples_per_node: 17,
+                max_combine_steps: 17,
                 ..base.limits
             },
             ..base

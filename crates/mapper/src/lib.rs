@@ -16,11 +16,15 @@
 //!   minimizes implementation cost *including* the discharge transistors it
 //!   will need (§V).
 //!
-//! The mapping pipeline is [`Mapper::run`]: binate network → unate
-//! conversion (`soi-unate`) → tuple DP → gate materialization → (baselines
-//! only) discharge post-processing. Every mapped circuit is PBE-safe by
-//! construction; `soi-pbe`'s hazard checker and body simulator validate
-//! this in the test suite.
+//! The mapping pipeline is [`Mapper::run`]: configuration check →
+//! binate network → unate conversion (`soi-unate`) → tuple DP → gate
+//! materialization → (baselines only) discharge post-processing. The check,
+//! [`MapConfig::validate`], refuses shape limits below 2 and a per-node
+//! candidate bound above [`MapConfig::MAX_NODE_CANDIDATES`] before any
+//! work, so every admitted configuration maps every node and the DP has
+//! no fallback path. Every mapped circuit is PBE-safe by construction;
+//! `soi-pbe`'s hazard checker and body simulator validate this in the
+//! test suite.
 //!
 //! The DP itself runs over the network's fanout-free cone partition — level
 //! by level, with a barrier between the partition's dependency levels, when

@@ -101,10 +101,10 @@ impl Mapper {
     ///
     /// # Errors
     ///
-    /// Returns a [`MapError`] for invalid configurations, networks that
-    /// fail validation, constant outputs, nodes that do not fit the
-    /// `(W_max, H_max)` limits, or an attached salvage recorded for a
-    /// different run.
+    /// Returns a [`MapError`] for invalid configurations (checked before
+    /// any conversion or DP work), networks that fail validation, constant
+    /// outputs, exhausted budgets, interrupts, or an attached salvage
+    /// recorded for a different run.
     pub fn run(&self, network: &Network) -> Result<MappingResult, MapError> {
         self.config.validate()?;
         let unate = {
@@ -167,7 +167,6 @@ impl Mapper {
             counts,
             unate_gates: ustats.gates(),
             unate_depth: ustats.depth,
-            degraded_nodes: solution.degraded.iter().map(|id| id.index()).collect(),
             peak_candidates: solution.peak_candidates,
             threads_used: solution.threads_used,
             cone_cache_hits: solution.cache_hits,
@@ -268,74 +267,30 @@ mod tests {
     }
 
     #[test]
-    fn tiny_limits_are_unmappable() {
+    fn tiny_limits_are_invalid_config() {
         let n = fig2a_network();
-        let config = MapConfig {
-            w_max: 1,
-            h_max: 1,
-            ..MapConfig::default()
-        };
-        for mapper in [Mapper::baseline(config), Mapper::soi(config)] {
-            assert!(matches!(mapper.run(&n), Err(MapError::Unmappable { .. })));
-        }
-    }
-
-    #[test]
-    fn zero_limits_are_invalid_config() {
-        let n = fig2a_network();
-        let config = MapConfig {
-            w_max: 0,
-            ..MapConfig::default()
-        };
-        assert!(matches!(
-            Mapper::soi(config).run(&n),
-            Err(MapError::InvalidConfig { .. })
-        ));
-    }
-
-    #[test]
-    fn degradation_recovers_unmappable_networks() {
-        let n = fig2a_network();
-        let strict = MapConfig {
-            w_max: 1,
-            h_max: 1,
-            ..MapConfig::default()
-        };
-        let degrade = MapConfig {
-            degrade_unmappable: true,
-            ..strict
-        };
-        for (make, _name) in [
-            (Mapper::baseline as fn(MapConfig) -> Mapper, "baseline"),
-            (Mapper::soi as fn(MapConfig) -> Mapper, "soi"),
-        ] {
-            assert!(matches!(
-                make(strict).run(&n),
-                Err(MapError::Unmappable { .. })
-            ));
-            let result = make(degrade).run(&n).unwrap();
-            assert!(result.is_degraded());
-            assert!(!result.degraded_nodes.is_empty());
-            result.circuit.validate().unwrap();
-            assert!(hazard::is_safe(&result.circuit));
-            // The degraded circuit still computes the function.
-            for bits in 0..16u32 {
-                let v: Vec<bool> = (0..4).map(|k| bits & (1 << k) != 0).collect();
-                assert_eq!(
-                    result.circuit.evaluate(&v).unwrap(),
-                    n.simulate(&v).unwrap(),
-                    "bits {bits:04b}"
-                );
+        let unate = convert(&n, &Options::default()).unwrap();
+        for (w_max, h_max) in [(0, 8), (1, 1), (1, 8), (5, 1)] {
+            let config = MapConfig {
+                w_max,
+                h_max,
+                ..MapConfig::default()
+            };
+            for mapper in [
+                Mapper::baseline(config),
+                Mapper::rearrange_stacks(config),
+                Mapper::soi(config),
+            ] {
+                assert!(matches!(
+                    mapper.run(&n),
+                    Err(MapError::InvalidConfig { .. })
+                ));
+                assert!(matches!(
+                    mapper.run_unate(&unate),
+                    Err(MapError::InvalidConfig { .. })
+                ));
             }
         }
-    }
-
-    #[test]
-    fn default_limits_leave_results_unchanged() {
-        let n = fig2a_network();
-        let result = Mapper::soi(MapConfig::default()).run(&n).unwrap();
-        assert!(!result.is_degraded());
-        assert!(result.degraded_nodes.is_empty());
     }
 
     #[test]

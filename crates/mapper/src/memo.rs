@@ -225,8 +225,6 @@ pub(crate) struct NodeEntry {
     old_self: u32,
     /// Capture-time fanin node indices, in operand order.
     fanins: (u32, u32),
-    /// Whether the degradation fallback fired on this gate.
-    degraded: bool,
     /// Combination steps the capture solve charged.
     pub(crate) steps: u64,
     /// Level-normalization base at capture.
@@ -239,7 +237,6 @@ impl NodeEntry {
         id: UId,
         node: UNode,
         sol: &NodeSol,
-        degraded: bool,
         steps: u64,
         level_base: u32,
     ) -> NodeEntry {
@@ -248,16 +245,14 @@ impl NodeEntry {
             sol: sol.clone(),
             old_self: id.index() as u32,
             fanins: (a.index() as u32, b.index() as u32),
-            degraded,
             steps,
             level_base,
         }
     }
 
     /// Deep-copies the cached solution onto gate `node`, translating the
-    /// gate and fanin back-pointers and re-basing levels. Returns the
-    /// solution and whether the capture gate had degraded.
-    pub(crate) fn rebind(&self, id: UId, node: UNode, new_base: u32) -> (NodeSol, bool) {
+    /// gate and fanin back-pointers and re-basing levels.
+    pub(crate) fn rebind(&self, id: UId, node: UNode, new_base: u32) -> NodeSol {
         let (_, a, b) = operands(node);
         let translate = |old: UId| -> UId {
             let idx = old.index() as u32;
@@ -306,7 +301,7 @@ impl NodeEntry {
         if sol.exported.total_candidates() > 0 {
             sol.profile.1 = shift(sol.profile.1);
         }
-        (sol, self.degraded)
+        sol
     }
 }
 

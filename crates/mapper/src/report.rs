@@ -18,16 +18,11 @@ pub struct MappingResult {
     /// Depth of the unate network in 2-input gate levels (the paper's
     /// Table IV second column).
     pub unate_depth: u32,
-    /// Unate-node indices where the mapper fell back to a forced gate
-    /// boundary because no `(W ≤ W_max, H ≤ H_max)` combination existed
-    /// (only when [`MapConfig::degrade_unmappable`] is set; those gates
-    /// exceed the shape limits).
-    ///
-    /// [`MapConfig::degrade_unmappable`]: crate::MapConfig::degrade_unmappable
-    pub degraded_nodes: Vec<usize>,
     /// Largest exported-candidate count any single unate node reached
     /// during the DP — the run's memory high-water mark (deterministic,
-    /// identical between serial and parallel schedules).
+    /// identical between serial and parallel schedules). At most
+    /// `w_max · h_max · max_candidates + 1`, which
+    /// [`MapConfig::validate`](crate::MapConfig::validate) bounds.
     pub peak_candidates: usize,
     /// Worker threads the DP schedule actually used (1 for a serial run;
     /// see [`crate::Parallelism`]).
@@ -49,11 +44,6 @@ pub struct MappingResult {
 }
 
 impl MappingResult {
-    /// Whether the mapper had to relax the shape limits anywhere.
-    pub fn is_degraded(&self) -> bool {
-        !self.degraded_nodes.is_empty()
-    }
-
     /// Fraction of the memo's gate probes it served from a memoized gate,
     /// `hits / (hits + misses)` in `[0, 1]` (`None` when the memo was off
     /// or never probed). Gates solved after the adaptive bypass latched
@@ -73,11 +63,7 @@ impl fmt::Display for MappingResult {
             self.counts,
             self.unate_gates,
             self.unate_depth
-        )?;
-        if self.is_degraded() {
-            write!(f, " [degraded at {} nodes]", self.degraded_nodes.len())?;
-        }
-        Ok(())
+        )
     }
 }
 

@@ -26,11 +26,11 @@
 
 use soi_unate::{UId, UNode, UnateNetwork};
 
-use crate::arena::{skyline_prune, CandArena};
-use crate::dp::{self, NodeCtx, NodeOutcome, Scratch, SolView};
+use crate::arena::skyline_prune;
+use crate::dp::{self, NodeCtx, Scratch, SolView};
 use crate::memo::NodeMemo;
 use crate::tuple::{Cand, CandRef, ExportMap, Form, NodeSol, TupleKey};
-use crate::{Algorithm, AndOrder, Cost, CostModel, MapConfig, MapError, PartialMapping};
+use crate::{Algorithm, AndOrder, Cost, MapConfig, MapError, PartialMapping};
 
 /// Runs the SOI DP, producing one [`NodeSol`] per unate node.
 pub(crate) fn solve(
@@ -58,10 +58,10 @@ fn solve_node(
     scratch: &mut Scratch,
     id: UId,
     node: UNode,
-) -> Result<NodeOutcome, MapError> {
+) -> Result<NodeSol, MapError> {
     let config = ctx.config;
     let (a, b, is_and) = match node {
-        UNode::Lit(l) => return Ok((dp::literal_sol(id, l, config, ctx.model), false)),
+        UNode::Lit(l) => return Ok(dp::literal_sol(id, l, config, ctx.model)),
         UNode::And(a, b) => (a, b, true),
         UNode::Or(a, b) => (a, b, false),
     };
@@ -109,10 +109,9 @@ fn solve_node(
     // `(w-1)·h_grid + (h-1)` in generation order, which is exactly the
     // (shape-lexicographic, then insertion-ordered) sequence the old
     // stable sort over a flat pair list produced. The grid spans the
-    // configured limits widened to 2 so the degraded fallback's
-    // out-of-limit unit combinations (`{1,2}`/`{2,1}`) always have a slot.
-    let w_grid = config.w_max.max(2) as usize;
-    let h_grid = config.h_max.max(2) as usize;
+    // configured limits, which `MapConfig::validate` bounds.
+    let w_grid = config.w_max as usize;
+    let h_grid = config.h_max as usize;
     if buckets.len() < w_grid * h_grid {
         buckets.resize_with(w_grid * h_grid, Vec::new);
     }
@@ -152,50 +151,6 @@ fn solve_node(
             }
         }
     }
-    let mut degraded = false;
-    if generated == 0 && config.degrade_unmappable {
-        // Forced gate boundary: reduce both children to their single-gate
-        // `{1,1}` candidates and combine those, accepting the
-        // out-of-limits shape. The gate formed here exceeds
-        // `(W_max, H_max)`; the node is recorded as degraded.
-        let units_a = left
-            .iter()
-            .filter(|&&(r, _)| r.key == TupleKey::UNIT)
-            .count();
-        let units_b = right
-            .iter()
-            .filter(|&&(r, _)| r.key == TupleKey::UNIT)
-            .count();
-        ctx.charge_many(units_a as u64 * units_b as u64, id)?;
-        for &(ra, ca) in left.iter() {
-            if ra.key != TupleKey::UNIT {
-                continue;
-            }
-            for &(rb, cb) in right.iter() {
-                if rb.key != TupleKey::UNIT {
-                    continue;
-                }
-                generated += 1;
-                let (key, cand) = if is_and {
-                    let key = ra.key.and(rb.key);
-                    (key, combine_and(config, ra, &ca, rb, &cb))
-                } else {
-                    let key = ra.key.or(rb.key);
-                    (key, combine_or(config, ra, &ca, rb, &cb))
-                };
-                buckets[(key.w as usize - 1) * h_grid + key.h as usize - 1].push(cands.push(cand));
-            }
-        }
-        degraded = true;
-    }
-    if generated == 0 {
-        return Err(MapError::Unmappable {
-            what: format!(
-                "node {id} has no (W ≤ {}, H ≤ {}) combination",
-                config.w_max, config.h_max
-            ),
-        });
-    }
     // Candidate-balance bookkeeping (`generated == pruned + exported` per
     // solved node): `generated` is everything that entered the frontier;
     // drops are tallied independently at each site so the balance is a
@@ -233,15 +188,6 @@ fn solve_node(
             shapes.push((key, start, staged.len() as u32 - start));
         }
     }
-    enforce_tuple_cap(
-        shapes,
-        staged,
-        cands,
-        ctx.model,
-        config.limits.max_tuples_per_node,
-    );
-    let survivors: u64 = shapes.iter().map(|&(_, _, len)| u64::from(len)).sum();
-    pruned += staged.len() as u64 - survivors;
     // The gate is formed straight off the staged runs — the same
     // candidates in the same order an ExportMap copy would hold — so a
     // shared node (which discards its bare survivors) never pays for
@@ -259,9 +205,12 @@ fn solve_node(
         ),
         ..NodeSol::default()
     };
-    let gate = sol.gate.as_ref().expect("nonempty bare set");
+    // Both fanins export a `{1,1}` candidate and both limits are at least
+    // 2 (`MapConfig::validate`), so their AND (`{1,2}`) or OR (`{2,1}`)
+    // always fits: a node without a gate is unreachable.
+    let gate = sol.gate.as_ref().expect("an in-limit combination exists");
     let gate_cand = dp::exported_gate_cand(id, gate, ctx.fanouts[id.index()], config);
-    let mut bare_exported = survivors;
+    let mut bare_exported = staged.len() as u64;
     if ctx.fanouts[id.index()] <= 1 || config.allow_duplication {
         sol.exported = ExportMap::from_runs_with_unit(shapes, staged, cands, gate_cand);
     } else {
@@ -279,46 +228,7 @@ fn solve_node(
         trace.count(soi_trace::Counter::PruneBatches, prune_batches);
         trace.count(soi_trace::Counter::SkylineSurvivors, skyline_survivors);
     }
-    Ok((sol, degraded))
-}
-
-/// Enforces [`crate::Limits::max_tuples_per_node`]: when a node's total
-/// candidate count (across all shapes) exceeds the cap, fall back to a
-/// tighter per-shape Pareto cap; when the shape count alone exceeds it,
-/// keep only the cheapest shapes. Never an error — precision degrades, the
-/// run continues.
-///
-/// Operates on the staged runs in place: shortening a run leaves a hole in
-/// `staged`, which [`ExportMap::from_runs`] compacts when copying out.
-pub(crate) fn enforce_tuple_cap(
-    shapes: &mut Vec<(TupleKey, u32, u32)>,
-    staged: &[u32],
-    arena: &CandArena,
-    model: &CostModel,
-    cap: usize,
-) {
-    let total: usize = shapes.iter().map(|&(_, _, len)| len as usize).sum();
-    if total <= cap {
-        return;
-    }
-    // The prune left each shape's run sorted by the model's grounded key,
-    // so truncation keeps the best candidates.
-    let per_shape = (cap / shapes.len()).max(1) as u32;
-    for run in shapes.iter_mut() {
-        run.2 = run.2.min(per_shape);
-    }
-    if shapes.len() > cap {
-        let mut order: Vec<usize> = (0..shapes.len()).collect();
-        order.sort_by_key(|&i| {
-            let (key, start, _) = shapes[i];
-            (model.key(&arena.g(staged[start as usize])), key.w, key.h)
-        });
-        order.truncate(cap);
-        // Restore shape order among the survivors.
-        order.sort_unstable();
-        let survivors: Vec<(TupleKey, u32, u32)> = order.iter().map(|&i| shapes[i]).collect();
-        *shapes = survivors;
-    }
+    Ok(sol)
 }
 
 /// The paper's `combine_or`: bottoms merge and the shared bottom becomes a
@@ -404,7 +314,7 @@ fn and_orders<'c>(
 pub(crate) fn prune_reference(
     cands: impl Iterator<Item = Cand>,
     kept: &mut Vec<Cand>,
-    model: &CostModel,
+    model: &crate::CostModel,
     max: usize,
 ) {
     let dominates = |x: &Cand, y: &Cand| -> bool {
@@ -441,6 +351,8 @@ pub(crate) fn prune_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arena::CandArena;
+    use crate::CostModel;
     use soi_unate::{Literal, Phase, USignal};
 
     fn lit(u: &mut UnateNetwork, i: usize) -> soi_unate::UId {

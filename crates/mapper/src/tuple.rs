@@ -170,9 +170,9 @@ impl ExportMap {
     /// Builds an export set from per-shape runs of staged handles into a
     /// [`CandArena`], in run order. `shapes` must be sorted by key with no
     /// duplicates; each `(key, start, len)` selects
-    /// `staged[start..start + len]`. The runs may leave holes in `staged`
-    /// (capped shapes); the copy compacts them while materializing the
-    /// arena rows into the export's own row-major storage (exports are
+    /// `staged[start..start + len]`. The runs may leave holes in
+    /// `staged`; the copy compacts them while materializing the arena
+    /// rows into the export's own row-major storage (exports are
     /// read whole-candidate-at-a-time by consumers, so they stay AoS —
     /// see DESIGN.md §7.1).
     ///
@@ -477,8 +477,8 @@ mod tests {
 
     #[test]
     fn export_map_from_runs_compacts_holes() {
-        // Staging handles with a capped (shortened) middle run: the copy
-        // drops the hole.
+        // Staging handles with a shortened middle run: the copy drops the
+        // hole.
         let mut arena = CandArena::default();
         let staged: Vec<u32> = [1, 2, 3, 4]
             .iter()
@@ -486,7 +486,7 @@ mod tests {
             .collect();
         let shapes = vec![
             (TupleKey::UNIT, 0u32, 1u32),
-            (TupleKey { w: 1, h: 2 }, 1, 1), // run of 2, capped to 1
+            (TupleKey { w: 1, h: 2 }, 1, 1), // skips staged[2]
             (TupleKey { w: 2, h: 2 }, 3, 1),
         ];
         let m = ExportMap::from_runs(&shapes, &staged, &arena);

@@ -138,8 +138,8 @@ impl fmt::Display for Stage {
 pub enum Counter {
     /// Bare tuple candidates that entered a node's frontier.
     CandidatesGenerated,
-    /// Candidates dropped by Pareto pruning, the per-node tuple cap, or a
-    /// multi-fanout boundary discarding the bare set.
+    /// Candidates dropped by Pareto pruning or by a multi-fanout boundary
+    /// discarding the bare set.
     CandidatesPruned,
     /// Bare candidates a node exports to its consumers (the `{1,1}`
     /// formed-gate candidate is bookkept separately).
@@ -161,8 +161,6 @@ pub enum Counter {
     /// Barrier waits of the DP's scheduler workers: one per worker per
     /// cone-partition level when a run uses more than one worker.
     SchedParks,
-    /// Nodes where the degradation fallback forced a gate boundary.
-    DegradedNodes,
     /// Pre-discharge transistors inserted (DP-attached or post-processed).
     DischargesInserted,
     /// Interrupts (cancellation, deterministic trip, deadline) a run
@@ -207,7 +205,7 @@ pub enum Counter {
 
 impl Counter {
     /// Every counter, in declaration order.
-    pub const ALL: [Counter; 24] = [
+    pub const ALL: [Counter; 23] = [
         Counter::CandidatesGenerated,
         Counter::CandidatesPruned,
         Counter::CandidatesExported,
@@ -217,7 +215,6 @@ impl Counter {
         Counter::NodeTierMisses,
         Counter::SchedSteals,
         Counter::SchedParks,
-        Counter::DegradedNodes,
         Counter::DischargesInserted,
         Counter::CancelsObserved,
         Counter::PanicsContained,
@@ -246,7 +243,6 @@ impl Counter {
             Counter::NodeTierMisses => "node_tier_misses",
             Counter::SchedSteals => "sched_steals",
             Counter::SchedParks => "sched_parks",
-            Counter::DegradedNodes => "degraded_nodes",
             Counter::DischargesInserted => "discharges_inserted",
             Counter::CancelsObserved => "cancels_observed",
             Counter::PanicsContained => "panics_contained",

@@ -1,6 +1,6 @@
 //! The hardened mapping flow: staged pipeline, typed stage errors, resource
-//! guards, graceful degradation, and the cross-stage audit that proves
-//! every mapping.
+//! guards, up-front configuration checks, and the cross-stage audit that
+//! proves every mapping.
 //!
 //! Run with `cargo run --release --example hardened_flow`.
 
@@ -44,21 +44,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         Ok(_) => unreachable!("cm150 needs more than 10 combine steps"),
     }
 
-    // ---- 4. Graceful degradation recovers an unmappable configuration. ---
+    // ---- 4. Shape limits no node can map under are refused up front. ----
     let cramped = MapConfig {
         w_max: 2,
-        h_max: 1, // an AND stack needs H >= 2: strictly unmappable
+        h_max: 1, // an AND of two inputs needs H >= 2
         ..MapConfig::default()
     };
-    let strict = Pipeline::new(Mapper::soi(cramped));
-    let err = strict.run(&network).expect_err("H_max = 1 cannot map ANDs");
-    println!("\nstrict H_max = 1: {err}");
-    let relaxed = strict.with_degradation(true).run(&network)?;
-    println!(
-        "degraded flow maps anyway: {} [forced boundaries at {} nodes, audit clean]",
-        relaxed.result.counts,
-        relaxed.result.degraded_nodes.len()
-    );
+    let err = Pipeline::new(Mapper::soi(cramped))
+        .run(&network)
+        .expect_err("H_max = 1 cannot map ANDs");
+    println!("\nH_max = 1: {err}");
 
     // ---- 5. The audit catches silent protection loss and wrong wires. ----
     // cm150's SOI mapping may need no protection at all, so strip the

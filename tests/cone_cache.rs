@@ -3,7 +3,7 @@
 //!
 //! * Mapping with the memo on is **bit-identical** to mapping with it off
 //!   — same transistor/discharge counts, same materialized domino netlist,
-//!   same degraded-node list, same `peak_candidates` high-water mark — on
+//!   same `peak_candidates` high-water mark — on
 //!   seeded random networks, guard-mutated networks (where the mutation
 //!   still yields a mappable graph, both modes map it the same; where it
 //!   doesn't, both fail with the same error), and registry circuits.
@@ -39,10 +39,6 @@ fn assert_same_mapping(on: &MappingResult, off: &MappingResult, what: &str) {
     assert_eq!(
         on.circuit, off.circuit,
         "{what}: materialized netlists diverge"
-    );
-    assert_eq!(
-        on.degraded_nodes, off.degraded_nodes,
-        "{what}: degraded nodes diverge"
     );
     assert_eq!(
         on.peak_candidates, off.peak_candidates,
@@ -147,22 +143,22 @@ fn repetitive_circuits_hit_the_cache() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Randomized sweep over size, seed, shape limits and duplication:
-    /// memo on and off stay bit-identical, including under degraded
-    /// (relaxed-limit) mappings, and `peak_candidates` is invariant.
+    /// Randomized sweep over size, seed, shape limits down to the
+    /// smallest admitted 2 × 2, and duplication: memo on and off stay
+    /// bit-identical, `peak_candidates` is invariant and within the bound
+    /// `MapConfig::validate` admits.
     #[test]
     fn prop_cone_cache_invariants(
         seed in 0u64..10_000,
         gates in 20usize..140,
-        w_max in 3u32..6,
-        h_max in 4u32..9,
+        w_max in 2u32..6,
+        h_max in 2u32..9,
         allow_duplication in any::<bool>(),
     ) {
         let network = generate(&RandomSpec::control("ccprop", 12, 4, gates, seed));
         let config = MapConfig {
             w_max,
             h_max,
-            degrade_unmappable: true,
             allow_duplication,
             ..MapConfig::default()
         };
@@ -174,7 +170,8 @@ proptest! {
             .expect("unmemoized maps");
         prop_assert_eq!(on.counts, off.counts);
         prop_assert_eq!(&on.circuit, &off.circuit);
-        prop_assert_eq!(&on.degraded_nodes, &off.degraded_nodes);
         prop_assert_eq!(on.peak_candidates, off.peak_candidates);
+        let bound = (w_max * h_max) as usize * config.max_candidates + 1;
+        prop_assert!(on.peak_candidates <= bound, "{} > {}", on.peak_candidates, bound);
     }
 }

@@ -54,13 +54,16 @@ fn a_deep_narrow_partition_maps_identically_on_two_threads() {
     assert!(serial.circuit == parallel.circuit, "the circuits differ");
 }
 
-/// Maps `network` with the default config, proves the mapping by its
-/// certificate and proves it PBE-safe.
+/// Maps `network` with the default config on one thread, proves the
+/// mapping by its certificate and proves it PBE-safe.
 fn maps_and_proves(network: &Network) {
     let result = Mapper::soi(MapConfig::default())
         .run(network)
         .expect("the chain maps");
     assert!(result.circuit.gate_count() > 10_000, "{result}");
+    // `Parallelism::Auto` keeps a partition this deep and narrow serial:
+    // it has too few cone units per level to share out between barriers.
+    assert_eq!(result.threads_used, 1);
 
     let opts = CecOptions::default();
     let report = check_mapped(network, &result.circuit, &opts).expect("the check runs");

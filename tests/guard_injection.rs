@@ -218,9 +218,10 @@ fn untampered_registry_mappings_pass_the_audit_by_certificate() {
     }
 }
 
-/// The pipeline converts with the mapper's own output-phase policy: under
-/// `OutputPhase::Cheapest` every registry circuit maps to the same circuit
-/// through `Pipeline::run` as through `Mapper::run`.
+/// The pipeline's map stage is `Mapper::run`, so it converts with the
+/// mapper's own output-phase policy: under `OutputPhase::Cheapest` every
+/// registry circuit maps to the same circuit through `Pipeline::run` as
+/// through `Mapper::run`.
 #[test]
 fn the_pipeline_maps_like_the_mapper_under_cheapest_output_phases() {
     let config = MapConfig {
@@ -287,10 +288,7 @@ fn poisoned_cone_units_are_contained_on_every_schedule() {
                 .run(&network)
                 .expect("the resumed run maps");
                 assert_eq!(clean.counts, resumed.counts, "{name} seed {seed}");
-                assert_eq!(
-                    clean.degraded_nodes, resumed.degraded_nodes,
-                    "{name} seed {seed}"
-                );
+                assert!(clean.circuit == resumed.circuit, "{name} seed {seed}");
                 assert_eq!(
                     clean.peak_candidates, resumed.peak_candidates,
                     "{name} seed {seed}"
@@ -307,32 +305,44 @@ fn poisoned_cone_units_are_contained_on_every_schedule() {
 }
 
 #[test]
-fn degradation_recovers_tight_limits_and_passes_the_audit() {
-    // H_max = 1 forbids every AND stack: strictly unmappable.
+fn tight_limits_fail_the_map_stage_as_invalid_config() {
+    // H_max = 1 forbids every AND stack, and 2 · 2 · 257 candidates
+    // exceed the per-node bound of 1,024: both are refused before any
+    // mapping work, while the smallest admitted limits, 2 × 2, map and
+    // pass the audit.
     let cramped = MapConfig {
         w_max: 2,
         h_max: 1,
         ..MapConfig::default()
     };
+    let crowded = MapConfig {
+        w_max: 2,
+        h_max: 2,
+        max_candidates: 257,
+        ..MapConfig::default()
+    };
+    let smallest = MapConfig {
+        w_max: 2,
+        h_max: 2,
+        ..MapConfig::default()
+    };
     for &name in &["cm150", "z4ml", "b9"] {
         let network = registry::benchmark(name).expect("registered benchmark");
-        let strict = Pipeline::new(Mapper::soi(cramped));
-        let err = strict.run(&network).expect_err("H_max = 1 cannot map ANDs");
-        assert_eq!(err.stage, Stage::Map, "{name}");
-        assert!(matches!(
-            err.failure,
-            soi_domino::guard::StageFailure::Map(MapError::Unmappable { .. })
-        ));
-
-        let report = strict
-            .with_degradation(true)
+        for config in [cramped, crowded] {
+            let err = Pipeline::new(Mapper::soi(config))
+                .run(&network)
+                .expect_err("out-of-bounds limits are refused");
+            assert_eq!(err.stage, Stage::Map, "{name}");
+            assert!(matches!(
+                err.failure,
+                soi_domino::guard::StageFailure::Map(MapError::InvalidConfig { .. })
+            ));
+        }
+        let report = Pipeline::new(Mapper::soi(smallest))
             .run(&network)
-            .expect("degradation must recover the flow");
-        assert!(report.degraded, "{name}: degradation must be recorded");
-        assert!(report.result.is_degraded());
+            .expect("2 x 2 limits map");
         // The audit ran inside the pipeline: validity, PBE coverage and
-        // accounting hold for the degraded mapping, and its certificate
-        // proves it equivalent.
+        // accounting hold, and the certificate proves it equivalent.
         assert_eq!(report.cec.path, CecPath::Certificate, "{name}");
     }
 }

@@ -1,10 +1,10 @@
 //! PR 2 guarantees, checked end to end:
 //!
 //! * the parallel DP schedule is **bit-identical** to the serial one —
-//!   same circuit (root table included), counts, degraded-node list and
-//!   candidate high-water mark — on seeded random networks and on
-//!   registry benchmarks, and mapping a network equals mapping its unate
-//!   conversion;
+//!   same circuit (root table included), counts and candidate high-water
+//!   mark, which stays within the bound `MapConfig::validate` admits — on
+//!   seeded random networks and on registry benchmarks, and mapping a
+//!   network equals mapping its unate conversion;
 //! * with `allow_duplication`, the amortized gate export
 //!   (`exported_gate_cand` materializing a shared child gate once while
 //!   many consumers reference it) never makes the reported
@@ -67,6 +67,12 @@ fn assert_schedules_agree(network: &soi_domino::netlist::Network, base: MapConfi
             .run(network)
             .expect("serial maps");
         assert!(!serial.circuit.roots().is_empty(), "{what}: no root table");
+        let bound = (base.w_max * base.h_max) as usize * base.max_candidates + 1;
+        assert!(
+            serial.peak_candidates <= bound,
+            "{what}: {} candidates at one node, over the bound {bound}",
+            serial.peak_candidates
+        );
         let from_unate = make(with_parallelism(Parallelism::Serial, base))
             .run_unate(&unate)
             .expect("unate maps");
@@ -85,10 +91,6 @@ fn assert_schedules_agree(network: &soi_domino::netlist::Network, base: MapConfi
             assert_eq!(
                 serial.counts, parallel.counts,
                 "{what}: counts diverge at {threads} threads"
-            );
-            assert_eq!(
-                serial.degraded_nodes, parallel.degraded_nodes,
-                "{what}: degraded nodes diverge at {threads} threads"
             );
             assert_eq!(
                 serial.peak_candidates, parallel.peak_candidates,
@@ -143,21 +145,21 @@ fn duplication_export_counts_match_reconstruction() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Randomized sweep over network size, seed and shape limits: serial
-    /// and parallel SOI mapping stay bit-identical, and the duplication
-    /// recount holds, including under degraded (relaxed-limit) mappings.
+    /// Randomized sweep over network size, seed and shape limits down to
+    /// the smallest admitted 2 × 2: serial and parallel SOI mapping stay
+    /// bit-identical, `peak_candidates` stays within the bound
+    /// `MapConfig::validate` admits, and the duplication recount holds.
     #[test]
     fn prop_parallel_and_duplication_invariants(
         seed in 0u64..10_000,
         gates in 20usize..140,
-        w_max in 3u32..6,
-        h_max in 4u32..9,
+        w_max in 2u32..6,
+        h_max in 2u32..9,
     ) {
         let network = generate(&RandomSpec::control("prop", 12, 4, gates, seed));
         let config = MapConfig {
             w_max,
             h_max,
-            degrade_unmappable: true,
             allow_duplication: true,
             ..MapConfig::default()
         };
@@ -168,8 +170,10 @@ proptest! {
             .run(&network)
             .expect("parallel maps");
         prop_assert_eq!(serial.counts, parallel.counts);
-        prop_assert_eq!(&serial.degraded_nodes, &parallel.degraded_nodes);
+        prop_assert_eq!(&serial.circuit, &parallel.circuit);
         prop_assert_eq!(serial.peak_candidates, parallel.peak_candidates);
+        let bound = (w_max * h_max) as usize * config.max_candidates + 1;
+        prop_assert!(serial.peak_candidates <= bound, "{} > {}", serial.peak_candidates, bound);
         prop_assert_eq!(serial.counts, recount(&serial.circuit));
     }
 }
