@@ -11,11 +11,12 @@
 //!     largest, so its cost per level stays a barrier, not a thread spawn.
 //!   cargo run --release -p soi-bench --bin bench -- --corpus-smoke
 //!     Parses and maps every vendored corpus AIG end to end, then races
-//!     the shipped default config against serial with the memo off (best
-//!     of 2) on both ≥100k-gate synthetics: each must stay within 8x its
-//!     recorded serial baseline, the default must stay within 1.15x of
-//!     serial, and one traced serial run must report every mapping stage,
-//!     with the stages summing to no more than the traced total.
+//!     the shipped default config against serial with the memo off
+//!     (median of 5 interleaved runs each) on both ≥100k-gate synthetics:
+//!     each must stay within 8x its recorded serial baseline, the default
+//!     must stay within 1.15x of serial, and one traced serial run must
+//!     report every mapping stage, with the stages summing to no more than
+//!     the traced total.
 //!   cargo run --release -p soi-bench --bin bench -- --cec-smoke
 //!     Maps both ≥100k-gate synthetics with the shipped default config and
 //!     proves each mapped circuit equivalent to its source network twice:
@@ -40,6 +41,10 @@ use soi_trace::{Recorder, Stage};
 /// Repetitions in `--smoke` mode (cheap circuits, noisy CI hosts).
 const SMOKE_REPS: u32 = 5;
 
+/// Interleaved repetitions per mode on each huge `--corpus-smoke` row;
+/// the gate compares their medians.
+const CORPUS_SMOKE_REPS: u32 = 5;
+
 /// The `--smoke` circuits, smallest first; the gate applies to the last.
 const SMOKE_CIRCUITS: [&str; 3] = ["cm150", "b9", "c880"];
 
@@ -59,11 +64,13 @@ const CORPUS_SMOKE_HUGE: [(&str, f64); 2] =
 const CORPUS_SMOKE_WALL_MULTIPLE: f64 = 8.0;
 
 /// The shipped default config must not lose to serial with the memo off
-/// on any huge circuit by more than this ratio (noise margin included).
-/// On a 2-thread host `synth-mult136` sits near the limit: the default's
-/// 2-thread DP schedule runs slower than the serial DP there, with the
-/// memo on or off, so the gate fails by chance until ROADMAP item 1 fixes
-/// the schedule.
+/// on any huge circuit by more than this ratio (noise margin included),
+/// comparing the medians of [`CORPUS_SMOKE_REPS`] interleaved runs per
+/// mode, which no single slow run moves. On a 2-thread host
+/// `synth-mult136` sits near the limit: its default 2-thread DP, memo on,
+/// runs about as fast as the serial DP with the memo off, so the gate
+/// fails there whenever the host's noise pushes the median ratio past
+/// the limit, until ROADMAP item 1 speeds up the parallel schedule.
 const CORPUS_SMOKE_DEFAULT_MAX_RATIO: f64 = 1.15;
 
 /// Per-stage wall-time breakdown of one traced serial run, in
@@ -115,26 +122,39 @@ fn time_once(mapper: &Mapper, network: &Network) -> (f64, MappingResult) {
     (start.elapsed().as_secs_f64() * 1e3, result)
 }
 
-/// Best-of-`reps` for several modes at once, interleaved round-robin so a
+/// `reps` timed runs of several modes, interleaved round-robin so a
 /// host-load or frequency drift hits every mode equally instead of biasing
-/// whichever mode happened to run in the quiet window.
-fn best_ms_interleaved<const N: usize>(
+/// whichever mode happened to run in the quiet window. Returns each mode's
+/// run times and its last result.
+fn time_interleaved<const N: usize>(
     mappers: [&Mapper; N],
     network: &Network,
     reps: u32,
-) -> [(f64, MappingResult); N] {
-    let mut out = mappers.map(|m| time_once(m, network));
+) -> [(Vec<f64>, MappingResult); N] {
+    let mut out = mappers.map(|m| {
+        let (ms, result) = time_once(m, network);
+        (vec![ms], result)
+    });
     for _ in 1..reps {
         for (i, m) in mappers.iter().enumerate() {
             let (ms, result) = time_once(m, network);
-            if ms < out[i].0 {
-                out[i] = (ms, result);
-            } else {
-                out[i].1 = result;
-            }
+            out[i].0.push(ms);
+            out[i].1 = result;
         }
     }
     out
+}
+
+/// The fastest of `times`.
+fn best(times: &[f64]) -> f64 {
+    times.iter().copied().fold(f64::INFINITY, f64::min)
+}
+
+/// The median of `times` (the upper one of an even count).
+fn median(times: &[f64]) -> f64 {
+    let mut sorted = times.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
 }
 
 /// `SOI_Domino_Map` under `parallelism` with the gate memo off.
@@ -163,7 +183,8 @@ fn smoke() {
     for name in SMOKE_CIRCUITS {
         let network = registry::benchmark(name).expect("registered benchmark");
         let [(serial_ms, s), (parallel_ms, p)] =
-            best_ms_interleaved([&serial, &forced], &network, SMOKE_REPS);
+            time_interleaved([&serial, &forced], &network, SMOKE_REPS);
+        let (serial_ms, parallel_ms) = (best(&serial_ms), best(&parallel_ms));
         assert!(
             same_outcome(&s, &p),
             "{name}: 2-thread DP diverged from serial"
@@ -187,7 +208,8 @@ fn smoke() {
 /// `--corpus-smoke`: every vendored corpus AIG must parse and map end to
 /// end with the shipped default config, and on both ≥100k-gate synthetics
 /// the default must stay inside the wall-clock envelope and within
-/// [`CORPUS_SMOKE_DEFAULT_MAX_RATIO`] of serial, with a complete traced
+/// [`CORPUS_SMOKE_DEFAULT_MAX_RATIO`] of serial (medians of
+/// [`CORPUS_SMOKE_REPS`] interleaved runs each), with a complete traced
 /// stage breakdown. A load failure is an error, never a skip.
 fn corpus_smoke() {
     let mapper = Mapper::soi(MapConfig::default());
@@ -225,7 +247,9 @@ fn corpus_smoke() {
             gates >= 100_000,
             "corpus smoke: `{name}` shrank below the 100k-gate tier ({gates} gates)"
         );
-        let [(serial_ms, s), (default_ms, d)] = best_ms_interleaved([&serial, &mapper], &huge, 2);
+        let [(serial_ms, s), (default_ms, d)] =
+            time_interleaved([&serial, &mapper], &huge, CORPUS_SMOKE_REPS);
+        let (serial_ms, default_ms) = (median(&serial_ms), median(&default_ms));
         assert!(
             same_outcome(&s, &d),
             "corpus smoke: `{name}`: default config diverged from serial"
@@ -278,7 +302,8 @@ fn corpus_smoke() {
         );
         eprintln!(
             "corpus smoke ok: {name} ({gates} gates) serial {serial_ms:.1} ms / default \
-             {default_ms:.1} ms (ratio {ratio:.2}, {} transistors); stages unate {:.1} / cone \
+             {default_ms:.1} ms (medians of {CORPUS_SMOKE_REPS}, ratio {ratio:.2}, {} \
+             transistors); stages unate {:.1} / cone \
              {:.1} / dp {:.1} / reconstruct {:.1} ms (sum {:.1} of {traced_total_ms:.1} ms traced)",
             d.counts.total,
             stages.unate_convert_ms,

@@ -13,9 +13,9 @@
 use soi_unate::{UId, UNode, UnateNetwork};
 
 use crate::arena::CandArena;
-use crate::dp::{self, NodeCtx, Scratch, SolView};
-use crate::memo::NodeMemo;
-use crate::tuple::{Cand, CandRef, ExportMap, Form, NodeSol, TupleKey};
+use crate::dp::{self, NodeCtx, Scratch};
+use crate::table::{NodeSol, SegWriter, SolTable};
+use crate::tuple::{Cand, CandRef, Form, TupleKey};
 use crate::{Algorithm, CostModel, MapConfig, MapError, PartialMapping};
 
 /// Runs the baseline DP, producing one [`NodeSol`] per unate node.
@@ -23,7 +23,7 @@ pub(crate) fn solve(
     unate: &UnateNetwork,
     config: &MapConfig,
     salvage: Option<&PartialMapping>,
-    memo: Option<&NodeMemo>,
+    memo: bool,
 ) -> Result<dp::Solution, MapError> {
     dp::run_dp(
         unate,
@@ -63,19 +63,20 @@ fn consider(
 /// Solves one unate node: keep the single best candidate per shape.
 fn solve_node(
     ctx: &NodeCtx<'_>,
-    view: &SolView<'_>,
+    table: &SolTable,
     scratch: &mut Scratch,
+    out: &mut SegWriter,
     id: UId,
     node: UNode,
 ) -> Result<NodeSol, MapError> {
     let config = ctx.config;
     let model = ctx.model;
     let (a, b, is_and) = match node {
-        UNode::Lit(l) => return Ok(dp::literal_sol(id, l, config, model)),
+        UNode::Lit(l) => return Ok(dp::literal_sol(table, out, l, config, model)),
         UNode::And(a, b) => (a, b, true),
         UNode::Or(a, b) => (a, b, false),
     };
-    let (sol_a, sol_b) = (view.get(a), view.get(b));
+    let (sol_a, sol_b) = (table.node_exports(a), table.node_exports(b));
     // Best candidate per shape, accumulated key-sorted in the reused
     // scratch arena (a handful of shapes — binary search + insert beats
     // hashing at this size, and the order is deterministic for free).
@@ -97,10 +98,10 @@ fn solve_node(
     // upfront — identical cumulative budget totals, one atomic add per
     // node.
     left.clear();
-    left.extend(sol_a.exported_refs(a).map(|(r, c)| (r, *c)));
+    left.extend(sol_a.refs(a).map(|(r, c)| (r, *c)));
     right.clear();
     right_runs.clear();
-    for (key, run) in sol_b.exported.shape_runs() {
+    for (key, run) in sol_b.shape_runs() {
         let start = right.len() as u32;
         right.extend(run.iter().enumerate().map(|(idx, c)| {
             (
@@ -144,41 +145,42 @@ fn solve_node(
         shapes.push((key, i as u32, 1));
     }
     // Gate formation runs straight off the staged runs; a shared node
-    // never materializes the export set it is about to discard.
-    let mut sol = NodeSol {
-        gate: dp::form_gate(
-            config,
-            model,
-            shapes.iter().flat_map(|&(key, start, len)| {
-                let arena = &*cands;
-                staged[start as usize..(start + len) as usize]
-                    .iter()
-                    .map(move |&h| (key, arena.get(h)))
-            }),
-        ),
-        ..NodeSol::default()
-    };
-    // As in the SOI DP, validated limits always fit the AND or OR of the
-    // fanins' `{1,1}` candidates: a node without a gate is unreachable.
-    let gate = sol.gate.as_ref().expect("an in-limit combination exists");
-    let gate_cand = dp::exported_gate_cand(id, gate, ctx.fanouts[id.index()], config);
+    // never copies the bare survivors it is about to discard. As in the
+    // SOI DP, validated limits always fit the AND or OR of the fanins'
+    // `{1,1}` candidates: a node without a gate is unreachable.
+    let gate = dp::form_gate(
+        config,
+        model,
+        shapes.iter().flat_map(|&(key, start, len)| {
+            let arena = &*cands;
+            staged[start as usize..(start + len) as usize]
+                .iter()
+                .map(move |&h| (key, arena.get(h)))
+        }),
+    )
+    .expect("an in-limit combination exists");
+    let gate_cand = dp::exported_gate_cand(id, &gate, ctx.fanouts[id.index()], config);
     let mut bare_exported = bare.len() as u64;
-    if ctx.fanouts[id.index()] <= 1 || config.allow_duplication {
-        sol.exported = ExportMap::from_runs_with_unit(shapes, staged, cands, gate_cand);
+    let exports = if ctx.fanouts[id.index()] <= 1 || config.allow_duplication {
+        out.runs_with_unit(table, shapes, staged, cands, gate_cand)
     } else {
         // A shared node exports only its formed gate: the bare survivors
         // are discarded here, not exported.
         pruned += bare_exported;
         bare_exported = 0;
-        sol.exported = ExportMap::unit(gate_cand);
-    }
+        out.unit(table, gate_cand)
+    };
     let trace = config.trace;
     if trace.enabled() {
         trace.count(soi_trace::Counter::CandidatesGenerated, generated);
         trace.count(soi_trace::Counter::CandidatesPruned, pruned);
         trace.count(soi_trace::Counter::CandidatesExported, bare_exported);
     }
-    Ok(sol)
+    Ok(NodeSol {
+        exports,
+        gate,
+        profile: (0, 0),
+    })
 }
 
 /// PBE-blind combination. Potential-point bookkeeping (`p_dis`, `par_b`)
@@ -257,31 +259,31 @@ mod tests {
     #[test]
     fn fig3_and_node_tuples() {
         let u = fig3_unate();
-        let sols = solve(&u, &fig3_config(), None, None).unwrap().sols;
+        let sols = solve(&u, &fig3_config(), None, false).unwrap();
         // AND node (index 4): bare {1,2} with cost 2, gate cost 7.
-        let and_sol = &sols[4];
-        let bare = &and_sol.exported[&TupleKey { w: 1, h: 2 }];
+        let and_sol = sols.exports(4);
+        let bare = &and_sol[&TupleKey { w: 1, h: 2 }];
         assert_eq!(bare[0].g.tx, 2);
-        let gate = and_sol.gate.as_ref().unwrap();
+        let gate = sols.gate(4);
         assert_eq!(gate.cost.tx, 7); // 2 + 5 (footed: PIs)
                                      // Exported gate tuple carries cost 8 = 7 + the driven transistor.
-        let unit = &and_sol.exported[&TupleKey::UNIT];
+        let unit = &and_sol[&TupleKey::UNIT];
         assert_eq!(unit[0].g.tx, 8);
     }
 
     #[test]
     fn fig3_or_node_selects_cost_4_and_gate_cost_9() {
         let u = fig3_unate();
-        let sols = solve(&u, &fig3_config(), None, None).unwrap().sols;
-        let or_sol = &sols[6];
+        let sols = solve(&u, &fig3_config(), None, false).unwrap();
+        let or_sol = sols.exports(6);
         // {2,2}: both ANDs absorbed, cost 4.
-        let best = &or_sol.exported[&TupleKey { w: 2, h: 2 }];
+        let best = &or_sol[&TupleKey { w: 2, h: 2 }];
         assert_eq!(best[0].g.tx, 4);
         // {2,1}: both as gates, cost 16.
-        let gates = &or_sol.exported[&TupleKey { w: 2, h: 1 }];
+        let gates = &or_sol[&TupleKey { w: 2, h: 1 }];
         assert_eq!(gates[0].g.tx, 16);
         // Final gate: 4 + 5 = 9 (the paper's result).
-        assert_eq!(or_sol.gate.as_ref().unwrap().cost.tx, 9);
+        assert_eq!(sols.gate(6).cost.tx, 9);
     }
 
     #[test]
@@ -291,9 +293,9 @@ mod tests {
         // all-bare solution needs H=2, which fits; instead check the mixed
         // entry loses: the kept {2,2} candidate must cost 4, not 10.
         let u = fig3_unate();
-        let sols = solve(&u, &fig3_config(), None, None).unwrap().sols;
-        let or_sol = &sols[6];
-        assert_eq!(or_sol.exported[&TupleKey { w: 2, h: 2 }][0].g.tx, 4);
+        let sols = solve(&u, &fig3_config(), None, false).unwrap();
+        let or_sol = sols.exports(6);
+        assert_eq!(or_sol[&TupleKey { w: 2, h: 2 }][0].g.tx, 4);
     }
 
     #[test]
@@ -319,11 +321,11 @@ mod tests {
             h_max: 2,
             ..MapConfig::default()
         };
-        let sols = solve(&u, &config, None, None).unwrap().sols;
-        let top = &sols[f.index()];
-        let shapes: Vec<TupleKey> = top.exported.shape_runs().map(|(k, _)| k).collect();
+        let sols = solve(&u, &config, None, false).unwrap();
+        let top = sols.exports(f.index());
+        let shapes: Vec<TupleKey> = top.shape_runs().map(|(k, _)| k).collect();
         assert_eq!(shapes, [TupleKey::UNIT, TupleKey { w: 1, h: 2 }]);
-        for cand in &top.exported[&TupleKey { w: 1, h: 2 }] {
+        for cand in &top[&TupleKey { w: 1, h: 2 }] {
             assert!(
                 matches!(cand.form, Form::And { top, bottom }
                     if top.key == TupleKey::UNIT && bottom.key == TupleKey::UNIT),
@@ -353,10 +355,10 @@ mod tests {
         let f2 = u.add_and(shared, c);
         u.add_output("f1", USignal::Node(f1), false);
         u.add_output("f2", USignal::Node(f2), false);
-        let sols = solve(&u, &MapConfig::default(), None, None).unwrap().sols;
-        let shared_sol = &sols[3];
-        assert_eq!(shared_sol.exported.len(), 1);
-        let unit = &shared_sol.exported[&TupleKey::UNIT];
+        let sols = solve(&u, &MapConfig::default(), None, false).unwrap();
+        let shared_sol = sols.exports(3);
+        assert_eq!(shared_sol.len(), 1);
+        let unit = &shared_sol[&TupleKey::UNIT];
         assert_eq!(unit.len(), 1);
         // Shared: consumers see only the driven transistor.
         assert_eq!(unit[0].g.tx, 1);
@@ -371,8 +373,8 @@ mod tests {
             h_max: 4,
             ..MapConfig::default()
         };
-        let sols = solve(&u, &config, None, None).unwrap().sols;
+        let sols = solve(&u, &config, None, false).unwrap();
         // Single-gate solution: level 1.
-        assert_eq!(sols[6].gate.as_ref().unwrap().cost.level, 1);
+        assert_eq!(sols.gate(6).cost.level, 1);
     }
 }

@@ -88,8 +88,10 @@ pub enum Parallelism {
     Auto,
     /// Single-threaded topological walk (the reference schedule).
     Serial,
-    /// Exactly this many worker threads, regardless of network size
-    /// (values are clamped to at least 1).
+    /// At most this many worker threads, regardless of network size:
+    /// fewer when the cone partition has fewer units, or when the OS
+    /// refuses to start one, in which case the run goes on with the
+    /// workers that started (values are clamped to at least 1).
     Threads(usize),
 }
 
@@ -236,16 +238,18 @@ pub struct MapConfig {
     pub limits: Limits,
     /// Thread schedule of the DP (results are identical in every mode).
     pub parallelism: Parallelism,
-    /// Minimum unate gate count before a mapping run builds its gate
-    /// memo, which solves each distinct (gate kind, fanout, fanin cost
-    /// profiles) step once and replays it onto every repeat. On large
-    /// repetitive netlists most gate solves are replays (`synth-mult136`
-    /// replays 325,473 of its 328,984); on small circuits the hashing and
-    /// capture overhead outruns the re-solve it saves, so the memo stays
-    /// off below this size. An adaptive bypass also latches it off mid-run
-    /// when its hit rate is too low to pay. `0` forces the memo on
-    /// regardless of size; `usize::MAX` turns it off. Results are
-    /// bit-identical either way.
+    /// Minimum unate gate count before a mapping run builds gate memos,
+    /// one per worker thread, each of which solves every distinct (gate
+    /// kind, fanout, fanin cost profiles) step once and replays it onto
+    /// every repeat its worker meets. On large repetitive netlists most
+    /// gate solves are replays (`synth-mult136` replays 325,473 of its
+    /// 328,984 serially; on two threads each worker warms up its own memo,
+    /// so a few thousand more are solved); on small circuits the hashing
+    /// and capture overhead outruns the re-solve it saves, so the memo
+    /// stays off below this size. An adaptive bypass also latches every
+    /// worker's memo off mid-run once one worker's hit rate is too low to
+    /// pay. `0` forces the memo on regardless of size; `usize::MAX` turns
+    /// it off. Results are bit-identical either way.
     pub cone_cache_min_gates: usize,
     /// Fault-injection knob for the containment test suite: panic the
     /// worker solving whichever cone unit contains this unate node index.

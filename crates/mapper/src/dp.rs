@@ -1,8 +1,14 @@
 //! Shared pieces of the two tuple DPs, including the driver that walks a
 //! unate network — serially, or level by level across the independent
 //! fanout-free cones of its cone partition — and hands each node to an
-//! algorithm-specific solver, replaying repeated gates from the per-run
+//! algorithm-specific solver, replaying repeated gates from the worker's
 //! [`NodeMemo`] along the way.
+//!
+//! Nothing on the per-node path is shared between workers except what a
+//! node reads from earlier levels: each worker writes its nodes' exports
+//! to its own segments of the [`SolTable`], probes its own memo and keeps
+//! its own step tally, which it adds to the run's [`Budget`] once per
+//! [`CHECK_STRIDE`] steps and at the end of each cone unit.
 
 use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
@@ -11,18 +17,19 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use soi_trace::{Counter, Gauge, Stage, TraceHandle};
-use soi_unate::{ConePartition, ConeUnit, Literal, UId, UNode, UnateNetwork};
+use soi_unate::{ConePartition, Literal, UId, UNode, UnateNetwork};
 
 use crate::arena::CandArena;
 use crate::job::{self, CancelToken, PartialMapping, SalvagedUnit};
-use crate::memo::{self, NodeEntry, NodeMemo};
-use crate::tuple::{Cand, CandRef, Form, GateSol, NodeSol, TupleKey};
+use crate::memo::{self, MemoLatch, NodeEntry, NodeMemo};
+use crate::table::{NodeSol, SegWriter, SolTable};
+use crate::tuple::{Cand, CandRef, Form, GateSol, TupleKey};
 use crate::{Algorithm, Cost, CostModel, Footing, MapConfig, MapError};
 
 /// The product of one DP run over a unate network.
 pub(crate) struct Solution {
     /// One solution per unate node.
-    pub(crate) sols: Vec<NodeSol>,
+    pub(crate) table: SolTable,
     /// Largest exported-candidate count any single node reached — the
     /// memory high-water mark of the DP (diagnostics; deterministic).
     pub(crate) peak_candidates: usize,
@@ -38,25 +45,40 @@ pub(crate) struct Solution {
     pub(crate) combine_steps: u64,
 }
 
+#[cfg(test)]
+impl Solution {
+    /// The exports of node `i`.
+    pub(crate) fn exports(&self, i: usize) -> crate::table::Exports<'_> {
+        self.table.node_exports(UId::from_index(i))
+    }
+
+    /// The gate solution of node `i`.
+    pub(crate) fn gate(&self, i: usize) -> GateSol {
+        self.table.get(UId::from_index(i)).gate
+    }
+}
+
 /// Running charge against the per-run combine-step budget
 /// ([`crate::Limits::max_combine_steps`]).
 ///
 /// The counter is a shared atomic so cone workers running on different
 /// threads charge the same global allowance: the budget stays a single
 /// deterministic limit on the *total* amount of combination work, not a
-/// per-thread one. Whether a run trips the budget is therefore identical
-/// between serial and parallel execution, and between memoized and
-/// unmemoized execution (a memo hit charges the exact step count the
-/// solver would have performed); only which node reports the exhaustion
-/// first may differ under contention.
+/// per-thread one. Each worker tallies its steps locally
+/// ([`NodeCtx::charge_many`]) and adds them here at least once per
+/// [`CHECK_STRIDE`] steps and at the end of every cone unit, so by the
+/// end of a run every step is charged. Whether a run trips the budget is
+/// therefore identical between serial and parallel execution, and between
+/// memoized and unmemoized execution (a memo hit charges the exact step
+/// count the solver would have performed); only which node reports the
+/// exhaustion first may differ between schedules.
 ///
 /// The budget doubles as the run's **interrupt poll point**: the shared
 /// cancellation token, the deterministic step trip and the wall-clock
-/// deadline from [`crate::Limits`] are checked here — once per
-/// [`CHECK_STRIDE`] combine steps inside the inner loop, plus at every
-/// cone-unit boundary — so every worker observes an interrupt within a
-/// bounded amount of work without putting an `Instant::now()` on the hot
-/// path.
+/// deadline from [`crate::Limits`] are checked on every charge — once per
+/// [`CHECK_STRIDE`] combine steps of a worker, plus at every cone-unit
+/// boundary — so every worker observes an interrupt within a bounded
+/// amount of work without putting an `Instant::now()` on the hot path.
 pub(crate) struct Budget {
     steps: AtomicU64,
     max_steps: u64,
@@ -71,10 +93,11 @@ pub(crate) struct Budget {
     trace: TraceHandle,
 }
 
-/// Combine steps between interrupt polls. Coarse enough that the poll
-/// (an atomic load, occasionally a clock read) vanishes next to the
-/// candidate combination work of a stride; fine enough that a cancel or
-/// deadline is observed within microseconds on every schedule.
+/// Combine steps a worker tallies between charges to the shared budget,
+/// each of which polls the interrupts. Coarse enough that the charge (an
+/// atomic add, a few loads, occasionally a clock read) vanishes next to
+/// the candidate combination work of a stride; fine enough that a cancel
+/// or deadline is observed within microseconds on every schedule.
 const CHECK_STRIDE: u64 = 1024;
 
 impl Budget {
@@ -95,18 +118,16 @@ impl Budget {
     /// Single-step charge — test convenience over
     /// [`charge_many`](Budget::charge_many).
     #[cfg(test)]
-    pub(crate) fn charge(&self, node: UId) -> Result<(), MapError> {
+    pub(crate) fn charge(&self, node: UId) -> Result<u64, MapError> {
         self.charge_many(1, node)
     }
 
-    /// Charges `n` candidate-combination steps at once — how a memo hit or
-    /// a salvaged unit pays for the combination work its solution
-    /// originally cost, and how the solvers charge a node's candidate
-    /// cross-product, keeping the cumulative total (and with it budget-trip
-    /// behaviour) identical across all paths.
-    pub(crate) fn charge_many(&self, n: u64, node: UId) -> Result<(), MapError> {
-        let before = self.steps.fetch_add(n, Ordering::Relaxed);
-        let steps = before + n;
+    /// Adds `n` steps a worker tallied to the shared total and polls the
+    /// interrupts; returns the new total. Fails when the total passes the
+    /// budget, or when an interrupt is pending — including the
+    /// deterministic trip, which this charge may be the one to cross.
+    pub(crate) fn charge_many(&self, n: u64, node: UId) -> Result<u64, MapError> {
+        let steps = self.steps.fetch_add(n, Ordering::Relaxed) + n;
         if steps > self.max_steps {
             return Err(MapError::BudgetExceeded {
                 what: format!(
@@ -115,13 +136,8 @@ impl Budget {
                 ),
             });
         }
-        // Poll interrupts once per stride — and always when this charge
-        // crossed the deterministic test trip, so `cancel_after_steps`
-        // interrupts at the exact step count regardless of stride phase.
-        if before / CHECK_STRIDE != steps / CHECK_STRIDE || steps >= self.cancel_after {
-            self.check_interrupt()?;
-        }
-        Ok(())
+        self.poll(steps)?;
+        Ok(steps)
     }
 
     /// Polls the run's interrupt sources: the cancellation token, the
@@ -129,6 +145,19 @@ impl Budget {
     /// the charge stride, at cone-unit boundaries, and by the scheduler's
     /// worker loop.
     pub(crate) fn check_interrupt(&self) -> Result<(), MapError> {
+        // The shared total is read only when a trip is set: the workers
+        // add to it, so reading it costs a cache-line transfer.
+        let steps = if self.cancel_after == u64::MAX {
+            0
+        } else {
+            self.steps.load(Ordering::Relaxed)
+        };
+        self.poll(steps)
+    }
+
+    /// [`check_interrupt`](Budget::check_interrupt) against a known
+    /// total of `steps`.
+    fn poll(&self, steps: u64) -> Result<(), MapError> {
         if self.cancel.is_cancelled() {
             self.trip();
             return Err(MapError::Cancelled {
@@ -136,7 +165,7 @@ impl Budget {
                 partial: None,
             });
         }
-        if self.steps.load(Ordering::Relaxed) >= self.cancel_after {
+        if steps >= self.cancel_after {
             self.trip();
             return Err(MapError::Cancelled {
                 what: format!("deterministic trip at {} combine steps", self.cancel_after),
@@ -240,14 +269,20 @@ fn cost_bound(nodes: usize, config: &MapConfig) -> u64 {
 }
 
 /// Per-worker context for solver invocations: the shared read-only run
-/// state plus this worker's running step count (used to price memo
-/// entries and completed units).
+/// state plus this worker's step tally.
 pub(crate) struct NodeCtx<'a> {
     pub config: &'a MapConfig,
     pub model: &'a CostModel,
     pub fanouts: &'a [u32],
     budget: &'a Budget,
+    /// Steps this worker charged, added to the budget or not (prices memo
+    /// entries and completed units).
     steps: Cell<u64>,
+    /// Steps charged here and not yet added to the budget.
+    pending: Cell<u64>,
+    /// The budget's total after this worker's last charge to it. With one
+    /// worker, `seen + pending` is the exact total.
+    seen: Cell<u64>,
 }
 
 impl<'a> NodeCtx<'a> {
@@ -263,19 +298,42 @@ impl<'a> NodeCtx<'a> {
             fanouts,
             budget,
             steps: Cell::new(0),
+            pending: Cell::new(0),
+            seen: Cell::new(0),
         }
     }
 
-    /// Bulk-charges `n` steps at `node`, keeping the worker tally in step
-    /// with the global budget so memo captures and completed units price
-    /// correctly. Used by memo hits and salvaged units paying for the work
-    /// their solution originally cost, and by the solvers' combination
-    /// loops, which charge a node's whole candidate cross-product upfront
-    /// — one atomic add per node instead of one per pair, with an
-    /// identical cumulative total (so budget-trip behaviour is unchanged).
+    /// Charges `n` steps at `node` to this worker's tally. Used by memo
+    /// hits and salvaged units paying for the work their solution
+    /// originally cost, and by the solvers' combination loops, which
+    /// charge a node's whole candidate cross-product upfront. The tally
+    /// goes to the shared budget once [`CHECK_STRIDE`] steps are pending,
+    /// or at once when the total as this worker knows it could cross the
+    /// budget or the deterministic trip — so with one worker both trip at
+    /// the exact charge they would trip at if every charge went straight
+    /// to the budget.
     pub(crate) fn charge_many(&self, n: u64, node: UId) -> Result<(), MapError> {
         self.steps.set(self.steps.get() + n);
-        self.budget.charge_many(n, node)
+        let pending = self.pending.get() + n;
+        self.pending.set(pending);
+        let known = self.seen.get() + pending;
+        if pending >= CHECK_STRIDE
+            || known > self.budget.max_steps
+            || known >= self.budget.cancel_after
+        {
+            self.flush(node)?;
+        }
+        Ok(())
+    }
+
+    /// Adds the pending steps to the shared budget, polling the
+    /// interrupts (see [`Budget::charge_many`]).
+    fn flush(&self, node: UId) -> Result<(), MapError> {
+        let n = self.pending.replace(0);
+        if n > 0 {
+            self.seen.set(self.budget.charge_many(n, node)?);
+        }
+        Ok(())
     }
 
     fn steps_so_far(&self) -> u64 {
@@ -329,104 +387,17 @@ pub(crate) struct Scratch {
     pub staged: Vec<u32>,
 }
 
-/// The published per-node solutions of one DP run.
-///
-/// Slots are written exactly once — by the single worker that solves the
-/// owning cone, or by the driver seeding a salvaged cone before any worker
-/// starts — and only read by workers whose cone depends on that one. Such
-/// a cone sits in a later level of the cone partition, and the scheduler's
-/// barrier between levels orders the write before the read. That
-/// write-once/read-after discipline is what makes the `UnsafeCell` sound
-/// and buys the O(1) fanin lookup that replaced the old worker-local
-/// overlay scan.
-pub(crate) struct SolTable {
-    slots: Box<[std::cell::UnsafeCell<Option<NodeSol>>]>,
-}
-
-// SAFETY: see the type docs — each slot has exactly one writer, and every
-// reader is ordered after that write by the barrier that ends the
-// writer's level (or, for a seeded slot, by the spawn of the workers).
-unsafe impl Sync for SolTable {}
-
-impl SolTable {
-    pub(crate) fn new(nodes: usize) -> SolTable {
-        SolTable {
-            slots: (0..nodes)
-                .map(|_| std::cell::UnsafeCell::new(None))
-                .collect(),
-        }
-    }
-
-    /// Publishes the solution of `id`. Must be called at most once per id,
-    /// by the worker owning the containing cone, or by the driver seeding
-    /// it before any worker starts.
-    pub(crate) fn set(&self, id: UId, sol: NodeSol) {
-        // SAFETY: single writer per slot (scheduler invariant; a seeded
-        // unit is never solved, so its slots are never written again).
-        unsafe { *self.slots[id.index()].get() = Some(sol) };
-    }
-
-    /// The solution of `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` has not been solved — a scheduling bug.
-    pub(crate) fn get(&self, id: UId) -> &NodeSol {
-        // SAFETY: readers run strictly after the slot's unique write.
-        unsafe { &*self.slots[id.index()].get() }
-            .as_ref()
-            .expect("fanin solved before its consumer")
-    }
-
-    /// Unwraps the table after a fully successful run.
-    fn into_sols(self) -> Vec<NodeSol> {
-        self.slots
-            .into_vec()
-            .into_iter()
-            .map(|slot| slot.into_inner().expect("every node solved"))
-            .collect()
-    }
-
-    /// Moves a solved slot out — the salvage pass uses it to collect the
-    /// solutions of completed units after an interrupted run (when the
-    /// workers are gone and the table may be only partially filled, so
-    /// [`into_sols`](SolTable::into_sols) is off the table).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` has not been solved.
-    fn take(&mut self, id: UId) -> NodeSol {
-        self.slots[id.index()]
-            .get_mut()
-            .take()
-            .expect("every node of a completed unit is solved")
-    }
-}
-
-/// View of the already-solved nodes a solver may read. A thin wrapper over
-/// [`SolTable`] — fanin lookup is a direct indexed read.
-pub(crate) struct SolView<'a> {
-    table: &'a SolTable,
-}
-
-impl SolView<'_> {
-    /// The solution of fanin `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` has not been solved — a scheduling bug.
-    pub fn get(&self, id: UId) -> &NodeSol {
-        self.table.get(id)
-    }
-}
-
-/// A per-node DP step: solves `node` given the solutions of its fanins.
+/// A per-node DP step: solves `node` given the solutions of its fanins in
+/// `table`, writing its exports through the worker's open segment `out`.
+/// The returned header's profile is `(0, 0)`; the driver fills it in when
+/// the memo needs it.
 pub(crate) trait NodeSolver: Sync {
     fn solve_node(
         &self,
         ctx: &NodeCtx<'_>,
-        view: &SolView<'_>,
+        table: &SolTable,
         scratch: &mut Scratch,
+        out: &mut SegWriter,
         id: UId,
         node: UNode,
     ) -> Result<NodeSol, MapError>;
@@ -434,17 +405,26 @@ pub(crate) trait NodeSolver: Sync {
 
 impl<F> NodeSolver for F
 where
-    F: Fn(&NodeCtx<'_>, &SolView<'_>, &mut Scratch, UId, UNode) -> Result<NodeSol, MapError> + Sync,
+    F: Fn(
+            &NodeCtx<'_>,
+            &SolTable,
+            &mut Scratch,
+            &mut SegWriter,
+            UId,
+            UNode,
+        ) -> Result<NodeSol, MapError>
+        + Sync,
 {
     fn solve_node(
         &self,
         ctx: &NodeCtx<'_>,
-        view: &SolView<'_>,
+        table: &SolTable,
         scratch: &mut Scratch,
+        out: &mut SegWriter,
         id: UId,
         node: UNode,
     ) -> Result<NodeSol, MapError> {
-        self(ctx, view, scratch, id, node)
+        self(ctx, table, scratch, out, id, node)
     }
 }
 
@@ -469,11 +449,37 @@ pub(crate) struct UnitAcc {
     pub completed: Vec<CompletedUnit>,
 }
 
-/// A worker's mutable state: scratch arenas plus the accumulator.
-#[derive(Default)]
+/// A worker's mutable state: scratch arenas, the accumulator, its memo
+/// and its open segment.
 pub(crate) struct WorkerState {
     pub scratch: Scratch,
     pub acc: UnitAcc,
+    /// This worker's gate memo, when the run builds memos.
+    memo: Option<NodeMemo>,
+    out: SegWriter,
+}
+
+impl WorkerState {
+    fn new(table: &SolTable, worker: usize, memo: bool) -> WorkerState {
+        WorkerState {
+            scratch: Scratch::default(),
+            acc: UnitAcc::default(),
+            memo: memo.then(NodeMemo::default),
+            out: table.writer(worker),
+        }
+    }
+}
+
+/// What every worker of a run reads: the network, its partition, the
+/// solution table, the solver, the salvage seeds and the memo latch.
+struct Run<'a, S> {
+    unate: &'a UnateNetwork,
+    partition: &'a ConePartition,
+    table: &'a SolTable,
+    solver: &'a S,
+    /// Per unit, the salvage that stands in for solving it.
+    seeds: &'a [Option<&'a SalvagedUnit>],
+    latch: &'a MemoLatch,
 }
 
 /// Solves the given nodes in order, publishing each solution. With a live
@@ -482,101 +488,100 @@ pub(crate) struct WorkerState {
 /// directly (they cost less than a probe).
 fn solve_nodes<S: NodeSolver>(
     ctx: &NodeCtx<'_>,
-    table: &SolTable,
-    unate: &UnateNetwork,
-    solver: &S,
+    run: &Run<'_, S>,
     nodes: &[UId],
     state: &mut WorkerState,
-    memo: Option<&NodeMemo>,
 ) -> Result<(), MapError> {
     let trace = ctx.config.trace;
+    let table = run.table;
+    let WorkerState {
+        scratch,
+        acc,
+        memo,
+        out,
+    } = state;
     for &id in nodes {
-        let node = unate.node(id);
-        let memo = memo.filter(|m| m.enabled());
+        let node = run.unate.node(id);
+        // Once the latch is up nothing probes again, so solutions stop
+        // computing the profiles only probes read.
+        let memo = memo.as_mut().filter(|_| !run.latch.is_raised());
+        let mut capture = None;
         let sol = match memo {
             Some(memo) if node.is_gate() => {
                 let (key, level_base, hit) = memo.probe(node, ctx.fanouts[id.index()], table);
                 trace.count(Counter::NodeTierProbes, 1);
-                if memo.note_probe(hit.is_some()) {
+                if memo.note_probe(hit.is_some(), run.latch) {
                     trace.count(Counter::TierBypasses, 1);
                 }
                 if let Some(entry) = hit {
                     trace.count(Counter::NodeTierHits, 1);
-                    state.acc.cache_hits += 1;
+                    acc.cache_hits += 1;
                     ctx.charge_many(entry.steps, id)?;
-                    entry.rebind(id, node, level_base)
+                    entry.rebind(table, out, id, node, level_base)
                 } else {
                     trace.count(Counter::NodeTierMisses, 1);
-                    state.acc.cache_misses += 1;
+                    acc.cache_misses += 1;
                     let steps_before = ctx.steps_so_far();
-                    let view = SolView { table };
-                    let mut sol = solver.solve_node(ctx, &view, &mut state.scratch, id, node)?;
-                    sol.profile = memo::profile(&sol.exported);
+                    let mut sol = run.solver.solve_node(ctx, table, scratch, out, id, node)?;
+                    sol.profile = memo::profile(out.exports(table, &sol.exports));
                     let steps = ctx.steps_so_far() - steps_before;
-                    memo.insert(key, NodeEntry::capture(id, node, &sol, steps, level_base));
+                    capture = Some((memo, key, NodeEntry::capture(id, node, steps, level_base)));
                     sol
                 }
             }
-            _ => {
-                let view = SolView { table };
-                let mut sol = solver.solve_node(ctx, &view, &mut state.scratch, id, node)?;
+            memo => {
+                let mut sol = run.solver.solve_node(ctx, table, scratch, out, id, node)?;
                 if memo.is_some() {
                     // Literal solutions feed gate probes: they need
                     // profiles too (all-level-0 candidates, so the min
-                    // pins base 0). Once the memo is latched off nothing
-                    // reads profiles again, so the digest walk stops too.
-                    sol.profile = memo::profile(&sol.exported);
+                    // pins base 0).
+                    sol.profile = memo::profile(out.exports(table, &sol.exports));
                 }
                 sol
             }
         };
-        state.acc.peak_candidates = state
-            .acc
-            .peak_candidates
-            .max(sol.exported.total_candidates());
-        state.acc.scratch_high_water = state.acc.scratch_high_water.max(state.scratch.cands.len());
-        table.set(id, sol);
+        acc.peak_candidates = acc.peak_candidates.max(sol.exports.candidates());
+        acc.scratch_high_water = acc.scratch_high_water.max(scratch.cands.len());
+        out.set(table, id, sol);
+        // An entry points at its capture's header, so it goes in after
+        // the header is published.
+        if let Some((memo, key, entry)) = capture {
+            memo.insert(key, entry);
+        }
     }
     Ok(())
 }
 
 /// Runs one cone unit with full job control: an interrupt poll at the
 /// unit boundary, panic containment around the solve, and completion
-/// tracking for salvage. A `seed` (the unit's salvage from an interrupted
-/// run, already in the table) is accounted for instead of solved. Both
-/// schedules funnel through here.
-#[allow(clippy::too_many_arguments)]
+/// tracking for salvage. A salvaged unit (already in the table) is
+/// accounted for instead of solved. Both schedules funnel through here.
 fn run_unit_isolated<S: NodeSolver>(
     ctx: &NodeCtx<'_>,
-    table: &SolTable,
-    unate: &UnateNetwork,
-    unit: &ConeUnit,
-    solver: &S,
-    memo: Option<&NodeMemo>,
-    seed: Option<&SalvagedUnit>,
+    run: &Run<'_, S>,
     state: &mut WorkerState,
     u: usize,
 ) -> Result<(), MapError> {
-    if let Some(seed) = seed {
+    let unit = run.partition.unit(u);
+    if let Some(seed) = run.seeds.get(u).copied().flatten() {
         // Recorded as completed before the charge, so an interrupt the
         // charge observes still salvages the unit again.
         state.acc.completed.push(CompletedUnit {
             unit: u as u32,
             steps: seed.steps,
         });
-        for sol in &seed.sols {
-            state.acc.peak_candidates = state
-                .acc
-                .peak_candidates
-                .max(sol.exported.total_candidates());
+        for sol in &seed.sols.sols {
+            state.acc.peak_candidates = state.acc.peak_candidates.max(sol.exports.candidates());
         }
-        return ctx.charge_many(seed.steps, unit.root());
+        ctx.charge_many(seed.steps, unit.root())?;
+        return ctx.flush(unit.root());
     }
     ctx.check_interrupt()?;
     let steps_before = ctx.steps_so_far();
     // AssertUnwindSafe: on a caught panic the worker's in-progress unit
-    // state (scratch arenas, partially filled table slots) is abandoned —
-    // the salvage pass only ever reads units recorded as completed.
+    // state (scratch arenas, part of its open segment, the unit's
+    // unpublished headers) is abandoned — the salvage pass only ever reads
+    // units recorded as completed.
     let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
         if let Some(poisoned) = ctx.config.poison_node {
             // Fault injection (see `MapConfig::poison_node`): blow up
@@ -590,10 +595,13 @@ fn run_unit_isolated<S: NodeSolver>(
                 panic!("injected fault: poisoned unate node {poisoned}");
             }
         }
-        solve_nodes(ctx, table, unate, solver, unit.nodes(), state, memo)
+        solve_nodes(ctx, run, unit.nodes(), state)
     }));
     match outcome {
         Ok(Ok(())) => {
+            // The unit's steps reach the budget before it counts as
+            // completed.
+            ctx.flush(unit.root())?;
             state.acc.completed.push(CompletedUnit {
                 unit: u as u32,
                 steps: ctx.steps_so_far() - steps_before,
@@ -625,25 +633,24 @@ pub(crate) fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 /// Runs a per-node solver over the whole network, serially or on parallel
-/// workers according to [`MapConfig::parallelism`], through `memo` when
-/// given, and resuming from `salvage` when given.
+/// workers according to [`MapConfig::parallelism`], through per-worker
+/// memos when `memo` is set, and resuming from `salvage` when given.
 ///
 /// Both paths iterate cone units ([`UnateNetwork::cone_partition`]); the
 /// serial path walks them in index order (a valid topological order, and
 /// the reference schedule), the parallel path lets [`crate::sched`] walk
 /// the partition's levels behind a barrier. Because every per-node
-/// computation is a pure function of its fanins' solutions — and the
-/// sorted [`crate::tuple::ExportMap`] makes candidate enumeration order
-/// deterministic — the result is bit-identical across all schedules, with
-/// the memo ([`crate::memo`]) on or off, and whether a unit was solved
-/// here or seeded from a salvage.
+/// computation is a pure function of its fanins' solutions — and sorted
+/// shape runs make candidate enumeration order deterministic — the result
+/// is bit-identical across all schedules, with the memo ([`crate::memo`])
+/// on or off, and whether a unit was solved here or seeded from a salvage.
 pub(crate) fn run_dp<S: NodeSolver>(
     unate: &UnateNetwork,
     config: &MapConfig,
     algorithm: Algorithm,
     solver: S,
     salvage: Option<&PartialMapping>,
-    memo: Option<&NodeMemo>,
+    memo: bool,
 ) -> Result<Solution, MapError> {
     check_gate_budget(unate, config)?;
     let trace = config.trace;
@@ -654,92 +661,72 @@ pub(crate) fn run_dp<S: NodeSolver>(
         let _span = trace.span(Stage::ConePartition);
         unate.cone_partition()
     };
+    let units = partition.units().len();
     let gates = unate.iter().filter(|(_, n)| n.is_gate()).count();
     let hw = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
     let threads = config
         .parallelism
-        .resolved_threads(hw, gates, partition.units().len(), partition.levels().len())
-        .clamp(1, partition.units().len().max(1));
-    let mut table = SolTable::new(unate.len());
+        .resolved_threads(hw, gates, units, partition.levels().len())
+        .clamp(1, units.max(1));
+    let table = SolTable::new(unate.len(), threads);
     let seeds = match salvage {
-        Some(partial) => seed_table(
-            unate,
-            config,
-            algorithm,
-            &partition,
-            &table,
-            partial,
-            memo.is_some(),
-        )?,
+        Some(partial) => seed_table(unate, config, algorithm, &partition, &table, partial, memo)?,
         None => Vec::new(),
     };
-    let seed = |u: usize| seeds.get(u).copied().flatten();
+    let latch = MemoLatch::default();
+    let run = Run {
+        unate,
+        partition: &partition,
+        table: &table,
+        solver: &solver,
+        seeds: &seeds,
+        latch: &latch,
+    };
 
-    let (accs, outcome): (Vec<UnitAcc>, Result<(), MapError>) = if threads <= 1 {
+    // Each worker's accumulator, and the steps an interrupt left in its
+    // tally (a completed unit leaves none).
+    let (accs, outcome): (Vec<(UnitAcc, u64)>, Result<(), MapError>) = if threads <= 1 {
         let ctx = NodeCtx::new(config, &model, &fanouts, &budget);
-        let mut state = WorkerState::default();
-        let mut outcome = Ok(());
-        for (u, unit) in partition.units().iter().enumerate() {
-            if let Err(e) = run_unit_isolated(
-                &ctx,
-                &table,
-                unate,
-                unit,
-                &solver,
-                memo,
-                seed(u),
-                &mut state,
-                u,
-            ) {
-                outcome = Err(e);
-                break;
-            }
-        }
-        (vec![state.acc], outcome)
+        let mut state = WorkerState::new(&table, 0, memo);
+        let outcome = (0..units).try_for_each(|u| run_unit_isolated(&ctx, &run, &mut state, u));
+        (vec![(state.acc, ctx.pending.get())], outcome)
     } else {
-        let table_ref = &table;
-        let partition_ref = &partition;
-        let solver = &solver;
-        let budget_ref = &budget;
+        let run = &run;
         let (workers, outcome) = crate::sched::run_units(
             &partition,
             threads,
-            |_| {
+            |w| {
                 (
                     NodeCtx::new(config, &model, &fanouts, &budget),
-                    WorkerState::default(),
+                    WorkerState::new(&table, w, memo),
                 )
             },
             |(ctx, state): &mut (NodeCtx<'_>, WorkerState), u: usize| {
-                run_unit_isolated(
-                    ctx,
-                    table_ref,
-                    unate,
-                    partition_ref.unit(u),
-                    solver,
-                    memo,
-                    seed(u),
-                    state,
-                    u,
-                )
+                run_unit_isolated(ctx, run, state, u)
             },
-            || budget_ref.check_interrupt(),
+            || budget.check_interrupt(),
             trace,
         );
         (
-            workers.into_iter().map(|(_, state)| state.acc).collect(),
+            workers
+                .into_iter()
+                .map(|(ctx, state)| (state.acc, ctx.pending.get()))
+                .collect(),
             outcome,
         )
     };
+    let threads_used = accs.len();
 
     let mut completed: Vec<CompletedUnit> = Vec::new();
     let mut peak_candidates = 0usize;
     let mut scratch_high_water = 0usize;
     let mut cache_hits = 0u64;
     let mut cache_misses = 0u64;
-    for acc in accs {
+    let mut unflushed = 0u64;
+    for (acc, pending) in accs {
+        unflushed += pending;
         completed.extend(acc.completed);
         peak_candidates = peak_candidates.max(acc.peak_candidates);
         scratch_high_water = scratch_high_water.max(acc.scratch_high_water);
@@ -748,7 +735,7 @@ pub(crate) fn run_dp<S: NodeSolver>(
     }
     completed.sort_unstable_by_key(|c| c.unit);
 
-    let combine_steps = budget.total();
+    let combine_steps = budget.total() + unflushed;
 
     if let Err(err) = outcome {
         return Err(match err {
@@ -759,7 +746,7 @@ pub(crate) fn run_dp<S: NodeSolver>(
                     job::digest(unate, config, algorithm),
                     &partition,
                     &completed,
-                    &mut table,
+                    &table,
                     combine_steps,
                     trace,
                 );
@@ -774,14 +761,14 @@ pub(crate) fn run_dp<S: NodeSolver>(
     if trace.enabled() {
         trace.count(Counter::CombineSteps, combine_steps);
         trace.gauge(Gauge::PeakCandidates, peak_candidates as u64);
-        trace.gauge(Gauge::ThreadsUsed, threads as u64);
+        trace.gauge(Gauge::ThreadsUsed, threads_used as u64);
         trace.gauge(Gauge::ScratchHighWater, scratch_high_water as u64);
     }
 
     Ok(Solution {
-        sols: table.into_sols(),
+        table,
         peak_candidates,
-        threads_used: threads,
+        threads_used,
         cache_hits,
         cache_misses,
         combine_steps,
@@ -789,8 +776,9 @@ pub(crate) fn run_dp<S: NodeSolver>(
 }
 
 /// Seeds the completed units of an interrupted run's `partial` into a
-/// fresh run's solution table, before any worker starts. Returns, per unit
-/// of `partition`, the salvage that stands in for solving it.
+/// fresh run's solution table, in one segment written before any worker
+/// starts. Returns, per unit of `partition`, the salvage that stands in
+/// for solving it.
 ///
 /// # Errors
 ///
@@ -806,11 +794,12 @@ fn seed_table<'p>(
     partial: &'p PartialMapping,
     memo: bool,
 ) -> Result<Vec<Option<&'p SalvagedUnit>>, MapError> {
-    let units = partition.units();
-    let fits =
-        |s: &SalvagedUnit| s.unit < units.len() && s.sols.len() == units[s.unit].nodes().len();
+    let units = partition.units().len();
+    let fits = |s: &SalvagedUnit| {
+        s.unit < units && s.sols.sols.len() == partition.unit(s.unit).nodes().len()
+    };
     if partial.digest != job::digest(unate, config, algorithm)
-        || partial.total_units() != units.len()
+        || partial.total_units() != units
         || !partial.units.iter().all(fits)
     {
         return Err(MapError::InvalidConfig {
@@ -819,16 +808,22 @@ fn seed_table<'p>(
                 .into(),
         });
     }
-    let mut seeds = vec![None; units.len()];
+    let mut seeds = vec![None; units];
+    let mut out = table.seed_writer(partial.units.iter().map(|s| s.sols.candidates()).sum());
     for salvaged in &partial.units {
-        for (&id, sol) in units[salvaged.unit].nodes().iter().zip(&salvaged.sols) {
-            let mut sol = sol.clone();
+        let nodes = partition.unit(salvaged.unit).nodes();
+        for (i, (&id, sol)) in nodes.iter().zip(&salvaged.sols.sols).enumerate() {
+            let exports = salvaged.sols.exports(i);
+            let mut sol = NodeSol {
+                exports: out.copy(table, exports, |c| c),
+                ..*sol
+            };
             if memo {
                 // Memo probes read their fanins' profiles, and the
                 // interrupted run may not have computed them.
-                sol.profile = memo::profile(&sol.exported);
+                sol.profile = memo::profile(exports);
             }
-            table.set(id, sol);
+            out.set(table, id, sol);
         }
         seeds[salvaged.unit] = Some(salvaged);
     }
@@ -836,14 +831,14 @@ fn seed_table<'p>(
 }
 
 /// Collects everything an interrupted run finished into the
-/// [`PartialMapping`] that rides on the interrupt error: the solutions of
-/// every completed unit (moved out of the table), the steps each charged,
-/// and the frontier the interrupt cut off.
+/// [`PartialMapping`] that rides on the interrupt error: owned copies of
+/// the solutions of every completed unit, the steps each charged, and the
+/// frontier the interrupt cut off.
 fn build_salvage(
     digest: u64,
     partition: &ConePartition,
     completed: &[CompletedUnit],
-    table: &mut SolTable,
+    table: &SolTable,
     combine_steps: u64,
     trace: TraceHandle,
 ) -> PartialMapping {
@@ -859,13 +854,10 @@ fn build_salvage(
         .collect();
     let units = completed
         .iter()
-        .map(|c| {
-            let nodes = partition.unit(c.unit as usize).nodes();
-            SalvagedUnit {
-                unit: c.unit as usize,
-                steps: c.steps,
-                sols: nodes.iter().map(|&id| table.take(id)).collect(),
-            }
+        .map(|c| SalvagedUnit {
+            unit: c.unit as usize,
+            steps: c.steps,
+            sols: table.copy_out(partition.unit(c.unit as usize).nodes()),
         })
         .collect();
     trace.count(Counter::UnitsSalvaged, completed.len() as u64);
@@ -985,16 +977,19 @@ pub(crate) fn literal_cand(literal: Literal) -> Cand {
 /// Builds the literal node's solution (exported literal tuple plus a
 /// buffer-style gate for the rare case a literal drives a primary output).
 pub(crate) fn literal_sol(
-    _node: UId,
+    table: &SolTable,
+    out: &mut SegWriter,
     literal: Literal,
     config: &MapConfig,
     model: &CostModel,
 ) -> NodeSol {
-    let mut sol = NodeSol::default();
     let cand = literal_cand(literal);
-    sol.gate = form_gate(config, model, [(TupleKey::UNIT, cand)]);
-    sol.exported.push(TupleKey::UNIT, cand);
-    sol
+    NodeSol {
+        exports: out.unit(table, cand),
+        gate: form_gate(config, model, [(TupleKey::UNIT, cand)])
+            .expect("a single candidate forms a gate"),
+        profile: (0, 0),
+    }
 }
 
 /// Fanout counts of every node, where primary outputs count as consumers.
@@ -1049,8 +1044,9 @@ mod tests {
     fn literal_gate_is_buffer() {
         let config = MapConfig::default();
         let model = CostModel::new(&config, Algorithm::DominoMap);
-        let sol = literal_sol(UId::from_index(0), lit(), &config, &model);
-        let gate = sol.gate.expect("literal has a gate");
+        let table = SolTable::new(1, 1);
+        let sol = literal_sol(&table, &mut table.writer(0), lit(), &config, &model);
+        let gate = sol.gate;
         // 1 transistor + 5 overhead (touches a PI), level 1.
         assert_eq!(gate.cost.tx, 6);
         assert_eq!(gate.cost.level, 1);
@@ -1113,8 +1109,9 @@ mod tests {
     fn shared_gate_exports_unit_cost() {
         let config = MapConfig::default();
         let model = CostModel::new(&config, Algorithm::DominoMap);
-        let sol = literal_sol(UId::from_index(0), lit(), &config, &model);
-        let gate = sol.gate.as_ref().unwrap();
+        let table = SolTable::new(1, 1);
+        let sol = literal_sol(&table, &mut table.writer(0), lit(), &config, &model);
+        let gate = &sol.gate;
         let shared = exported_gate_cand(UId::from_index(0), gate, 3, &config);
         assert_eq!(shared.g.tx, 1);
         assert_eq!(shared.g.level, gate.cost.level);
@@ -1124,15 +1121,127 @@ mod tests {
 
     #[test]
     fn sol_table_round_trips() {
-        let table = SolTable::new(2);
+        let table = SolTable::new(2, 1);
         let config = MapConfig::default();
         let model = CostModel::new(&config, Algorithm::DominoMap);
-        table.set(
-            UId::from_index(1),
-            literal_sol(UId::from_index(1), lit(), &config, &model),
+        let mut out = table.writer(0);
+        let sol = literal_sol(&table, &mut out, lit(), &config, &model);
+        assert!(!table.is_solved(UId::from_index(1)));
+        out.set(&table, UId::from_index(1), sol);
+        assert_eq!(table.node_exports(UId::from_index(1)).flat().count(), 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "solved before its consumer")]
+    fn sol_table_refuses_unsolved_reads() {
+        SolTable::new(2, 1).get(UId::from_index(0));
+    }
+
+    #[test]
+    fn one_worker_tally_trips_at_the_exact_charge() {
+        // The worker tally only reaches the budget every CHECK_STRIDE
+        // steps, but a charge that could cross the budget or the
+        // deterministic trip goes through at once.
+        let mut config = MapConfig::default();
+        config.limits.max_combine_steps = 3 * CHECK_STRIDE;
+        config.limits.cancel_after_steps = Some(2 * CHECK_STRIDE + 5);
+        let model = CostModel::new(&config, Algorithm::SoiDominoMap);
+        let budget = Budget::new(&config);
+        let ctx = NodeCtx::new(&config, &model, &[], &budget);
+        let node = UId::from_index(0);
+        for _ in 0..CHECK_STRIDE - 1 {
+            ctx.charge_many(1, node).unwrap();
+        }
+        assert_eq!(budget.total(), 0, "below the stride nothing is charged");
+        ctx.charge_many(1, node).unwrap();
+        assert_eq!(budget.total(), CHECK_STRIDE);
+        ctx.charge_many(CHECK_STRIDE + 4, node).unwrap();
+        assert!(matches!(
+            ctx.charge_many(1, node),
+            Err(MapError::Cancelled { .. })
+        ));
+        assert_eq!(budget.total(), 2 * CHECK_STRIDE + 5);
+
+        let tight = MapConfig {
+            limits: crate::Limits {
+                max_combine_steps: 10,
+                ..Default::default()
+            },
+            ..config
+        };
+        let budget = Budget::new(&tight);
+        let ctx = NodeCtx::new(&tight, &model, &[], &budget);
+        ctx.charge_many(10, node).unwrap();
+        assert!(matches!(
+            ctx.charge_many(1, node),
+            Err(MapError::BudgetExceeded { .. })
+        ));
+    }
+
+    #[test]
+    fn worker_tallies_reach_the_budget_by_the_unit_end() {
+        // Two workers' tallies stay local until they flush; after the
+        // flushes the shared total is exact.
+        let config = MapConfig::default();
+        let model = CostModel::new(&config, Algorithm::SoiDominoMap);
+        let budget = Budget::new(&config);
+        let node = UId::from_index(0);
+        let (a, b) = (
+            NodeCtx::new(&config, &model, &[], &budget),
+            NodeCtx::new(&config, &model, &[], &budget),
         );
-        let view = SolView { table: &table };
-        assert_eq!(view.get(UId::from_index(1)).exported.total_candidates(), 1);
+        a.charge_many(7, node).unwrap();
+        b.charge_many(5, node).unwrap();
+        assert_eq!(budget.total(), 0);
+        a.flush(node).unwrap();
+        b.flush(node).unwrap();
+        assert_eq!(budget.total(), 12);
+        assert_eq!((a.steps_so_far(), b.steps_so_far()), (7, 5));
+    }
+
+    /// `tests/job_control.rs` cancels this seeded control network at nine
+    /// tenths of its combine steps, serially, and resumes it, to cover a
+    /// salvage taken from several segments. Networks of this profile
+    /// export more candidates per node than a worker's first segment is
+    /// sized for; pinned here: the units that trip completes lie in at
+    /// least two segments of the clean run (the serial walk places them
+    /// the same way in both runs).
+    #[test]
+    fn a_control_network_salvage_spans_several_segments() {
+        use soi_circuits::misc::random::{generate, RandomSpec};
+
+        let network = generate(&RandomSpec::control("jc-segments", 16, 8, 1_500, 9));
+        let unate = soi_unate::convert(&network, &soi_unate::Options::default()).unwrap();
+        let config = MapConfig {
+            parallelism: crate::Parallelism::Serial,
+            ..MapConfig::default()
+        };
+        let memo = unate.stats().gates() >= config.cone_cache_min_gates;
+        let clean = crate::soi::solve(&unate, &config, None, memo).unwrap();
+        let tripped = MapConfig {
+            limits: crate::Limits {
+                cancel_after_steps: Some(clean.combine_steps * 9 / 10),
+                ..config.limits
+            },
+            ..config
+        };
+        let Err(MapError::Cancelled {
+            partial: Some(partial),
+            ..
+        }) = crate::soi::solve(&unate, &tripped, None, memo)
+        else {
+            panic!("the trip must cancel the run");
+        };
+        let partition = unate.cone_partition();
+        let mut segments: Vec<u32> = partial
+            .units
+            .iter()
+            .flat_map(|s| partition.unit(s.unit).nodes())
+            .map(|&id| clean.table.get(id).exports.segment())
+            .collect();
+        segments.sort_unstable();
+        segments.dedup();
+        assert!(segments.len() >= 2, "salvage in segments {segments:?}");
     }
 
     /// The largest clock weight [`check_gate_budget`] admits for `unate`.

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use soi_netlist::fx::FxBuildHasher;
 use soi_unate::UnateNetwork;
 
-use crate::tuple::NodeSol;
+use crate::table::OwnedSols;
 use crate::{Algorithm, MapConfig};
 
 /// A shared flag for cancelling an in-flight mapping run from another
@@ -136,8 +136,9 @@ pub(crate) struct SalvagedUnit {
     pub unit: usize,
     /// Combine steps the unit charged.
     pub steps: u64,
-    /// The unit's solutions, aligned with its `ConeUnit::nodes`.
-    pub sols: Vec<NodeSol>,
+    /// Owned copies of the unit's solutions, aligned with its
+    /// `ConeUnit::nodes`.
+    pub sols: OwnedSols,
 }
 
 impl PartialMapping {
@@ -287,7 +288,7 @@ mod tests {
         let unit = |unit| SalvagedUnit {
             unit,
             steps: 7,
-            sols: Vec::new(),
+            sols: OwnedSols::default(),
         };
         let p = PartialMapping::new(10, vec![4, 7], 1234, 0, (0..4).map(unit).collect());
         assert_eq!(p.total_units(), 10);

@@ -30,10 +30,13 @@
 //! by level, with a barrier between the partition's dependency levels, when
 //! [`MapConfig::parallelism`] resolves to more than one thread, and, on
 //! networks of at least [`MapConfig::cone_cache_min_gates`] gates, through
-//! a per-run gate memo that solves each distinct gate-over-fanin-profiles
+//! per-worker gate memos that solve each distinct gate-over-fanin-profiles
 //! step once, so repetitive netlists (array multipliers, adders) skip most
-//! of their DP work. Both are pure scheduling concerns: results are bit-identical
-//! across thread counts and with the memo on or off.
+//! of their DP work. Each worker writes its nodes' candidates to solution
+//! segments it owns, so the per-node path allocates nothing and shares
+//! nothing but what a node reads from earlier levels. Both are pure
+//! scheduling concerns: results are bit-identical across thread counts and
+//! with the memo on or off.
 //!
 //! The whole pipeline is observable through `soi-trace`: attach a sink
 //! via [`MapConfig::trace`] (e.g. a [`soi_trace::Recorder`]) to receive
@@ -89,6 +92,7 @@ mod reconstruct;
 mod report;
 mod sched;
 mod soi;
+mod table;
 mod tuple;
 
 pub use config::{Algorithm, AndOrder, Footing, Limits, MapConfig, Objective, Parallelism};
@@ -97,5 +101,7 @@ pub use error::MapError;
 pub use job::{CancelToken, PartialMapping};
 pub use map::Mapper;
 pub use report::MappingResult;
+#[doc(hidden)]
+pub use sched::refuse_worker_spawns;
 pub use soi_trace::TraceHandle;
 pub use tuple::TupleKey;

@@ -4,7 +4,6 @@ use soi_netlist::Network;
 use soi_trace::Stage;
 use soi_unate::{convert, Options, UnateNetwork};
 
-use crate::memo::NodeMemo;
 use crate::{
     baseline, reconstruct, soi, Algorithm, MapConfig, MapError, MappingResult, PartialMapping,
 };
@@ -127,25 +126,21 @@ impl Mapper {
     pub fn run_unate(&self, unate: &UnateNetwork) -> Result<MappingResult, MapError> {
         self.config.validate()?;
         let salvage = self.salvage.as_deref();
-        // The memo lives until this run's end, not just the DP's: freed
-        // before reconstruct, it left `synth-mult136` map-and-prove flows
-        // with a 5–7% higher peak RSS.
-        let memo =
-            (unate.stats().gates() >= self.config.cone_cache_min_gates).then(NodeMemo::default);
+        let memo = unate.stats().gates() >= self.config.cone_cache_min_gates;
         let trace = self.config.trace;
         let solution = {
             let _span = trace.span(Stage::Dp);
             match self.algorithm {
                 Algorithm::DominoMap | Algorithm::RsMap => {
-                    baseline::solve(unate, &self.config, salvage, memo.as_ref())?
+                    baseline::solve(unate, &self.config, salvage, memo)?
                 }
-                Algorithm::SoiDominoMap => soi::solve(unate, &self.config, salvage, memo.as_ref())?,
+                Algorithm::SoiDominoMap => soi::solve(unate, &self.config, salvage, memo)?,
             }
         };
         let attach_discharge = matches!(self.algorithm, Algorithm::SoiDominoMap);
         let mut circuit = {
             let _span = trace.span(Stage::Reconstruct);
-            reconstruct::materialize(unate, &solution.sols, &self.config, attach_discharge)?
+            reconstruct::materialize(unate, &solution.table, &self.config, attach_discharge)?
         };
         match self.algorithm {
             Algorithm::DominoMap => {

@@ -21,28 +21,38 @@
 //! structurally equal gate anywhere in the netlist, at any depth (the
 //! offset is re-added at rebind).
 //!
-//! On a hit, the DP deep-copies the cached solution and rewrites its
-//! [`Form`] back-pointers from the capture gate and fanins to the new
-//! ones — a memcpy instead of the candidate-combination loops. Memoized
-//! runs are **bit-identical** to unmemoized runs, including budget
-//! accounting: a hit charges the combination steps its entry originally
-//! cost (see [`crate::dp::Budget::charge_many`]).
+//! An entry points at the header of the gate that captured it. On a hit,
+//! the DP copies the capture's candidates into the worker's open segment
+//! and rewrites their [`Form`] back-pointers from the capture gate and
+//! fanins to the new ones — a copy instead of the candidate-combination
+//! loops. Memoized runs are **bit-identical** to unmemoized runs,
+//! including budget accounting: a hit charges the combination steps its
+//! entry originally cost (see [`crate::dp::NodeCtx::charge_many`]).
 //!
-//! The memo only pays on large repetitive netlists. A run builds one only
-//! past [`MapConfig::cone_cache_min_gates`](crate::MapConfig::cone_cache_min_gates)
-//! gates, and an adaptive bypass ([`NodeMemo::note_probe`]) latches it
-//! off for the rest of the run when its hit rate falls below
-//! [`BYPASS_FLOOR_PERMILLE`]. The memo is internally synchronized: the
-//! workers of a parallel run probe and fill it concurrently.
+//! Each worker owns its memo: a plain map, no lock, and tallies no other
+//! thread touches. A worker only captures gates it solved itself, so an
+//! entry's capture always lives in the worker's own segments. Workers
+//! each warm up their own memo, so a parallel run misses somewhat more
+//! than a serial one; which gates miss depends on which units each worker
+//! drew, and so do the memo counters, never the mapping.
+//!
+//! The memo only pays on large repetitive netlists. A run builds memos
+//! only past [`MapConfig::cone_cache_min_gates`](crate::MapConfig::cone_cache_min_gates)
+//! gates, and an adaptive bypass ([`NodeMemo::note_probe`]) latches all of
+//! them off for the rest of the run when one worker's hit rate falls below
+//! [`BYPASS_FLOOR_PERMILLE`]. The latch ([`MemoLatch`]) is the one piece
+//! the workers share, and it must be: once it is up, solved nodes stop
+//! computing profiles, so no worker may probe afterwards — a worker whose
+//! own window still passed would read the missing profiles of another
+//! worker's nodes.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use soi_netlist::fx::FxHashMap;
 use soi_unate::{UId, UNode};
 
-use crate::dp::SolTable;
-use crate::tuple::{CandRef, ExportMap, Form, NodeSol};
+use crate::table::{Exports, NodeSol, SegWriter, SolTable};
+use crate::tuple::{CandRef, Form};
 
 /// Probe count between adaptive-bypass judgments. Each time the memo's
 /// probe count crosses a multiple of this window, its hit rate is
@@ -64,29 +74,44 @@ pub(crate) const BYPASS_FLOOR_PERMILLE: u64 = 900;
 /// 128-bit memo key, as two independently seeded 64-bit hashes.
 type MemoKey = [u64; 2];
 
-/// A concurrent memo of solved gates, living for one mapping run.
+/// The adaptive bypass's sticky latch, shared by every worker of a run:
+/// raised once, by the first worker whose window judges its memo a loss,
+/// and read before every probe. It sits on a cache line of its own, so
+/// those reads never contend with a write to a neighbour.
+#[derive(Default)]
+#[repr(align(128))]
+pub(crate) struct MemoLatch {
+    bypassed: AtomicBool,
+}
+
+impl MemoLatch {
+    /// Whether the memos are latched off. Relaxed: the latch is sticky,
+    /// and every read that matters is ordered after the raise by program
+    /// order or by a level barrier (see the module docs).
+    pub(crate) fn is_raised(&self) -> bool {
+        self.bypassed.load(Ordering::Relaxed)
+    }
+
+    /// Raises the latch; `true` if this call raised it.
+    fn raise(&self) -> bool {
+        !self.bypassed.swap(true, Ordering::Relaxed)
+    }
+}
+
+/// One worker's memo of solved gates, living for one mapping run.
 #[derive(Default)]
 pub(crate) struct NodeMemo {
     // Fx-hashed: keys are already well-mixed 128-bit digests, and the memo
     // probes once per gate.
-    entries: Mutex<FxHashMap<MemoKey, Arc<NodeEntry>>>,
-    /// Adaptive-bypass bookkeeping: probe and hit tallies, the hits of
-    /// the first (warm-up) window, and the sticky latch.
-    probes: AtomicU64,
-    hits: AtomicU64,
-    warmup_hits: AtomicU64,
-    bypassed: AtomicBool,
+    entries: FxHashMap<MemoKey, NodeEntry>,
+    /// Adaptive-bypass bookkeeping: this worker's probe and hit tallies,
+    /// and the hits of its first (warm-up) window.
+    probes: u64,
+    hits: u64,
+    warmup_hits: u64,
 }
 
 impl NodeMemo {
-    /// Whether the memo is still live (not latched off by the adaptive
-    /// bypass). A bypassed memo is skipped entirely: no probe, no capture,
-    /// no counter traffic — so the probe/hit/miss balance holds across the
-    /// latch, and solutions stop computing profiles nobody reads.
-    pub(crate) fn enabled(&self) -> bool {
-        !self.bypassed.load(Ordering::Relaxed)
-    }
-
     /// Computes the key for gate `node` from its fanout and its two
     /// fanins' profiles and looks it up. Returns the key (for a later
     /// [`insert`](NodeMemo::insert) on a miss), the gate's
@@ -96,71 +121,60 @@ impl NodeMemo {
         node: UNode,
         fanout: u32,
         table: &SolTable,
-    ) -> (MemoKey, u32, Option<Arc<NodeEntry>>) {
+    ) -> (MemoKey, u32, Option<NodeEntry>) {
         let (kind, a, b) = operands(node);
-        let base = table.get(a).profile.1.min(table.get(b).profile.1);
+        let (pa, pb) = (table.get(a).profile, table.get(b).profile);
+        let base = pa.1.min(pb.1);
         let mut h1 = Mix(0x6e6f_6465_7469_6572); // two distinct seeds for
         let mut h2 = Mix(0x7265_6974_6564_6f6e); // the same word stream
         for h in [&mut h1, &mut h2] {
             h.word(kind << 40 | u64::from(fanout) << 8 | u64::from(a == b));
         }
-        for f in [a, b] {
-            let (digest, min) = table.get(f).profile;
+        for (digest, min) in [pa, pb] {
             for h in [&mut h1, &mut h2] {
                 h.word(digest);
                 h.word(u64::from(min - base));
             }
         }
         let key = [h1.0, h2.0];
-        let found = self.entries().get(&key).cloned();
-        (key, base, found)
+        (key, base, self.entries.get(&key).copied())
     }
 
-    /// Stores a freshly captured entry. Two workers missing on the same
-    /// key concurrently both capture (identical) entries; last write wins.
-    pub(crate) fn insert(&self, key: MemoKey, entry: NodeEntry) {
-        self.entries().insert(key, Arc::new(entry));
+    /// Stores a freshly captured entry.
+    pub(crate) fn insert(&mut self, key: MemoKey, entry: NodeEntry) {
+        self.entries.insert(key, entry);
     }
 
     /// Tallies one probe outcome for the adaptive bypass, and at every
-    /// [`BYPASS_PROBE_WINDOW`]-th probe compares the hit rate *since the
-    /// first window closed* against [`BYPASS_FLOOR_PERMILLE`], latching the
-    /// memo off when it underperforms. The first window is a warm-up
-    /// grace: every memo starts cold, so the opening probes miss on even
-    /// the most repetitive netlist, and judging them would latch exactly
-    /// the runs the memo is about to win. The grace is not unconditional,
-    /// though: a first window that cannot clear half the floor is hopeless
-    /// — warming memos climb through mid rates, while low-repetition
-    /// netlists sit far below — so that one case latches immediately.
-    /// Returns `true` exactly once, on the probe that latched (the caller
-    /// traces it). Relaxed ordering throughout: the tallies are
-    /// statistics, and the latch is sticky — a worker reading it a moment
-    /// late merely probes once more.
-    pub(crate) fn note_probe(&self, hit: bool) -> bool {
-        if hit {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-        }
-        let p = self.probes.fetch_add(1, Ordering::Relaxed) + 1;
+    /// [`BYPASS_PROBE_WINDOW`]-th probe of this worker compares its hit
+    /// rate *since its first window closed* against
+    /// [`BYPASS_FLOOR_PERMILLE`], raising the shared `latch` when it
+    /// underperforms. The first window is a warm-up grace: every memo
+    /// starts cold, so the opening probes miss on even the most repetitive
+    /// netlist, and judging them would latch exactly the runs the memo is
+    /// about to win. The grace is not unconditional, though: a first
+    /// window that cannot clear half the floor is hopeless — warming memos
+    /// climb through mid rates, while low-repetition netlists sit far
+    /// below — so that one case latches immediately. Returns `true`
+    /// exactly once per run, on the probe that raised the latch (the
+    /// caller traces it).
+    pub(crate) fn note_probe(&mut self, hit: bool, latch: &MemoLatch) -> bool {
+        self.hits += u64::from(hit);
+        self.probes += 1;
+        let (p, h) = (self.probes, self.hits);
         if !p.is_multiple_of(BYPASS_PROBE_WINDOW) {
             return false;
         }
-        let h = self.hits.load(Ordering::Relaxed);
         if p == BYPASS_PROBE_WINDOW {
             if h * 2000 >= BYPASS_FLOOR_PERMILLE * BYPASS_PROBE_WINDOW {
-                self.warmup_hits.store(h, Ordering::Relaxed);
+                self.warmup_hits = h;
                 return false;
             }
-        } else {
-            let judged = (h - self.warmup_hits.load(Ordering::Relaxed)) * 1000;
-            if judged >= BYPASS_FLOOR_PERMILLE * (p - BYPASS_PROBE_WINDOW) {
-                return false;
-            }
+        } else if (h - self.warmup_hits) * 1000 >= BYPASS_FLOOR_PERMILLE * (p - BYPASS_PROBE_WINDOW)
+        {
+            return false;
         }
-        !self.bypassed.swap(true, Ordering::Relaxed)
-    }
-
-    fn entries(&self) -> std::sync::MutexGuard<'_, FxHashMap<MemoKey, Arc<NodeEntry>>> {
-        self.entries.lock().expect("memo poisoned")
+        latch.raise()
     }
 }
 
@@ -179,7 +193,7 @@ fn operands(node: UNode) -> (u64, UId, UId) {
 /// uniform level shifts, so a probe compares two gates at different logic
 /// depths by hashing `(digest, min - base)` per fanin instead of
 /// re-walking every candidate.
-pub(crate) fn profile(exported: &ExportMap) -> (u64, u32) {
+pub(crate) fn profile(exported: Exports<'_>) -> (u64, u32) {
     let mut min = u32::MAX;
     for (_, c) in exported.flat() {
         min = min.min(c.g.level).min(c.u.level);
@@ -218,11 +232,12 @@ impl Mix {
 
 /// One memoized gate solution: everything needed to replay a gate's DP
 /// step onto another gate with the same kind, fanout and fanin profiles.
+/// The solution itself stays where the capture solve wrote it.
+#[derive(Clone, Copy)]
 pub(crate) struct NodeEntry {
-    sol: NodeSol,
-    /// Capture-time index of the gate itself (its exported gate candidate
-    /// carries a `ChildGate(self)` back-pointer).
-    old_self: u32,
+    /// The capturing gate, whose header holds the solution (its exported
+    /// gate candidate carries a `ChildGate(at)` back-pointer).
+    at: UId,
     /// Capture-time fanin node indices, in operand order.
     fanins: (u32, u32),
     /// Combination steps the capture solve charged.
@@ -232,31 +247,31 @@ pub(crate) struct NodeEntry {
 }
 
 impl NodeEntry {
-    /// Snapshots a just-solved gate.
-    pub(crate) fn capture(
-        id: UId,
-        node: UNode,
-        sol: &NodeSol,
-        steps: u64,
-        level_base: u32,
-    ) -> NodeEntry {
+    /// Records a just-solved gate, already published in the table.
+    pub(crate) fn capture(id: UId, node: UNode, steps: u64, level_base: u32) -> NodeEntry {
         let (_, a, b) = operands(node);
         NodeEntry {
-            sol: sol.clone(),
-            old_self: id.index() as u32,
+            at: id,
             fanins: (a.index() as u32, b.index() as u32),
             steps,
             level_base,
         }
     }
 
-    /// Deep-copies the cached solution onto gate `node`, translating the
-    /// gate and fanin back-pointers and re-basing levels.
-    pub(crate) fn rebind(&self, id: UId, node: UNode, new_base: u32) -> NodeSol {
+    /// Copies the captured solution onto gate `node` through `out`,
+    /// translating the gate and fanin back-pointers and re-basing levels.
+    pub(crate) fn rebind(
+        &self,
+        table: &SolTable,
+        out: &mut SegWriter,
+        id: UId,
+        node: UNode,
+        new_base: u32,
+    ) -> NodeSol {
         let (_, a, b) = operands(node);
         let translate = |old: UId| -> UId {
             let idx = old.index() as u32;
-            if idx == self.old_self {
+            if old == self.at {
                 id
             } else if idx == self.fanins.0 {
                 a
@@ -286,22 +301,29 @@ impl NodeEntry {
         // smaller fanin minimum they combined from), so the shift stays in
         // range.
         let shift = |level: u32| level - self.level_base + new_base;
-        let mut sol = self.sol.clone();
-        for cand in sol.exported.cands_mut() {
+        let (captured, captured_exports) = table.node(self.at);
+        let exports = out.copy(table, captured_exports, |mut cand| {
             cand.form = rebind_form(cand.form);
             cand.g.level = shift(cand.g.level);
             cand.u.level = shift(cand.u.level);
-        }
-        if let Some(gate) = &mut sol.gate {
-            gate.form = rebind_form(gate.form);
-            gate.cost.level = shift(gate.cost.level);
-        }
+            cand
+        });
+        let mut gate = captured.gate;
+        gate.form = rebind_form(gate.form);
+        gate.cost.level = shift(gate.cost.level);
         // The profile digest is shift-invariant; only its min moves. An
         // empty candidate list keeps min 0 (see `profile`).
-        if sol.exported.total_candidates() > 0 {
-            sol.profile.1 = shift(sol.profile.1);
+        let (digest, min) = captured.profile;
+        let min = if exports.candidates() > 0 {
+            shift(min)
+        } else {
+            min
+        };
+        NodeSol {
+            exports,
+            gate,
+            profile: (digest, min),
         }
-        sol
     }
 }
 
@@ -310,8 +332,8 @@ mod tests {
     use super::*;
 
     /// Feeds `n` probe outcomes from `hit(i)`; returns how many latched.
-    fn feed(memo: &NodeMemo, n: u64, hit: impl Fn(u64) -> bool) -> usize {
-        (0..n).filter(|&i| memo.note_probe(hit(i))).count()
+    fn feed(memo: &mut NodeMemo, latch: &MemoLatch, n: u64, hit: impl Fn(u64) -> bool) -> usize {
+        (0..n).filter(|&i| memo.note_probe(hit(i), latch)).count()
     }
 
     #[test]
@@ -320,28 +342,37 @@ mod tests {
         // gets no warm-up grace: runs that probe fewer times than the
         // window (every unit test) are never judged, but a hopeless memo
         // latches the moment the first window closes.
-        let memo = NodeMemo::default();
-        assert_eq!(feed(&memo, BYPASS_PROBE_WINDOW - 1, |_| false), 0);
-        assert!(memo.enabled());
+        let (mut memo, latch) = (NodeMemo::default(), MemoLatch::default());
+        assert_eq!(
+            feed(&mut memo, &latch, BYPASS_PROBE_WINDOW - 1, |_| false),
+            0
+        );
+        assert!(!latch.is_raised());
         // The window-closing probe sees 0‰ < 450‰ (= floor / 2) and
         // latches; the latch edge is reported exactly once.
-        assert!(memo.note_probe(false));
-        assert!(!memo.enabled());
-        assert!(!memo.note_probe(false));
+        assert!(memo.note_probe(false, &latch));
+        assert!(latch.is_raised());
+        assert!(!memo.note_probe(false, &latch));
     }
 
     #[test]
     fn bypass_judges_a_middling_first_window_only_after_warmup() {
         // A 50% first window clears the floor/2 hopelessness check (500‰ ≥
         // 450‰) and becomes the warm-up baseline...
-        let memo = NodeMemo::default();
-        assert_eq!(feed(&memo, BYPASS_PROBE_WINDOW, |i| i % 2 == 0), 0);
-        assert!(memo.enabled());
+        let (mut memo, latch) = (NodeMemo::default(), MemoLatch::default());
+        assert_eq!(
+            feed(&mut memo, &latch, BYPASS_PROBE_WINDOW, |i| i % 2 == 0),
+            0
+        );
+        assert!(!latch.is_raised());
         // ...so a second, all-miss window is judged on its own (0‰ < 900‰)
         // and latches at the second boundary, not before.
-        assert_eq!(feed(&memo, BYPASS_PROBE_WINDOW - 1, |_| false), 0);
-        assert!(memo.note_probe(false));
-        assert!(!memo.enabled());
+        assert_eq!(
+            feed(&mut memo, &latch, BYPASS_PROBE_WINDOW - 1, |_| false),
+            0
+        );
+        assert!(memo.note_probe(false, &latch));
+        assert!(latch.is_raised());
     }
 
     #[test]
@@ -350,10 +381,16 @@ mod tests {
         // hopelessness check), then a hot steady state: the cumulative rate
         // crosses the floor only much later, but the post-warm-up rate is
         // 1000‰ from the second window on, so the memo is never latched.
-        let memo = NodeMemo::default();
-        assert_eq!(feed(&memo, BYPASS_PROBE_WINDOW, |i| i % 20 < 9), 0);
-        assert_eq!(feed(&memo, 4 * BYPASS_PROBE_WINDOW, |_| true), 0);
-        assert!(memo.enabled());
+        let (mut memo, latch) = (NodeMemo::default(), MemoLatch::default());
+        assert_eq!(
+            feed(&mut memo, &latch, BYPASS_PROBE_WINDOW, |i| i % 20 < 9),
+            0
+        );
+        assert_eq!(
+            feed(&mut memo, &latch, 4 * BYPASS_PROBE_WINDOW, |_| true),
+            0
+        );
+        assert!(!latch.is_raised());
     }
 
     #[test]
@@ -362,9 +399,27 @@ mod tests {
         // hit rates: control-style netlists (~800‰) latch, multiplier-style
         // netlists (~989‰) keep their memo.
         for (rate, latches) in [(800, true), (989, false)] {
-            let memo = NodeMemo::default();
-            let latched = feed(&memo, 3 * BYPASS_PROBE_WINDOW, |i| i % 1000 < rate);
+            let (mut memo, latch) = (NodeMemo::default(), MemoLatch::default());
+            let latched = feed(&mut memo, &latch, 3 * BYPASS_PROBE_WINDOW, |i| {
+                i % 1000 < rate
+            });
             assert_eq!(latched == 1, latches, "{rate}‰");
         }
+    }
+
+    #[test]
+    fn one_worker_window_latches_every_worker() {
+        // The latch is shared: a worker whose own window passes still sees
+        // the latch another worker's failing window raised, and only the
+        // raise is reported.
+        let latch = MemoLatch::default();
+        let (mut hot, mut cold) = (NodeMemo::default(), NodeMemo::default());
+        assert_eq!(feed(&mut hot, &latch, 3 * BYPASS_PROBE_WINDOW, |_| true), 0);
+        assert_eq!(feed(&mut cold, &latch, BYPASS_PROBE_WINDOW, |_| false), 1);
+        assert!(latch.is_raised());
+        assert_eq!(
+            feed(&mut cold, &latch, 3 * BYPASS_PROBE_WINDOW, |_| false),
+            0
+        );
     }
 }

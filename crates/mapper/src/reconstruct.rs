@@ -18,21 +18,22 @@ use soi_domino_ir::{DominoCircuit, DominoError, GateId, GateRef, PdnRef, PdnWord
 use soi_pbe::points::Analyzer;
 use soi_unate::{UId, USignal, UnateNetwork};
 
-use crate::tuple::{CandRef, Form, NodeSol};
+use crate::table::SolTable;
+use crate::tuple::{CandRef, Form};
 use crate::{MapConfig, MapError};
 
-/// Builds the final circuit from per-node DP solutions. When
+/// Builds the final circuit from the DP's solution table. When
 /// `attach_discharge` is set (the SOI mapper), every materialized gate
 /// immediately receives pre-discharge transistors on its committed points;
 /// the baselines leave that to post-processing.
 pub(crate) fn materialize(
     unate: &UnateNetwork,
-    sols: &[NodeSol],
+    table: &SolTable,
     config: &MapConfig,
     attach_discharge: bool,
 ) -> Result<DominoCircuit, MapError> {
     let mut m = Materializer {
-        sols,
+        table,
         config,
         attach_discharge,
         circuit: DominoCircuit::new(unate.input_names().to_vec()),
@@ -83,7 +84,7 @@ enum Step {
 }
 
 struct Materializer<'a> {
-    sols: &'a [NodeSol],
+    table: &'a SolTable,
     config: &'a MapConfig,
     attach_discharge: bool,
     circuit: DominoCircuit,
@@ -142,10 +143,7 @@ impl Materializer<'_> {
 
     /// Emits `node`'s gate words onto the word stack and opens its frame.
     fn emit(&mut self, node: UId) -> Result<(), MapError> {
-        let sol = self.sols[node.index()]
-            .gate
-            .as_ref()
-            .expect("every node has a gate solution");
+        let sol = self.table.get(node).gate;
         let start = self.words.len();
         let mut touches_pi = false;
         self.steps.push(Step::Visit(sol.form, Within::Root));
@@ -211,7 +209,7 @@ impl Materializer<'_> {
     }
 
     fn form(&self, cand: &CandRef) -> Form {
-        self.sols[cand.node.index()].exported[&cand.key][cand.idx as usize].form
+        self.table.node_exports(cand.node)[&cand.key][cand.idx as usize].form
     }
 
     /// Appends the innermost frame's gate, all of whose children are
@@ -220,10 +218,7 @@ impl Materializer<'_> {
         let frame = self.frames.pop().expect("a frame to commit");
         let node = frame.node;
         let pdn = PdnRef::new(&self.words[frame.start..]).map_err(arena_error)?;
-        let gate_sol = self.sols[node.index()]
-            .gate
-            .as_ref()
-            .expect("every node has a gate solution");
+        let gate_sol = self.table.get(node).gate;
         debug_assert_eq!(
             crate::TupleKey {
                 w: pdn.width(),

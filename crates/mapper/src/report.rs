@@ -27,14 +27,17 @@ pub struct MappingResult {
     /// Worker threads the DP schedule actually used (1 for a serial run;
     /// see [`crate::Parallelism`]).
     pub threads_used: usize,
-    /// Gate-memo hits of this run: gate solves rebound from a memoized
-    /// structurally equal gate instead of solved. 0 when the memo is off
-    /// (see [`MapConfig::cone_cache_min_gates`]).
+    /// Gate-memo hits of this run, summed over its workers: gate solves
+    /// rebound from a memoized structurally equal gate instead of solved.
+    /// 0 when the memo is off (see [`MapConfig::cone_cache_min_gates`]).
+    /// With more than one worker each keeps its own memo, so the split
+    /// into hits and misses depends on which units each worker drew; the
+    /// mapping does not.
     ///
     /// [`MapConfig::cone_cache_min_gates`]: crate::MapConfig::cone_cache_min_gates
     pub cone_cache_hits: u64,
-    /// Gate-memo misses of this run (gates solved and captured). 0 when
-    /// the memo is off.
+    /// Gate-memo misses of this run (gates solved and captured), summed
+    /// over its workers. 0 when the memo is off.
     pub cone_cache_misses: u64,
     /// Total DP combine steps charged against the step budget — a
     /// deterministic measure of mapping work that is identical across

@@ -11,10 +11,18 @@
 //! The scheduler decides only *when* and *where* a unit runs, never what
 //! it reads, so results are bit-identical to the serial walk.
 //!
-//! **Happens-before.** The barrier is the edge the DP's `SolTable` relies
-//! on: a unit's slot writes happen before its worker reaches the barrier
-//! that ends the unit's level, and every reader of those slots belongs to
-//! a later level, claimed only after that barrier released it.
+//! **Order.** The barrier is what makes the walk a schedule: every unit of
+//! a level has finished before any unit of the next is claimed, so every
+//! fanin a unit reads is solved. The DP's solution table (`crate::table`)
+//! publishes each node through its own index word, so those reads see the
+//! writes they read however the units were ordered.
+//!
+//! **Spawn failure.** Workers are started with
+//! [`std::thread::Builder::spawn_scoped`], so a thread the OS refuses is
+//! an error, not a panic. Spawning stops at the first refusal; the barrier
+//! is sized only then, by the workers that started, which wait for it
+//! before their first claim. With no extra worker the calling thread walks
+//! alone, without a barrier.
 //!
 //! **Drain.** A task error, a task panic and an interrupt seen by `check`
 //! all go to [`Walk::fail`]: the first failure takes the error slot,
@@ -23,14 +31,15 @@
 //! so no worker waits on a peer that has returned. Every task call runs
 //! inside `catch_unwind`, since behind a barrier an escaped panic would
 //! hang the peers; it surfaces as [`MapError::WorkerPanicked`], and the
-//! caller always gets every worker's state back for salvage. The time
-//! from the first failure to the last worker's return is a
+//! caller always gets every started worker's state back for salvage. The
+//! time from the first failure to the last worker's return is a
 //! [`Stage::Drain`] span.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Barrier, Mutex};
+use std::sync::{Barrier, Mutex, OnceLock};
 use std::time::Instant;
 
 use soi_trace::{Counter, Event, Stage, TraceHandle, WorkerStats};
@@ -40,11 +49,16 @@ use crate::MapError;
 
 /// Shared state of one walk.
 struct Walk {
-    /// Each level's units, largest first by node count (ties by index),
-    /// and the position of its next unit to claim.
-    levels: Vec<(Vec<usize>, AtomicUsize)>,
-    /// Separates the levels; `None` with one worker.
-    barrier: Option<Barrier>,
+    /// Every level's units, level after level, each level largest first
+    /// by node count (ties by index).
+    order: Vec<usize>,
+    /// Start of each level in `order`, plus its end.
+    level_starts: Vec<usize>,
+    /// Position of each level's next unit to claim, relative to its start.
+    next: Vec<AtomicUsize>,
+    /// Separates the levels; set once the workers are started, `None`
+    /// with one worker.
+    barrier: OnceLock<Option<Barrier>>,
     /// Set on the first failure; workers stop claiming.
     abort: AtomicBool,
     /// The first failure and when it was recorded (the drain start).
@@ -72,7 +86,16 @@ fn work<W>(
     check: &(impl Fn() -> Result<(), MapError> + Sync),
     trace: TraceHandle,
 ) {
-    for (level, next) in &walk.levels {
+    // Spawned workers start before the barrier exists; the spawner sets it
+    // and unparks them (an unpark before the park makes the park return).
+    let barrier = loop {
+        match walk.barrier.get() {
+            Some(barrier) => break barrier.as_ref(),
+            None => std::thread::park(),
+        }
+    };
+    for (level, next) in walk.level_starts.windows(2).zip(&walk.next) {
+        let level = &walk.order[level[0]..level[1]];
         while !walk.abort.load(Ordering::Acquire) {
             // Poll before every claim, so an interrupt reaches a worker
             // whose peers hold the level's last units. The claim is
@@ -102,23 +125,40 @@ fn work<W>(
                 }
             }
         }
-        if let Some(barrier) = &walk.barrier {
+        if let Some(barrier) = barrier {
             barrier.wait();
             stats.parks += 1;
         }
     }
 }
 
-/// Runs `task` over every unit of `partition` on `threads` workers (the
-/// calling thread is worker 0), level by level, with `make_worker(i)` as
-/// worker `i`'s state and `check` polled before every claim.
+thread_local! {
+    /// Test hook behind [`refuse_worker_spawns`]: the number of the first
+    /// extra worker whose spawn counts as refused, or 0 for none.
+    static REFUSE_SPAWN_FROM: Cell<usize> = const { Cell::new(0) };
+}
+
+/// Test hook for the spawn-failure path: every later run started on the
+/// calling thread treats the spawn of its `n`-th extra worker (1-based)
+/// as refused by the OS, as if thread creation failed; `None` restores
+/// normal spawning. No thread is asked for.
+#[doc(hidden)]
+pub fn refuse_worker_spawns(n: Option<usize>) {
+    REFUSE_SPAWN_FROM.with(|from| from.set(n.unwrap_or(0)));
+}
+
+/// Runs `task` over every unit of `partition` on up to `threads` workers
+/// (the calling thread is worker 0), level by level, with `make_worker(i)`
+/// as worker `i`'s state and `check` polled before every claim. A worker
+/// the OS refuses to start is left out, and so is every worker after it.
 ///
-/// Always returns every worker's state, for salvage, with the outcome:
-/// `Ok(())`, or the first task error, interrupt or contained panic
-/// ([`MapError::WorkerPanicked`]). With `trace` on, it emits each worker's
-/// [`WorkerStats`], the `sched_parks` barrier waits (`threads × levels`
-/// when `threads > 1`) and, after a failure, a [`Stage::Drain`] span from
-/// the first failure to the last worker's return.
+/// Always returns the state of every worker that ran, for salvage, with
+/// the outcome: `Ok(())`, or the first task error, interrupt or contained
+/// panic ([`MapError::WorkerPanicked`]). With `trace` on, it emits each
+/// worker's [`WorkerStats`], the `sched_parks` barrier waits (`workers ×
+/// levels` when more than one ran) and, after a failure, a
+/// [`Stage::Drain`] span from the first failure to the last worker's
+/// return.
 pub(crate) fn run_units<W: Send>(
     partition: &ConePartition,
     threads: usize,
@@ -128,14 +168,22 @@ pub(crate) fn run_units<W: Send>(
     trace: TraceHandle,
 ) -> (Vec<W>, Result<(), MapError>) {
     let threads = threads.clamp(1, partition.units().len().max(1));
-    let largest_first = |level: &Vec<usize>| {
-        let mut level = level.clone();
-        level.sort_by_key(|&u| (Reverse(partition.unit(u).nodes().len()), u));
-        (level, AtomicUsize::new(0))
-    };
+    let mut order = Vec::with_capacity(partition.units().len());
+    let mut level_starts = Vec::with_capacity(partition.levels().len() + 1);
+    level_starts.push(0);
+    for level in partition.levels() {
+        let start = order.len();
+        order.extend_from_slice(level);
+        order[start..].sort_by_key(|&u| (Reverse(partition.unit(u).nodes().len()), u));
+        level_starts.push(order.len());
+    }
     let walk = Walk {
-        levels: partition.levels().iter().map(largest_first).collect(),
-        barrier: (threads > 1).then(|| Barrier::new(threads)),
+        next: (0..partition.levels().len())
+            .map(|_| AtomicUsize::new(0))
+            .collect(),
+        order,
+        level_starts,
+        barrier: OnceLock::new(),
         abort: AtomicBool::new(false),
         failure: Mutex::new(None),
     };
@@ -146,15 +194,38 @@ pub(crate) fn run_units<W: Send>(
             ..WorkerStats::default()
         })
         .collect();
-    std::thread::scope(|s| {
+    let refuse_from = REFUSE_SPAWN_FROM.with(Cell::get);
+    let started = std::thread::scope(|s| {
         let (walk, task, check) = (&walk, &task, &check);
         let mut pairs = states.iter_mut().zip(stats.iter_mut());
         let (first, first_stats) = pairs.next().expect("at least one worker");
-        for (state, stat) in pairs {
-            s.spawn(move || work(walk, state, stat, task, check, trace));
+        let mut spawned = Vec::with_capacity(threads - 1);
+        for (extra, (state, stat)) in pairs.enumerate() {
+            let worker = move || work(walk, state, stat, task, check, trace);
+            let handle = if refuse_from != 0 && extra + 1 >= refuse_from {
+                Err(std::io::Error::other(
+                    "worker spawn refused by the test hook",
+                ))
+            } else {
+                std::thread::Builder::new().spawn_scoped(s, worker)
+            };
+            match handle {
+                Ok(handle) => spawned.push(handle),
+                Err(_) => break,
+            }
+        }
+        let started = spawned.len() + 1;
+        walk.barrier
+            .set((started > 1).then(|| Barrier::new(started)))
+            .expect("the barrier is set once");
+        for handle in &spawned {
+            handle.thread().unpark();
         }
         work(walk, first, first_stats, task, check, trace);
+        started
     });
+    states.truncate(started);
+    stats.truncate(started);
     let failure = walk.failure.into_inner().expect("failure lock poisoned");
     if trace.enabled() {
         if let Some((_, at)) = &failure {
@@ -365,11 +436,11 @@ mod tests {
     fn every_earlier_level_finishes_before_a_later_one_starts() {
         let network = diamond(16);
         let partition = network.cone_partition();
-        let levels = partition.levels();
+        let levels: Vec<&[usize]> = partition.levels().collect();
         assert!(levels.len() > 1);
         let mut level_of = vec![0; partition.units().len()];
         for (l, units) in levels.iter().enumerate() {
-            for &u in units {
+            for &u in *units {
                 level_of[u] = l;
             }
         }
@@ -434,11 +505,48 @@ mod tests {
         );
         outcome.expect("runs");
         let order = order.into_inner().unwrap();
-        let last = partition.levels().last().unwrap();
+        let last = partition.levels().next_back().unwrap();
         let sizes: Vec<usize> = order[order.len() - last.len()..]
             .iter()
             .map(|&unit| partition.unit(unit).nodes().len())
             .collect();
         assert_eq!(sizes, [6, 5, 3, 2, 1]);
+    }
+
+    #[test]
+    fn a_refused_spawn_runs_on_the_workers_that_started() {
+        let network = diamond(16);
+        let partition = network.cone_partition();
+        let n = partition.units().len();
+        let levels = partition.levels().len() as u64;
+        // Refusing the second extra worker leaves two; refusing the first
+        // leaves the calling thread alone, without a barrier.
+        for (refuse, workers) in [(2, 2), (1, 1)] {
+            refuse_worker_spawns(Some(refuse));
+            let (recorder, trace) = soi_trace::Recorder::install();
+            let visits = AtomicUsize::new(0);
+            let (states, outcome) = run_units(
+                &partition,
+                3,
+                |i| i,
+                |_, _| {
+                    visits.fetch_add(1, Ordering::SeqCst);
+                    Ok(())
+                },
+                || Ok(()),
+                trace,
+            );
+            refuse_worker_spawns(None);
+            outcome.expect("runs");
+            assert_eq!(states, (0..workers).collect::<Vec<_>>());
+            assert_eq!(visits.load(Ordering::SeqCst), n);
+            assert_eq!(recorder.workers().len(), workers);
+            let parks = if workers > 1 {
+                workers as u64 * levels
+            } else {
+                0
+            };
+            assert_eq!(recorder.counter(Counter::SchedParks), parks);
+        }
     }
 }

@@ -27,9 +27,9 @@
 use soi_unate::{UId, UNode, UnateNetwork};
 
 use crate::arena::skyline_prune;
-use crate::dp::{self, NodeCtx, Scratch, SolView};
-use crate::memo::NodeMemo;
-use crate::tuple::{Cand, CandRef, ExportMap, Form, NodeSol, TupleKey};
+use crate::dp::{self, NodeCtx, Scratch};
+use crate::table::{NodeSol, SegWriter, SolTable};
+use crate::tuple::{Cand, CandRef, Form, TupleKey};
 use crate::{Algorithm, AndOrder, Cost, MapConfig, MapError, PartialMapping};
 
 /// Runs the SOI DP, producing one [`NodeSol`] per unate node.
@@ -37,7 +37,7 @@ pub(crate) fn solve(
     unate: &UnateNetwork,
     config: &MapConfig,
     salvage: Option<&PartialMapping>,
-    memo: Option<&NodeMemo>,
+    memo: bool,
 ) -> Result<dp::Solution, MapError> {
     dp::run_dp(
         unate,
@@ -54,18 +54,19 @@ pub(crate) fn solve(
 /// then form the node's gate and export set.
 fn solve_node(
     ctx: &NodeCtx<'_>,
-    view: &SolView<'_>,
+    table: &SolTable,
     scratch: &mut Scratch,
+    out: &mut SegWriter,
     id: UId,
     node: UNode,
 ) -> Result<NodeSol, MapError> {
     let config = ctx.config;
     let (a, b, is_and) = match node {
-        UNode::Lit(l) => return Ok(dp::literal_sol(id, l, config, ctx.model)),
+        UNode::Lit(l) => return Ok(dp::literal_sol(table, out, l, config, ctx.model)),
         UNode::And(a, b) => (a, b, true),
         UNode::Or(a, b) => (a, b, false),
     };
-    let (sol_a, sol_b) = (view.get(a), view.get(b));
+    let (sol_a, sol_b) = (table.node_exports(a), table.node_exports(b));
     let Scratch {
         cands,
         left,
@@ -88,10 +89,10 @@ fn solve_node(
     // both AND and OR) and its limit check hoist to the run level,
     // skipping whole runs whose combinations cannot fit.
     left.clear();
-    left.extend(sol_a.exported_refs(a).map(|(r, c)| (r, *c)));
+    left.extend(sol_a.refs(a).map(|(r, c)| (r, *c)));
     right.clear();
     right_runs.clear();
-    for (key, run) in sol_b.exported.shape_runs() {
+    for (key, run) in sol_b.shape_runs() {
         let start = right.len() as u32;
         right.extend(run.iter().enumerate().map(|(idx, c)| {
             (
@@ -189,37 +190,33 @@ fn solve_node(
         }
     }
     // The gate is formed straight off the staged runs — the same
-    // candidates in the same order an ExportMap copy would hold — so a
-    // shared node (which discards its bare survivors) never pays for
-    // materializing an export set it won't publish.
-    let mut sol = NodeSol {
-        gate: dp::form_gate(
-            config,
-            ctx.model,
-            shapes.iter().flat_map(|&(key, start, len)| {
-                let arena = &*cands;
-                staged[start as usize..(start + len) as usize]
-                    .iter()
-                    .map(move |&h| (key, arena.get(h)))
-            }),
-        ),
-        ..NodeSol::default()
-    };
-    // Both fanins export a `{1,1}` candidate and both limits are at least
-    // 2 (`MapConfig::validate`), so their AND (`{1,2}`) or OR (`{2,1}`)
+    // candidates in the same order the exports hold — so a shared node
+    // (which discards its bare survivors) never copies them. Both fanins
+    // export a `{1,1}` candidate and both limits are at least 2
+    // (`MapConfig::validate`), so their AND (`{1,2}`) or OR (`{2,1}`)
     // always fits: a node without a gate is unreachable.
-    let gate = sol.gate.as_ref().expect("an in-limit combination exists");
-    let gate_cand = dp::exported_gate_cand(id, gate, ctx.fanouts[id.index()], config);
+    let gate = dp::form_gate(
+        config,
+        ctx.model,
+        shapes.iter().flat_map(|&(key, start, len)| {
+            let arena = &*cands;
+            staged[start as usize..(start + len) as usize]
+                .iter()
+                .map(move |&h| (key, arena.get(h)))
+        }),
+    )
+    .expect("an in-limit combination exists");
+    let gate_cand = dp::exported_gate_cand(id, &gate, ctx.fanouts[id.index()], config);
     let mut bare_exported = staged.len() as u64;
-    if ctx.fanouts[id.index()] <= 1 || config.allow_duplication {
-        sol.exported = ExportMap::from_runs_with_unit(shapes, staged, cands, gate_cand);
+    let exports = if ctx.fanouts[id.index()] <= 1 || config.allow_duplication {
+        out.runs_with_unit(table, shapes, staged, cands, gate_cand)
     } else {
         // A shared node exports only its formed gate: the bare survivors
         // are discarded here, not exported.
         pruned += bare_exported;
         bare_exported = 0;
-        sol.exported = ExportMap::unit(gate_cand);
-    }
+        out.unit(table, gate_cand)
+    };
     let trace = config.trace;
     if trace.enabled() {
         trace.count(soi_trace::Counter::CandidatesGenerated, generated);
@@ -228,7 +225,11 @@ fn solve_node(
         trace.count(soi_trace::Counter::PruneBatches, prune_batches);
         trace.count(soi_trace::Counter::SkylineSurvivors, skyline_survivors);
     }
-    Ok(sol)
+    Ok(NodeSol {
+        exports,
+        gate,
+        profile: (0, 0),
+    })
 }
 
 /// The paper's `combine_or`: bottoms merge and the shared bottom becomes a
@@ -376,9 +377,8 @@ mod tests {
         let ab = u.add_and(a, b);
         let f = u.add_or(ab, c);
         u.add_output("f", USignal::Node(f), false);
-        let sols = solve(&u, &cfg(), None, None).unwrap().sols;
-        let or_sol = &sols[4];
-        let cands = &or_sol.exported[&TupleKey { w: 2, h: 2 }];
+        let sols = solve(&u, &cfg(), None, false).unwrap();
+        let cands = &sols.exports(4)[&TupleKey { w: 2, h: 2 }];
         let best = &cands[0];
         assert_eq!(best.p_dis(), 1);
         assert!(best.par_b);
@@ -400,9 +400,8 @@ mod tests {
         let def = u.add_or(de, lits[5]);
         let f = u.add_and(abc, def);
         u.add_output("f", USignal::Node(f), false);
-        let sols = solve(&u, &cfg(), None, None).unwrap().sols;
-        let and_sol = &sols[10];
-        let cands = &and_sol.exported[&TupleKey { w: 2, h: 4 }];
+        let sols = solve(&u, &cfg(), None, false).unwrap();
+        let cands = &sols.exports(10)[&TupleKey { w: 2, h: 4 }];
         let best = cands.iter().min_by_key(|c| (c.g.tx, c.p_dis())).unwrap();
         // 6 logic transistors + 2 committed discharges.
         assert_eq!(best.g.tx, 8);
@@ -424,9 +423,8 @@ mod tests {
         let abc = u.add_or(ab, c);
         let f = u.add_and(abc, e);
         u.add_output("f", USignal::Node(f), false);
-        let sols = solve(&u, &cfg(), None, None).unwrap().sols;
-        let and_sol = &sols[6];
-        let cands = &and_sol.exported[&TupleKey { w: 2, h: 3 }];
+        let sols = solve(&u, &cfg(), None, false).unwrap();
+        let cands = &sols.exports(6)[&TupleKey { w: 2, h: 3 }];
         let best = cands.iter().min_by_key(|c| (c.g.tx, c.p_dis())).unwrap();
         assert_eq!(best.g.disch, 0, "no committed discharge");
         assert_eq!(best.p_dis(), 2, "two potential points");
@@ -454,7 +452,7 @@ mod tests {
         let f = u.add_and(abc, def);
         u.add_output("f", USignal::Node(f), false);
 
-        let heuristic = solve(&u, &cfg(), None, None).unwrap().sols;
+        let heuristic = solve(&u, &cfg(), None, false).unwrap();
         let exhaustive = solve(
             &u,
             &MapConfig {
@@ -462,12 +460,11 @@ mod tests {
                 ..cfg()
             },
             None,
-            None,
+            false,
         )
-        .unwrap()
-        .sols;
-        let hg = heuristic[10].gate.as_ref().unwrap().cost;
-        let eg = exhaustive[10].gate.as_ref().unwrap().cost;
+        .unwrap();
+        let hg = heuristic.gate(10).cost;
+        let eg = exhaustive.gate(10).cost;
         assert!(eg.tx <= hg.tx);
     }
 
@@ -539,8 +536,8 @@ mod tests {
         let abc = u.add_or(ab, c);
         let f = u.add_and(abc, d);
         u.add_output("f", USignal::Node(f), false);
-        let sols = solve(&u, &cfg(), None, None).unwrap().sols;
-        let gate = sols[6].gate.as_ref().unwrap();
+        let sols = solve(&u, &cfg(), None, false).unwrap();
+        let gate = sols.gate(6);
         assert_eq!(gate.cost.disch, 0);
         assert_eq!(gate.cost.tx, 4 + 5);
     }

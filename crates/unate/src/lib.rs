@@ -47,5 +47,5 @@ pub use convert::{convert, convert_in_phases, Images, Options, OutputPhase};
 pub use error::UnateError;
 pub use network::{
     ConePartition, ConeUnit, Literal, Phase, UId, UNode, USignal, UnateNetwork, UnateOutput,
-    UnateStats,
+    UnateStats, Units,
 };

@@ -142,23 +142,23 @@ impl UnateStats {
 
 /// One fanout-free cone of a [`ConePartition`]: a maximal set of nodes in
 /// which every non-root node feeds exactly one consumer, itself in the
-/// same unit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConeUnit {
-    nodes: Vec<UId>,
-    deps: Vec<usize>,
+/// same unit. A view into the partition's flat arrays.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ConeUnit<'a> {
+    nodes: &'a [UId],
+    deps: &'a [usize],
 }
 
-impl ConeUnit {
+impl<'a> ConeUnit<'a> {
     /// The unit's nodes in topological order (the root is last).
-    pub fn nodes(&self) -> &[UId] {
-        &self.nodes
+    pub fn nodes(&self) -> &'a [UId] {
+        self.nodes
     }
 
     /// Indices of the units whose roots this unit reads (sorted, deduped).
     /// Always strictly smaller than this unit's own index.
-    pub fn deps(&self) -> &[usize] {
-        &self.deps
+    pub fn deps(&self) -> &'a [usize] {
+        self.deps
     }
 
     /// The unit's root: its only node visible outside the unit.
@@ -167,32 +167,77 @@ impl ConeUnit {
     }
 }
 
+/// The units of a [`ConePartition`], by index.
+#[derive(Debug, Clone, Copy)]
+pub struct Units<'a> {
+    partition: &'a ConePartition,
+}
+
+impl<'a> Units<'a> {
+    /// Number of units.
+    pub fn len(&self) -> usize {
+        self.partition.offsets.len() - 1
+    }
+
+    /// Whether the partition has no units (an empty network).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The units in index order.
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = ConeUnit<'a>> + ExactSizeIterator + 'a {
+        let partition = self.partition;
+        (0..self.len()).map(move |u| partition.unit(u))
+    }
+}
+
 /// A partition of a network's topological order into fanout-free cone
 /// units plus their dependency levels, which are the mapper's parallel
 /// schedule — see [`UnateNetwork::cone_partition`].
+///
+/// The units live in two flat arrays, one of nodes and one of
+/// dependencies, unit after unit, with one pair of offsets per unit; the
+/// levels are a third flat array of unit indices with offsets. Building
+/// or dropping a partition is a handful of allocations, whatever its
+/// size.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConePartition {
-    units: Vec<ConeUnit>,
-    levels: Vec<Vec<usize>>,
+    /// Every unit's nodes in topological order, unit after unit.
+    nodes: Vec<UId>,
+    /// Every unit's dependencies, sorted and deduped, unit after unit.
+    deps: Vec<usize>,
+    /// `[node start, dependency start]` of each unit, plus the end of
+    /// both arrays: unit `u` owns `offsets[u]..offsets[u + 1]` of each.
+    offsets: Vec<[u32; 2]>,
+    /// Unit indices level after level, each level in index order.
+    level_units: Vec<usize>,
+    /// Start of each level in `level_units`, plus its end.
+    level_offsets: Vec<u32>,
 }
 
 impl ConePartition {
     /// All units, ordered by their root's topological index.
-    pub fn units(&self) -> &[ConeUnit] {
-        &self.units
+    pub fn units(&self) -> Units<'_> {
+        Units { partition: self }
     }
 
     /// The unit with the given index.
-    pub fn unit(&self, index: usize) -> &ConeUnit {
-        &self.units[index]
+    pub fn unit(&self, index: usize) -> ConeUnit<'_> {
+        let ([n0, d0], [n1, d1]) = (self.offsets[index], self.offsets[index + 1]);
+        ConeUnit {
+            nodes: &self.nodes[n0 as usize..n1 as usize],
+            deps: &self.deps[d0 as usize..d1 as usize],
+        }
     }
 
     /// Unit indices grouped by dependency level, each level in index
     /// order: units within one level are mutually independent, and depend
     /// only on units of earlier levels. The mapper's parallel DP walks
     /// these levels in order with a barrier between them.
-    pub fn levels(&self) -> &[Vec<usize>] {
-        &self.levels
+    pub fn levels(&self) -> impl DoubleEndedIterator<Item = &[usize]> + ExactSizeIterator + '_ {
+        self.level_offsets
+            .windows(2)
+            .map(|w| &self.level_units[w[0] as usize..w[1] as usize])
     }
 }
 
@@ -432,8 +477,8 @@ impl UnateNetwork {
         }
         // Assign units in reverse topological order so a fanout-free node
         // can inherit its consumer's unit.
-        let mut unit_of = vec![usize::MAX; n];
-        let mut roots = 0usize;
+        let mut unit_of = vec![u32::MAX; n];
+        let mut roots = 0u32;
         for i in (0..n).rev() {
             unit_of[i] = match gate_consumer[i] {
                 Some(c) if fanout[i] == 1 => unit_of[c.index()],
@@ -448,45 +493,73 @@ impl UnateNetwork {
         for u in &mut unit_of {
             *u = roots - 1 - *u;
         }
-        let mut units: Vec<ConeUnit> = (0..roots)
-            .map(|_| ConeUnit {
-                nodes: Vec::new(),
-                deps: Vec::new(),
-            })
-            .collect();
-        for i in 0..n {
-            units[unit_of[i]].nodes.push(UId::from_index(i));
+        let roots = roots as usize;
+        // A counting sort of the topological order by unit: each unit's
+        // nodes stay in topological order.
+        let mut offsets = vec![[0u32; 2]; roots + 1];
+        for &u in &unit_of {
+            offsets[u as usize + 1][0] += 1;
         }
-        for (id, node) in self.iter() {
-            let u = unit_of[id.index()];
-            for fanin in node.fanins() {
-                let d = unit_of[fanin.index()];
-                if d != u {
-                    units[u].deps.push(d);
-                }
-            }
+        for u in 0..roots {
+            offsets[u + 1][0] += offsets[u][0];
+        }
+        let mut cursor: Vec<u32> = offsets[..roots].iter().map(|o| o[0]).collect();
+        let mut nodes = vec![UId(0); n];
+        for (i, &u) in unit_of.iter().enumerate() {
+            nodes[cursor[u as usize] as usize] = UId(i as u32);
+            cursor[u as usize] += 1;
         }
         // A unit's dependencies are roots of earlier units, so dep < unit
         // always holds and levels can be computed in one forward pass.
-        let mut level_of = vec![0usize; roots];
+        let mut deps = Vec::new();
+        let mut unit_deps = Vec::new();
+        let mut level_of = vec![0u32; roots];
         let mut depth = 0usize;
-        for (u, unit) in units.iter_mut().enumerate() {
-            unit.deps.sort_unstable();
-            unit.deps.dedup();
-            let level = unit
-                .deps
+        for u in 0..roots {
+            unit_deps.clear();
+            for &id in &nodes[offsets[u][0] as usize..offsets[u + 1][0] as usize] {
+                for fanin in self.node(id).fanins() {
+                    let d = unit_of[fanin.index()] as usize;
+                    if d != u {
+                        unit_deps.push(d);
+                    }
+                }
+            }
+            unit_deps.sort_unstable();
+            unit_deps.dedup();
+            deps.extend_from_slice(&unit_deps);
+            offsets[u + 1][1] = deps.len() as u32;
+            let level = unit_deps
                 .iter()
                 .map(|&d| level_of[d] + 1)
                 .max()
                 .unwrap_or(0);
             level_of[u] = level;
-            depth = depth.max(level + 1);
+            depth = depth.max(level as usize + 1);
         }
-        let mut levels: Vec<Vec<usize>> = vec![Vec::new(); depth];
+        // A counting sort of the units by level, in index order within
+        // each level.
+        let mut level_offsets = vec![0u32; depth + 1];
+        for &level in &level_of {
+            level_offsets[level as usize + 1] += 1;
+        }
+        for l in 0..depth {
+            level_offsets[l + 1] += level_offsets[l];
+        }
+        cursor.clear();
+        cursor.extend_from_slice(&level_offsets[..depth]);
+        let mut level_units = vec![0usize; roots];
         for (u, &level) in level_of.iter().enumerate() {
-            levels[level].push(u);
+            level_units[cursor[level as usize] as usize] = u;
+            cursor[level as usize] += 1;
         }
-        ConePartition { units, levels }
+        ConePartition {
+            nodes,
+            deps,
+            offsets,
+            level_units,
+            level_offsets,
+        }
     }
 
     /// Lowers the unate network back into a gate-level [`Network`] (literals
@@ -619,7 +692,7 @@ mod tests {
         let p = u.cone_partition();
         // Every node in exactly one unit, units in topo order.
         let mut seen = vec![false; u.len()];
-        for unit in p.units() {
+        for unit in p.units().iter() {
             let mut last = None;
             for &id in unit.nodes() {
                 assert!(!seen[id.index()], "{id} in two units");
@@ -637,7 +710,7 @@ mod tests {
         }
         // Levels cover all units; deps live in earlier levels.
         let mut level_of = vec![usize::MAX; p.units().len()];
-        for (l, units) in p.levels().iter().enumerate() {
+        for (l, units) in p.levels().enumerate() {
             for &un in units {
                 level_of[un] = l;
             }
@@ -689,7 +762,11 @@ mod tests {
         // Units: {a, b, shared}, {c} (two consumers), {f1}, {f2}.
         assert_eq!(p.units().len(), 4);
         assert_eq!(p.levels().len(), 2);
-        assert_eq!(p.levels()[1].len(), 2, "f1 and f2 run concurrently");
+        assert_eq!(
+            p.levels().nth(1).unwrap().len(),
+            2,
+            "f1 and f2 run concurrently"
+        );
         let shared_unit = p
             .units()
             .iter()

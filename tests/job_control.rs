@@ -23,7 +23,8 @@ use soi_domino::circuits::misc::random::{generate, RandomSpec};
 use soi_domino::circuits::registry;
 use soi_domino::guard::check_partial;
 use soi_domino::mapper::{
-    CancelToken, Limits, MapConfig, MapError, Mapper, MappingResult, Parallelism, PartialMapping,
+    refuse_worker_spawns, CancelToken, Limits, MapConfig, MapError, Mapper, MappingResult,
+    Parallelism, PartialMapping,
 };
 use soi_domino::netlist::{BinOp, Network};
 use soi_domino::trace::{Counter, Recorder};
@@ -265,12 +266,26 @@ fn poisoned_unit_is_contained_and_salvaged() {
 /// Registry sweep: cancel each circuit halfway through its combine-step
 /// budget, then resume from the salvage. The resumed run lands
 /// bit-identical, and — traced — generates fewer candidates than the
-/// clean run: the salvaged units are seeded, not solved again.
+/// clean run: the salvaged units are seeded, not solved again. One more
+/// case cancels a seeded control network at nine tenths of its budget:
+/// such networks export more candidates per node than a worker's first
+/// solution segment is sized for, so its salvaged units span several
+/// segments (pinned in the mapper's own tests).
 #[test]
 fn registry_circuits_cancel_and_resume_bit_identically() {
     let (rec, trace) = Recorder::install();
-    for name in ["cm150", "mux", "z4ml", "cordic", "frg1", "b9"] {
-        let network = registry::benchmark(name).expect("registered benchmark");
+    let cases = ["cm150", "mux", "z4ml", "cordic", "frg1", "b9"]
+        .map(|name| {
+            let network = registry::benchmark(name).expect("registered benchmark");
+            (name, network, (1, 2))
+        })
+        .into_iter()
+        .chain([(
+            "control",
+            generate(&RandomSpec::control("jc-segments", 16, 8, 1_500, 9)),
+            (9, 10),
+        )]);
+    for (name, network, (num, den)) in cases {
         let base = MapConfig {
             parallelism: Parallelism::Serial,
             trace,
@@ -282,7 +297,7 @@ fn registry_circuits_cancel_and_resume_bit_identically() {
         assert!(clean.combine_steps > 0, "{name}: no DP work to interrupt");
         let config = MapConfig {
             limits: Limits {
-                cancel_after_steps: Some((clean.combine_steps / 2).max(1)),
+                cancel_after_steps: Some((clean.combine_steps * num / den).max(1)),
                 ..base.limits
             },
             ..base
@@ -513,6 +528,43 @@ fn oversized_completed_unit_is_not_solved_again() {
     .run(&network)
     .unwrap_or_else(|e| panic!("the salvaged big unit was solved again: {e}"));
     assert_same(&clean, &resumed, "oversized unit");
+}
+
+/// A worker thread the OS refuses to start must not hang the run: the
+/// scheduler goes on with the workers that did start — or walks serially
+/// when none did — and the mapping matches the serial one. The refusal is
+/// injected (no thread is asked of the OS), and CI runs this file under a
+/// hard timeout, so a run that waits on a worker that never started fails
+/// the step.
+#[test]
+fn a_refused_worker_spawn_maps_on_the_workers_that_started() {
+    let network = registry::benchmark("c880").expect("registered benchmark");
+    for cone_cache_min_gates in [MapConfig::DEFAULT_CONE_CACHE_MIN_GATES, 0] {
+        let base = MapConfig {
+            cone_cache_min_gates,
+            ..MapConfig::default()
+        };
+        let serial = Mapper::soi(MapConfig {
+            parallelism: Parallelism::Serial,
+            ..base
+        })
+        .run(&network)
+        .expect("serial maps");
+        // Refusing the second extra worker of three leaves two; refusing
+        // the first leaves the calling thread alone.
+        for (refused, started) in [(2, 2), (1, 1)] {
+            refuse_worker_spawns(Some(refused));
+            let outcome = Mapper::soi(MapConfig {
+                parallelism: Parallelism::Threads(3),
+                ..base
+            })
+            .run(&network);
+            refuse_worker_spawns(None);
+            let result = outcome.expect("maps with the workers that started");
+            assert_eq!(result.threads_used, started);
+            assert_same(&serial, &result, "refused spawn");
+        }
+    }
 }
 
 /// The production default keeps the gate memo off below the size gate;

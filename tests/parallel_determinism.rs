@@ -5,6 +5,8 @@
 //!   mark, which stays within the bound `MapConfig::validate` admits — on
 //!   seeded random networks and on registry benchmarks, and mapping a
 //!   network equals mapping its unate conversion;
+//! * the same holds through the gate memo's bypass latch: each worker
+//!   keeps its own memo, and the latch one worker raises stops them all;
 //! * with `allow_duplication`, the amortized gate export
 //!   (`exported_gate_cand` materializing a shared child gate once while
 //!   many consumers reference it) never makes the reported
@@ -16,6 +18,7 @@ use soi_domino::circuits::misc::random::{generate, RandomSpec};
 use soi_domino::circuits::registry;
 use soi_domino::domino::{DominoCircuit, TransistorCounts};
 use soi_domino::mapper::{MapConfig, Mapper, Parallelism};
+use soi_domino::trace::{Counter, Recorder};
 use soi_domino::unate;
 
 /// The three mapper constructors under test.
@@ -118,6 +121,64 @@ fn parallel_solve_matches_serial_on_registry_circuits() {
         let network = registry::benchmark(name).expect("registered");
         assert_schedules_agree(&network, MapConfig::default(), name);
         assert_schedules_agree(&network, MapConfig::depth(), &format!("{name} (depth)"));
+    }
+}
+
+/// Control networks big enough for the gate memo's adaptive bypass to
+/// judge and latch on every schedule — far more gates than 3 ×
+/// `BYPASS_PROBE_WINDOW` (1,024), so even at four threads a worker closes
+/// a window — with the memo forced on. Each worker keeps its own memo but
+/// all share one latch: once it is up, solved nodes stop computing the
+/// profiles probes read, so a worker that kept probing after another
+/// latched would key on missing profiles and diverge. Traced, the bypass
+/// fires exactly once per run.
+#[test]
+fn parallel_solve_matches_serial_through_the_memo_latch() {
+    let (rec, trace) = Recorder::install();
+    for seed in 0..2u64 {
+        let network = generate(&RandomSpec::control(
+            &format!("latch{seed}"),
+            32,
+            8,
+            6_000,
+            seed,
+        ));
+        let base = MapConfig {
+            cone_cache_min_gates: 0,
+            ..MapConfig::default()
+        };
+        let what = format!("latch seed {seed}");
+        let gates = unate::convert(&network, &unate::Options::default())
+            .expect("converts")
+            .stats()
+            .gates();
+        assert!(gates >= 3 * 1024, "{what}: only {gates} gates");
+        assert_schedules_agree(&network, base, &what);
+        for threads in [1, 2, 4] {
+            rec.reset();
+            let parallelism = if threads == 1 {
+                Parallelism::Serial
+            } else {
+                Parallelism::Threads(threads)
+            };
+            Mapper::soi(MapConfig {
+                parallelism,
+                trace,
+                ..base
+            })
+            .run(&network)
+            .expect("traced maps");
+            let probes = rec.counter(Counter::NodeTierProbes);
+            assert!(
+                probes >= 1024,
+                "{what}: {threads} threads probed only {probes} times"
+            );
+            assert_eq!(
+                rec.counter(Counter::TierBypasses),
+                1,
+                "{what}: {threads} threads: the bypass must latch exactly once"
+            );
+        }
     }
 }
 
