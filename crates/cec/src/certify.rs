@@ -22,7 +22,14 @@
 //!    the normal form of the unate cone at its root. The cone is cut at
 //!    literals and at the roots of the gates *this* PDN reads, and its
 //!    walk may visit fewer than twice as many nodes as the PDN has
-//!    transistors, so a forged root cannot make it expensive.
+//!    transistors, so a forged root cannot make it expensive. Normal
+//!    forms are interned ([`Forms`]): each is one `u32`, a leaf's unate id
+//!    or the id of an interned AND/OR node, so the two sides are equal
+//!    exactly when their ids are. A lookup confirms every candidate by
+//!    comparing kind and children exactly, so no verdict depends on a hash
+//!    value. The interner's buffers are cleared per gate and reused, and
+//!    the walk reads the PDN's packed words in place, so once the buffers
+//!    fit the largest gate nothing is allocated per node or per gate.
 //! 3. **outputs.** Each output binding's gate must have the source
 //!    driver's image, in the phase the binding's inversion records, as
 //!    its root.
@@ -32,13 +39,19 @@
 //! over gates in order gives every gate its root's value, because the
 //! leaves of a PDN are literals or strictly earlier gates, whose values
 //! are their roots' by then, and flattening, sorting and deduplicating
-//! preserve an AND/OR formula's function. Claim 3 then makes every output
+//! preserve an AND/OR formula's function (equal ids mean equal normal
+//! forms, hence equal functions). Claim 3 then makes every output
 //! its source output. Any failed claim makes [`certify`] return `false` and
 //! the caller falls back to the SAT sweep, so a certificate can only
 //! confirm equivalence, never refute it.
 
+use std::collections::hash_map::Entry;
+use std::hash::BuildHasher;
+
 use soi_domino_ir::{DominoCircuit, PdnNode, PdnRef, Signal};
+use soi_netlist::fx::FxHashMap;
 use soi_netlist::{BinOp, Network, Node, NodeId, UnOp};
+use soi_trace::{Stage, TraceHandle};
 use soi_unate::{convert_in_phases, Images, Literal, Phase, UId, UNode, USignal, UnateNetwork};
 
 /// Proves `circuit` equivalent to `network` from its root table: `false`
@@ -46,8 +59,10 @@ use soi_unate::{convert_in_phases, Images, Literal, Phase, UId, UNode, USignal, 
 ///
 /// A certified circuit also lowers to a network that passes validation
 /// with the source's input and output counts, so certifying never hides
-/// an error the SAT sweep would have raised.
-pub(crate) fn certify(network: &Network, circuit: &DominoCircuit) -> bool {
+/// an error the SAT sweep would have raised. With `trace` on, the
+/// re-conversion, claim 1, and claims 2 and 3 each run in a span of
+/// their own.
+pub(crate) fn certify(network: &Network, circuit: &DominoCircuit, trace: TraceHandle) -> bool {
     let roots = circuit.roots();
     if roots.is_empty()
         || roots.len() != circuit.gate_count()
@@ -56,9 +71,11 @@ pub(crate) fn certify(network: &Network, circuit: &DominoCircuit) -> bool {
         return false;
     }
     let phase_of = |inverted| if inverted { Phase::Neg } else { Phase::Pos };
-    let Ok((unate, images)) =
+    let converted = {
+        let _span = trace.span(Stage::CecCertifyConvert);
         convert_in_phases(network, |o| phase_of(circuit.outputs()[o].inverted))
-    else {
+    };
+    let Ok((unate, images)) = converted else {
         return false;
     };
     let bindings = || circuit.outputs().iter().zip(network.outputs());
@@ -67,14 +84,20 @@ pub(crate) fn certify(network: &Network, circuit: &DominoCircuit) -> bool {
     if !same_names || roots.iter().any(|&r| r as usize >= unate.len()) {
         return false;
     }
+    let source_matches = {
+        let _span = trace.span(Stage::CecCertifySource);
+        source_matches_unate(network, &unate, &images)
+    };
+    if !source_matches {
+        return false;
+    }
+    let _span = trace.span(Stage::CecCertifyGates);
     let outputs_bind_images = bindings().all(|(binding, port)| {
         let root = roots.get(binding.gate.index());
         let root = root.map(|&r| USignal::Node(UId::from_index(r as usize)));
         root.is_some() && images.get(port.driver, phase_of(binding.inverted)) == root
     });
-    outputs_bind_images
-        && source_matches_unate(network, &unate, &images)
-        && gates_match_roots(&unate, circuit)
+    outputs_bind_images && gates_match_roots(&unate, circuit)
 }
 
 // ---- Claim 1: source ≡ unate ------------------------------------------------
@@ -179,98 +202,89 @@ fn eval_over(unate: &UnateNetwork, sig: USignal, known: &[(UId, u64)], depth: u3
 
 // ---- Claim 2: unate ≡ mapped ------------------------------------------------
 
-/// An AND/OR normal form over unate nodes: children of an `And` or `Or`
-/// are sorted, distinct, at least two, and never of their parent's kind.
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-enum Form {
-    Leaf(u32),
-    And(Vec<Form>),
-    Or(Vec<Form>),
-}
-
-impl Form {
-    /// The normal form of the AND (or OR) of `parts`, themselves normal.
-    fn join(is_and: bool, parts: impl IntoIterator<Item = Form>) -> Form {
-        let mut flat = Vec::new();
-        for part in parts {
-            match part {
-                Form::And(children) if is_and => flat.extend(children),
-                Form::Or(children) if !is_and => flat.extend(children),
-                other => flat.push(other),
-            }
-        }
-        flat.sort_unstable();
-        flat.dedup();
-        match flat.len() {
-            1 => flat.pop().expect("one part"),
-            _ if is_and => Form::And(flat),
-            _ => Form::Or(flat),
-        }
-    }
-}
-
 /// Checks every gate's PDN against the unate cone at its root.
 fn gates_match_roots(unate: &UnateNetwork, circuit: &DominoCircuit) -> bool {
-    // The literal node of each input, by phase.
-    let mut literals = vec![[None; 2]; circuit.input_names().len()];
+    let Some(mut walk) = GateWalk::new(unate, circuit) else {
+        return false;
+    };
+    circuit
+        .iter()
+        .all(|(g, gate)| walk.gate_matches(g.index(), gate.pdn()))
+}
+
+/// The literal node of each of `inputs` inputs, by phase (`Pos` first).
+fn literal_nodes(unate: &UnateNetwork, inputs: usize) -> Vec<[Option<u32>; 2]> {
+    let mut literals = vec![[None; 2]; inputs];
     for (id, n) in unate.iter() {
         if let UNode::Lit(l) = n {
             literals[l.input][usize::from(l.phase == Phase::Neg)] = Some(id.index() as u32);
         }
     }
-    let mut pdn = PdnWalk {
-        roots: circuit.roots(),
-        literals: &literals,
-        gate: 0,
-        leaves: 0,
-        cut: Vec::new(),
-    };
-    circuit.iter().all(|(g, gate)| {
-        pdn.gate = g.index();
-        pdn.leaves = 0;
-        pdn.cut.clear();
-        let Some(mapped) = pdn.form(gate.pdn()) else {
-            return false;
-        };
-        pdn.cut.sort_unstable();
-        // A cone of 2-input nodes with at most as many leaves as the PDN
-        // has transistors has fewer than twice as many nodes.
-        let mut cone = ConeWalk {
-            unate,
-            cut: &pdn.cut,
-            budget: 2 * pdn.leaves,
-        };
-        let root = UId::from_index(pdn.roots[g.index()] as usize);
-        cone.form(root).is_some_and(|form| form == mapped)
-    })
+    literals
 }
 
-/// Flattens PDNs, recording the unate nodes their gate signals stand for.
-struct PdnWalk<'a> {
+/// Walks each gate's PDN, then the unate cone at its root, into the same
+/// interned normal forms, reusing every buffer from gate to gate.
+struct GateWalk<'a> {
+    unate: &'a UnateNetwork,
     roots: &'a [u32],
-    literals: &'a [[Option<u32>; 2]],
-    /// The gate being flattened: it may only read earlier gates.
+    literals: Vec<[Option<u32>; 2]>,
+    /// The gate being checked: its PDN may only read earlier gates.
     gate: usize,
-    /// Transistors flattened so far.
+    /// Transistors walked so far.
     leaves: usize,
     /// Roots of the gates the PDN reads, where its cone walk stops.
     cut: Vec<u32>,
+    /// Cone nodes the walk may still visit.
+    budget: usize,
+    forms: Forms,
 }
 
-impl PdnWalk<'_> {
-    fn form(&mut self, pdn: PdnRef<'_>) -> Option<Form> {
+impl<'a> GateWalk<'a> {
+    /// `None` when the unate ids do not fit a `u32`.
+    fn new(unate: &'a UnateNetwork, circuit: &'a DominoCircuit) -> Option<GateWalk<'a>> {
+        Some(GateWalk {
+            unate,
+            roots: circuit.roots(),
+            literals: literal_nodes(unate, circuit.input_names().len()),
+            gate: 0,
+            leaves: 0,
+            cut: Vec::new(),
+            budget: 0,
+            forms: Forms::new(u32::try_from(unate.len()).ok()?),
+        })
+    }
+
+    /// Whether gate `gate`'s PDN has the normal form of the cone at its
+    /// root.
+    fn gate_matches(&mut self, gate: usize, pdn: PdnRef<'_>) -> bool {
+        self.gate = gate;
+        self.leaves = 0;
+        self.cut.clear();
+        self.forms.clear();
+        let Some(mapped) = self.pdn(pdn) else {
+            return false;
+        };
+        self.cut.sort_unstable();
+        // A cone of 2-input nodes with at most as many leaves as the PDN
+        // has transistors has fewer than twice as many nodes.
+        self.budget = 2 * self.leaves;
+        self.cone(UId::from_index(self.roots[gate] as usize)) == Some(mapped)
+    }
+
+    fn pdn(&mut self, pdn: PdnRef<'_>) -> Option<u32> {
         let (is_and, children) = match pdn.root() {
             PdnNode::Transistor(signal) => {
                 self.leaves += 1;
                 return match signal {
                     Signal::Input { index, phase } => {
                         let neg = phase == soi_domino_ir::Phase::Neg;
-                        self.literals.get(index)?[usize::from(neg)].map(Form::Leaf)
+                        self.literals.get(index)?[usize::from(neg)]
                     }
                     Signal::Gate(h) if h.index() < self.gate => {
                         let root = self.roots[h.index()];
                         self.cut.push(root);
-                        Some(Form::Leaf(root))
+                        Some(root)
                     }
                     Signal::Gate(_) => None,
                 };
@@ -278,38 +292,560 @@ impl PdnWalk<'_> {
             PdnNode::Series(children) => (true, children),
             PdnNode::Parallel(children) => (false, children),
         };
-        let parts = children.map(|c| self.form(c)).collect::<Option<Vec<_>>>()?;
-        Some(Form::join(is_and, parts))
+        let mark = self.forms.mark();
+        for child in children {
+            let form = self.pdn(child)?;
+            self.forms.push(is_and, form);
+        }
+        self.forms.join(is_and, mark)
     }
-}
 
-/// Flattens a unate cone down to literals and a sorted cut set, visiting
-/// at most `budget` nodes.
-struct ConeWalk<'a> {
-    unate: &'a UnateNetwork,
-    cut: &'a [u32],
-    budget: usize,
-}
-
-impl ConeWalk<'_> {
-    fn form(&mut self, id: UId) -> Option<Form> {
+    fn cone(&mut self, id: UId) -> Option<u32> {
         self.budget = self.budget.checked_sub(1)?;
         let raw = id.index() as u32;
         let (x, y, is_and) = match self.unate.node(id) {
-            _ if self.cut.binary_search(&raw).is_ok() => return Some(Form::Leaf(raw)),
-            UNode::Lit(_) => return Some(Form::Leaf(raw)),
+            _ if self.cut.binary_search(&raw).is_ok() => return Some(raw),
+            UNode::Lit(_) => return Some(raw),
             UNode::And(x, y) => (x, y, true),
             UNode::Or(x, y) => (x, y, false),
         };
-        let parts = [self.form(x)?, self.form(y)?];
-        Some(Form::join(is_and, parts))
+        let mark = self.forms.mark();
+        for child in [x, y] {
+            let form = self.cone(child)?;
+            self.forms.push(is_and, form);
+        }
+        self.forms.join(is_and, mark)
     }
+}
+
+/// Interned nodes of a gate that lookups scan; only later ones are
+/// hashed.
+const SCANNED: usize = 16;
+
+/// Ends a hash chain of [`Forms`].
+const NO_NODE: u32 = u32::MAX;
+
+/// An interned AND or OR node, with children `Forms::children[start..end]`.
+#[derive(Clone, Copy)]
+struct FormNode {
+    is_and: bool,
+    start: u32,
+    end: u32,
+    /// The node interned before it with the same hash, or [`NO_NODE`].
+    next: u32,
+}
+
+/// AND/OR normal forms over unate nodes, interned one gate at a time.
+///
+/// A form is one `u32`. A leaf is its unate node's id, below `base`; an
+/// AND or OR is the id of an interned node, `base` and up, whose children
+/// are sorted as integers, distinct, and never of its own kind. So every
+/// formula has one id, and two formulas have the same normal form exactly
+/// when their ids are equal. A lookup scans the first [`SCANNED`] nodes,
+/// then hashes the node's kind and children to the last node interned
+/// with that hash and confirms each node on the chain by comparing kind
+/// and children exactly: a collision costs a comparison, never a wrong
+/// match, and no id depends on a hash value.
+/// [`Forms::clear`] keeps every buffer's capacity, so checking a circuit
+/// allocates only while the buffers grow to fit its largest gate.
+struct Forms {
+    base: u32,
+    nodes: Vec<FormNode>,
+    children: Vec<u32>,
+    /// The parts of the joins being built, innermost last.
+    parts: Vec<u32>,
+    /// The hash of a node's kind and children → the last node interned
+    /// with it.
+    heads: FxHashMap<u64, u32>,
+}
+
+impl Forms {
+    fn new(base: u32) -> Forms {
+        Forms {
+            base,
+            nodes: Vec::new(),
+            children: Vec::new(),
+            parts: Vec::new(),
+            heads: FxHashMap::default(),
+        }
+    }
+
+    /// Forgets every interned node.
+    fn clear(&mut self) {
+        self.nodes.clear();
+        self.children.clear();
+        self.parts.clear();
+        self.heads.clear();
+    }
+
+    /// Where the parts of the next join start.
+    fn mark(&self) -> usize {
+        self.parts.len()
+    }
+
+    /// Adds `form` to the join of kind `is_and` being built, splicing in
+    /// its children if it has that kind.
+    fn push(&mut self, is_and: bool, form: u32) {
+        match form.checked_sub(self.base).map(|i| self.nodes[i as usize]) {
+            Some(node) if node.is_and == is_and => self
+                .parts
+                .extend_from_slice(&self.children[node.start as usize..node.end as usize]),
+            _ => self.parts.push(form),
+        }
+    }
+
+    /// The normal form of the AND (or OR) of the parts pushed since
+    /// `mark`, which it pops; `None` once the ids run out.
+    fn join(&mut self, is_and: bool, mark: usize) -> Option<u32> {
+        let parts = &mut self.parts[mark..];
+        parts.sort_unstable();
+        let distinct = dedup_sorted(parts);
+        self.parts.truncate(mark + distinct);
+        let form = match self.parts[mark..] {
+            [one] => Some(one),
+            _ => self.intern(is_and, mark),
+        };
+        self.parts.truncate(mark);
+        form
+    }
+
+    /// The id of the node of kind `is_and` whose children are the parts
+    /// from `mark` on, interning it if it is new.
+    fn intern(&mut self, is_and: bool, mark: usize) -> Option<u32> {
+        let parts = &self.parts[mark..];
+        let children = &self.children;
+        let same = |node: &FormNode| {
+            node.is_and == is_and && children[node.start as usize..node.end as usize] == *parts
+        };
+        // Most gates intern only a few nodes: those are scanned, and the
+        // map stays empty.
+        if let Some(i) = self.nodes.iter().take(SCANNED).position(same) {
+            return Some(self.base + i as u32);
+        }
+        let index = self.nodes.len();
+        let id = u32::try_from(index)
+            .ok()
+            .and_then(|i| self.base.checked_add(i))?;
+        let start = u32::try_from(children.len()).ok()?;
+        let end = start.checked_add(u32::try_from(parts.len()).ok()?)?;
+        let mut next = NO_NODE;
+        if index >= SCANNED {
+            let hash = self.heads.hasher().hash_one((is_and, parts));
+            match self.heads.entry(hash) {
+                Entry::Occupied(mut head) => {
+                    let mut at = *head.get();
+                    while at != NO_NODE {
+                        let node = &self.nodes[(at - self.base) as usize];
+                        if same(node) {
+                            return Some(at);
+                        }
+                        at = node.next;
+                    }
+                    next = head.insert(id);
+                }
+                Entry::Vacant(head) => {
+                    head.insert(id);
+                }
+            }
+        }
+        self.children.extend_from_slice(parts);
+        self.nodes.push(FormNode {
+            is_and,
+            start,
+            end,
+            next,
+        });
+        Some(id)
+    }
+}
+
+/// Moves the distinct values of sorted `ids` to its front: their count.
+fn dedup_sorted(ids: &mut [u32]) -> usize {
+    let mut len = 0;
+    for i in 0..ids.len() {
+        if len == 0 || ids[i] != ids[len - 1] {
+            ids[len] = ids[i];
+            len += 1;
+        }
+    }
+    len
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    use soi_circuits::registry;
     use soi_domino_ir::{DominoGate, GateId, Pdn};
+    use soi_mapper::{MapConfig, Mapper};
+    use soi_unate::OutputPhase;
+
+    fn certifies(network: &Network, circuit: &DominoCircuit) -> bool {
+        certify(network, circuit, TraceHandle::off())
+    }
+
+    // ---- The oracle: claim 2 on owned `Form` trees ------------------------
+
+    /// An AND/OR normal form over unate nodes: children of an `And` or `Or`
+    /// are sorted, distinct, at least two, and never of their parent's kind.
+    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+    enum Form {
+        Leaf(u32),
+        And(Vec<Form>),
+        Or(Vec<Form>),
+    }
+
+    impl Form {
+        /// The normal form of the AND (or OR) of `parts`, themselves normal.
+        fn join(is_and: bool, parts: impl IntoIterator<Item = Form>) -> Form {
+            let mut flat = Vec::new();
+            for part in parts {
+                match part {
+                    Form::And(children) if is_and => flat.extend(children),
+                    Form::Or(children) if !is_and => flat.extend(children),
+                    other => flat.push(other),
+                }
+            }
+            flat.sort_unstable();
+            flat.dedup();
+            match flat.len() {
+                1 => flat.pop().expect("one part"),
+                _ if is_and => Form::And(flat),
+                _ => Form::Or(flat),
+            }
+        }
+    }
+
+    /// Each gate's claim-2 verdict, by `Form` trees.
+    fn oracle_verdicts(unate: &UnateNetwork, circuit: &DominoCircuit) -> Vec<bool> {
+        let literals = literal_nodes(unate, circuit.input_names().len());
+        let mut pdn = PdnWalk {
+            roots: circuit.roots(),
+            literals: &literals,
+            gate: 0,
+            leaves: 0,
+            cut: Vec::new(),
+        };
+        circuit
+            .iter()
+            .map(|(g, gate)| {
+                pdn.gate = g.index();
+                pdn.leaves = 0;
+                pdn.cut.clear();
+                let Some(mapped) = pdn.form(gate.pdn()) else {
+                    return false;
+                };
+                pdn.cut.sort_unstable();
+                let mut cone = ConeWalk {
+                    unate,
+                    cut: &pdn.cut,
+                    budget: 2 * pdn.leaves,
+                };
+                let root = UId::from_index(pdn.roots[g.index()] as usize);
+                cone.form(root).is_some_and(|form| form == mapped)
+            })
+            .collect()
+    }
+
+    /// Each gate's claim-2 verdict, by interned forms.
+    fn interned_verdicts(unate: &UnateNetwork, circuit: &DominoCircuit) -> Vec<bool> {
+        let mut walk = GateWalk::new(unate, circuit).expect("unate ids fit a u32");
+        circuit
+            .iter()
+            .map(|(g, gate)| walk.gate_matches(g.index(), gate.pdn()))
+            .collect()
+    }
+
+    /// Flattens PDNs, recording the unate nodes their gate signals stand for.
+    struct PdnWalk<'a> {
+        roots: &'a [u32],
+        literals: &'a [[Option<u32>; 2]],
+        /// The gate being flattened: it may only read earlier gates.
+        gate: usize,
+        /// Transistors flattened so far.
+        leaves: usize,
+        /// Roots of the gates the PDN reads, where its cone walk stops.
+        cut: Vec<u32>,
+    }
+
+    impl PdnWalk<'_> {
+        fn form(&mut self, pdn: PdnRef<'_>) -> Option<Form> {
+            let (is_and, children) = match pdn.root() {
+                PdnNode::Transistor(signal) => {
+                    self.leaves += 1;
+                    return match signal {
+                        Signal::Input { index, phase } => {
+                            let neg = phase == soi_domino_ir::Phase::Neg;
+                            self.literals.get(index)?[usize::from(neg)].map(Form::Leaf)
+                        }
+                        Signal::Gate(h) if h.index() < self.gate => {
+                            let root = self.roots[h.index()];
+                            self.cut.push(root);
+                            Some(Form::Leaf(root))
+                        }
+                        Signal::Gate(_) => None,
+                    };
+                }
+                PdnNode::Series(children) => (true, children),
+                PdnNode::Parallel(children) => (false, children),
+            };
+            let parts = children.map(|c| self.form(c)).collect::<Option<Vec<_>>>()?;
+            Some(Form::join(is_and, parts))
+        }
+    }
+
+    /// Flattens a unate cone down to literals and a sorted cut set, visiting
+    /// at most `budget` nodes.
+    struct ConeWalk<'a> {
+        unate: &'a UnateNetwork,
+        cut: &'a [u32],
+        budget: usize,
+    }
+
+    impl ConeWalk<'_> {
+        fn form(&mut self, id: UId) -> Option<Form> {
+            self.budget = self.budget.checked_sub(1)?;
+            let raw = id.index() as u32;
+            let (x, y, is_and) = match self.unate.node(id) {
+                _ if self.cut.binary_search(&raw).is_ok() => return Some(Form::Leaf(raw)),
+                UNode::Lit(_) => return Some(Form::Leaf(raw)),
+                UNode::And(x, y) => (x, y, true),
+                UNode::Or(x, y) => (x, y, false),
+            };
+            let parts = [self.form(x)?, self.form(y)?];
+            Some(Form::join(is_and, parts))
+        }
+    }
+
+    // ---- Interned forms against the oracle --------------------------------
+
+    /// A formula to intern: a leaf id, or the AND (`true`) or OR of parts.
+    #[derive(Debug, Clone)]
+    enum Tree {
+        Leaf(u32),
+        Node(bool, Vec<Tree>),
+    }
+
+    impl Tree {
+        fn form(&self) -> Form {
+            match self {
+                Tree::Leaf(i) => Form::Leaf(*i),
+                Tree::Node(is_and, parts) => Form::join(*is_and, parts.iter().map(Tree::form)),
+            }
+        }
+
+        fn intern(&self, forms: &mut Forms) -> u32 {
+            match self {
+                Tree::Leaf(i) => *i,
+                Tree::Node(is_and, parts) => {
+                    let mark = forms.mark();
+                    for part in parts {
+                        let form = part.intern(forms);
+                        forms.push(*is_and, form);
+                    }
+                    forms.join(*is_and, mark).expect("ids fit a u32")
+                }
+            }
+        }
+    }
+
+    /// Leaf ids of the random formulas; interned ids start here.
+    const LEAVES: u32 = 6;
+
+    fn random_tree(rng: &mut SmallRng, depth: u32) -> Tree {
+        if depth == 0 || rng.gen_bool(0.25) {
+            return Tree::Leaf(rng.gen_range(0..LEAVES));
+        }
+        let arity = rng.gen_range(2..=4usize);
+        let parts = (0..arity).map(|_| random_tree(rng, depth - 1)).collect();
+        Tree::Node(rng.gen_bool(0.5), parts)
+    }
+
+    fn shuffle(rng: &mut SmallRng, parts: &mut [Tree]) {
+        for i in (1..parts.len()).rev() {
+            parts.swap(i, rng.gen_range(0..=i));
+        }
+    }
+
+    /// The same formula written differently: every node's children
+    /// shuffled, some runs of them regrouped under a nested node of their
+    /// parent's kind, and one child of the top node repeated.
+    fn rewrite(rng: &mut SmallRng, tree: &Tree, top: bool) -> Tree {
+        let Tree::Node(is_and, parts) = tree else {
+            return tree.clone();
+        };
+        let mut parts: Vec<Tree> = parts.iter().map(|p| rewrite(rng, p, false)).collect();
+        shuffle(rng, &mut parts);
+        if parts.len() >= 3 && rng.gen_bool(0.5) {
+            let len = rng.gen_range(2..parts.len());
+            let start = rng.gen_range(0..=parts.len() - len);
+            let group = parts.drain(start..start + len).collect();
+            parts.insert(start, Tree::Node(*is_and, group));
+        }
+        if top {
+            let twin = parts[rng.gen_range(0..parts.len())].clone();
+            parts.insert(rng.gen_range(0..=parts.len()), twin);
+        }
+        Tree::Node(*is_and, parts)
+    }
+
+    /// The formula with one leaf replaced or one node's kind flipped: a
+    /// different normal form as a rule, but not always.
+    fn mutate(rng: &mut SmallRng, tree: &Tree) -> Tree {
+        fn sites(tree: &Tree) -> usize {
+            match tree {
+                Tree::Leaf(_) => 1,
+                Tree::Node(_, parts) => 1 + parts.iter().map(sites).sum::<usize>(),
+            }
+        }
+        fn change(tree: &mut Tree, at: &mut usize, by: u32) {
+            if *at == 0 {
+                match tree {
+                    Tree::Leaf(i) => *i = (*i + by) % LEAVES,
+                    Tree::Node(is_and, _) => *is_and = !*is_and,
+                }
+            }
+            *at = at.wrapping_sub(1);
+            if let Tree::Node(_, parts) = tree {
+                parts.iter_mut().for_each(|p| change(p, at, by));
+            }
+        }
+        let mut twin = tree.clone();
+        let mut at = rng.gen_range(0..sites(tree));
+        change(&mut twin, &mut at, rng.gen_range(1..LEAVES));
+        twin
+    }
+
+    /// Interned ids are equal exactly when the oracle's forms are, on
+    /// random formulas, their rewritten twins and their mutants, all
+    /// interned into one `Forms` per case; some cases intern more nodes
+    /// than are scanned, so lookups also go through the map.
+    #[test]
+    fn interned_forms_are_equal_exactly_when_oracle_forms_are() {
+        let mut rng = SmallRng::seed_from_u64(0xF0_4A5);
+        let mut forms = Forms::new(LEAVES);
+        let (mut equal, mut different, mut hashed) = (0, 0, 0);
+        for case in 0..3_000 {
+            let tree = random_tree(&mut rng, 3);
+            let trees = [
+                rewrite(&mut rng, &tree, true),
+                mutate(&mut rng, &tree),
+                tree,
+            ];
+            forms.clear();
+            let ids = trees.each_ref().map(|t| t.intern(&mut forms));
+            hashed += usize::from(forms.nodes.len() > SCANNED);
+            let oracle = trees.each_ref().map(Tree::form);
+            assert_eq!(ids[0], ids[2], "case {case}: a rewrite changed the id");
+            for (a, b) in [(0, 1), (0, 2), (1, 2)] {
+                assert_eq!(
+                    ids[a] == ids[b],
+                    oracle[a] == oracle[b],
+                    "case {case}: {:?} and {:?}",
+                    trees[a],
+                    trees[b]
+                );
+                if ids[a] == ids[b] {
+                    equal += 1;
+                } else {
+                    different += 1;
+                }
+            }
+        }
+        assert!(equal > 0 && different > 0, "{equal} equal, {different} not");
+        assert!(hashed > 0, "no case interned past the scanned nodes");
+    }
+
+    /// Two nodes whose hashes collide share a chain: the second is a new
+    /// node, and each is found again as itself.
+    #[test]
+    fn a_hash_collision_costs_a_comparison_not_a_match() {
+        let intern = |forms: &mut Forms, is_and: bool, parts: &[u32]| {
+            let mark = forms.mark();
+            parts.iter().for_each(|&p| forms.push(is_and, p));
+            forms.join(is_and, mark).expect("ids fit a u32")
+        };
+        let mut forms = Forms::new(100);
+        // Fill the scanned nodes, so the rest go through the map.
+        for leaf in 1..=SCANNED as u32 {
+            intern(&mut forms, true, &[0, leaf]);
+        }
+        let and = intern(&mut forms, true, &[1, 2]);
+        // Point the hashes of `1 + 2` and `1 * 3` at `1 * 2`.
+        for (is_and, parts) in [(false, [1u32, 2]), (true, [1, 3])] {
+            let hash = forms.heads.hasher().hash_one((is_and, &parts[..]));
+            forms.heads.insert(hash, and);
+        }
+        let or = intern(&mut forms, false, &[2, 1]);
+        let other = intern(&mut forms, true, &[3, 1]);
+        let first = 100 + SCANNED as u32;
+        assert_eq!([and, or, other], [first, first + 1, first + 2]);
+        assert_eq!(forms.nodes[SCANNED + 1].next, and);
+        assert_eq!(intern(&mut forms, false, &[1, 2, 1]), or);
+        assert_eq!(intern(&mut forms, true, &[1, 3]), other);
+        assert_eq!(intern(&mut forms, true, &[2, 1]), and);
+        assert_eq!(intern(&mut forms, true, &[SCANNED as u32, 0]), 100 + 15);
+    }
+
+    /// On every registry circuit under all three algorithms, duplication
+    /// off and on, and both output-phase policies, interned claim 2 gives
+    /// every gate the oracle's verdict, with honest roots and with the
+    /// root table rotated by one; only duplicated mappings fall back.
+    #[test]
+    fn interned_claim_two_agrees_with_the_oracle_on_the_registry() {
+        let mappers: [fn(MapConfig) -> Mapper; 3] =
+            [Mapper::baseline, Mapper::rearrange_stacks, Mapper::soi];
+        let (mut certified, mut fell_back) = (0, 0);
+        for name in registry::names() {
+            let network = registry::benchmark(name).expect("registered");
+            for make in mappers {
+                for allow_duplication in [false, true] {
+                    for output_phase in [OutputPhase::Positive, OutputPhase::Cheapest] {
+                        let config = MapConfig {
+                            allow_duplication,
+                            output_phase,
+                            ..MapConfig::default()
+                        };
+                        let result = make(config).run(&network).expect("maps");
+                        let what = format!(
+                            "{name} ({:?}, dup {allow_duplication}, {output_phase:?})",
+                            result.algorithm
+                        );
+                        let mut circuit = result.circuit;
+                        let (unate, _) = convert_in_phases(&network, |o| {
+                            if circuit.outputs()[o].inverted {
+                                Phase::Neg
+                            } else {
+                                Phase::Pos
+                            }
+                        })
+                        .expect("converts");
+                        let verdicts = interned_verdicts(&unate, &circuit);
+                        assert_eq!(verdicts, oracle_verdicts(&unate, &circuit), "{what}");
+                        if certifies(&network, &circuit) {
+                            certified += 1;
+                        } else {
+                            assert!(allow_duplication, "{what} fell back");
+                            fell_back += 1;
+                        }
+                        let mut rotated = circuit.roots().to_vec();
+                        rotated.rotate_left(1);
+                        circuit.set_roots_unchecked(rotated);
+                        assert_eq!(
+                            interned_verdicts(&unate, &circuit),
+                            oracle_verdicts(&unate, &circuit),
+                            "{what}, roots rotated"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(
+            certified > 0 && fell_back > 0,
+            "{certified} certified, {fell_back} fell back"
+        );
+    }
 
     fn leaf(i: u32) -> Form {
         Form::Leaf(i)
@@ -371,27 +907,27 @@ mod tests {
     #[test]
     fn honest_roots_certify_and_forged_ones_do_not() {
         let (n, circuit) = hand_mapped();
-        assert!(certify(&n, &circuit));
+        assert!(certifies(&n, &circuit));
 
         let mut forged = circuit.clone();
         forged.set_roots_unchecked(vec![2]);
-        assert!(!certify(&n, &forged), "wrong root");
+        assert!(!certifies(&n, &forged), "wrong root");
         forged.set_roots_unchecked(Vec::new());
-        assert!(!certify(&n, &forged), "no table");
+        assert!(!certifies(&n, &forged), "no table");
         forged.set_roots_unchecked(vec![4, 4]);
-        assert!(!certify(&n, &forged), "table of the wrong length");
+        assert!(!certifies(&n, &forged), "table of the wrong length");
         forged.set_roots_unchecked(vec![99]);
-        assert!(!certify(&n, &forged), "root out of range");
+        assert!(!certifies(&n, &forged), "root out of range");
 
         let mut dangling = circuit.clone();
         dangling.set_output_gate_unchecked(1, GateId::from_index(3));
-        assert!(!certify(&n, &dangling), "dangling output gate");
+        assert!(!certifies(&n, &dangling), "dangling output gate");
 
         // Building `g` positive appends its own nodes and leaves the
         // gate's root valid: only the output claim catches the flip.
         let mut flipped = circuit.clone();
         flipped.set_output_inverted(1, false);
-        assert!(!certify(&n, &flipped), "flipped output inversion");
+        assert!(!certifies(&n, &flipped), "flipped output inversion");
     }
 
     /// A gate that reads itself would "prove" itself equal to its root by
@@ -401,7 +937,7 @@ mod tests {
         let (n, mut circuit) = hand_mapped();
         let g0 = GateId::from_index(0);
         circuit.set_pdn_unchecked(g0, Pdn::transistor(Signal::Gate(g0)).view());
-        assert!(!certify(&n, &circuit));
+        assert!(!certifies(&n, &circuit));
     }
 
     /// Two correct gates bound to each other's outputs: every gate claim
@@ -432,9 +968,9 @@ mod tests {
             .unwrap();
         circuit.add_output("f", and);
         circuit.add_output("g", or);
-        assert!(certify(&n, &circuit));
+        assert!(certifies(&n, &circuit));
         circuit.set_output_gate_unchecked(0, or);
-        assert!(!certify(&n, &circuit));
+        assert!(!certifies(&n, &circuit));
     }
 
     #[test]
@@ -448,12 +984,12 @@ mod tests {
             ]),
         ]);
         circuit.set_pdn_unchecked(GateId::from_index(0), swapped.view());
-        assert!(!certify(&n, &circuit), "swapped literals");
+        assert!(!certifies(&n, &circuit), "swapped literals");
         // A literal the unate network never built cannot be a leaf, nor
         // can an input that does not exist.
         for signal in [Signal::input_neg(2), Signal::input(1 << 20)] {
             circuit.set_pdn_unchecked(GateId::from_index(0), Pdn::transistor(signal).view());
-            assert!(!certify(&n, &circuit), "{signal}");
+            assert!(!certifies(&n, &circuit), "{signal}");
         }
     }
 

@@ -94,7 +94,10 @@ pub fn check_mapped(
 }
 
 /// [`check_mapped`] with a trace handle: the certificate check runs in a
-/// [`Stage::CecCertify`] span and counts `cec_certified_gates`, or one
+/// [`Stage::CecCertify`] span, which holds one span each for the
+/// re-conversion ([`Stage::CecCertifyConvert`]), claim 1
+/// ([`Stage::CecCertifySource`]), and claims 2 and 3
+/// ([`Stage::CecCertifyGates`]), and counts `cec_certified_gates`, or one
 /// `cec_fallbacks` before the sweep's own counters.
 ///
 /// # Errors
@@ -108,7 +111,7 @@ pub fn check_mapped_traced(
 ) -> Result<CecReport, CecError> {
     let certified = {
         let _span = trace.span(Stage::CecCertify);
-        certify::certify(network, circuit)
+        certify::certify(network, circuit, trace)
     };
     if certified {
         trace.count(Counter::CecCertifiedGates, circuit.gate_count() as u64);

@@ -77,11 +77,21 @@ pub enum Stage {
     /// (emitted by `soi_cec::check_mapped_traced`, fallback sweep
     /// excluded).
     CecCertify,
+    /// Inside [`Stage::CecCertify`]: converting the source to its unate
+    /// network again.
+    CecCertifyConvert,
+    /// Inside [`Stage::CecCertify`]: proving the conversion equal to the
+    /// source, one source node at a time (claim 1).
+    CecCertifySource,
+    /// Inside [`Stage::CecCertify`]: proving each gate equal to the unate
+    /// cone at its root and each output bound to its driver's image
+    /// (claims 2 and 3).
+    CecCertifyGates,
 }
 
 impl Stage {
     /// Every stage, in flow order.
-    pub const ALL: [Stage; 11] = [
+    pub const ALL: [Stage; 14] = [
         Stage::Parse,
         Stage::NetlistValidate,
         Stage::UnateConvert,
@@ -93,6 +103,9 @@ impl Stage {
         Stage::Audit,
         Stage::Drain,
         Stage::CecCertify,
+        Stage::CecCertifyConvert,
+        Stage::CecCertifySource,
+        Stage::CecCertifyGates,
     ];
 
     /// The stage's kebab-case display name.
@@ -109,6 +122,9 @@ impl Stage {
             Stage::Audit => "audit",
             Stage::Drain => "drain",
             Stage::CecCertify => "cec-certify",
+            Stage::CecCertifyConvert => "cec-certify-convert",
+            Stage::CecCertifySource => "cec-certify-source",
+            Stage::CecCertifyGates => "cec-certify-gates",
         }
     }
 }

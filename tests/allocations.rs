@@ -1,8 +1,12 @@
-//! The DP allocates nothing per node: mapping a network makes a number
-//! of allocation calls that does not grow with its node count — a handful
-//! per worker for the solution segments, the memo and the scratch arenas,
-//! and a handful per run for the cone partition and the circuit — so far
-//! fewer than one call per ten unate nodes, serial or on two threads.
+//! Neither the DP nor the proof allocates per node. Mapping a network
+//! makes a number of allocation calls that does not grow with its node
+//! count — a handful per worker for the solution segments, the memo and
+//! the scratch arenas, and a handful per run for the cone partition and
+//! the circuit — so far fewer than one call per ten unate nodes, serial
+//! or on two threads. Proving the serial mapping by its certificate
+//! (`check_mapped`) stays under the same bound: the re-converted unate
+//! network's containers, and a few buffers that every gate's normal
+//! forms reuse.
 //!
 //! The allocator below counts every allocation call of the process, so
 //! this binary holds a single test: the harness runs nothing else while
@@ -11,6 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use soi_domino::cec::{self, CecOptions, CecPath};
 use soi_domino::circuits::misc::random::{generate, RandomSpec};
 use soi_domino::mapper::{MapConfig, Mapper, Parallelism};
 use soi_domino::unate;
@@ -46,7 +51,8 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Upper bound on allocation calls per unate node for one `run_unate`.
+/// Upper bound on allocation calls per unate node for one `run_unate`,
+/// and for one `check_mapped`.
 const MAX_CALLS_PER_NODE: f64 = 0.1;
 
 #[test]
@@ -80,4 +86,16 @@ fn mapping_allocates_nothing_per_node() {
     }
     assert_eq!(mapped[0].threads_used, 1);
     assert!(mapped[0].circuit == mapped[1].circuit, "schedules diverge");
+
+    let opts = CecOptions::default();
+    let before = CALLS.load(Ordering::Relaxed);
+    let report = cec::check_mapped(&network, &mapped[0].circuit, &opts).expect("checks");
+    let calls = CALLS.load(Ordering::Relaxed) - before;
+    assert_eq!(report.path, CecPath::Certificate, "{:?}", report.verdict);
+    let per_node = calls as f64 / nodes as f64;
+    assert!(
+        per_node < MAX_CALLS_PER_NODE,
+        "check_mapped: {calls} allocation calls for {nodes} unate nodes \
+         ({per_node:.3} per node)"
+    );
 }

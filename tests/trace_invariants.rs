@@ -294,8 +294,9 @@ fn all_algorithms_balance_candidates_and_discharges() {
 
 /// The certificate check's counters balance against the circuit: every
 /// gate of every default-config registry mapping is certified in a
-/// `cec-certify` span with no fallback and no SAT call, and a rewired
-/// mutant falls back exactly once, certifying nothing.
+/// `cec-certify` span with no fallback and no SAT call, that span holds
+/// one span each for the re-conversion, claim 1, and claims 2 and 3, and
+/// a rewired mutant falls back exactly once, certifying nothing.
 #[test]
 fn certificate_check_counts_every_gate_or_one_fallback() {
     let (rec, trace) = Recorder::install();
@@ -317,9 +318,21 @@ fn certificate_check_counts_every_gate_or_one_fallback() {
             );
             assert_eq!(rec.counter(Counter::CecFallbacks), 0, "{what}: fell back");
             assert_eq!(rec.counter(Counter::CecSatCalls), 0, "{what}: SAT ran");
+            let parent = rec
+                .stage_nanos(Stage::CecCertify)
+                .unwrap_or_else(|| panic!("{what}: no cec-certify span"));
+            let children = [
+                Stage::CecCertifyConvert,
+                Stage::CecCertifySource,
+                Stage::CecCertifyGates,
+            ]
+            .map(|stage| {
+                rec.stage_nanos(stage)
+                    .unwrap_or_else(|| panic!("{what}: no {stage} span"))
+            });
             assert!(
-                rec.stage_nanos(Stage::CecCertify).is_some(),
-                "{what}: no cec-certify span"
+                children.iter().sum::<u64>() <= parent,
+                "{what}: the certificate's parts {children:?} outlast it ({parent} ns)"
             );
         }
     }
