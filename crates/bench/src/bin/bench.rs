@@ -19,11 +19,13 @@
 //!     the traced total.
 //!   cargo run --release -p soi-bench --bin bench -- --cec-smoke
 //!     Maps both ≥100k-gate synthetics with the shipped default config and
-//!     proves each mapped circuit equivalent to its source network twice:
-//!     by `check_mapped`, which its certificate must decide, and by the SAT
+//!     proves each mapped circuit equivalent to its source network three
+//!     times: by `check_mapped`, which its certificate must decide, once
+//!     against the conversion the mapping carries and once, with that
+//!     removed, against a re-conversion of the source; and by the SAT
 //!     sweep (`check_networks` on the lowered circuit), which keeps the
 //!     sweep exercised at scale. The default and serial mappings must
-//!     agree, both verdicts must be `Equivalent`, and no miter may stay
+//!     agree, every verdict must be `Equivalent`, and no miter may stay
 //!     unproven.
 //!
 //! CI runs `--corpus-smoke` and `--cec-smoke` under a hard `timeout`; any
@@ -34,6 +36,7 @@ use std::time::Instant;
 
 use soi_cec::{check_mapped, check_networks, lower, CecOptions, CecPath};
 use soi_circuits::{corpus, registry};
+use soi_domino_ir::DominoCircuit;
 use soi_mapper::{MapConfig, Mapper, MappingResult, Parallelism};
 use soi_netlist::Network;
 use soi_trace::{Recorder, Stage};
@@ -317,8 +320,10 @@ fn corpus_smoke() {
 
 /// `--cec-smoke`: both ≥100k-gate synthetics, mapped with the shipped
 /// default config, must prove equivalent to their source networks with
-/// zero unproven miters twice: by `check_mapped`, decided by the mapping's
-/// certificate, and by the SAT sweep on the lowered circuit, which
+/// zero unproven miters three times: by `check_mapped`, decided by the
+/// mapping's certificate against the conversion the mapping carries and
+/// again, with that attachment removed, against a re-conversion of the
+/// source; and by the SAT sweep on the lowered circuit, which
 /// `check_mapped` does not run on these rows. The default mapping must
 /// agree with serial, so the proof covers the configuration that ships.
 fn cec_smoke() {
@@ -345,16 +350,32 @@ fn cec_smoke() {
             same_outcome(&s, &d),
             "cec smoke: `{name}`: default config diverged from serial"
         );
-        let cec_start = Instant::now();
-        let report = check_mapped(&network, &d.circuit, &opts)
-            .unwrap_or_else(|e| panic!("cec smoke: `{name}` equivalence check failed: {e}"));
-        let cec_ms = cec_start.elapsed().as_secs_f64() * 1e3;
-        assert!(
-            report.is_equivalent() && report.path == CecPath::Certificate,
-            "cec smoke: `{name}`: certificate did not prove the mapping: {:?} via {:?}",
-            report.verdict,
-            report.path
-        );
+        // The certificate against the conversion the mapping carries, then
+        // against a re-conversion of the source: the only path for
+        // circuits mapped from a unate network or built by hand.
+        let certify = |circuit: &DominoCircuit, how: &str| {
+            let start = Instant::now();
+            let report = check_mapped(&network, circuit, &opts).unwrap_or_else(|e| {
+                panic!("cec smoke: `{name}` equivalence check ({how}) failed: {e}")
+            });
+            let ms = start.elapsed().as_secs_f64() * 1e3;
+            assert!(
+                report.is_equivalent() && report.path == CecPath::Certificate,
+                "cec smoke: `{name}`: certificate ({how}) did not prove the mapping: {:?} via {:?}",
+                report.verdict,
+                report.path
+            );
+            assert_eq!(
+                report.unproven(),
+                0,
+                "cec smoke: `{name}`: unproven output miters remain ({how})"
+            );
+            ms
+        };
+        let attached_ms = certify(&d.circuit, "attached conversion");
+        let mut bare = d.circuit.clone();
+        bare.set_conversion(None);
+        let derived_ms = certify(&bare, "re-converted");
         let sweep_start = Instant::now();
         let lowered = lower::circuit_to_network(&d.circuit);
         let sweep = check_networks(&network, &lowered, &opts)
@@ -366,13 +387,14 @@ fn cec_smoke() {
             sweep.verdict
         );
         assert_eq!(
-            (report.unproven(), sweep.unproven()),
-            (0, 0),
+            sweep.unproven(),
+            0,
             "cec smoke: `{name}`: unproven output miters remain"
         );
         eprintln!(
             "cec smoke ok: {name} ({gates} gates) mapped in {map_ms:.1} ms; certificate proved \
-             all {} domino gates (0 fallbacks) in {cec_ms:.1} ms; sweep proved in \
+             all {} domino gates (0 fallbacks) in {attached_ms:.1} ms against the attached \
+             conversion and in {derived_ms:.1} ms re-converted; sweep proved in \
              {sweep_ms:.1} ms — {}/{} outputs, {} internal merges, {} sat calls ({} conflicts), \
              {} sim-filtered, {} refinements, {} replays",
             d.circuit.gate_count(),

@@ -4,18 +4,20 @@
 //! All three mappers build each domino gate as a series/parallel cover of
 //! one fanout-free cone of the unate network, changing only the stack
 //! order, and [`DominoCircuit::roots`] names that cone's root per gate.
-//! The check trusts none of it. It proves three claims:
+//! The check trusts none of it. It reads the unate network the roots
+//! index from the circuit when the mapper attached its conversion
+//! ([`DominoCircuit::conversion`], image table included), and otherwise
+//! converts the source again with [`convert_in_phases`], each output in
+//! the phase its binding's `inverted` flag records, which reproduces the
+//! mapper's node numbering. Either way it proves three claims:
 //!
-//! 1. **source ≡ unate.** The source is converted again with
-//!    [`convert_in_phases`], each output in the phase its binding's
-//!    `inverted` flag records, which reproduces the mapper's node
-//!    numbering. Every `(source node, phase)` image of that conversion is
-//!    checked against its source node in topological order: an input
-//!    against the literal of the same position and phase, a constant
-//!    against the folded constant, a buffer or inverter against its
-//!    fanin's image in the same or flipped phase, and a 2-input gate by
-//!    its 4-row truth table, evaluating the image down to its fanins'
-//!    images.
+//! 1. **source ≡ unate.** Every `(source node, phase)` image of the
+//!    conversion ([`UnateNetwork::image`]) is checked against its source
+//!    node in topological order: an input against the literal of the
+//!    same position and phase, a constant against the folded constant, a
+//!    buffer or inverter against its fanin's image in the same or flipped
+//!    phase, and a 2-input gate by its 4-row truth table, evaluating the
+//!    image down to its fanins' images.
 //! 2. **unate ≡ mapped.** In gate order, each gate's PDN flattened to an
 //!    AND/OR normal form (series = AND, parallel = OR, nested children of
 //!    the same kind spliced, children sorted and deduplicated) must equal
@@ -35,15 +37,19 @@
 //!    its root.
 //!
 //! Soundness is by induction. Claim 1 over source nodes in topological
-//! order gives every image its source node's value in its phase. Claim 2
-//! over gates in order gives every gate its root's value, because the
-//! leaves of a PDN are literals or strictly earlier gates, whose values
-//! are their roots' by then, and flattening, sorting and deduplicating
-//! preserve an AND/OR formula's function (equal ids mean equal normal
-//! forms, hence equal functions). Claim 3 then makes every output
-//! its source output. Any failed claim makes [`certify`] return `false` and
-//! the caller falls back to the SAT sweep, so a certificate can only
-//! confirm equivalence, never refute it.
+//! order gives every image its source node's value in its phase, whoever
+//! built the conversion: a [`UnateNetwork`] is topological by
+//! construction, so its nodes have values, and claim 1 reads the image
+//! table only through the checks above. The source itself is validated
+//! first, by the re-conversion or, for an attached conversion, directly.
+//! Claim 2 over gates in order gives every gate its root's value, because
+//! the leaves of a PDN are literals or strictly earlier gates, whose
+//! values are their roots' by then, and flattening, sorting and
+//! deduplicating preserve an AND/OR formula's function (equal ids mean
+//! equal normal forms, hence equal functions). Claim 3 then makes every
+//! output its source output. Any failed claim makes [`certify`] return
+//! `false` and the caller falls back to the SAT sweep, so a certificate
+//! can only confirm equivalence, never refute it.
 
 use std::collections::hash_map::Entry;
 use std::hash::BuildHasher;
@@ -52,16 +58,19 @@ use soi_domino_ir::{DominoCircuit, PdnNode, PdnRef, Signal};
 use soi_netlist::fx::FxHashMap;
 use soi_netlist::{BinOp, Network, Node, NodeId, UnOp};
 use soi_trace::{Stage, TraceHandle};
-use soi_unate::{convert_in_phases, Images, Literal, Phase, UId, UNode, USignal, UnateNetwork};
+use soi_unate::{convert_in_phases, Literal, Phase, UId, UNode, USignal, UnateNetwork};
 
 /// Proves `circuit` equivalent to `network` from its root table: `false`
 /// when the table is missing or any claim fails.
 ///
-/// A certified circuit also lowers to a network that passes validation
-/// with the source's input and output counts, so certifying never hides
-/// an error the SAT sweep would have raised. With `trace` on, the
-/// re-conversion, claim 1, and claims 2 and 3 each run in a span of
-/// their own.
+/// The claims are checked on the circuit's attached conversion when it
+/// carries one, and otherwise on a re-conversion of the source; a claim
+/// that fails on the attached conversion is final. A certified circuit
+/// also lowers to a network that passes validation with the source's
+/// input and output counts, and its source passes validation, so
+/// certifying never hides an error the SAT sweep would have raised. With
+/// `trace` on, the re-conversion (when there is one), claim 1, and claims
+/// 2 and 3 each run in a span of their own.
 pub(crate) fn certify(network: &Network, circuit: &DominoCircuit, trace: TraceHandle) -> bool {
     let roots = circuit.roots();
     if roots.is_empty()
@@ -71,22 +80,32 @@ pub(crate) fn certify(network: &Network, circuit: &DominoCircuit, trace: TraceHa
         return false;
     }
     let phase_of = |inverted| if inverted { Phase::Neg } else { Phase::Pos };
-    let converted = {
-        let _span = trace.span(Stage::CecCertifyConvert);
-        convert_in_phases(network, |o| phase_of(circuit.outputs()[o].inverted))
-    };
-    let Ok((unate, images)) = converted else {
-        return false;
+    let derived;
+    let unate = match circuit.conversion() {
+        // Converting validates the source; the attached conversion's
+        // source may not be this one, so it is validated here.
+        Some(attached) if network.validate().is_ok() => &**attached,
+        Some(_) => return false,
+        None => {
+            let _span = trace.span(Stage::CecCertifyConvert);
+            let phases = |o: usize| phase_of(circuit.outputs()[o].inverted);
+            let Ok(converted) = convert_in_phases(network, phases) else {
+                return false;
+            };
+            derived = converted;
+            &derived
+        }
     };
     let bindings = || circuit.outputs().iter().zip(network.outputs());
     let same_names = circuit.input_names() == unate.input_names()
+        && inputs_named(network, unate.input_names())
         && bindings().all(|(binding, port)| binding.name == port.name);
     if !same_names || roots.iter().any(|&r| r as usize >= unate.len()) {
         return false;
     }
     let source_matches = {
         let _span = trace.span(Stage::CecCertifySource);
-        source_matches_unate(network, &unate, &images)
+        source_matches_unate(network, unate)
     };
     if !source_matches {
         return false;
@@ -95,22 +114,32 @@ pub(crate) fn certify(network: &Network, circuit: &DominoCircuit, trace: TraceHa
     let outputs_bind_images = bindings().all(|(binding, port)| {
         let root = roots.get(binding.gate.index());
         let root = root.map(|&r| USignal::Node(UId::from_index(r as usize)));
-        root.is_some() && images.get(port.driver, phase_of(binding.inverted)) == root
+        root.is_some() && unate.image(port.driver, phase_of(binding.inverted)) == root
     });
-    outputs_bind_images && gates_match_roots(&unate, circuit)
+    outputs_bind_images && gates_match_roots(unate, circuit)
+}
+
+/// Whether `network`'s primary inputs carry `names`, in order.
+fn inputs_named(network: &Network, names: &[String]) -> bool {
+    network.inputs().len() == names.len()
+        && network
+            .inputs()
+            .iter()
+            .zip(names)
+            .all(|(&id, name)| matches!(network.node(id), Node::Input { name: own } if own == name))
 }
 
 // ---- Claim 1: source ≡ unate ------------------------------------------------
 
 /// Checks every image the conversion built against its source node.
-fn source_matches_unate(network: &Network, unate: &UnateNetwork, images: &Images) -> bool {
+fn source_matches_unate(network: &Network, unate: &UnateNetwork) -> bool {
     let mut input_pos = vec![usize::MAX; network.len()];
     for (i, id) in network.inputs().iter().enumerate() {
         input_pos[id.index()] = i;
     }
     network.iter().all(|(id, source)| {
         [Phase::Pos, Phase::Neg].into_iter().all(|phase| {
-            let Some(image) = images.get(id, phase) else {
+            let Some(image) = unate.image(id, phase) else {
                 return true;
             };
             match *source {
@@ -122,11 +151,9 @@ fn source_matches_unate(network: &Network, unate: &UnateNetwork, images: &Images
                     matches!(image, USignal::Node(u) if unate.node(u) == UNode::Lit(literal))
                 }
                 Node::Const { value } => image == USignal::Const(phase.apply(value)),
-                Node::Unary { op: UnOp::Buf, a } => images.get(a, phase) == Some(image),
-                Node::Unary { op: UnOp::Inv, a } => images.get(a, phase.flipped()) == Some(image),
-                Node::Binary { op, a, b } => {
-                    truth_table_matches(unate, images, (a, b), image, op, phase)
-                }
+                Node::Unary { op: UnOp::Buf, a } => unate.image(a, phase) == Some(image),
+                Node::Unary { op: UnOp::Inv, a } => unate.image(a, phase.flipped()) == Some(image),
+                Node::Binary { op, a, b } => truth_table_matches(unate, (a, b), image, op, phase),
             }
         })
     })
@@ -148,7 +175,6 @@ const B_ROWS: u64 = 0b1100;
 /// are masked out.
 fn truth_table_matches(
     unate: &UnateNetwork,
-    images: &Images,
     (a, b): (NodeId, NodeId),
     image: USignal,
     op: BinOp,
@@ -159,7 +185,7 @@ fn truth_table_matches(
     let mut reachable = ROWS;
     for (node, rows) in [(a, A_ROWS), (b, B_ROWS)] {
         for (phase, rows) in [(Phase::Pos, rows), (Phase::Neg, !rows & ROWS)] {
-            match images.get(node, phase) {
+            match unate.image(node, phase) {
                 None => {}
                 Some(USignal::Const(c)) => reachable &= if c { rows } else { !rows },
                 Some(USignal::Node(u)) => match known[..len].iter().find(|k| k.0 == u) {
@@ -474,6 +500,8 @@ fn dedup_sorted(ids: &mut [u32]) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Arc;
+
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use soi_circuits::registry;
@@ -791,7 +819,9 @@ mod tests {
     /// On every registry circuit under all three algorithms, duplication
     /// off and on, and both output-phase policies, interned claim 2 gives
     /// every gate the oracle's verdict, with honest roots and with the
-    /// root table rotated by one; only duplicated mappings fall back.
+    /// root table rotated by one, on the mapper's attached conversion and
+    /// on a re-conversion alike; the two give the same certify verdict,
+    /// and only duplicated mappings fall back.
     #[test]
     fn interned_claim_two_agrees_with_the_oracle_on_the_registry() {
         let mappers: [fn(MapConfig) -> Mapper; 3] =
@@ -813,7 +843,8 @@ mod tests {
                             result.algorithm
                         );
                         let mut circuit = result.circuit;
-                        let (unate, _) = convert_in_phases(&network, |o| {
+                        let attached = circuit.conversion().expect("`run` attaches").clone();
+                        let unate = convert_in_phases(&network, |o| {
                             if circuit.outputs()[o].inverted {
                                 Phase::Neg
                             } else {
@@ -823,7 +854,12 @@ mod tests {
                         .expect("converts");
                         let verdicts = interned_verdicts(&unate, &circuit);
                         assert_eq!(verdicts, oracle_verdicts(&unate, &circuit), "{what}");
-                        if certifies(&network, &circuit) {
+                        assert_eq!(verdicts, interned_verdicts(&attached, &circuit), "{what}");
+                        let mut bare = circuit.clone();
+                        bare.set_conversion(None);
+                        let verdict = certifies(&network, &circuit);
+                        assert_eq!(verdict, certifies(&network, &bare), "{what}");
+                        if verdict {
                             certified += 1;
                         } else {
                             assert!(allow_duplication, "{what} fell back");
@@ -832,19 +868,22 @@ mod tests {
                         let mut rotated = circuit.roots().to_vec();
                         rotated.rotate_left(1);
                         circuit.set_roots_unchecked(rotated);
+                        let verdicts = interned_verdicts(&unate, &circuit);
                         assert_eq!(
-                            interned_verdicts(&unate, &circuit),
+                            verdicts,
                             oracle_verdicts(&unate, &circuit),
+                            "{what}, roots rotated"
+                        );
+                        assert_eq!(
+                            verdicts,
+                            interned_verdicts(&attached, &circuit),
                             "{what}, roots rotated"
                         );
                     }
                 }
             }
         }
-        assert!(
-            certified > 0 && fell_back > 0,
-            "{certified} certified, {fell_back} fell back"
-        );
+        assert_eq!((certified, fell_back), (290, 46), "certified and fell back");
     }
 
     fn leaf(i: u32) -> Form {
@@ -1007,9 +1046,55 @@ mod tests {
             n
         };
         let (and, or) = (build(false), build(true));
-        let (unate, images) = convert_in_phases(&or, |_| Phase::Pos).unwrap();
-        assert!(source_matches_unate(&or, &unate, &images));
-        assert!(!source_matches_unate(&and, &unate, &images));
+        let unate = convert_in_phases(&or, |_| Phase::Pos).unwrap();
+        assert!(source_matches_unate(&or, &unate));
+        assert!(!source_matches_unate(&and, &unate));
+    }
+
+    /// An attached conversion is checked, not believed, and a claim that
+    /// fails on it is final: the circuit is not certified by converting
+    /// again, although that would succeed.
+    #[test]
+    fn an_attached_conversion_is_checked_and_final() {
+        let (n, circuit) = hand_mapped();
+        let phases = |o: usize| if o == 1 { Phase::Neg } else { Phase::Pos };
+        let mut attached = circuit.clone();
+        attached.set_conversion(Some(Arc::new(convert_in_phases(&n, phases).unwrap())));
+        assert!(certifies(&n, &attached), "honest conversion");
+
+        // The same source with its AND an OR: the same node ids.
+        let mut wrong = n.clone();
+        let f = NodeId::from_index(4);
+        let Node::Binary { a, b, .. } = *n.node(f) else {
+            panic!("f is binary");
+        };
+        wrong.set_node_unchecked(
+            f,
+            Node::Binary {
+                op: BinOp::Or,
+                a,
+                b,
+            },
+        );
+        let forged = convert_in_phases(&wrong, phases).unwrap();
+        attached.set_conversion(Some(Arc::new(forged)));
+        assert!(!certifies(&n, &attached), "claim 1 on a wrong conversion");
+        assert!(certifies(&n, &circuit), "converting again would certify");
+
+        // Every output in the other phase.
+        let flipped = convert_in_phases(&n, |o| phases(o).flipped()).unwrap();
+        attached.set_conversion(Some(Arc::new(flipped)));
+        assert!(!certifies(&n, &attached), "claim 3 on flipped phases");
+
+        // The honest conversion against an invalid source, or one whose
+        // inputs are named differently.
+        attached.set_conversion(Some(Arc::new(convert_in_phases(&n, phases).unwrap())));
+        let mut invalid = n.clone();
+        invalid.set_node_unchecked(NodeId::from_index(1), Node::Input { name: "a".into() });
+        assert!(!certifies(&invalid, &attached), "duplicate input names");
+        let mut renamed = n.clone();
+        renamed.set_node_unchecked(NodeId::from_index(1), Node::Input { name: "z".into() });
+        assert!(!certifies(&renamed, &attached), "renamed input");
     }
 
     #[test]
@@ -1021,38 +1106,17 @@ mod tests {
         let x = n.xnor2(a, b);
         let y = n.and2(x, one);
         n.add_output("y", y);
-        let (unate, images) = convert_in_phases(&n, |_| Phase::Pos).unwrap();
-        assert!(source_matches_unate(&n, &unate, &images));
+        let unate = convert_in_phases(&n, |_| Phase::Pos).unwrap();
+        assert!(source_matches_unate(&n, &unate));
         // The image is the OR of two ANDs: XNOR over the fanin literals,
         // not XOR.
-        let image = images.get(x, Phase::Pos).expect("built");
+        let image = unate.image(x, Phase::Pos).expect("built");
         let (xnor, xor) = (BinOp::Xnor, BinOp::Xor);
-        assert!(truth_table_matches(
-            &unate,
-            &images,
-            (a, b),
-            image,
-            xnor,
-            Phase::Pos
-        ));
-        assert!(truth_table_matches(
-            &unate,
-            &images,
-            (a, b),
-            image,
-            xor,
-            Phase::Neg
-        ));
-        assert!(!truth_table_matches(
-            &unate,
-            &images,
-            (a, b),
-            image,
-            xor,
-            Phase::Pos
-        ));
+        assert!(truth_table_matches(&unate, (a, b), image, xnor, Phase::Pos));
+        assert!(truth_table_matches(&unate, (a, b), image, xor, Phase::Neg));
+        assert!(!truth_table_matches(&unate, (a, b), image, xor, Phase::Pos));
         // `y = x * 1` folds onto `x`'s image; rows with the constant at 0
         // cannot occur and are skipped.
-        assert_eq!(images.get(y, Phase::Pos), Some(image));
+        assert_eq!(unate.image(y, Phase::Pos), Some(image));
     }
 }

@@ -70,13 +70,16 @@ use soi_trace::{Counter, Stage, TraceHandle};
 ///
 /// A circuit that carries a root table ([`DominoCircuit::roots`], recorded
 /// by every mapper) is proved by checking that table as a certificate, in
-/// time linear in the circuit and with no SAT call: the source is
-/// converted to its unate network again, the conversion is proved equal
-/// to the source one 2-input gate at a time, each gate's pull-down
-/// network is proved equal to the unate cone at its root by comparing
-/// AND/OR normal forms, and each output must bind its driver's image.
-/// Nothing in the table is trusted: when it is absent or any claim fails,
-/// the circuit is lowered with [`lower::circuit_to_network`] and
+/// time linear in the circuit and with no SAT call. The roots index a
+/// unate network: the one `Mapper::run` converted and attached to the
+/// circuit ([`DominoCircuit::conversion`]), or, for a circuit that carries
+/// none (mapped with `Mapper::run_unate`, or built by hand), the source
+/// converted again. The conversion is proved equal to the source one
+/// 2-input gate at a time, each gate's pull-down network is proved equal
+/// to the unate cone at its root by comparing AND/OR normal forms, and
+/// each output must bind its driver's image. Nothing in the table or the
+/// attached conversion is trusted: when the table is absent or any claim
+/// fails, the circuit is lowered with [`lower::circuit_to_network`] and
 /// [`check_networks`] sweeps the pair, exactly as for a hand-built
 /// circuit. A certificate only ever proves equivalence, so every
 /// [`CecVerdict::NotEquivalent`] comes from the sweep's replayed
@@ -94,11 +97,12 @@ pub fn check_mapped(
 }
 
 /// [`check_mapped`] with a trace handle: the certificate check runs in a
-/// [`Stage::CecCertify`] span, which holds one span each for the
-/// re-conversion ([`Stage::CecCertifyConvert`]), claim 1
+/// [`Stage::CecCertify`] span, which holds one span each for claim 1
 /// ([`Stage::CecCertifySource`]), and claims 2 and 3
-/// ([`Stage::CecCertifyGates`]), and counts `cec_certified_gates`, or one
-/// `cec_fallbacks` before the sweep's own counters.
+/// ([`Stage::CecCertifyGates`]), preceded by one for the re-conversion
+/// ([`Stage::CecCertifyConvert`]) when the circuit carries no conversion,
+/// and counts `cec_certified_gates`, or one `cec_fallbacks` before the
+/// sweep's own counters.
 ///
 /// # Errors
 ///

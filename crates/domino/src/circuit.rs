@@ -1,4 +1,7 @@
 use std::fmt;
+use std::sync::Arc;
+
+use soi_unate::UnateNetwork;
 
 use crate::gate::check_discharge;
 use crate::{
@@ -63,6 +66,9 @@ pub struct DominoCircuit {
     outputs: Vec<OutputBinding>,
     /// Claimed unate root per gate (see [`DominoCircuit::roots`]).
     roots: Vec<u32>,
+    /// The unate conversion the roots index (see
+    /// [`DominoCircuit::conversion`]).
+    conversion: Option<Arc<UnateNetwork>>,
 }
 
 /// Where one gate lives in the circuit's arrays.
@@ -94,6 +100,7 @@ impl DominoCircuit {
             gates: Vec::new(),
             outputs: Vec::new(),
             roots: Vec::new(),
+            conversion: None,
         }
     }
 
@@ -202,6 +209,27 @@ impl DominoCircuit {
     /// truncated or point anywhere.
     pub fn set_roots_unchecked(&mut self, roots: Vec<u32>) {
         self.roots = roots;
+    }
+
+    /// The unate network the gates' roots index, as the mapper converted
+    /// it from the source network, image table included
+    /// ([`UnateNetwork::image`]); `None` for circuits mapped from an
+    /// already-unate network and for hand-built ones.
+    ///
+    /// Like [`DominoCircuit::roots`], the attachment is an *untrusted
+    /// claim*. It describes the source, not the gates, so cloning and
+    /// every mutator keep it, and circuit equality and `Debug` leave it
+    /// out: two circuits with the same gates are equal whichever
+    /// conversion they carry. An equivalence checker that reads it must
+    /// prove every image it relies on against the source.
+    pub fn conversion(&self) -> Option<&Arc<UnateNetwork>> {
+        self.conversion.as_ref()
+    }
+
+    /// Attaches (or with `None` removes) the unate conversion, with no
+    /// checking at all.
+    pub fn set_conversion(&mut self, conversion: Option<Arc<UnateNetwork>>) {
+        self.conversion = conversion;
     }
 
     /// The gate with the given id.
@@ -501,7 +529,8 @@ impl DominoCircuit {
 }
 
 /// Two circuits are equal when they have the same inputs, gates, outputs
-/// and roots — however their arrays happen to be laid out.
+/// and roots — however their arrays happen to be laid out, and whatever
+/// conversion they carry.
 impl PartialEq for DominoCircuit {
     fn eq(&self, other: &DominoCircuit) -> bool {
         self.input_names == other.input_names
@@ -741,6 +770,33 @@ mod tests {
         forged.set_roots_unchecked(vec![7]);
         assert_eq!(forged.roots(), &[7]);
         assert_ne!(forged, c, "the root table takes part in equality");
+    }
+
+    /// The attached conversion survives cloning and every mutator, and
+    /// neither equality nor `Debug` sees it.
+    #[test]
+    fn a_conversion_rides_along_outside_equality() {
+        let plain = or_and_circuit();
+        let mut c = plain.clone();
+        assert!(c.conversion().is_none());
+        let unate = Arc::new(UnateNetwork::new(vec!["x".into()]));
+        c.set_conversion(Some(Arc::clone(&unate)));
+        assert_eq!(c, plain, "equality ignores the conversion");
+        assert_eq!(format!("{c:?}"), format!("{plain:?}"));
+        let g0 = GateId::from_index(0);
+        c.set_pdn(g0, Pdn::transistor(Signal::input(0)).view());
+        c.set_discharge(g0, &[]);
+        c.set_output_inverted(0, true);
+        c.bind_output("g", g0, false);
+        c.set_roots_unchecked(vec![1, 2]);
+        let copy = c.clone();
+        for circuit in [&c, &copy] {
+            let kept = circuit.conversion().expect("kept");
+            assert!(Arc::ptr_eq(kept, &unate));
+        }
+        c.set_conversion(None);
+        assert!(c.conversion().is_none());
+        assert_eq!(c, copy);
     }
 
     #[test]

@@ -15,16 +15,20 @@
 //! "effect", so they only guarantee the bytes changed. The property under
 //! test there is that [`soi_netlist::blif::parse`] never panics and never
 //! returns an invalid network. The certificate forgers are the other
-//! exception: they guarantee only that a circuit's root table changed,
-//! and the property under test is that no equivalence verdict does.
+//! exception: they guarantee only that a circuit's root table, or the
+//! unate conversion it carries, changed in a way the certificate check
+//! must refuse, and the property under test is that no equivalence
+//! verdict does.
+
+use std::sync::Arc;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use soi_domino_ir::{DominoCircuit, GateId, JunctionRef, Pdn, PdnNode, PdnRef, Signal};
 use soi_mapper::MapConfig;
-use soi_netlist::{Network, Node, NodeId};
+use soi_netlist::{BinOp, Network, Node, NodeId};
 use soi_pbe::hazard;
-use soi_unate::{convert, Options};
+use soi_unate::{convert, convert_in_phases, Options, Phase, UnateNetwork};
 
 // ---- Network mutators ----------------------------------------------------
 
@@ -586,6 +590,115 @@ fn with_roots(circuit: &DominoCircuit, roots: Vec<u32>) -> Option<DominoCircuit>
     (forged != *circuit).then_some(forged)
 }
 
+// ---- Conversion forgers --------------------------------------------------
+//
+// `Mapper::run` attaches the unate conversion its roots index
+// (`DominoCircuit::conversion`), and the certificate check proves the
+// circuit against that conversion instead of converting the source again.
+// These forgers attach a wrong conversion and change nothing else.
+// Circuit equality ignores the attachment, so they compare conversions
+// themselves. Each returns `None` when the circuit's outputs do not match
+// the network's or it offers nothing to forge.
+
+/// The phase of each output of `circuit`, as its binding records it;
+/// `None` when the circuit and `network` have different output counts.
+fn binding_phases(network: &Network, circuit: &DominoCircuit) -> Option<Vec<Phase>> {
+    let bindings = circuit.outputs();
+    let phase = |inverted| if inverted { Phase::Neg } else { Phase::Pos };
+    (bindings.len() == network.outputs().len()).then(|| {
+        bindings
+            .iter()
+            .map(|binding| phase(binding.inverted))
+            .collect()
+    })
+}
+
+fn with_conversion(circuit: &DominoCircuit, conversion: UnateNetwork) -> DominoCircuit {
+    let mut forged = circuit.clone();
+    forged.set_conversion(Some(Arc::new(conversion)));
+    forged
+}
+
+/// Attaches the conversion of a copy of `network` in which one binary
+/// gate reachable from an output computes its complement (AND and NAND,
+/// OR and NOR, XOR and XNOR trade places, and every node keeps its id),
+/// converted in the phases the circuit's output bindings record.
+///
+/// The gate is reachable, so it has an image in some phase, and that
+/// image computes the complement of the source gate on every row its
+/// fanins' images can take: the certificate's source claim (claim 1)
+/// refuses the conversion. `None` when no binary gate is reachable.
+pub fn forge_conversion_gate(
+    network: &Network,
+    circuit: &DominoCircuit,
+    seed: u64,
+) -> Option<DominoCircuit> {
+    network.validate().ok()?;
+    let phases = binding_phases(network, circuit)?;
+    let mut reached = vec![false; network.len()];
+    let mut stack: Vec<NodeId> = network.outputs().iter().map(|port| port.driver).collect();
+    let mut gates = Vec::new();
+    while let Some(id) = stack.pop() {
+        if std::mem::replace(&mut reached[id.index()], true) {
+            continue;
+        }
+        let node = network.node(id);
+        if matches!(node, Node::Binary { .. }) {
+            gates.push(id);
+        }
+        stack.extend(node.fanins());
+    }
+    if gates.is_empty() {
+        return None;
+    }
+    let id = gates[SmallRng::seed_from_u64(seed).gen_range(0..gates.len())];
+    let Node::Binary { op, a, b } = *network.node(id) else {
+        unreachable!("only binary gates are collected");
+    };
+    let complement = match op {
+        BinOp::And => BinOp::Nand,
+        BinOp::Nand => BinOp::And,
+        BinOp::Or => BinOp::Nor,
+        BinOp::Nor => BinOp::Or,
+        BinOp::Xor => BinOp::Xnor,
+        BinOp::Xnor => BinOp::Xor,
+    };
+    let mut copy = network.clone();
+    copy.set_node_unchecked(
+        id,
+        Node::Binary {
+            op: complement,
+            a,
+            b,
+        },
+    );
+    let forged = convert_in_phases(&copy, |o| phases[o]).ok()?;
+    Some(with_conversion(circuit, forged))
+}
+
+/// Attaches `network`'s own conversion with every output built in the
+/// phase opposite to the one its binding records.
+///
+/// The conversion is correct, so it passes the certificate's source claim
+/// (claim 1); it is returned only when some output's driver, in its
+/// binding's phase, has no image or a different one than in the honest
+/// conversion (the circuit's attached one, or the source converted in the
+/// recorded phases), so the output claim (claim 3) refuses it on a
+/// mapping whose roots are honest.
+pub fn flip_conversion_phases(network: &Network, circuit: &DominoCircuit) -> Option<DominoCircuit> {
+    let phases = binding_phases(network, circuit)?;
+    let honest = match circuit.conversion() {
+        Some(attached) => Arc::clone(attached),
+        None => Arc::new(convert_in_phases(network, |o| phases[o]).ok()?),
+    };
+    let flipped = convert_in_phases(network, |o| phases[o].flipped()).ok()?;
+    let moved = network.outputs().iter().zip(&phases).any(|(port, &phase)| {
+        let image = flipped.image(port.driver, phase);
+        image.is_none() || image != honest.image(port.driver, phase)
+    });
+    moved.then(|| with_conversion(circuit, flipped))
+}
+
 /// Removes **every** pre-discharge transistor — the "protection got lost in
 /// handoff" fault. Returns `None` when the circuit had none to lose, or
 /// when none of them were load-bearing (no hazard appears).
@@ -777,6 +890,44 @@ mod tests {
         assert!(swap_roots(&bare, 0).is_none());
         assert!(credit_root(&bare, 0).is_none());
         assert!(truncate_roots(&bare, 0).is_none());
+    }
+
+    /// The conversion forgers replace the attachment and nothing else,
+    /// with or without an attachment to start from, and the certificate
+    /// check refuses every forgery: the correct circuit is proved by the
+    /// sweep.
+    #[test]
+    fn conversion_forgers_touch_only_the_attachment() {
+        use soi_cec::{check_mapped, CecOptions, CecPath};
+        use soi_mapper::Mapper;
+
+        let n = sample_network();
+        let mapped = Mapper::soi(MapConfig::default())
+            .run(&n)
+            .expect("maps")
+            .circuit;
+        let honest = mapped.conversion().expect("`run` attaches");
+        let mut bare = mapped.clone();
+        bare.set_conversion(None);
+        let mut forged: Vec<DominoCircuit> = (0..8)
+            .map(|seed| forge_conversion_gate(&n, &mapped, seed).expect("a gate is reachable"))
+            .collect();
+        forged.push(flip_conversion_phases(&n, &mapped).expect("the output image moves"));
+        forged.push(flip_conversion_phases(&n, &bare).expect("converts the source itself"));
+        for (k, circuit) in forged.iter().enumerate() {
+            assert_eq!(*circuit, mapped, "forgery {k} touched the circuit");
+            let conversion = circuit.conversion().expect("attached");
+            assert_ne!(**conversion, **honest, "forgery {k}");
+            let report = check_mapped(&n, circuit, &CecOptions::default()).expect("checks");
+            assert!(report.is_equivalent(), "forgery {k}: {:?}", report.verdict);
+            assert_eq!(report.path, CecPath::Sweep, "forgery {k} certified");
+        }
+        // A network whose outputs the circuit does not bind offers nothing.
+        let mut wider = n.clone();
+        let a = wider.inputs()[0];
+        wider.add_output("g", a);
+        assert!(forge_conversion_gate(&wider, &mapped, 0).is_none());
+        assert!(flip_conversion_phases(&wider, &mapped).is_none());
     }
 
     #[test]

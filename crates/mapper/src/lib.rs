@@ -88,6 +88,7 @@ mod error;
 mod job;
 mod map;
 mod memo;
+mod pages;
 mod reconstruct;
 mod report;
 mod sched;

@@ -98,6 +98,11 @@ impl Mapper {
     /// Maps an arbitrary logic network: unate conversion, then the tuple
     /// DP, then gate materialization and discharge protection.
     ///
+    /// The result's circuit carries the conversion
+    /// ([`DominoCircuit::conversion`](soi_domino_ir::DominoCircuit::conversion)),
+    /// so an equivalence checker can prove the mapping against it without
+    /// converting the source again.
+    ///
     /// # Errors
     ///
     /// Returns a [`MapError`] for invalid configurations (checked before
@@ -115,10 +120,14 @@ impl Mapper {
                 },
             )?
         };
-        self.run_unate(&unate)
+        let unate = Arc::new(unate);
+        let mut result = self.run_unate(&unate)?;
+        result.circuit.set_conversion(Some(unate));
+        Ok(result)
     }
 
-    /// Maps an already-unate network.
+    /// Maps an already-unate network. The result's circuit carries no
+    /// conversion: there is no source network to have converted.
     ///
     /// # Errors
     ///
@@ -204,6 +213,28 @@ mod tests {
                 "{:?} left hazards",
                 mapper.algorithm()
             );
+        }
+    }
+
+    /// `run` attaches the conversion it mapped, image table included, and
+    /// `run_unate` attaches none; the circuits are the same.
+    #[test]
+    fn run_attaches_its_conversion() {
+        let n = fig2a_network();
+        for output_phase in [
+            soi_unate::OutputPhase::Positive,
+            soi_unate::OutputPhase::Cheapest,
+        ] {
+            let config = MapConfig {
+                output_phase,
+                ..MapConfig::default()
+            };
+            let unate = convert(&n, &Options { output_phase }).unwrap();
+            let run = Mapper::soi(config).run(&n).unwrap();
+            let from_unate = Mapper::soi(config).run_unate(&unate).unwrap();
+            assert_eq!(run.circuit.conversion().map(|u| &**u), Some(&unate));
+            assert!(from_unate.circuit.conversion().is_none());
+            assert_eq!(run.circuit, from_unate.circuit);
         }
     }
 

@@ -16,7 +16,11 @@
 //! and dropping the table frees a few blocks instead of two per node. A
 //! worker's writes go to its own segments in the order it solves, so the
 //! level-by-level walk writes as sequentially as the serial one; the only
-//! per-node write outside a worker's own memory is its index entry.
+//! per-node write outside a worker's own memory is its index entry. A
+//! table for more than one worker maps its large segment buffers straight
+//! from the OS ([`crate::pages`]), so what a parallel run leaves resident
+//! does not depend on which worker opened which segment; a serial run's
+//! come from the heap.
 //!
 //! **Publication.** Every cell of a segment is written once, by the worker
 //! that owns the segment (or by the driver seeding salvaged units before
@@ -39,6 +43,7 @@ use std::sync::OnceLock;
 use soi_unate::UId;
 
 use crate::arena::CandArena;
+use crate::pages;
 use crate::tuple::{Cand, CandRef, GateSol, TupleKey};
 
 /// One shape's contiguous candidate run, relative to the first candidate
@@ -232,6 +237,8 @@ impl OwnedSols {
 struct Cells<T> {
     ptr: NonNull<T>,
     cap: usize,
+    /// Whether the buffer is a mapping ([`pages::map`]), not a heap block.
+    mapped: bool,
 }
 
 // SAFETY: `Cells` owns its buffer like a `Box<[T]>`; shared access follows
@@ -241,13 +248,35 @@ unsafe impl<T: Send + Sync> Sync for Cells<T> {}
 
 impl<T: Copy> Cells<T> {
     /// An uninitialized buffer of `cap` cells; its pages are touched only
-    /// as cells are written.
-    fn new(cap: usize) -> Cells<T> {
+    /// as cells are written. With `map`, a buffer of at least
+    /// [`pages::MIN_MAPPED_BYTES`] is a mapping of its own, whose pages go
+    /// back to the OS when it is dropped.
+    fn new(cap: usize, map: bool) -> Cells<T> {
+        let bytes = Self::bytes(cap);
+        if map && bytes >= pages::MIN_MAPPED_BYTES {
+            if let Some(ptr) = pages::map(bytes) {
+                let ptr = ptr.cast::<T>();
+                assert!(ptr.is_aligned(), "a mapping is page-aligned");
+                return Cells {
+                    ptr,
+                    cap,
+                    mapped: true,
+                };
+            }
+        }
         let raw = Box::into_raw(Box::<[T]>::new_uninit_slice(cap));
         Cells {
             ptr: NonNull::new(raw.cast::<T>()).expect("a box is never null"),
             cap,
+            mapped: false,
         }
+    }
+
+    /// Size in bytes of `cap` cells.
+    fn bytes(cap: usize) -> usize {
+        std::mem::size_of::<T>()
+            .checked_mul(cap)
+            .expect("a segment buffer fits the address space")
     }
 
     /// Writes cell `i`.
@@ -282,6 +311,13 @@ impl<T: Copy> Cells<T> {
 
 impl<T> Drop for Cells<T> {
     fn drop(&mut self) {
+        if self.mapped {
+            let bytes = std::mem::size_of::<T>() * self.cap;
+            // SAFETY: `new` mapped exactly these bytes, and the buffer is
+            // dropped once; `T: Copy` cells need no drop.
+            unsafe { pages::unmap(self.ptr.cast(), bytes) };
+            return;
+        }
         let slice = std::ptr::slice_from_raw_parts_mut(
             self.ptr.as_ptr().cast::<MaybeUninit<T>>(),
             self.cap,
@@ -330,6 +366,9 @@ pub(crate) struct SolTable {
     segments: Box<[OnceLock<Segment>]>,
     /// Capacity of each worker's first segment.
     first_segment: usize,
+    /// Whether large segment buffers are mappings of their own
+    /// ([`crate::pages`]): in a table for more than one worker.
+    mapped: bool,
 }
 
 impl SolTable {
@@ -344,6 +383,7 @@ impl SolTable {
             first_segment: (nodes / workers)
                 .saturating_mul(SEGMENT_CANDS_PER_NODE)
                 .max(MIN_SEGMENT),
+            mapped: workers > 1,
         }
     }
 
@@ -482,9 +522,9 @@ impl SegWriter {
                 .next()
                 .expect("a worker's segment slots outlast any memory");
             let fresh = Segment {
-                headers: Cells::new(cap),
-                runs: Cells::new(cap),
-                cands: Cells::new(cap),
+                headers: Cells::new(cap, table.mapped),
+                runs: Cells::new(cap, table.mapped),
+                cands: Cells::new(cap, table.mapped),
             };
             if table.segments[slot].set(fresh).is_err() {
                 panic!("segment slot {slot} opened twice");
@@ -753,6 +793,30 @@ mod tests {
         );
         assert_eq!(exports[&TupleKey::UNIT].len(), 2);
         assert!(exports.get(&k12).is_none());
+    }
+
+    #[test]
+    fn large_buffers_are_mapped_on_request_and_small_ones_never() {
+        assert!(!Cells::<u64>::new(16, true).mapped);
+        let cap = pages::MIN_MAPPED_BYTES / std::mem::size_of::<u64>() + 1;
+        assert!(!Cells::<u64>::new(cap, false).mapped);
+        let large = Cells::<u64>::new(cap, true);
+        // Other targets take every buffer from the heap.
+        if cfg!(all(
+            target_os = "linux",
+            any(target_arch = "x86_64", target_arch = "aarch64")
+        )) {
+            assert!(large.mapped);
+        }
+        for i in [0, 1, cap / 2, cap - 1] {
+            // SAFETY: each cell written once, read after.
+            unsafe { large.write(i, i as u64 * 3) };
+        }
+        // SAFETY: written above.
+        unsafe {
+            assert_eq!(large.slice(cap - 1..cap), &[(cap as u64 - 1) * 3]);
+            assert_eq!(large.slice(0..2), &[0, 3]);
+        }
     }
 
     #[test]

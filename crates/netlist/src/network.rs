@@ -337,17 +337,20 @@ impl Network {
                 });
             }
         }
-        let mut names = FxHashSet::default();
+        // The names are borrowed, so checking them allocates two tables
+        // whatever their number.
+        let mut names = FxHashSet::with_capacity_and_hasher(self.inputs.len(), Default::default());
         for id in &self.inputs {
             if let Node::Input { name } = self.node(*id) {
-                if !names.insert(name.clone()) {
+                if !names.insert(name.as_str()) {
                     return Err(NetworkError::DuplicateName { name: name.clone() });
                 }
             }
         }
-        let mut out_names = FxHashSet::default();
+        let mut out_names =
+            FxHashSet::with_capacity_and_hasher(self.outputs.len(), Default::default());
         for port in &self.outputs {
-            if !out_names.insert(port.name.clone()) {
+            if !out_names.insert(port.name.as_str()) {
                 return Err(NetworkError::DuplicateName {
                     name: port.name.clone(),
                 });

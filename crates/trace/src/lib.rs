@@ -78,7 +78,7 @@ pub enum Stage {
     /// excluded).
     CecCertify,
     /// Inside [`Stage::CecCertify`]: converting the source to its unate
-    /// network again.
+    /// network again, for a circuit that carries no conversion of its own.
     CecCertifyConvert,
     /// Inside [`Stage::CecCertify`]: proving the conversion equal to the
     /// source, one source node at a time (claim 1).

@@ -5,11 +5,14 @@
 //! literal cache are dense `Vec`s indexed by `node.index() * 2 + phase`
 //! (the keyspace is contiguous by construction — no hashing at all), and
 //! only the structural-hash table, whose `(op, lo, hi)` keyspace is
-//! sparse, pays for a map — with the Fx hasher, not SipHash.
+//! sparse, pays for a map — with the Fx hasher, not SipHash. The memo
+//! holds one `u32` per pair and becomes the returned network's image
+//! table ([`UnateNetwork::image`]).
 
 use soi_netlist::fx::FxHashMap;
 use soi_netlist::{BinOp, Network, Node, NodeId, UnOp};
 
+use crate::network::{decode_image, encode_image, UNBUILT};
 use crate::{Literal, Phase, UId, USignal, UnateError, UnateNetwork};
 
 /// How to choose the phase implemented for each primary output.
@@ -40,7 +43,8 @@ pub struct Options {
 /// both phases of their fanins); NAND/NOR push the bubble through via
 /// De Morgan. Logic needed in both phases is duplicated, memoized per
 /// `(node, phase)` so each original node expands to at most two unate nodes.
-/// Constants are folded away.
+/// Constants are folded away. The returned network keeps that memo as its
+/// image table ([`UnateNetwork::image`]).
 ///
 /// # Errors
 ///
@@ -81,29 +85,11 @@ pub fn convert(network: &Network, options: &Options) -> Result<UnateNetwork, Una
         };
         builder.out.add_output(port.name.clone(), signal, inverted);
     }
-    Ok(builder.out)
-}
-
-/// The `(source node, phase) → unate signal` table of one conversion:
-/// the signal built for every pair the conversion visited, including
-/// buffers and inverters (which build no node of their own).
-#[derive(Debug, Clone)]
-pub struct Images {
-    /// Dense by [`slot`].
-    slots: Vec<Option<USignal>>,
-}
-
-impl Images {
-    /// The signal `node` was built as in `phase`, or `None` when the
-    /// conversion never needed that pair.
-    pub fn get(&self, node: NodeId, phase: Phase) -> Option<USignal> {
-        self.slots.get(slot(node, phase)).copied().flatten()
-    }
+    Ok(builder.finish())
 }
 
 /// Converts with output `o` built in the phase `phase(o)` — `Phase::Neg`
-/// builds the output's complement behind a boundary inverter — and returns
-/// the image table along with the network.
+/// builds the output's complement behind a boundary inverter.
 ///
 /// Given the phases a [`convert`] run recorded on its outputs (under
 /// either [`OutputPhase`] policy), this reproduces that run's network node
@@ -116,7 +102,7 @@ impl Images {
 pub fn convert_in_phases(
     network: &Network,
     mut phase: impl FnMut(usize) -> Phase,
-) -> Result<(UnateNetwork, Images), UnateError> {
+) -> Result<UnateNetwork, UnateError> {
     let mut builder = Builder::new(network)?;
     for (o, port) in network.outputs().iter().enumerate() {
         let phase = phase(o);
@@ -125,10 +111,7 @@ pub fn convert_in_phases(
             .out
             .add_output(port.name.clone(), signal, phase == Phase::Neg);
     }
-    let images = Images {
-        slots: builder.memo,
-    };
-    Ok((builder.out, images))
+    Ok(builder.finish())
 }
 
 /// Dense slot for a `(node, phase)` pair: two slots per node.
@@ -143,8 +126,8 @@ struct Builder<'a> {
     input_pos: Vec<usize>,
     out: UnateNetwork,
     /// `(original node, requested phase)` → produced signal, dense by
-    /// [`slot`].
-    memo: Vec<Option<USignal>>,
+    /// [`slot`] and encoded by [`encode_image`]: the image table.
+    memo: Vec<u32>,
     /// Structural hashing of produced gates (sparse keyspace).
     hash: FxHashMap<(bool, UId, UId), UId>,
     /// Produced literal per `input * 2 + phase`.
@@ -213,7 +196,7 @@ impl<'a> Builder<'a> {
             network,
             input_pos,
             out: UnateNetwork::new(input_names),
-            memo: vec![None; network.len() * 2],
+            memo: vec![UNBUILT; network.len() * 2],
             // Sized for about one gate per source node, which is what
             // `synth-mult136` builds (365,298 from 366,383 nodes): growing
             // from empty would rehash every entry at each doubling.
@@ -222,6 +205,19 @@ impl<'a> Builder<'a> {
             seen: Vec::new(),
             frames: Vec::new(),
         })
+    }
+
+    /// The converted network, keeping the memo as its image table.
+    fn finish(self) -> UnateNetwork {
+        let mut out = self.out;
+        out.images = self.memo;
+        out
+    }
+
+    /// The signal built for [`slot`] `s`, if any.
+    #[inline(always)]
+    fn built(&self, s: usize) -> Option<USignal> {
+        decode_image(self.memo[s])
     }
 
     fn literal(&mut self, literal: Literal) -> UId {
@@ -284,7 +280,7 @@ impl<'a> Builder<'a> {
     /// popped back looks at it again — and the signals are read back from
     /// the memo once all are built.
     fn build(&mut self, node: NodeId, phase: Phase) -> USignal {
-        if let Some(sig) = self.memo[slot(node, phase)] {
+        if let Some(sig) = self.built(slot(node, phase)) {
             return sig;
         }
         let mut parents = std::mem::take(&mut self.frames);
@@ -292,7 +288,7 @@ impl<'a> Builder<'a> {
         let sig = loop {
             if cur.next < cur.len {
                 let s = cur.operands[usize::from(cur.next)] as usize;
-                if self.memo[s].is_some() {
+                if self.memo[s] != UNBUILT {
                     cur.next += 1;
                     continue;
                 }
@@ -305,8 +301,9 @@ impl<'a> Builder<'a> {
                         phase = phase.flipped();
                     }
                     node = *a;
-                    if let Some(sig) = self.memo[slot(node, phase)] {
-                        self.memo[s] = Some(sig);
+                    let image = self.memo[slot(node, phase)];
+                    if image != UNBUILT {
+                        self.memo[s] = image;
                         cur.next += 1;
                         continue;
                     }
@@ -316,7 +313,7 @@ impl<'a> Builder<'a> {
                 continue;
             }
             let sig = self.assemble(&cur);
-            self.memo[cur.slot as usize] = Some(sig);
+            self.memo[cur.slot as usize] = encode_image(sig);
             match parents.pop() {
                 Some(parent) => cur = parent,
                 None => break sig,
@@ -393,7 +390,8 @@ impl<'a> Builder<'a> {
     #[inline(always)]
     fn assemble(&mut self, frame: &Frame) -> USignal {
         let built = |b: &Self, i: usize| {
-            b.memo[frame.operands[i] as usize].expect("operands are built before their pair")
+            b.built(frame.operands[i] as usize)
+                .expect("operands are built before their pair")
         };
         match frame.kind {
             Kind::Leaf => {
@@ -442,7 +440,7 @@ impl<'a> Builder<'a> {
         let mut stack = vec![(node, phase)];
         while let Some((node, phase)) = stack.pop() {
             let s = slot(node, phase);
-            if self.memo[s].is_some() || self.seen[s / 64] >> (s % 64) & 1 == 1 {
+            if self.memo[s] != UNBUILT || self.seen[s / 64] >> (s % 64) & 1 == 1 {
                 continue;
             }
             self.seen[s / 64] |= 1 << (s % 64);
@@ -639,7 +637,7 @@ mod tests {
         n.add_output("h", t1);
         for output_phase in [OutputPhase::Positive, OutputPhase::Cheapest] {
             let u = convert(&n, &Options { output_phase }).unwrap();
-            let (again, images) = convert_in_phases(&n, |o| {
+            let again = convert_in_phases(&n, |o| {
                 if u.outputs()[o].inverted {
                     Phase::Neg
                 } else {
@@ -650,12 +648,38 @@ mod tests {
             assert_eq!(again, u, "{output_phase:?}");
             for (port, out) in n.outputs().iter().zip(u.outputs()) {
                 let phase = if out.inverted { Phase::Neg } else { Phase::Pos };
-                assert_eq!(images.get(port.driver, phase), Some(out.signal));
+                assert_eq!(u.image(port.driver, phase), Some(out.signal));
             }
             // An inverter builds no node: its image is its fanin's in the
             // other phase.
-            assert_eq!(images.get(f, Phase::Pos), images.get(t3, Phase::Neg));
+            assert_eq!(u.image(f, Phase::Pos), u.image(t3, Phase::Neg));
         }
+    }
+
+    /// The image table answers a folded constant, a node, and `None` for
+    /// a pair never built or a node outside the source; a network built
+    /// by hand answers `None` for every pair.
+    #[test]
+    fn images_record_constants_nodes_and_unbuilt_pairs() {
+        let mut n = Network::new("t");
+        let a = n.add_input("a");
+        let one = n.add_const(true);
+        let g = n.and2(a, one);
+        let ng = n.inv(g);
+        n.add_output("f", ng);
+        let u = check(&n);
+        // f = !(a * 1) = a' + 0: the only node is the literal a'.
+        let a_neg = Some(USignal::Node(UId::from_index(0)));
+        assert_eq!(u.image(one, Phase::Neg), Some(USignal::Const(false)));
+        assert_eq!(u.image(a, Phase::Neg), a_neg);
+        assert_eq!(u.image(g, Phase::Neg), a_neg);
+        assert_eq!(u.image(ng, Phase::Pos), a_neg);
+        for (node, phase) in [(one, Phase::Pos), (a, Phase::Pos), (ng, Phase::Neg)] {
+            assert_eq!(u.image(node, phase), None, "{node:?} {phase:?}");
+        }
+        assert_eq!(u.image(NodeId::from_index(n.len()), Phase::Pos), None);
+        let by_hand = UnateNetwork::new(vec!["a".into()]);
+        assert_eq!(by_hand.image(a, Phase::Pos), None);
     }
 
     #[test]
@@ -690,7 +714,7 @@ mod tests {
     /// each pair's operands first, in the order the definition names
     /// them, then the pair's own gates.
     fn build_ref(b: &mut Builder<'_>, node: NodeId, phase: Phase) -> USignal {
-        if let Some(sig) = b.memo[slot(node, phase)] {
+        if let Some(sig) = b.built(slot(node, phase)) {
             return sig;
         }
         let network = b.network;
@@ -741,7 +765,7 @@ mod tests {
                 }
             }
         };
-        b.memo[slot(node, phase)] = Some(sig);
+        b.memo[slot(node, phase)] = encode_image(sig);
         sig
     }
 
@@ -786,7 +810,7 @@ mod tests {
                     .out
                     .add_output(port.name.clone(), signal, phase == Phase::Neg);
             }
-            builder.out
+            builder.finish()
         };
         let recursive = build_all(true);
         assert!(recursive.stats().gates() > 100);
@@ -797,7 +821,7 @@ mod tests {
     /// visit per pair not yet built, each counted once.
     fn estimate_ref(b: &Builder<'_>, node: NodeId, phase: Phase, seen: &mut Vec<bool>) -> usize {
         let s = slot(node, phase);
-        if b.memo[s].is_some() || seen[s] {
+        if b.memo[s] != UNBUILT || seen[s] {
             return 0;
         }
         seen[s] = true;

@@ -43,7 +43,7 @@ mod convert;
 mod error;
 mod network;
 
-pub use convert::{convert, convert_in_phases, Images, Options, OutputPhase};
+pub use convert::{convert, convert_in_phases, Options, OutputPhase};
 pub use error::UnateError;
 pub use network::{
     ConePartition, ConeUnit, Literal, Phase, UId, UNode, USignal, UnateNetwork, UnateOutput,

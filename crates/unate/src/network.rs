@@ -1,6 +1,6 @@
 use std::fmt;
 
-use soi_netlist::{Network, NetworkError};
+use soi_netlist::{Network, NetworkError, NodeId};
 
 /// Phase of a primary-input literal in a unate network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -244,12 +244,48 @@ impl ConePartition {
 /// An inverter-free network of 2-input AND/OR gates over primary-input
 /// literals — the mapper's input representation.
 ///
-/// Nodes are stored in topological order (fanins precede fanouts).
+/// Nodes are stored in topological order (fanins precede fanouts). A
+/// network returned by [`convert`](crate::convert) also keeps the image
+/// table of its conversion ([`UnateNetwork::image`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UnateNetwork {
     input_names: Vec<String>,
     nodes: Vec<UNode>,
     outputs: Vec<UnateOutput>,
+    /// The conversion's image of each `(source node, phase)` pair, two
+    /// slots per source node, encoded by [`encode_image`]; empty for a
+    /// network built by hand.
+    pub(crate) images: Vec<u32>,
+}
+
+/// The image-table slot of a pair the conversion never built.
+pub(crate) const UNBUILT: u32 = 0;
+
+/// A signal as one image-table slot: the constants are 1 and 2, node `id`
+/// is `id + 3`, and [`UNBUILT`] is never a signal.
+///
+/// # Panics
+///
+/// Panics if the node's index is one of the last three a `u32` holds.
+#[inline]
+pub(crate) fn encode_image(signal: USignal) -> u32 {
+    match signal {
+        USignal::Const(c) => 1 + u32::from(c),
+        USignal::Node(id) => {
+            id.0.checked_add(3)
+                .expect("unate node index exceeds the image table's range")
+        }
+    }
+}
+
+/// The signal an image-table slot holds: `None` for [`UNBUILT`].
+#[inline]
+pub(crate) fn decode_image(slot: u32) -> Option<USignal> {
+    match slot {
+        UNBUILT => None,
+        1 | 2 => Some(USignal::Const(slot == 2)),
+        _ => Some(USignal::Node(UId(slot - 3))),
+    }
 }
 
 impl UnateNetwork {
@@ -259,6 +295,7 @@ impl UnateNetwork {
             input_names,
             nodes: Vec::new(),
             outputs: Vec::new(),
+            images: Vec::new(),
         }
     }
 
@@ -297,6 +334,21 @@ impl UnateNetwork {
     /// The output bindings.
     pub fn outputs(&self) -> &[UnateOutput] {
         &self.outputs
+    }
+
+    /// The signal the conversion built for source node `node` in `phase`
+    /// (`Neg`: its complement) — a buffer or an inverter builds no node of
+    /// its own and has its fanin's signal. `None` when the conversion
+    /// never needed that pair, when `node` lies outside the source, and
+    /// for every pair of a network built by hand.
+    ///
+    /// The table is stored at 4 bytes per pair: it is the conversion's own
+    /// memo. It records what the conversion did and proves nothing: a
+    /// checker that relies on it must check every image against the
+    /// source, as `soi_cec::check_mapped` does.
+    pub fn image(&self, node: NodeId, phase: Phase) -> Option<USignal> {
+        let slot = node.index() * 2 + usize::from(phase == Phase::Neg);
+        self.images.get(slot).copied().and_then(decode_image)
     }
 
     /// Adds a literal node.

@@ -3,10 +3,12 @@
 //! count — a handful per worker for the solution segments, the memo and
 //! the scratch arenas, and a handful per run for the cone partition and
 //! the circuit — so far fewer than one call per ten unate nodes, serial
-//! or on two threads. Proving the serial mapping by its certificate
-//! (`check_mapped`) stays under the same bound: the re-converted unate
-//! network's containers, and a few buffers that every gate's normal
-//! forms reuse.
+//! or on two threads. Proving the serial `run_unate` mapping by its
+//! certificate (`check_mapped`), which converts the source again, stays
+//! under the same bound: the re-converted unate network's containers, and
+//! a few buffers that every gate's normal forms reuse. Proving a `run`
+//! mapping, which carries the mapper's own conversion, skips the
+//! re-conversion and stays under one call per 500 unate nodes.
 //!
 //! The allocator below counts every allocation call of the process, so
 //! this binary holds a single test: the harness runs nothing else while
@@ -52,8 +54,12 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Upper bound on allocation calls per unate node for one `run_unate`,
-/// and for one `check_mapped`.
+/// and for one `check_mapped` that converts the source again.
 const MAX_CALLS_PER_NODE: f64 = 0.1;
+
+/// Upper bound on allocation calls per unate node for one `check_mapped`
+/// on a circuit that carries its conversion.
+const MAX_ATTACHED_CALLS_PER_NODE: f64 = 0.002;
 
 #[test]
 fn mapping_allocates_nothing_per_node() {
@@ -87,15 +93,46 @@ fn mapping_allocates_nothing_per_node() {
     assert_eq!(mapped[0].threads_used, 1);
     assert!(mapped[0].circuit == mapped[1].circuit, "schedules diverge");
 
-    let opts = CecOptions::default();
-    let before = CALLS.load(Ordering::Relaxed);
-    let report = cec::check_mapped(&network, &mapped[0].circuit, &opts).expect("checks");
-    let calls = CALLS.load(Ordering::Relaxed) - before;
-    assert_eq!(report.path, CecPath::Certificate, "{:?}", report.verdict);
-    let per_node = calls as f64 / nodes as f64;
+    let from_network = Mapper::soi(MapConfig {
+        parallelism: Parallelism::Serial,
+        ..MapConfig::default()
+    })
+    .run(&network)
+    .expect("maps");
     assert!(
-        per_node < MAX_CALLS_PER_NODE,
-        "check_mapped: {calls} allocation calls for {nodes} unate nodes \
-         ({per_node:.3} per node)"
+        from_network.circuit.conversion().is_some(),
+        "`run` attaches"
     );
+    assert!(mapped[0].circuit.conversion().is_none());
+    assert!(
+        from_network.circuit == mapped[0].circuit,
+        "run and run_unate diverge"
+    );
+
+    let opts = CecOptions::default();
+    for (circuit, bound) in [
+        (&mapped[0].circuit, MAX_CALLS_PER_NODE),
+        (&from_network.circuit, MAX_ATTACHED_CALLS_PER_NODE),
+    ] {
+        let what = if circuit.conversion().is_some() {
+            "check_mapped (attached conversion)"
+        } else {
+            "check_mapped (re-converted)"
+        };
+        let before = CALLS.load(Ordering::Relaxed);
+        let report = cec::check_mapped(&network, circuit, &opts).expect("checks");
+        let calls = CALLS.load(Ordering::Relaxed) - before;
+        assert_eq!(
+            report.path,
+            CecPath::Certificate,
+            "{what}: {:?}",
+            report.verdict
+        );
+        let per_node = calls as f64 / nodes as f64;
+        assert!(
+            per_node < bound,
+            "{what}: {calls} allocation calls for {nodes} unate nodes \
+             ({per_node:.4} per node, bound {bound})"
+        );
+    }
 }

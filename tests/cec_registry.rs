@@ -257,6 +257,26 @@ const FORGERS: [(&str, Forger); 4] = [
     ("truncate_roots", inject::truncate_roots),
 ];
 
+/// The conversion forgers' output for one seed: the conversion of the
+/// source with one gate complemented, and the source's conversion with
+/// every output in the other phase.
+fn forged_conversions(
+    network: &Network,
+    circuit: &DominoCircuit,
+    seed: u64,
+) -> [(&'static str, Option<DominoCircuit>); 2] {
+    [
+        (
+            "forge_conversion_gate",
+            inject::forge_conversion_gate(network, circuit, seed),
+        ),
+        (
+            "flip_conversion_phases",
+            inject::flip_conversion_phases(network, circuit),
+        ),
+    ]
+}
+
 /// `check_mapped` refutes `mutant` with a counterexample that really
 /// distinguishes it from `network`, decided by the sweep.
 fn assert_refuted(network: &Network, mutant: &DominoCircuit, what: &str) {
@@ -276,11 +296,11 @@ fn assert_refuted(network: &Network, mutant: &DominoCircuit, what: &str) {
 
 /// Circuit-level mutators: the fanin retarget and the flipped output
 /// inversion are real functional changes and must be refuted with a
-/// confirmed counterexample, whatever forged certificate rides along; the
-/// protection-level mutators leave the logic function intact and the
-/// checker must keep proving equivalence (they are caught by the PBE
-/// safety stage, not by CEC), as it must for a correct circuit with a
-/// forged certificate.
+/// confirmed counterexample, whatever forged certificate or conversion
+/// rides along; the protection-level mutators leave the logic function
+/// intact and the checker must keep proving equivalence (they are caught
+/// by the PBE safety stage, not by CEC), as it must for a correct circuit
+/// with a forged certificate or conversion.
 #[test]
 fn circuit_mutations_are_refuted_or_proven_noop() {
     let opts = CecOptions::default();
@@ -315,6 +335,11 @@ fn circuit_mutations_on(source: &str, opts: &CecOptions) {
                 assert_refuted(&network, &forged, &what);
             }
         }
+        for (forger, forged) in forged_conversions(&network, &mutant, seed) {
+            let forged = forged.unwrap_or_else(|| panic!("{source}: {forger} applies"));
+            let what = format!("{source} retarget_fanin + {forger} seed {seed}");
+            assert_refuted(&network, &forged, &what);
+        }
         // The injector's own witness vector must also distinguish.
         let lhs = network.simulate(&witness).expect("simulates");
         let rhs = mutant.evaluate(&witness).expect("evaluates");
@@ -343,6 +368,21 @@ fn circuit_mutations_on(source: &str, opts: &CecOptions) {
                 report.path,
                 CecPath::Sweep,
                 "{what}: forged table certified"
+            );
+        }
+    }
+    // So does one with a forged conversion: claim 1 refuses a conversion
+    // with a complemented gate, claim 3 one with its outputs flipped.
+    for seed in 0..4u64 {
+        for (forger, forged) in forged_conversions(&network, &mapped.circuit, seed) {
+            let forged = forged.unwrap_or_else(|| panic!("{source}: {forger} applies"));
+            let report = check_mapped(&network, &forged, opts).expect("comparable");
+            let what = format!("{source} {forger} seed {seed}");
+            assert!(report.is_equivalent(), "{what}: {:?}", report.verdict);
+            assert_eq!(
+                report.path,
+                CecPath::Sweep,
+                "{what}: forged conversion certified"
             );
         }
     }

@@ -294,9 +294,11 @@ fn all_algorithms_balance_candidates_and_discharges() {
 
 /// The certificate check's counters balance against the circuit: every
 /// gate of every default-config registry mapping is certified in a
-/// `cec-certify` span with no fallback and no SAT call, that span holds
-/// one span each for the re-conversion, claim 1, and claims 2 and 3, and
-/// a rewired mutant falls back exactly once, certifying nothing.
+/// `cec-certify` span with no fallback and no SAT call. Checked against
+/// the conversion the mapping carries, that span holds one span for
+/// claim 1 and one for claims 2 and 3, and none for a conversion; with
+/// the attachment removed, it also holds the re-conversion's span. A
+/// rewired mutant falls back exactly once, certifying nothing.
 #[test]
 fn certificate_check_counts_every_gate_or_one_fallback() {
     let (rec, trace) = Recorder::install();
@@ -305,35 +307,39 @@ fn certificate_check_counts_every_gate_or_one_fallback() {
         let network = registry::benchmark(name).expect("registered benchmark");
         for make in MAPPERS {
             let result = make(MapConfig::default()).run(&network).expect("maps");
-            let what = format!("{name} ({:?})", result.algorithm);
-            rec.reset();
-            let report = check_mapped_traced(&network, &result.circuit, &opts, trace)
-                .unwrap_or_else(|e| panic!("{what} checks: {e}"));
-            let gates = result.circuit.gate_count() as u64;
-            assert_eq!(report.path, CecPath::Certificate, "{what}");
-            assert_eq!(
-                rec.counter(Counter::CecCertifiedGates),
-                gates,
-                "{what}: certified gates disagree with the circuit"
-            );
-            assert_eq!(rec.counter(Counter::CecFallbacks), 0, "{what}: fell back");
-            assert_eq!(rec.counter(Counter::CecSatCalls), 0, "{what}: SAT ran");
-            let parent = rec
-                .stage_nanos(Stage::CecCertify)
-                .unwrap_or_else(|| panic!("{what}: no cec-certify span"));
-            let children = [
-                Stage::CecCertifyConvert,
-                Stage::CecCertifySource,
-                Stage::CecCertifyGates,
-            ]
-            .map(|stage| {
-                rec.stage_nanos(stage)
-                    .unwrap_or_else(|| panic!("{what}: no {stage} span"))
-            });
-            assert!(
-                children.iter().sum::<u64>() <= parent,
-                "{what}: the certificate's parts {children:?} outlast it ({parent} ns)"
-            );
+            assert!(result.circuit.conversion().is_some(), "`run` attaches");
+            let mut bare = result.circuit.clone();
+            bare.set_conversion(None);
+            for (circuit, converts) in [(&result.circuit, false), (&bare, true)] {
+                let what = format!("{name} ({:?}, re-converted: {converts})", result.algorithm);
+                rec.reset();
+                let report = check_mapped_traced(&network, circuit, &opts, trace)
+                    .unwrap_or_else(|e| panic!("{what} checks: {e}"));
+                let gates = circuit.gate_count() as u64;
+                assert_eq!(report.path, CecPath::Certificate, "{what}");
+                assert_eq!(
+                    rec.counter(Counter::CecCertifiedGates),
+                    gates,
+                    "{what}: certified gates disagree with the circuit"
+                );
+                assert_eq!(rec.counter(Counter::CecFallbacks), 0, "{what}: fell back");
+                assert_eq!(rec.counter(Counter::CecSatCalls), 0, "{what}: SAT ran");
+                let parent = rec
+                    .stage_nanos(Stage::CecCertify)
+                    .unwrap_or_else(|| panic!("{what}: no cec-certify span"));
+                let convert = rec.stage_nanos(Stage::CecCertifyConvert);
+                assert_eq!(convert.is_some(), converts, "{what}: {convert:?}");
+                let claims = [Stage::CecCertifySource, Stage::CecCertifyGates].map(|stage| {
+                    rec.stage_nanos(stage)
+                        .unwrap_or_else(|| panic!("{what}: no {stage} span"))
+                });
+                let children = claims.iter().sum::<u64>() + convert.unwrap_or(0);
+                assert!(
+                    children <= parent,
+                    "{what}: the certificate's parts ({convert:?} + {claims:?}) outlast it \
+                     ({parent} ns)"
+                );
+            }
         }
     }
 
